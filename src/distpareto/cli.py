@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import itertools
 import json
 import sys
 
@@ -34,6 +35,7 @@ from .laws import (
 )
 from .pareto import DEFAULT_DEDUP_TOL, DEFAULT_MAX_ORDER, pareto_eigenpair, pareto_spectrum, rho2_fast
 from .verify import (
+    _describe,
     check_coalescence_quasiconvexity,
     check_edge_monotonicity,
     check_eigenvector_convexity,
@@ -310,28 +312,28 @@ def _cmd_formulas(args) -> int:
     return EXIT_OK
 
 
-def _suite_convexity(order: int) -> tuple[int, list[dict]]:
-    from itertools import combinations
-
+def _tally(reports) -> tuple[int, list[dict]]:
+    """Count the reports and collect the ones that do not hold, in order."""
     checked = 0
     violations = []
-    for n in range(2, order + 1):
-        for t in trees_upto_iso(n):
-            for k in range(1, n + 1):
-                for J in combinations(range(n), k):
-                    pair = pareto_eigenpair(t, J)
-                    rep = check_eigenvector_convexity(t, pair)
-                    checked += 1
-                    if not rep.holds:
-                        violations.append(
-                            {"instance": rep.instance, "counterexample": rep.counterexample}
-                        )
+    for rep in reports:
+        checked += 1
+        if not rep.holds:
+            violations.append({"instance": rep.instance, "counterexample": rep.counterexample})
     return checked, violations
 
 
-def _suite_monotonicity(order: int) -> tuple[int, list[dict]]:
-    checked = 0
-    violations = []
+def _suite_convexity(order: int) -> tuple[int, list[dict]]:
+    return _tally(
+        check_eigenvector_convexity(t, pareto_eigenpair(t, J))
+        for n in range(2, order + 1)
+        for t in trees_upto_iso(n)
+        for k in range(1, n + 1)
+        for J in itertools.combinations(range(n), k)
+    )
+
+
+def _monotonicity_reports(order: int):
     for n in range(2, order + 1):
         for g in connected_graph_classes(n):
             for e in g.sorted_edges():
@@ -339,12 +341,11 @@ def _suite_monotonicity(order: int) -> tuple[int, list[dict]]:
                     rep = check_edge_monotonicity(g, e)
                 except DisconnectedGraphError:
                     continue
-                checked += 1
-                if not rep.holds:
-                    violations.append(
-                        {"instance": rep.instance, "counterexample": rep.counterexample}
-                    )
-    return checked, violations
+                yield rep
+
+
+def _suite_monotonicity(order: int) -> tuple[int, list[dict]]:
+    return _tally(_monotonicity_reports(order))
 
 
 def _suite_quasiconvex(order: int) -> tuple[int, list[dict]]:
@@ -353,29 +354,16 @@ def _suite_quasiconvex(order: int) -> tuple[int, list[dict]]:
         make_family("complete", [3]),
         make_family("path", [3]),
     ]
-    checked = 0
-    violations = []
-    for n in range(3, order + 1):
-        for t in trees_upto_iso(n):
-            for h in attachments:
-                rep = check_coalescence_quasiconvexity(t, h, 0)
-                checked += 1
-                if not rep.holds:
-                    violations.append(
-                        {"instance": rep.instance, "counterexample": rep.counterexample}
-                    )
-    return checked, violations
+    return _tally(
+        check_coalescence_quasiconvexity(t, h, 0)
+        for n in range(3, order + 1)
+        for t in trees_upto_iso(n)
+        for h in attachments
+    )
 
 
 def _suite_tree_extremes(order: int) -> tuple[int, list[dict]]:
-    checked = 0
-    violations = []
-    for n in range(3, order + 1):
-        rep = check_tree_extremes(n)
-        checked += 1
-        if not rep.holds:
-            violations.append({"instance": rep.instance, "counterexample": rep.counterexample})
-    return checked, violations
+    return _tally(check_tree_extremes(n) for n in range(3, order + 1))
 
 
 def _suite_bounds_sweep(order: int, random_count: int, seed: int) -> tuple[int, list[dict]]:
@@ -391,7 +379,7 @@ def _suite_bounds_sweep(order: int, random_count: int, seed: int) -> tuple[int, 
             if b.slack < -1e-8:
                 violations.append(
                     {
-                        "instance": _describe_graph(g),
+                        "instance": _describe(g),
                         "bound_id": b.bound_id,
                         "k": b.k,
                         "slack": b.slack,
@@ -406,10 +394,6 @@ def _suite_bounds_sweep(order: int, random_count: int, seed: int) -> tuple[int, 
         n = int(rng.integers(7, 11))
         run(random_connected_graph(n, rng))
     return checked, violations
-
-
-def _describe_graph(g: Graph) -> str:
-    return g.name or f"n={g.n}, edges={g.sorted_edges()}"
 
 
 def _cmd_verify(args) -> int:

@@ -9,6 +9,10 @@ subset size, then deduplicates with a relative tolerance.  The witness kept
 for each distinct value is the first subset in canonical order, i.e. the
 lexicographically smallest one of smallest cardinality.
 
+``_perron_roots_for_rows`` is the one gather-and-solve kernel: it serves the
+spectrum, ``rho2_fast`` and the batched sweeps in ``verify``, and hands the
+eigensolver at most ``_GATHER_BYTES`` of submatrices per call.
+
 ``jobs > 1`` splits the canonical subset range into contiguous chunks handled
 by worker threads (LAPACK releases the GIL); the deduplication runs on the
 merged value array, so results are identical for every worker count.
@@ -43,6 +47,7 @@ __all__ = [
 DEFAULT_DEDUP_TOL = 1e-8
 DEFAULT_MAX_ORDER = 20
 _SUBMATRIX_COUNT_MAX_ORDER = 8
+_GATHER_BYTES = 16 << 20  # bytes of gathered work array per batched call
 
 
 @dataclass(frozen=True)
@@ -96,14 +101,47 @@ def _subsets_by_size(n: int) -> dict[int, np.ndarray]:
 
 
 def _perron_roots_for_rows(dmat: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Perron roots of dmat restricted to each index row of ``rows``."""
-    m, k = rows.shape
+    """Perron roots of ``dmat`` restricted to each index row of ``rows``.
+
+    ``dmat`` is one (n, n) matrix or a stack (m, n, n); the result has shape
+    (r,) or (m, r) for r rows.  Submatrices are gathered and solved at most
+    ``_GATHER_BYTES`` at a time (or one at a time, if one is larger), so memory
+    stays bounded whatever m and r are.
+    """
+    d = dmat.astype(np.float64, copy=False)
+    stack = d.reshape((-1,) + d.shape[-2:])
+    m = stack.shape[0]
+    r, k = rows.shape
     if k == 1:
-        return np.zeros(m)
-    if k == 2:
-        return dmat[rows[:, 0], rows[:, 1]].astype(np.float64)
-    subs = dmat[rows[:, :, None], rows[:, None, :]]
-    return spectral_radius_many(subs)
+        out = np.zeros((m, r))
+    elif k == 2:
+        out = stack[:, rows[:, 0], rows[:, 1]]
+    else:
+        out = np.empty((m, r))
+        per_row = max(1, _GATHER_BYTES // (k * k * 8 * m))  # rows per block
+        per_mat = max(1, _GATHER_BYTES // (k * k * 8 * per_row))  # matrices per block
+        for i in range(0, m, per_mat):
+            for lo in range(0, r, per_row):
+                sel = rows[lo : lo + per_row]
+                subs = stack[i : i + per_mat, sel[:, :, None], sel[:, None, :]]
+                out[i : i + per_mat, lo : lo + per_row] = spectral_radius_many(
+                    subs.reshape(-1, k, k)
+                ).reshape(subs.shape[:2])
+    return out.reshape(d.shape[:-2] + (r,))
+
+
+def _map_spans(fn, total: int, jobs: int) -> list:
+    """``fn`` over ``jobs`` contiguous spans of range(total), results in span order.
+
+    Spans run in worker threads (LAPACK and numpy release the GIL).
+    """
+    jobs = max(1, int(jobs))
+    if jobs == 1 or total < 2 * jobs:
+        return [fn((0, total))]
+    bounds = np.linspace(0, total, jobs + 1).astype(int)
+    spans = [(int(bounds[i]), int(bounds[i + 1])) for i in range(jobs)]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, spans))
 
 
 def _all_subset_values(dmat: np.ndarray, subsets: dict[int, np.ndarray], jobs: int) -> np.ndarray:
@@ -124,30 +162,30 @@ def _all_subset_values(dmat: np.ndarray, subsets: dict[int, np.ndarray], jobs: i
             rows = subsets[k][a - k_lo : b - k_lo]
             values[a:b] = _perron_roots_for_rows(dmat, rows)
 
-    jobs = max(1, int(jobs))
-    if jobs == 1 or total < 2 * jobs:
-        fill((0, total))
-    else:
-        bounds = np.linspace(0, total, jobs + 1).astype(int)
-        spans = [(int(bounds[i]), int(bounds[i + 1])) for i in range(jobs)]
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(fill, spans))
+    _map_spans(fill, total, jobs)
     return values
+
+
+def _breaks(s: np.ndarray, tol: float) -> np.ndarray:
+    """Where ascending values (along the last axis) start a new distinct value.
+
+    Two Perron roots a <= b belong to the same Pareto eigenvalue when
+    b - a <= tol * max(1, b).
+    """
+    return (s[..., 1:] - s[..., :-1]) > tol * np.maximum(1.0, s[..., 1:])
 
 
 def _dedup(values: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Cluster near-equal values; return (representatives, witness flat indices).
 
-    Two Perron roots a <= b belong to the same Pareto eigenvalue when
-    b - a <= tol * max(1, b).  The representative of each cluster is the value
-    at the smallest canonical index in the cluster.
+    Clusters break where ``_breaks`` says so.  The representative of each
+    cluster is the value at the smallest canonical index in the cluster.
     """
     order = np.argsort(values, kind="stable")
     s = values[order]
     if s.size == 0:
         return np.empty(0), np.empty(0, dtype=np.intp)
-    breaks = (s[1:] - s[:-1]) > tol * np.maximum(1.0, s[1:])
-    starts = np.concatenate([[0], np.nonzero(breaks)[0] + 1])
+    starts = np.concatenate([[0], np.nonzero(_breaks(s, tol))[0] + 1])
     witness_idx = np.minimum.reduceat(order, starts)
     return values[witness_idx], witness_idx
 
@@ -174,12 +212,10 @@ def pareto_spectrum(
         raise CapExceededError(
             f"pareto_spectrum enumerates 2^n - 1 subsets; n={g.n} exceeds cap {max_order}"
         )
-    dm = distance_matrix(g)
-    dmat = dm.d.astype(np.float64)
     subsets = _subsets_by_size(g.n)
     counts = [subsets[k].shape[0] for k in range(1, g.n + 1)]
     offsets = np.concatenate([[0], np.cumsum(counts)])
-    values = _all_subset_values(dmat, subsets, jobs)
+    values = _all_subset_values(distance_matrix(g).d, subsets, jobs)
     reps, witness_idx = _dedup(values, dedup_tolerance)
     witnesses = tuple(_decode_flat(int(i), subsets, offsets) for i in witness_idx)
     return ParetoSpectrum(
@@ -221,7 +257,7 @@ def rho2_fast(g: Graph) -> tuple[float, int]:
     rows = np.array(
         [[u for u in range(g.n) if u != v] for v in candidates], dtype=np.intp
     )
-    vals = _perron_roots_for_rows(dm.d.astype(np.float64), rows)
+    vals = _perron_roots_for_rows(dm.d, rows)
     vmax = float(vals.max())
     pick = int(np.argmax(vals >= vmax - 1e-12 * max(1.0, abs(vmax))))
     return float(vals[pick]), candidates[pick]

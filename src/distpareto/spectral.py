@@ -88,8 +88,6 @@ def spectral_radius_many(mats: np.ndarray) -> np.ndarray:
     """Largest eigenvalue of each matrix in a (m, k, k) stack."""
     if mats.size == 0:
         return np.zeros(mats.shape[0])
-    if mats.shape[-1] == 1:
-        return mats[:, 0, 0].astype(np.float64)
     return np.linalg.eigvalsh(mats)[..., -1]
 
 

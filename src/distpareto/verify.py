@@ -1,17 +1,18 @@
 """Structural property checkers and exhaustive searches at desk scale.
 
-The exhaustive machinery enumerates labeled graphs as edge bitmasks with a
-connectivity filter, and labeled trees from Prufer sequences with
-canonical-form deduplication (sorted rooted encodings at the tree centers).
+The exhaustive machinery enumerates labeled graphs as edge bitmasks, in chunks
+that share one batched connectivity and distance pass (``_connected_chunks``),
+and labeled trees from Prufer sequences with canonical-form deduplication
+(sorted rooted encodings at the tree centers).
 Pareto counts are isomorphism-invariant, so searches aggregate on labeled
 graphs and deduplicate only the witnesses.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,13 +20,15 @@ import numpy as np
 from .errors import CapExceededError
 from .graph import Graph, coalesce, delete_edge, distance_matrix, make_graph, structure_queries
 from .pareto import (
+    _GATHER_BYTES,
     DEFAULT_DEDUP_TOL,
     ParetoEigenpair,
+    _breaks,
+    _map_spans,
     _perron_roots_for_rows,
     _subsets_by_size,
     rho2_fast,
 )
-from .spectral import spectral_radius_many
 
 __all__ = [
     "PropertyReport",
@@ -50,6 +53,7 @@ _CONVEXITY_TOL = 1e-12
 _ISO_MAX_ORDER = 8
 _EXTREMAL_MAX_ORDER = 7
 _TREES_MAX_ORDER = 9
+_SWEEP_CHUNK = 4096  # edge masks per batched connectivity and distance pass
 
 
 @dataclass(frozen=True)
@@ -169,31 +173,41 @@ def _mask_to_graph(mask: int, n: int, pairs: list[tuple[int, int]]) -> Graph:
     return make_graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
 
 
-def _connected_masks(n: int) -> list[int]:
-    """Edge bitmasks of all connected labeled graphs on n vertices."""
-    pairs = _edge_pairs(n)
-    full = (1 << n) - 1
-    out = []
-    for mask in range(1 << len(pairs)):
-        adj = [0] * n
-        for i, (u, v) in enumerate(pairs):
-            if mask >> i & 1:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-        seen = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            m = frontier
-            while m:
-                v = (m & -m).bit_length() - 1
-                m &= m - 1
-                nxt |= adj[v]
-            frontier = nxt & ~seen
-            seen |= frontier
-        if seen == full:
-            out.append(mask)
-    return out
+def _bulk_distances(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distances for a stack of adjacency matrices; flags connected graphs."""
+    m, n, _ = adj.shape
+    eye = np.eye(n, dtype=bool)
+    dist = np.where(adj, 1, 0).astype(np.int64)
+    reach = adj | eye
+    step = (adj | eye).astype(np.uint8)
+    for level in range(2, n):
+        nxt = (reach.astype(np.uint8) @ step) > 0
+        new = nxt & ~reach
+        if not new.any():
+            break
+        dist[new] = level
+        reach = nxt
+    connected = reach.reshape(m, -1).all(axis=1)
+    return dist, connected
+
+
+def _connected_chunks(n: int, lo: int, hi: int):
+    """Yield (masks, distances) for the connected labeled graphs with edge mask in [lo, hi).
+
+    Bit j of a mask is the j-th vertex pair in lexicographic order.  Masks are
+    taken ``_SWEEP_CHUNK`` at a time, and one ``_bulk_distances`` pass gives
+    each chunk's connectivity and distance matrices; masks stay ascending.
+    """
+    ui, vi = np.triu_indices(n, 1)
+    for start in range(lo, hi, _SWEEP_CHUNK):
+        masks = np.arange(start, min(start + _SWEEP_CHUNK, hi), dtype=np.int64)
+        bits = ((masks[:, None] >> np.arange(ui.size)) & 1).astype(bool)
+        adj = np.zeros((masks.size, n, n), dtype=bool)
+        adj[:, ui, vi] = bits
+        adj[:, vi, ui] = bits
+        dist, connected = _bulk_distances(adj)
+        if connected.any():
+            yield masks[connected], dist[connected]
 
 
 def connected_graphs_labeled(n: int):
@@ -201,47 +215,53 @@ def connected_graphs_labeled(n: int):
     if not (1 <= n <= _EXTREMAL_MAX_ORDER):
         raise CapExceededError(f"labeled sweep limited to n <= {_EXTREMAL_MAX_ORDER}")
     pairs = _edge_pairs(n)
-    for mask in _connected_masks(n):
-        yield _mask_to_graph(mask, n, pairs)
+    for masks, _ in _connected_chunks(n, 0, 1 << len(pairs)):
+        for mask in masks:
+            yield _mask_to_graph(int(mask), n, pairs)
 
 
+@functools.lru_cache(maxsize=None)
 def _perm_edge_columns(n: int) -> np.ndarray:
-    """(n!, C(n,2)) table: column j of a mask under each vertex permutation."""
+    """(n!, C(n,2)) table: column j of a mask under each vertex permutation (read-only)."""
     pairs = _edge_pairs(n)
     index = {p: i for i, p in enumerate(pairs)}
-    table = []
-    for perm in itertools.permutations(range(n)):
-        table.append([index[tuple(sorted((perm[u], perm[v])))] for (u, v) in pairs])
-    return np.array(table, dtype=np.intp)
+    table = np.array(
+        [[index[tuple(sorted((perm[u], perm[v])))] for (u, v) in pairs]
+         for perm in itertools.permutations(range(n))],
+        dtype=np.intp,
+    )
+    table.setflags(write=False)
+    return table
 
 
-def _canonical_mask_values(masks: list[int], n: int) -> np.ndarray:
-    """Vectorized canonical form (minimal packed bitmask over permutations)."""
-    npairs = n * (n - 1) // 2
-    bits = np.zeros((len(masks), npairs), dtype=np.int64)
-    arr = np.array(masks, dtype=np.int64)
-    for j in range(npairs):
-        bits[:, j] = (arr >> j) & 1
-    pow2 = (1 << np.arange(npairs, dtype=np.int64))
-    table = _perm_edge_columns(n)
-    best = np.full(len(masks), np.iinfo(np.int64).max, dtype=np.int64)
-    for row in table:
-        packed = bits[:, row] @ pow2
-        np.minimum(best, packed, out=best)
+def _canonical_mask_values(masks, n: int) -> np.ndarray:
+    """Canonical form of each edge mask: its least value over all vertex relabelings.
+
+    The relabeled masks are one float matrix product per block of masks; the
+    packed values stay below 2^28, so float64 holds them exactly.
+    """
+    weights = np.ldexp(1.0, _perm_edge_columns(n).T)  # (C(n,2), n!)
+    arr = np.asarray(masks, dtype=np.int64)
+    bits = ((arr[:, None] >> np.arange(weights.shape[0])) & 1).astype(np.float64)
+    best = np.empty(arr.size, dtype=np.int64)
+    step = max(1, _GATHER_BYTES // (8 * weights.shape[1]))
+    for lo in range(0, arr.size, step):
+        best[lo : lo + step] = (bits[lo : lo + step] @ weights).min(axis=1)
     return best
 
 
 def canonical_form(g: Graph) -> tuple[tuple[int, int], ...]:
-    """Lexicographically minimal edge set over all vertex relabelings (n <= 8)."""
+    """Edge set of the relabeling with the least edge mask, sorted (n <= 8).
+
+    Two graphs are isomorphic exactly when their canonical forms are equal.
+    """
     if g.n > _ISO_MAX_ORDER:
         raise CapExceededError(f"canonical_form limited to n <= {_ISO_MAX_ORDER}")
-    best = None
-    edges = g.sorted_edges()
-    for perm in itertools.permutations(range(g.n)):
-        relabeled = tuple(sorted(tuple(sorted((perm[u], perm[v]))) for u, v in edges))
-        if best is None or relabeled < best:
-            best = relabeled
-    return best
+    pairs = _edge_pairs(g.n)
+    index = {p: i for i, p in enumerate(pairs)}
+    mask = sum(1 << index[e] for e in g.sorted_edges())
+    best = int(_canonical_mask_values([mask], g.n)[0])
+    return tuple(p for i, p in enumerate(pairs) if best >> i & 1)
 
 
 def is_isomorphic(a: Graph, b: Graph) -> bool:
@@ -250,17 +270,19 @@ def is_isomorphic(a: Graph, b: Graph) -> bool:
     return canonical_form(a) == canonical_form(b)
 
 
+def _first_of_each_class(masks, n: int) -> list[int]:
+    """The masks that are the first of their isomorphism class, in input order."""
+    _, first = np.unique(_canonical_mask_values(masks, n), return_index=True)
+    return [int(masks[i]) for i in sorted(first)]
+
+
 def connected_graph_classes(n: int) -> list[Graph]:
     """One representative per isomorphism class of connected graphs (n <= 6)."""
     if not (1 <= n <= 6):
         raise CapExceededError("isomorphism-class sweep limited to n <= 6")
-    if n == 1:
-        return [make_graph(1, [])]
     pairs = _edge_pairs(n)
-    masks = _connected_masks(n)
-    canon = _canonical_mask_values(masks, n)
-    _, first = np.unique(canon, return_index=True)
-    return [_mask_to_graph(masks[i], n, pairs) for i in sorted(first)]
+    masks = np.concatenate([m for m, _ in _connected_chunks(n, 0, 1 << len(pairs))])
+    return [_mask_to_graph(m, n, pairs) for m in _first_of_each_class(masks, n)]
 
 
 def random_connected_graph(n: int, rng: np.random.Generator, extra_edge_prob: float = 0.3) -> Graph:
@@ -434,13 +456,10 @@ def check_coalescence_quasiconvexity(t: Graph, h: Graph, w: int) -> PropertyRepo
     graphs = [coalesce(t, i, h, w) for i in range(t.n)]
     r2 = np.array([rho2_fast(gi)[0] for gi in graphs])
     # rho of every single-vertex deletion, per coalescence point
-    deletion_rho = np.empty((t.n, total))
     rows = np.array(
         [[x for x in range(total) if x != u] for u in range(total)], dtype=np.intp
     )
-    for i, gi in enumerate(graphs):
-        dmat = distance_matrix(gi).d.astype(np.float64)
-        deletion_rho[i] = _perron_roots_for_rows(dmat, rows)
+    deletion_rho = _perron_roots_for_rows(np.stack([distance_matrix(gi).d for gi in graphs]), rows)
 
     instance = f"tree {_describe(t)} x attachment {_describe(h)} at {w}"
     adj = t.adjacency()
@@ -523,50 +542,17 @@ def check_tree_extremes(n: int) -> PropertyReport:
 # Extremal search over connected graphs
 
 
-def _bulk_distances(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distances for a stack of adjacency matrices; flags connected graphs."""
-    m, n, _ = adj.shape
-    eye = np.eye(n, dtype=bool)
-    dist = np.where(adj, 1, 0).astype(np.int64)
-    reach = adj | eye
-    step = (adj | eye).astype(np.uint8)
-    for level in range(2, n):
-        nxt = (reach.astype(np.uint8) @ step) > 0
-        new = nxt & ~reach
-        if not new.any():
-            break
-        dist[new] = level
-        reach = nxt
-    connected = reach.reshape(m, -1).all(axis=1)
-    return dist, connected
-
-
 def _bulk_pareto_counts(dmats: np.ndarray, tol: float) -> np.ndarray:
     """Distinct Pareto eigenvalue count per distance matrix in a stack."""
-    m, n, _ = dmats.shape
-    subsets = _subsets_by_size(n)
-    blocks = [np.zeros((m, n))]  # singletons contribute value 0
-    if n >= 2:
-        s2 = subsets[2]
-        blocks.append(dmats[:, s2[:, 0], s2[:, 1]].astype(np.float64))
-    for k in range(3, n + 1):
-        sk = subsets[k]
-        sub = dmats[:, sk[:, :, None], sk[:, None, :]].astype(np.float64)
-        flat = sub.reshape(-1, k, k)
-        blocks.append(spectral_radius_many(flat).reshape(m, -1))
-    vals = np.concatenate(blocks, axis=1)
+    n = dmats.shape[-1]
+    vals = np.concatenate(
+        [_perron_roots_for_rows(dmats, rows) for rows in _subsets_by_size(n).values()], axis=1
+    )
     vals.sort(axis=1)
-    gaps = vals[:, 1:] - vals[:, :-1]
-    breaks = gaps > tol * np.maximum(1.0, vals[:, 1:])
-    return 1 + breaks.sum(axis=1)
+    return 1 + _breaks(vals, tol).sum(axis=1)
 
 
-def extremal_search(
-    n: int,
-    dedup_iso: bool = True,
-    jobs: int = 1,
-    chunk_size: int = 4096,
-) -> ExtremalResult:
+def extremal_search(n: int, dedup_iso: bool = True, jobs: int = 1) -> ExtremalResult:
     """Maximum number of distance Pareto eigenvalues over connected graphs of order n.
 
     Sweeps all 2^(n(n-1)/2) labeled graphs in chunks: connectivity and
@@ -578,53 +564,27 @@ def extremal_search(
     if not (2 <= n <= _EXTREMAL_MAX_ORDER):
         raise CapExceededError(f"extremal search limited to 2 <= n <= {_EXTREMAL_MAX_ORDER}")
     pairs = _edge_pairs(n)
-    npairs = len(pairs)
-    total = 1 << npairs
-    ui, vi = np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
 
     def scan(span: tuple[int, int]) -> tuple[int, list[int], int]:
-        lo, hi = span
         best = 0
         witnesses: list[int] = []
         scanned = 0
-        for start in range(lo, hi, chunk_size):
-            stop = min(start + chunk_size, hi)
-            masks = np.arange(start, stop, dtype=np.int64)
-            bits = ((masks[:, None] >> np.arange(npairs)) & 1).astype(bool)
-            adj = np.zeros((len(masks), n, n), dtype=bool)
-            adj[:, ui, vi] = bits
-            adj[:, vi, ui] = bits
-            dist, connected = _bulk_distances(adj)
-            if not connected.any():
-                continue
-            scanned += int(connected.sum())
-            counts = _bulk_pareto_counts(dist[connected], DEFAULT_DEDUP_TOL)
+        for masks, dist in _connected_chunks(n, *span):
+            scanned += masks.size
+            counts = _bulk_pareto_counts(dist, DEFAULT_DEDUP_TOL)
             cmax = int(counts.max())
             if cmax > best:
                 best = cmax
                 witnesses = []
             if cmax == best:
-                sel = masks[connected][counts == best]
-                witnesses.extend(int(x) for x in sel)
+                witnesses.extend(int(x) for x in masks[counts == best])
         return best, witnesses, scanned
 
-    jobs = max(1, int(jobs))
-    if jobs == 1:
-        best, witness_masks, scanned = scan((0, total))
-    else:
-        bounds = np.linspace(0, total, jobs + 1).astype(int)
-        spans = [(int(bounds[i]), int(bounds[i + 1])) for i in range(jobs)]
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(scan, spans))
-        best = max(p[0] for p in parts)
-        witness_masks = sorted(
-            itertools.chain.from_iterable(p[1] for p in parts if p[0] == best)
-        )
-        scanned = sum(p[2] for p in parts)
-
+    parts = _map_spans(scan, 1 << len(pairs), jobs)
+    best = max(p[0] for p in parts)
+    witness_masks = sorted(itertools.chain.from_iterable(p[1] for p in parts if p[0] == best))
+    scanned = sum(p[2] for p in parts)
     if dedup_iso and witness_masks:
-        canon = _canonical_mask_values(witness_masks, n)
-        _, first = np.unique(canon, return_index=True)
-        witness_masks = [witness_masks[i] for i in sorted(first)]
+        witness_masks = _first_of_each_class(witness_masks, n)
     graphs = tuple(_mask_to_graph(m, n, pairs) for m in witness_masks)
     return ExtremalResult(order=n, max_count=best, witnesses=graphs, graphs_scanned=scanned)

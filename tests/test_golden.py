@@ -1,0 +1,58 @@
+"""Byte-for-byte CLI outputs against recorded golden files.
+
+Each case's stdout lives in ``tests/golden/<name>.out`` and its exit code in
+``tests/golden/exit_codes.json``.  To re-record after an intended output
+change, run ``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+import contextlib
+import io
+import json
+import pathlib
+
+import pytest
+
+from distpareto import cli
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+CASES = {
+    "spectrum_wheel7_json": ["spectrum", "--family", "wheel", "7"],
+    "spectrum_path9_csv": ["spectrum", "--family", "path", "9", "--format", "csv"],
+    "spectrum_kab34_table": ["spectrum", "--family", "complete_bipartite", "3", "4",
+                             "--format", "table"],
+    "spectrum_path25_cap": ["spectrum", "--family", "path", "25"],
+    "rho2_bounds_kn_minus_e6_json": ["rho2", "--family", "complete_minus_edge", "6", "--bounds"],
+    "rho2_bounds_star8_csv": ["rho2", "--family", "star", "8", "--bounds", "--format", "csv"],
+    "verify_extremal5": ["verify", "extremal", "--order", "5"],
+    "verify_monotonicity5": ["verify", "monotonicity", "--order", "5"],
+    "verify_quasiconvex6": ["verify", "quasiconvex", "--order", "6"],
+    "verify_tree_extremes7": ["verify", "tree-extremes", "--order", "7"],
+    "verify_convexity5": ["verify", "convexity", "--order", "5"],
+    "verify_bounds_sweep5_random20": ["verify", "bounds-sweep", "--order", "5", "--random", "20"],
+}
+
+
+def _run(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(list(argv))
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_cli_output(name):
+    code, out = _run(CASES[name])
+    expected_codes = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
+    assert code == expected_codes[name]
+    assert out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    codes = {}
+    for name, argv in sorted(CASES.items()):
+        codes[name], out = _run(argv)
+        (GOLDEN / f"{name}.out").write_bytes(out.encode("utf-8"))
+    (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n",
+                                            encoding="utf-8")

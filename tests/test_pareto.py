@@ -6,6 +6,7 @@ import pytest
 
 from distpareto.errors import CapExceededError, DisconnectedGraphError
 from distpareto.graph import distance_matrix, make_family, make_graph
+from distpareto import pareto
 from distpareto.pareto import (
     distinct_submatrix_count,
     mu_k,
@@ -323,3 +324,37 @@ def test_caps_and_errors():
         distinct_submatrix_count(fam("path", 9))
     with pytest.raises(ValueError):
         rho2_fast(make_graph(1, []))
+
+
+# ---------------------------------------------------------------------------
+# the shared Perron kernel
+
+
+def test_bulk_counts_match_pareto_count(classes_by_order):
+    from distpareto.verify import _bulk_pareto_counts
+
+    for n in range(2, 7):
+        graphs = classes_by_order[n]
+        dmats = np.stack([distance_matrix(g).d for g in graphs])
+        counts = _bulk_pareto_counts(dmats, pareto.DEFAULT_DEDUP_TOL)
+        assert counts.tolist() == [pareto_count(g) for g in graphs]
+
+
+def test_bounded_gather_is_bitwise_identical(monkeypatch):
+    from distpareto.verify import random_connected_graph
+
+    wheel = fam("wheel", 12)
+    big = random_connected_graph(60, np.random.default_rng(11), extra_edge_prob=0.05)
+    others = [fam("path", 12), fam("star", 12), fam("cycle", 12), fam("complete_bipartite", 6, 6)]
+    stack = np.stack([distance_matrix(g).d for g in [wheel] + others])
+    subsets = pareto._subsets_by_size(12).values()
+    spectrum = pareto_spectrum(wheel)
+    rho2 = [rho2_fast(wheel), rho2_fast(big)]
+    stacked = [pareto._perron_roots_for_rows(stack, rows) for rows in subsets]
+    monkeypatch.setattr(pareto, "_GATHER_BYTES", 4096)
+    chunked = pareto_spectrum(wheel)
+    assert chunked.values == spectrum.values
+    assert chunked.witnesses == spectrum.witnesses
+    assert [rho2_fast(wheel), rho2_fast(big)] == rho2
+    for rows, want in zip(subsets, stacked):
+        assert np.array_equal(pareto._perron_roots_for_rows(stack, rows), want)

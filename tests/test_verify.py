@@ -62,9 +62,48 @@ def test_connected_class_counts():
 
 
 def test_connected_labeled_counts():
-    expected = {2: 1, 3: 4, 4: 38, 5: 728}
+    expected = {2: 1, 3: 4, 4: 38, 5: 728, 6: 26704}  # OEIS A001187
     for n, want in expected.items():
         assert sum(1 for _ in connected_graphs_labeled(n)) == want
+
+
+def _double_edge_swaps(g):
+    """Graphs from g by one degree-preserving swap ab, cd -> ad, cb."""
+    edges = set(g.sorted_edges())
+    out = []
+    for e, f in itertools.combinations(sorted(edges), 2):
+        for (a, b), (c, d) in ((e, f), (e, f[::-1])):
+            new = {tuple(sorted((a, d))), tuple(sorted((c, b)))}
+            if len({a, b, c, d}) == 4 and not new & edges:
+                out.append(make_graph(g.n, (edges - {e, f}) | new))
+    return out
+
+
+def test_is_isomorphic_agrees_with_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(7)
+    same_degrees_not_iso = 0
+    for trial in range(50):
+        n = int(rng.integers(4, 9))
+        g = random_connected_graph(n, rng, extra_edge_prob=0.35)
+        swaps = _double_edge_swaps(g)
+        if trial % 2 and swaps:
+            # same degree sequence, often not isomorphic
+            h = swaps[int(rng.integers(len(swaps)))]
+        else:
+            perm = rng.permutation(n)
+            h = make_graph(n, [(int(perm[u]), int(perm[v])) for u, v in g.sorted_edges()])
+        assert sorted(g.degrees()) == sorted(h.degrees())
+        gx, hx = nx.Graph(g.sorted_edges()), nx.Graph(h.sorted_edges())
+        gx.add_nodes_from(range(n))
+        hx.add_nodes_from(range(n))
+        want = nx.is_isomorphic(gx, hx)
+        assert is_isomorphic(g, h) == want
+        same_degrees_not_iso += not want
+    assert same_degrees_not_iso >= 5
+    # both 3-regular on 6 vertices, not isomorphic
+    prism = make_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)])
+    assert not is_isomorphic(prism, fam("complete_bipartite", 3, 3))
 
 
 def test_canonical_form_detects_isomorphism():
