@@ -8,6 +8,7 @@ input graph.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import itertools
 import json
@@ -35,6 +36,9 @@ from .laws import (
 )
 from .pareto import DEFAULT_DEDUP_TOL, DEFAULT_MAX_ORDER, pareto_eigenpair, pareto_spectrum, rho2_fast
 from .verify import (
+    _CLASSES_MAX_ORDER,
+    _EXTREMAL_MAX_ORDER,
+    _TREES_MAX_ORDER,
     _describe,
     check_coalescence_quasiconvexity,
     check_edge_monotonicity,
@@ -51,15 +55,6 @@ EXIT_VIOLATION = 1
 EXIT_PARSE = 2
 EXIT_CAP = 3
 EXIT_DISCONNECTED = 4
-
-VERIFY_SUITES = (
-    "convexity",
-    "monotonicity",
-    "quasiconvex",
-    "tree-extremes",
-    "bounds-sweep",
-    "extremal",
-)
 
 
 def _round12(x: float) -> float:
@@ -158,26 +153,13 @@ def _csv_rows(command: str, payload: dict) -> tuple[list[str], list[list]]:
                 "bound_id", "k", "direction", "bound_value",
                 "actual_value", "slack", "tight", "applicable", "reason",
             ]
-            rows = [
-                [
-                    b["bound_id"], b["k"] if b["k"] is not None else "",
-                    b["direction"], b["bound_value"], b["actual_value"],
-                    b["slack"], b["tight"], b["applicable"], b["reason"],
-                ]
-                for b in payload["bounds"]
-            ]
-            return header, rows
+            # csv writes None (the k of a per-graph bound, NaN values) as ""
+            return header, [[b[h] for h in header] for b in payload["bounds"]]
         return ["value", "witness_vertex"], [[payload["value"], payload["witness_vertex"]]]
     if command == "formulas":
         header = ["identifier", "params", "formula_value", "surd", "brute_force_value", "abs_diff"]
-        return header, [[
-            payload["identifier"],
-            " ".join(str(p) for p in payload["params"]),
-            payload["formula_value"],
-            payload["surd"],
-            payload["brute_force_value"],
-            payload["abs_diff"],
-        ]]
+        row = dict(payload, params=" ".join(str(p) for p in payload["params"]))
+        return header, [[row[h] for h in header]]
     if command == "verify":
         header = ["suite", "checked", "violations", "holds"]
         return header, [[
@@ -218,12 +200,9 @@ def _add_source_flags(p: argparse.ArgumentParser) -> None:
     src.add_argument("--graph6", metavar="FILE", help="file with one graph6 line")
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
+def _add_common_flags(p: argparse.ArgumentParser, jobs_help: str) -> None:
     p.add_argument("--format", choices=("json", "csv", "table"), default="json")
-    p.add_argument("--jobs", type=int, default=1, help="worker count for subset enumeration")
-    p.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER)
-    p.add_argument("--tolerance", type=float, default=DEFAULT_DEDUP_TOL,
-                   help="dedup tolerance for distinct Pareto eigenvalues")
+    p.add_argument("--jobs", type=int, default=1, help=jobs_help)
 
 
 def _load_graph(args) -> Graph:
@@ -268,20 +247,7 @@ def _cmd_rho2(args) -> int:
     value, witness = rho2_fast(g)
     payload = {"value": value, "witness_vertex": witness}
     if args.bounds:
-        payload["bounds"] = [
-            {
-                "bound_id": b.bound_id,
-                "k": b.k,
-                "direction": b.direction,
-                "bound_value": b.bound_value,
-                "actual_value": b.actual_value,
-                "slack": b.slack,
-                "tight": b.tight,
-                "applicable": b.applicable,
-                "reason": b.reason,
-            }
-            for b in bound_report(g)
-        ]
+        payload["bounds"] = [dataclasses.asdict(b) for b in bound_report(g)]
     sys.stdout.write(_emit(_document("rho2", payload, g), args.format))
     return EXIT_OK
 
@@ -396,41 +362,44 @@ def _suite_bounds_sweep(order: int, random_count: int, seed: int) -> tuple[int, 
     return checked, violations
 
 
+def _suite_extremal(order: int, jobs: int) -> dict:
+    result = extremal_search(order, dedup_iso=True, jobs=jobs)
+    return {
+        "checked": result.graphs_scanned,
+        "max_count": result.max_count,
+        "witnesses": [
+            {"order": w.n, "edges": [list(e) for e in w.sorted_edges()]}
+            for w in result.witnesses
+        ],
+        "violations": [],
+        "holds": True,
+    }
+
+
+def _verdict(checked: int, violations: list[dict]) -> dict:
+    return {"checked": checked, "violations": violations, "holds": not violations}
+
+
+# suite name -> (run on the parsed arguments, giving the payload fields; top order allowed)
+_SUITES = {
+    "convexity": (lambda a: _verdict(*_suite_convexity(a.order)), _TREES_MAX_ORDER),
+    "monotonicity": (lambda a: _verdict(*_suite_monotonicity(a.order)), _CLASSES_MAX_ORDER),
+    "quasiconvex": (lambda a: _verdict(*_suite_quasiconvex(a.order)), _TREES_MAX_ORDER),
+    "tree-extremes": (lambda a: _verdict(*_suite_tree_extremes(a.order)), _TREES_MAX_ORDER),
+    "bounds-sweep": (lambda a: _verdict(*_suite_bounds_sweep(a.order, a.random, a.seed)),
+                     _CLASSES_MAX_ORDER),
+    "extremal": (lambda a: _suite_extremal(a.order, a.jobs), _EXTREMAL_MAX_ORDER),
+}
+
+
 def _cmd_verify(args) -> int:
-    suite = args.suite
-    order = args.order
-    payload: dict = {"suite": suite, "params": {"order": order}}
-    if suite == "extremal":
-        result = extremal_search(order, dedup_iso=True, jobs=args.jobs)
-        payload.update(
-            {
-                "checked": result.graphs_scanned,
-                "max_count": result.max_count,
-                "witnesses": [
-                    {"order": w.n, "edges": [list(e) for e in w.sorted_edges()]}
-                    for w in result.witnesses
-                ],
-                "violations": [],
-                "holds": True,
-            }
-        )
-        sys.stdout.write(_emit(_document("verify", payload), args.format))
-        return EXIT_OK
-    if suite == "convexity":
-        checked, violations = _suite_convexity(order)
-    elif suite == "monotonicity":
-        checked, violations = _suite_monotonicity(order)
-    elif suite == "quasiconvex":
-        checked, violations = _suite_quasiconvex(order)
-    elif suite == "tree-extremes":
-        checked, violations = _suite_tree_extremes(order)
-    elif suite == "bounds-sweep":
-        checked, violations = _suite_bounds_sweep(order, args.random, args.seed)
-    else:
-        raise ValueError(f"unknown suite {suite!r}")
-    payload.update({"checked": checked, "violations": violations, "holds": not violations})
+    run, top = _SUITES[args.suite]
+    if args.order > top:
+        raise CapExceededError(f"verify {args.suite} limited to --order <= {top}")
+    payload: dict = {"suite": args.suite, "params": {"order": args.order}}
+    payload.update(run(args))
     sys.stdout.write(_emit(_document("verify", payload), args.format))
-    return EXIT_OK if not violations else EXIT_VIOLATION
+    return EXIT_OK if payload["holds"] else EXIT_VIOLATION
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -444,12 +413,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_spec = sub.add_parser("spectrum", help="full distance Pareto spectrum with witnesses")
     _add_source_flags(p_spec)
-    _add_common_flags(p_spec)
+    _add_common_flags(p_spec, "worker count for subset enumeration")
+    p_spec.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER)
+    p_spec.add_argument("--tolerance", type=float, default=DEFAULT_DEDUP_TOL,
+                        help="dedup tolerance for distinct Pareto eigenvalues")
     p_spec.set_defaults(func=_cmd_spectrum)
 
     p_rho2 = sub.add_parser("rho2", help="second largest distance Pareto eigenvalue")
     _add_source_flags(p_rho2)
-    _add_common_flags(p_rho2)
+    _add_common_flags(p_rho2, "accepted and ignored: rho2 runs on one worker")
     p_rho2.add_argument("--bounds", action="store_true", help="append the bound report")
     p_rho2.set_defaults(func=_cmd_rho2)
 
@@ -460,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_form.set_defaults(func=_cmd_formulas)
 
     p_ver = sub.add_parser("verify", help="run a verification suite; exit 1 on violations")
-    p_ver.add_argument("suite", choices=VERIFY_SUITES)
+    p_ver.add_argument("suite", choices=tuple(_SUITES))
     p_ver.add_argument("--order", type=int, default=5, help="maximum graph order for the sweep")
     p_ver.add_argument("--random", type=int, default=0,
                        help="bounds-sweep: extra random connected graphs on 7..10 vertices")

@@ -44,16 +44,18 @@ TIGHT_TOL = 1e-8
 _SELF_CHECK_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class BoundResult:
     """Outcome of evaluating one inequality on one graph.
 
     ``slack`` is actual - bound for lower bounds and bound - actual for upper
     bounds, so nonnegative slack means the inequality holds.  ``k`` is set
-    only for the per-k family ``rho_k_lower``.
+    only for the per-k family ``rho_k_lower``.  The fields are in report
+    column order, which ``dataclasses.asdict`` keeps.
     """
 
     bound_id: str
+    k: int | None = None
     direction: str  # "lower" | "upper"
     bound_value: float
     actual_value: float
@@ -61,7 +63,6 @@ class BoundResult:
     tight: bool
     applicable: bool
     reason: str = ""
-    k: int | None = None
 
 
 def _result(
@@ -98,149 +99,132 @@ def _inapplicable(bound_id: str, direction: str, reason: str, k: int | None = No
     )
 
 
-def _check_quadratic(value: float, b: float, c: float) -> float:
-    """Assert value solves x^2 - b*x - c = 0 (residual self-check)."""
-    residual = value * value - b * value - c
-    scale = max(1.0, value * value)
-    if abs(residual) > _SELF_CHECK_TOL * scale:
-        raise AssertionError(f"closed form residual {residual:.3e} too large")
-    return value
-
-
 # ---------------------------------------------------------------------------
 # Closed forms
+#
+# Each scalar form is a surd (a + sqrt(b)) / c.  Its builder checks the
+# validity range and returns the integers (a, b, c); the value is self-checked
+# against the quadratic that surd solves, x^2 - (2a/c)x - (b - a^2)/c^2 = 0.
+# The complete graph's spectrum is the one list-valued form: its builder
+# returns the integer eigenvalues.
 
 
-def _star_radius(n: int) -> float:
+def _star_radius(n: int) -> tuple[int, int, int]:
     if n < 2:
         raise ValueError("star radius needs n >= 2")
-    v = n - 2 + math.sqrt((n - 2) ** 2 + n - 1)
-    return _check_quadratic(v, 2 * (n - 2), n - 1)
+    return n - 2, (n - 2) ** 2 + n - 1, 1
 
 
-def _kn_minus_e_radius(n: int) -> float:
+def _kn_minus_e_radius(n: int) -> tuple[int, int, int]:
     if n < 3:
         raise ValueError("kn_minus_e_radius needs n >= 3")
-    v = (n - 1 + math.sqrt((n - 1) ** 2 + 8)) / 2
-    return _check_quadratic(v, n - 1, 2.0)
+    return n - 1, (n - 1) ** 2 + 8, 2
 
 
-def _rho2_kn_minus_e(n: int) -> float:
+def _rho2_kn_minus_e(n: int) -> tuple[int, int, int]:
     if n < 3:
         raise ValueError("rho2_kn_minus_e needs n >= 3")
-    v = (n - 2 + math.sqrt(n * n - 4 * n + 12)) / 2
-    return _check_quadratic(v, n - 2, 2.0)
+    return n - 2, n * n - 4 * n + 12, 2
 
 
-def _rho2_kab(a: int, b: int) -> float:
+def _rho2_kab(a: int, b: int) -> tuple[int, int, int]:
+    # For a >= 2 the surd is the Perron root of the distance matrix of K_{a-1,b}.
     if not (1 <= a <= b):
         raise ValueError("rho2_kab needs 1 <= a <= b")
-    v = a + b - 3 + math.sqrt(a * a + b * b + b - a * b - 2 * a + 1)
-    if a >= 2:
-        # Perron root of the distance matrix of K_{a-1,b}
-        p, q = a - 1, b
-        _check_quadratic(v, 2 * (p + q - 2), float(p * q - 4 * (p - 1) * (q - 1)))
-    return v
+    return a + b - 3, a * a + b * b + b - a * b - 2 * a + 1, 1
 
 
-def _rho2_k_pendant(n: int) -> float:
+def _rho2_k_pendant(n: int) -> tuple[int, int, int]:
     if n < 3:
         raise ValueError("rho2_k_pendant needs n >= 3")
-    v = (n - 3 + math.sqrt(n * n + 10 * n - 23)) / 2
-    return _check_quadratic(v, n - 3, 4.0 * (n - 2))
+    return n - 3, n * n + 10 * n - 23, 2
 
 
-def _rho2_two_nonincident(n: int) -> float:
+def _rho2_two_nonincident(n: int) -> tuple[int, int, int]:
     # The closed form matches brute force only from n = 5 up: at n = 4 the
     # graph is C4, whose largest proper Perron root is 1 + sqrt(3), not this
     # surd.  n >= 5 is the formula's validity range.
     if n < 5:
         raise ValueError("rho2_two_nonincident needs n >= 5")
-    v = (n - 2 + math.sqrt(n * n - 4 * n + 20)) / 2
-    return _check_quadratic(v, n - 2, 4.0)
+    return n - 2, n * n - 4 * n + 20, 2
+
+
+def _complete_spectrum(n: int) -> list[int]:
+    if n < 1:
+        raise ValueError("complete_spectrum needs n >= 1")
+    return list(range(n))
+
+
+def _largest(g: Graph) -> float:
+    return pareto_spectrum(g).values[-1]
+
+
+def _second(g: Graph) -> float:
+    return rho2_fast(g)[0]
+
+
+# identifier -> (parameter count, surd builder, family instance, enumerated quantity)
+_CLOSED_FORMS = {
+    "complete_spectrum": (1, _complete_spectrum, lambda n: make_family("complete", [n]),
+                          lambda g: list(pareto_spectrum(g).values)),
+    "star_radius": (1, _star_radius, lambda n: make_family("star", [n]), _largest),
+    "kn_minus_e_radius": (1, _kn_minus_e_radius,
+                          lambda n: make_family("complete_minus_edge", [n]), _largest),
+    "rho2_kn_minus_e": (1, _rho2_kn_minus_e,
+                        lambda n: make_family("complete_minus_edge", [n]), _second),
+    "rho2_kab": (2, _rho2_kab, lambda a, b: make_family("complete_bipartite", [a, b]), _second),
+    "rho2_k_pendant": (1, _rho2_k_pendant,
+                       lambda n: make_family("clique_plus_pendant_p", [n - 1, 1]), _second),
+    "rho2_two_nonincident": (1, _rho2_two_nonincident,
+                             lambda n: make_family("complete_minus_two_nonincident_edges", [n]),
+                             _second),
+}
+
+CLOSED_FORM_IDS = tuple(_CLOSED_FORMS)
+
+
+def _form(identifier: str, params: tuple[int, ...]):
+    if identifier not in _CLOSED_FORMS:
+        raise ValueError(f"unknown closed form {identifier!r}")
+    form = _CLOSED_FORMS[identifier]
+    if len(params) != form[0]:
+        raise ValueError(
+            f"closed form {identifier!r} takes {form[0]} parameter(s), got {len(params)}"
+        )
+    return form
+
+
+def _surd(identifier: str, params: tuple[int, ...]):
+    """The builder's output: (a, b, c) of (a + sqrt(b)) / c, or a list of integers."""
+    return _form(identifier, params)[1](*params)
 
 
 def closed_form(identifier: str, *params: int):
     """Evaluate a named closed form; returns a float (or list for spectra)."""
-    if identifier == "complete_spectrum":
-        (n,) = params
-        if n < 1:
-            raise ValueError("complete_spectrum needs n >= 1")
-        return [float(i) for i in range(n)]
-    funcs = {
-        "star_radius": _star_radius,
-        "kn_minus_e_radius": _kn_minus_e_radius,
-        "rho2_kn_minus_e": _rho2_kn_minus_e,
-        "rho2_kab": _rho2_kab,
-        "rho2_k_pendant": _rho2_k_pendant,
-        "rho2_two_nonincident": _rho2_two_nonincident,
-    }
-    if identifier not in funcs:
-        raise ValueError(f"unknown closed form {identifier!r}")
-    return funcs[identifier](*params)
-
-
-CLOSED_FORM_IDS = (
-    "complete_spectrum",
-    "star_radius",
-    "kn_minus_e_radius",
-    "rho2_kn_minus_e",
-    "rho2_kab",
-    "rho2_k_pendant",
-    "rho2_two_nonincident",
-)
+    surd = _surd(identifier, params)
+    if isinstance(surd, list):
+        return [float(v) for v in surd]
+    a, b, c = surd
+    value = (a + math.sqrt(b)) / c
+    residual = value * value - 2 * a / c * value - (b - a * a) / (c * c)
+    if abs(residual) > _SELF_CHECK_TOL * max(1.0, value * value):
+        raise AssertionError(f"closed form residual {residual:.3e} too large")
+    return value
 
 
 def closed_form_surd(identifier: str, *params: int) -> str:
     """Exact surd expression as a display string."""
-    if identifier == "complete_spectrum":
-        (n,) = params
-        return "{" + ", ".join(str(i) for i in range(n)) + "}"
-    if identifier == "star_radius":
-        (n,) = params
-        return f"{n - 2}+sqrt({(n - 2) ** 2 + n - 1})"
-    if identifier == "kn_minus_e_radius":
-        (n,) = params
-        return f"({n - 1}+sqrt({(n - 1) ** 2 + 8}))/2"
-    if identifier == "rho2_kn_minus_e":
-        (n,) = params
-        return f"({n - 2}+sqrt({n * n - 4 * n + 12}))/2"
-    if identifier == "rho2_kab":
-        a, b = params
-        return f"{a + b - 3}+sqrt({a * a + b * b + b - a * b - 2 * a + 1})"
-    if identifier == "rho2_k_pendant":
-        (n,) = params
-        return f"({n - 3}+sqrt({n * n + 10 * n - 23}))/2"
-    if identifier == "rho2_two_nonincident":
-        (n,) = params
-        return f"({n - 2}+sqrt({n * n - 4 * n + 20}))/2"
-    raise ValueError(f"unknown closed form {identifier!r}")
+    surd = _surd(identifier, params)
+    if isinstance(surd, list):
+        return "{" + ", ".join(str(v) for v in surd) + "}"
+    a, b, c = surd
+    return f"{a}+sqrt({b})" if c == 1 else f"({a}+sqrt({b}))/{c}"
 
 
 def closed_form_brute_force(identifier: str, *params: int):
     """Independent enumeration-based value for the same family instance."""
-    if identifier == "complete_spectrum":
-        (n,) = params
-        return list(pareto_spectrum(make_family("complete", [n])).values)
-    if identifier == "star_radius":
-        (n,) = params
-        return pareto_spectrum(make_family("star", [n])).values[-1]
-    if identifier == "kn_minus_e_radius":
-        (n,) = params
-        return pareto_spectrum(make_family("complete_minus_edge", [n])).values[-1]
-    if identifier == "rho2_kn_minus_e":
-        (n,) = params
-        return rho2_fast(make_family("complete_minus_edge", [n]))[0]
-    if identifier == "rho2_kab":
-        a, b = params
-        return rho2_fast(make_family("complete_bipartite", [a, b]))[0]
-    if identifier == "rho2_k_pendant":
-        (n,) = params
-        return rho2_fast(make_family("clique_plus_pendant_p", [n - 1, 1]))[0]
-    if identifier == "rho2_two_nonincident":
-        (n,) = params
-        return rho2_fast(make_family("complete_minus_two_nonincident_edges", [n]))[0]
-    raise ValueError(f"unknown closed form {identifier!r}")
+    _, _, family, quantity = _form(identifier, params)
+    return quantity(family(*params))
 
 
 def star_spectrum(n: int) -> list[float]:
@@ -255,9 +239,9 @@ def star_spectrum(n: int) -> list[float]:
         raise ValueError("star_spectrum needs n >= 2")
     values = [0.0]
     for k in range(2, n):
-        values.append(_star_radius(k))
+        values.append(closed_form("star_radius", k))
         values.append(2.0 * (k - 1))
-    values.append(_star_radius(n))
+    values.append(closed_form("star_radius", n))
     return values
 
 
@@ -407,7 +391,7 @@ def _evaluate(ctx: _BoundContext, bound_id: str, k: int | None = None) -> BoundR
     if bound_id == "rho2_noncomplete_lower":
         if ctx.is_complete:
             return _inapplicable(bound_id, "lower", "graph is complete")
-        return _result(bound_id, "lower", _rho2_kn_minus_e(n), ctx.rho2)
+        return _result(bound_id, "lower", closed_form("rho2_kn_minus_e", n), ctx.rho2)
 
     if bound_id == "rho2_simple_lower":
         if ctx.is_complete:
@@ -419,7 +403,7 @@ def _evaluate(ctx: _BoundContext, bound_id: str, k: int | None = None) -> BoundR
             return _inapplicable(bound_id, "lower", "graph is K_n or K_n minus an edge")
         if n < 5:
             return _inapplicable(bound_id, "lower", "closed form valid only for n >= 5")
-        return _result(bound_id, "lower", _rho2_two_nonincident(n), ctx.rho2)
+        return _result(bound_id, "lower", closed_form("rho2_two_nonincident", n), ctx.rho2)
 
     if bound_id == "rho2_wiener_lower":
         dm = ctx.dm

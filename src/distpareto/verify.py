@@ -53,6 +53,7 @@ _CONVEXITY_TOL = 1e-12
 _ISO_MAX_ORDER = 8
 _EXTREMAL_MAX_ORDER = 7
 _TREES_MAX_ORDER = 9
+_CLASSES_MAX_ORDER = 6
 _SWEEP_CHUNK = 4096  # edge masks per batched connectivity and distance pass
 
 
@@ -278,8 +279,8 @@ def _first_of_each_class(masks, n: int) -> list[int]:
 
 def connected_graph_classes(n: int) -> list[Graph]:
     """One representative per isomorphism class of connected graphs (n <= 6)."""
-    if not (1 <= n <= 6):
-        raise CapExceededError("isomorphism-class sweep limited to n <= 6")
+    if not (1 <= n <= _CLASSES_MAX_ORDER):
+        raise CapExceededError(f"isomorphism-class sweep limited to n <= {_CLASSES_MAX_ORDER}")
     pairs = _edge_pairs(n)
     masks = np.concatenate([m for m, _ in _connected_chunks(n, 0, 1 << len(pairs))])
     return [_mask_to_graph(m, n, pairs) for m in _first_of_each_class(masks, n)]

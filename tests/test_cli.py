@@ -91,6 +91,40 @@ def test_formulas_invalid_params(capsys):
     assert "n >= 5" in err
 
 
+@pytest.mark.parametrize("argv", [("star_radius", "4", "5"), ("rho2_kab", "2")])
+def test_formulas_wrong_parameter_count(capsys, argv):
+    code, out, err = run(capsys, "formulas", *argv)
+    assert code == cli.EXIT_PARSE
+    assert out == ""
+    assert "parameter(s)" in err
+
+
+@pytest.mark.parametrize(
+    "suite,order",
+    [("tree-extremes", 10), ("convexity", 10), ("quasiconvex", 10),
+     ("monotonicity", 7), ("bounds-sweep", 7), ("extremal", 8)],
+)
+def test_verify_order_cap_checked_before_any_work(capsys, monkeypatch, suite, order):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"swept {args} before checking the cap")
+
+    monkeypatch.setattr(cli, "trees_upto_iso", refuse)
+    monkeypatch.setattr(cli, "connected_graph_classes", refuse)
+    monkeypatch.setattr(cli, "check_tree_extremes", refuse)
+    monkeypatch.setattr(cli, "extremal_search", refuse)
+    code, out, err = run(capsys, "verify", suite, "--order", str(order))
+    assert code == cli.EXIT_CAP
+    assert out == ""
+    assert "cap exceeded" in err
+
+
+@pytest.mark.parametrize("flag,value", [("--tolerance", "1e-3"), ("--max-order", "5")])
+def test_rho2_rejects_spectrum_flags(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["rho2", "--family", "star", "4", flag, value])
+    assert exc.value.code == cli.EXIT_PARSE
+
+
 def test_verify_extremal_order5(capsys):
     code, out, _ = run(capsys, "verify", "extremal", "--order", "5")
     assert code == 0

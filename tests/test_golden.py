@@ -30,6 +30,16 @@ CASES = {
     "verify_tree_extremes7": ["verify", "tree-extremes", "--order", "7"],
     "verify_convexity5": ["verify", "convexity", "--order", "5"],
     "verify_bounds_sweep5_random20": ["verify", "bounds-sweep", "--order", "5", "--random", "20"],
+    "formulas_complete_spectrum5_json": ["formulas", "complete_spectrum", "5"],
+    "formulas_star_radius6_json": ["formulas", "star_radius", "6"],
+    "formulas_kn_minus_e_radius5_json": ["formulas", "kn_minus_e_radius", "5"],
+    "formulas_rho2_kn_minus_e6_json": ["formulas", "rho2_kn_minus_e", "6"],
+    "formulas_rho2_kab23_json": ["formulas", "rho2_kab", "2", "3"],
+    "formulas_rho2_k_pendant6_json": ["formulas", "rho2_k_pendant", "6"],
+    "formulas_rho2_two_nonincident7_json": ["formulas", "rho2_two_nonincident", "7"],
+    "formulas_rho2_kab25_csv": ["formulas", "rho2_kab", "2", "5", "--format", "csv"],
+    "formulas_star_radius5_table": ["formulas", "star_radius", "5", "--format", "table"],
+    "formulas_rho2_two_nonincident4_invalid": ["formulas", "rho2_two_nonincident", "4"],
 }
 
 

@@ -5,6 +5,7 @@ import pytest
 from distpareto.graph import make_family
 from distpareto.laws import (
     BOUND_IDS,
+    CLOSED_FORM_IDS,
     bound_report,
     closed_form,
     closed_form_brute_force,
@@ -60,18 +61,22 @@ def test_surd_strings():
     assert closed_form_surd("rho2_kab", 2, 3) == "2+sqrt(7)"
 
 
-@pytest.mark.parametrize(
-    "identifier,param_sets",
-    [
-        ("complete_spectrum", [(n,) for n in range(1, 9)]),
-        ("star_radius", [(n,) for n in range(2, 9)]),
-        ("kn_minus_e_radius", [(n,) for n in range(3, 9)]),
-        ("rho2_kn_minus_e", [(n,) for n in range(3, 9)]),
-        ("rho2_kab", [(a, b) for a in range(1, 5) for b in range(a, 9 - a)]),
-        ("rho2_k_pendant", [(n,) for n in range(3, 9)]),
-        ("rho2_two_nonincident", [(n,) for n in range(5, 9)]),
-    ],
-)
+ENUMERATION_CASES = [
+    ("complete_spectrum", [(n,) for n in range(1, 9)]),
+    ("star_radius", [(n,) for n in range(2, 9)]),
+    ("kn_minus_e_radius", [(n,) for n in range(3, 9)]),
+    ("rho2_kn_minus_e", [(n,) for n in range(3, 9)]),
+    ("rho2_kab", [(a, b) for a in range(1, 5) for b in range(a, 9 - a)]),
+    ("rho2_k_pendant", [(n,) for n in range(3, 9)]),
+    ("rho2_two_nonincident", [(n,) for n in range(5, 9)]),
+]
+
+
+def test_enumeration_cases_cover_every_closed_form():
+    assert sorted(ident for ident, _ in ENUMERATION_CASES) == sorted(CLOSED_FORM_IDS)
+
+
+@pytest.mark.parametrize("identifier,param_sets", ENUMERATION_CASES)
 def test_closed_forms_match_enumeration(identifier, param_sets):
     for params in param_sets:
         formula = closed_form(identifier, *params)
@@ -80,6 +85,41 @@ def test_closed_forms_match_enumeration(identifier, param_sets):
             assert formula == pytest.approx(brute, abs=1e-9)
         else:
             assert formula == pytest.approx(brute, abs=1e-9), (identifier, params)
+
+
+def _kab_perron_quadratic(a, b):
+    # Perron root of D(K_{p,q}) with p = a - 1, q = b; as a polynomial identity
+    # it also holds at a = 1, where the surd is 2(b - 1), rho2 of the star K_{1,b}
+    p, q = a - 1, b
+    return 2 * (p + q - 2), p * q - 4 * (p - 1) * (q - 1)
+
+
+# x solves x^2 - beta*x - gamma = 0; (beta, gamma) written out per form
+REFERENCE_QUADRATICS = {
+    "star_radius": lambda n: (2 * (n - 2), n - 1),
+    "kn_minus_e_radius": lambda n: (n - 1, 2),
+    "rho2_kn_minus_e": lambda n: (n - 2, 2),
+    "rho2_kab": _kab_perron_quadratic,
+    "rho2_k_pendant": lambda n: (n - 3, 4 * (n - 2)),
+    "rho2_two_nonincident": lambda n: (n - 2, 4),
+}
+
+
+def test_closed_forms_solve_reference_quadratics():
+    scalar = [(i, ps) for i, ps in ENUMERATION_CASES if i != "complete_spectrum"]
+    assert sorted(i for i, _ in scalar) == sorted(REFERENCE_QUADRATICS)
+    for identifier, param_sets in scalar:
+        for params in param_sets:
+            x = closed_form(identifier, *params)
+            beta, gamma = REFERENCE_QUADRATICS[identifier](*params)
+            assert abs(x * x - beta * x - gamma) <= 1e-9 * max(1.0, x * x), (identifier, params)
+
+
+def test_closed_form_parameter_count():
+    with pytest.raises(ValueError, match="takes 1 parameter"):
+        closed_form("star_radius", 4, 5)
+    with pytest.raises(ValueError, match="takes 2 parameter"):
+        closed_form_brute_force("rho2_kab", 2)
 
 
 def test_star_spectrum_closed_forms():
