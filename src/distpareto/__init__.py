@@ -20,10 +20,8 @@ from .graph import (
     DistanceMatrix,
     Graph,
     StructureSummary,
-    clique_number,
     coalesce,
     delete_edge,
-    delete_vertex,
     diameter,
     distance_matrix,
     edge_list_text,
@@ -49,7 +47,6 @@ from .laws import (
 from .pareto import (
     ParetoEigenpair,
     ParetoSpectrum,
-    distinct_submatrix_count,
     mu_k,
     pareto_count,
     pareto_eigenpair,
@@ -60,10 +57,7 @@ from .pareto import (
 from .spectral import (
     EigenResult,
     SymMatrix,
-    dominates,
     full_spectrum,
-    principal_submatrix,
-    rayleigh,
     spectral_radius,
 )
 from .verify import (
@@ -73,7 +67,6 @@ from .verify import (
     check_coalescence_quasiconvexity,
     check_edge_monotonicity,
     check_eigenvector_convexity,
-    check_min_structure,
     check_tree_extremes,
     connected_graph_classes,
     connected_graphs_labeled,

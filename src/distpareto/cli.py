@@ -380,20 +380,22 @@ def _verdict(checked: int, violations: list[dict]) -> dict:
     return {"checked": checked, "violations": violations, "holds": not violations}
 
 
-# suite name -> (run on the parsed arguments, giving the payload fields; top order allowed)
+# suite name -> (run on the parsed arguments, giving the payload fields; order range allowed)
 _SUITES = {
-    "convexity": (lambda a: _verdict(*_suite_convexity(a.order)), _TREES_MAX_ORDER),
-    "monotonicity": (lambda a: _verdict(*_suite_monotonicity(a.order)), _CLASSES_MAX_ORDER),
-    "quasiconvex": (lambda a: _verdict(*_suite_quasiconvex(a.order)), _TREES_MAX_ORDER),
-    "tree-extremes": (lambda a: _verdict(*_suite_tree_extremes(a.order)), _TREES_MAX_ORDER),
+    "convexity": (lambda a: _verdict(*_suite_convexity(a.order)), 2, _TREES_MAX_ORDER),
+    "monotonicity": (lambda a: _verdict(*_suite_monotonicity(a.order)), 2, _CLASSES_MAX_ORDER),
+    "quasiconvex": (lambda a: _verdict(*_suite_quasiconvex(a.order)), 3, _TREES_MAX_ORDER),
+    "tree-extremes": (lambda a: _verdict(*_suite_tree_extremes(a.order)), 3, _TREES_MAX_ORDER),
     "bounds-sweep": (lambda a: _verdict(*_suite_bounds_sweep(a.order, a.random, a.seed)),
-                     _CLASSES_MAX_ORDER),
-    "extremal": (lambda a: _suite_extremal(a.order, a.jobs), _EXTREMAL_MAX_ORDER),
+                     2, _CLASSES_MAX_ORDER),
+    "extremal": (lambda a: _suite_extremal(a.order, a.jobs), 2, _EXTREMAL_MAX_ORDER),
 }
 
 
 def _cmd_verify(args) -> int:
-    run, top = _SUITES[args.suite]
+    run, lowest, top = _SUITES[args.suite]
+    if args.order < lowest:
+        raise ValueError(f"verify {args.suite} needs --order >= {lowest}")
     if args.order > top:
         raise CapExceededError(f"verify {args.suite} limited to --order <= {top}")
     payload: dict = {"suite": args.suite, "params": {"order": args.order}}

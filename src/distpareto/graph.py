@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CapExceededError, DisconnectedGraphError, GraphParseError
+from .errors import DisconnectedGraphError, GraphParseError
 
 __all__ = [
     "Graph",
@@ -41,10 +41,8 @@ __all__ = [
     "transmission",
     "wiener",
     "diameter",
-    "clique_number",
     "structure_queries",
     "delete_edge",
-    "delete_vertex",
     "coalesce",
 ]
 
@@ -325,28 +323,39 @@ def parse_graph6(line: str | bytes) -> Graph:
 # Metrics
 
 
+def _hop_distances(adj: np.ndarray) -> np.ndarray:
+    """Hop distances for a stack (m, n, n) of boolean adjacency matrices; -1 if unreachable.
+
+    Level by level, entry (i, j) of ``reach @ (adj | I)`` counts the vertices
+    already reached from i that are j or a neighbor of j; counts are at most
+    n, so the float32 product is exact for every n below 2^24.
+    """
+    n = adj.shape[-1]
+    step = (adj | np.eye(n, dtype=bool)).astype(np.float32)
+    reach = step > 0
+    dist = np.where(reach, adj.astype(np.int64), -1)
+    for level in range(2, n):
+        nxt = (reach.astype(np.float32) @ step) > 0
+        new = nxt & ~reach
+        if not new.any():
+            break
+        dist[new] = level
+        reach = nxt
+    return dist
+
+
 def distance_matrix(g: Graph) -> DistanceMatrix:
-    """BFS from every vertex; raises DisconnectedGraphError on disconnected input."""
-    n = g.n
-    adj = g.adjacency()
-    d = np.full((n, n), -1, dtype=np.int64)
-    for s in range(n):
-        d[s, s] = 0
-        frontier = [s]
-        level = 0
-        while frontier:
-            level += 1
-            nxt = []
-            for x in frontier:
-                for y in adj[x]:
-                    if d[s, y] < 0:
-                        d[s, y] = level
-                        nxt.append(y)
-            frontier = nxt
-        if (d[s] < 0).any():
-            unreachable = int(np.argmin(d[s]))
-            raise DisconnectedGraphError(s, unreachable)
-    return DistanceMatrix(n=n, d=d)
+    """All-pairs hop distances; raises DisconnectedGraphError on disconnected input.
+
+    The error names vertex 0 and the lowest vertex it cannot reach.
+    """
+    adj = np.zeros((1, g.n, g.n), dtype=bool)
+    e = np.array(list(g.edges), dtype=np.intp).reshape(-1, 2)
+    adj[0, e[:, 0], e[:, 1]] = adj[0, e[:, 1], e[:, 0]] = True
+    d = _hop_distances(adj)[0]
+    if (d[0] < 0).any():
+        raise DisconnectedGraphError(0, int(np.argmin(d[0])))
+    return DistanceMatrix(n=g.n, d=d)
 
 
 def transmission(dm: DistanceMatrix, v: int) -> int:
@@ -363,31 +372,6 @@ def wiener(dm: DistanceMatrix) -> int:
 
 def diameter(dm: DistanceMatrix) -> int:
     return int(dm.d.max())
-
-
-def clique_number(g: Graph, limit: int = 32) -> int:
-    """Exact clique number by bitset branch-and-bound; guarded by ``limit``."""
-    if g.n > limit:
-        raise CapExceededError(f"clique_number limited to n <= {limit}, got {g.n}")
-    nbr = [0] * g.n
-    for u, v in g.edges:
-        nbr[u] |= 1 << v
-        nbr[v] |= 1 << u
-    best = 0
-
-    def expand(cand: int, size: int) -> None:
-        nonlocal best
-        if size > best:
-            best = size
-        while cand:
-            if size + cand.bit_count() <= best:
-                return
-            v = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            expand(cand & nbr[v], size + 1)
-
-    expand((1 << g.n) - 1, 0)
-    return best
 
 
 def structure_queries(g: Graph) -> StructureSummary:
@@ -443,18 +427,6 @@ def delete_edge(g: Graph, e: tuple[int, int]) -> Graph:
     if key not in g.edges:
         raise ValueError(f"edge {key} not in graph")
     return Graph(n=g.n, edges=g.edges - {key}, name=g.name and f"{g.name}-e")
-
-
-def delete_vertex(g: Graph, v: int) -> Graph:
-    """Remove a vertex; higher labels shift down by one."""
-    if not (0 <= v < g.n):
-        raise ValueError(f"vertex {v} not in graph")
-
-    def relabel(x: int) -> int:
-        return x if x < v else x - 1
-
-    edges = [(relabel(a), relabel(b)) for a, b in g.edges if v not in (a, b)]
-    return make_graph(g.n - 1, edges, name=g.name and f"{g.name}-v{v}")
 
 
 def coalesce(g: Graph, u: int, h: Graph, w: int) -> Graph:

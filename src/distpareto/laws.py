@@ -24,7 +24,7 @@ from .graph import (
     transmission,
     wiener,
 )
-from .pareto import ParetoSpectrum, pareto_eigenpair, pareto_spectrum, rho2_fast
+from .pareto import DEFAULT_MAX_ORDER, ParetoSpectrum, pareto_eigenpair, pareto_spectrum, rho2_fast
 from .spectral import SymMatrix, full_spectrum
 
 __all__ = [
@@ -360,9 +360,14 @@ def _second_component_bound(ctx: _BoundContext) -> float:
 def _evaluate(ctx: _BoundContext, bound_id: str, k: int | None = None) -> BoundResult:
     n = ctx.n
 
+    if bound_id == "rho_k_lower" and k is None:
+        raise ValueError("rho_k_lower requires k")
+
+    if bound_id in ("count_lower", "rho_k_lower") and n > DEFAULT_MAX_ORDER:
+        reason = f"needs the full spectrum, enumerated only for n <= {DEFAULT_MAX_ORDER}"
+        return _inapplicable(bound_id, "lower", reason, k=k)
+
     if bound_id == "rho_k_lower":
-        if k is None:
-            raise ValueError("rho_k_lower requires k")
         if not (1 <= k <= ctx.spectrum.count):
             return _inapplicable(bound_id, "lower", f"k={k} exceeds spectrum size", k=k)
         return _result(bound_id, "lower", float(n - k), ctx.spectrum.rho_k(k), k=k)

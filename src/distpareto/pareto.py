@@ -41,12 +41,10 @@ __all__ = [
     "mu_k",
     "rho2_fast",
     "pareto_eigenpair",
-    "distinct_submatrix_count",
 ]
 
 DEFAULT_DEDUP_TOL = 1e-8
 DEFAULT_MAX_ORDER = 20
-_SUBMATRIX_COUNT_MAX_ORDER = 8
 _GATHER_BYTES = 16 << 20  # bytes of gathered work array per batched call
 
 
@@ -298,35 +296,3 @@ def pareto_eigenpair(g: Graph, support: tuple[int, ...] | list[int]) -> ParetoEi
     if abs(quad - value) > 1e-9 * max(1.0, abs(value)):
         raise EigensolverError("Rayleigh identity violated for the eigenpair")
     return ParetoEigenpair(value=value, support=J, vector=x)
-
-
-def distinct_submatrix_count(g: Graph) -> int:
-    """Principal submatrices of the distance matrix up to permutation similarity.
-
-    Canonical form of a k x k submatrix is the lexicographic minimum of the
-    flattened matrix over all simultaneous row/column permutations; factorial
-    cost, so limited to n <= 8.
-    """
-    if g.n > _SUBMATRIX_COUNT_MAX_ORDER:
-        raise CapExceededError(
-            f"distinct_submatrix_count limited to n <= {_SUBMATRIX_COUNT_MAX_ORDER}"
-        )
-    d = distance_matrix(g).d
-    classes: set[tuple] = set()
-    for k in range(1, g.n + 1):
-        perms = list(itertools.permutations(range(k)))
-        for S in itertools.combinations(range(g.n), k):
-            if k == 1:
-                classes.add((1, (0,)))
-                continue
-            sub = d[np.ix_(S, S)]
-            if k == 2:
-                classes.add((2, (0, int(sub[0, 1]), int(sub[0, 1]), 0)))
-                continue
-            best = None
-            for p in perms:
-                flat = tuple(int(sub[i, j]) for i in p for j in p)
-                if best is None or flat < best:
-                    best = flat
-            classes.add((k, best))
-    return len(classes)

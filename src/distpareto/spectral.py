@@ -9,13 +9,12 @@ residual contract ``|Mx - vx|_inf <= 1e-10 * max(1, |v|)``.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import CapExceededError, EigensolverError
+from .errors import EigensolverError
 
 __all__ = [
     "SymMatrix",
@@ -24,13 +23,9 @@ __all__ = [
     "spectral_radius",
     "spectral_radius_many",
     "full_spectrum",
-    "principal_submatrix",
-    "dominates",
-    "rayleigh",
 ]
 
 RESIDUAL_TOL = 1e-10
-_DOMINATES_MAX_ORDER = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,64 +96,3 @@ def full_spectrum(m: SymMatrix) -> list[float]:
             f"spectrum residual {residuals[worst]:.3e} exceeds tolerance"
         )
     return [float(v) for v in values]
-
-
-def principal_submatrix(m: SymMatrix, keep: Iterable[int]) -> SymMatrix:
-    """Restrict rows and columns to ``keep`` in ascending label order."""
-    idx = sorted(set(int(i) for i in keep))
-    if not idx:
-        raise ValueError("keep set must be nonempty")
-    if idx[0] < 0 or idx[-1] >= m.k:
-        raise ValueError(f"keep indices out of range [0, {m.k})")
-    sub = m.a[np.ix_(idx, idx)].copy()
-    return SymMatrix(k=len(idx), a=sub)
-
-
-def rayleigh(m: SymMatrix, x: Sequence[float] | np.ndarray) -> float:
-    """Quadratic-form quotient (x^T M x) / (x^T x)."""
-    v = np.asarray(x, dtype=np.float64)
-    denom = float(v @ v)
-    if denom == 0.0:
-        raise ValueError("rayleigh quotient undefined for the zero vector")
-    return float(v @ m.a @ v) / denom
-
-
-def _row_profiles(a: np.ndarray) -> list[tuple]:
-    return sorted(tuple(sorted(row)) for row in a)
-
-
-def dominates(a: SymMatrix, b: SymMatrix) -> bool:
-    """Entrywise-dominance test up to permutation similarity.
-
-    True when either (same order) some simultaneous permutation of ``b`` is
-    entrywise <= ``a`` and unequal, or (smaller order) ``b`` embeds exactly as
-    a principal block of ``a`` with something nonzero outside the block.
-    Search is factorial in ``b.k``; capped at order 8.
-    """
-    if a.k < b.k:
-        raise ValueError(f"dominance needs order(a) >= order(b), got {a.k} < {b.k}")
-    if b.k > _DOMINATES_MAX_ORDER:
-        raise CapExceededError(f"dominates limited to order <= {_DOMINATES_MAX_ORDER}")
-    A, B = a.a, b.a
-
-    if a.k == b.k:
-        for perm in itertools.permutations(range(b.k)):
-            p = list(perm)
-            bp = B[np.ix_(p, p)]
-            if (A >= bp).all() and not np.array_equal(A, bp):
-                return True
-        return False
-
-    profile_b = _row_profiles(B)
-    nnz_a = int(np.count_nonzero(A))
-    for keep in itertools.combinations(range(a.k), b.k):
-        sub = A[np.ix_(keep, keep)]
-        if _row_profiles(sub) != profile_b:
-            continue
-        for perm in itertools.permutations(range(b.k)):
-            p = list(perm)
-            if np.array_equal(sub, B[np.ix_(p, p)]):
-                if nnz_a > np.count_nonzero(sub):
-                    return True
-                break
-    return False

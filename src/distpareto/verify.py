@@ -18,7 +18,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapExceededError
-from .graph import Graph, coalesce, delete_edge, distance_matrix, make_graph, structure_queries
+from .graph import (
+    Graph,
+    _hop_distances,
+    coalesce,
+    delete_edge,
+    distance_matrix,
+    make_graph,
+    structure_queries,
+)
 from .pareto import (
     _GATHER_BYTES,
     DEFAULT_DEDUP_TOL,
@@ -34,7 +42,6 @@ __all__ = [
     "PropertyReport",
     "ExtremalResult",
     "check_eigenvector_convexity",
-    "check_min_structure",
     "check_edge_monotonicity",
     "check_coalescence_quasiconvexity",
     "check_tree_extremes",
@@ -174,29 +181,11 @@ def _mask_to_graph(mask: int, n: int, pairs: list[tuple[int, int]]) -> Graph:
     return make_graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
 
 
-def _bulk_distances(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distances for a stack of adjacency matrices; flags connected graphs."""
-    m, n, _ = adj.shape
-    eye = np.eye(n, dtype=bool)
-    dist = np.where(adj, 1, 0).astype(np.int64)
-    reach = adj | eye
-    step = (adj | eye).astype(np.uint8)
-    for level in range(2, n):
-        nxt = (reach.astype(np.uint8) @ step) > 0
-        new = nxt & ~reach
-        if not new.any():
-            break
-        dist[new] = level
-        reach = nxt
-    connected = reach.reshape(m, -1).all(axis=1)
-    return dist, connected
-
-
 def _connected_chunks(n: int, lo: int, hi: int):
     """Yield (masks, distances) for the connected labeled graphs with edge mask in [lo, hi).
 
     Bit j of a mask is the j-th vertex pair in lexicographic order.  Masks are
-    taken ``_SWEEP_CHUNK`` at a time, and one ``_bulk_distances`` pass gives
+    taken ``_SWEEP_CHUNK`` at a time, and one ``_hop_distances`` pass gives
     each chunk's connectivity and distance matrices; masks stay ascending.
     """
     ui, vi = np.triu_indices(n, 1)
@@ -206,7 +195,8 @@ def _connected_chunks(n: int, lo: int, hi: int):
         adj = np.zeros((masks.size, n, n), dtype=bool)
         adj[:, ui, vi] = bits
         adj[:, vi, ui] = bits
-        dist, connected = _bulk_distances(adj)
+        dist = _hop_distances(adj)
+        connected = (dist[:, 0] >= 0).all(axis=1)
         if connected.any():
             yield masks[connected], dist[connected]
 
@@ -343,78 +333,6 @@ def check_eigenvector_convexity(t: Graph, pair: ParetoEigenpair) -> PropertyRepo
         instance=instance,
         holds=True,
         details={"paths_checked": checked},
-    )
-
-
-def _is_strictly_quasiconvex(t: Graph, f: np.ndarray) -> tuple[bool, dict | None]:
-    adj = t.adjacency()
-    for j in range(t.n):
-        for i, k in itertools.combinations(adj[j], 2):
-            if not f[j] < max(f[i], f[k]):
-                return False, {"path": (i, j, k), "values": (float(f[i]), float(f[j]), float(f[k]))}
-    return True, None
-
-
-def check_min_structure(t: Graph, f) -> PropertyReport:
-    """Minimizer structure of a strictly (quasi)convex vertex function on a tree.
-
-    Verifies the hypothesis first (strict convexity implies strict
-    quasiconvexity, so the latter is checked); on success asserts that the
-    minimum is attained at one vertex or two adjacent vertices and that the
-    function strictly increases along every path leaving the minimizer set.
-    """
-    if not structure_queries(t).is_tree:
-        raise ValueError("min-structure checker requires a tree")
-    values = np.asarray(f, dtype=np.float64)
-    if values.shape != (t.n,):
-        raise ValueError(f"expected {t.n} vertex values, got shape {values.shape}")
-    instance = f"{_describe(t)}, f={[float(v) for v in values]}"
-    ok, witness = _is_strictly_quasiconvex(t, values)
-    if not ok:
-        return PropertyReport(
-            property_id="min_structure",
-            instance=instance,
-            holds=False,
-            hypothesis_failed=True,
-            counterexample=witness,
-        )
-    fmin = float(values.min())
-    tol = _CONVEXITY_TOL * max(1.0, abs(fmin))
-    argmin = [v for v in range(t.n) if values[v] <= fmin + tol]
-    if len(argmin) > 2 or (len(argmin) == 2 and not t.has_edge(*argmin)):
-        return PropertyReport(
-            property_id="min_structure",
-            instance=instance,
-            holds=False,
-            counterexample={"minimizers": argmin},
-        )
-    adj = t.adjacency()
-    seen = set(argmin)
-    frontier = list(argmin)
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for c in adj[p]:
-                if c in seen:
-                    continue
-                if not values[c] > values[p]:
-                    return PropertyReport(
-                        property_id="min_structure",
-                        instance=instance,
-                        holds=False,
-                        counterexample={
-                            "edge": (p, c),
-                            "values": (float(values[p]), float(values[c])),
-                        },
-                    )
-                seen.add(c)
-                nxt.append(c)
-        frontier = nxt
-    return PropertyReport(
-        property_id="min_structure",
-        instance=instance,
-        holds=True,
-        details={"minimizers": argmin},
     )
 
 

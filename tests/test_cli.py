@@ -118,6 +118,38 @@ def test_verify_order_cap_checked_before_any_work(capsys, monkeypatch, suite, or
     assert "cap exceeded" in err
 
 
+@pytest.mark.parametrize(
+    "suite,order",
+    [("tree-extremes", 0), ("convexity", 1), ("quasiconvex", 2),
+     ("monotonicity", -3), ("bounds-sweep", 1), ("extremal", 1)],
+)
+def test_verify_order_floor_checked_before_any_work(capsys, monkeypatch, suite, order):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"swept {args} before checking the order range")
+
+    for name in ("trees_upto_iso", "connected_graph_classes", "check_tree_extremes",
+                 "extremal_search", "random_connected_graph"):
+        monkeypatch.setattr(cli, name, refuse)
+    # --random would make bounds-sweep run random graphs even with no order to sweep
+    code, out, err = run(capsys, "verify", suite, "--order", str(order), "--random", "3")
+    assert code == cli.EXIT_PARSE
+    assert out == ""
+    assert "--order >=" in err
+
+
+def test_rho2_bounds_above_spectrum_cap(capsys):
+    code, out, err = run(capsys, "rho2", "--family", "path", "21", "--bounds")
+    assert code == 0, err
+    rows = json.loads(out)["payload"]["bounds"]
+    capped = [r for r in rows if r["bound_id"] in ("count_lower", "rho_k_lower")]
+    assert len(capped) == 1 + 21
+    assert all(not r["applicable"] and "n <= 20" in r["reason"] for r in capped)
+    others = [r for r in rows if r["bound_id"] not in ("count_lower", "rho_k_lower")]
+    assert len(others) == 11  # the rho2_* bounds
+    assert any(r["applicable"] for r in others)
+    assert all(r["slack"] >= -1e-8 for r in others if r["applicable"])
+
+
 @pytest.mark.parametrize("flag,value", [("--tolerance", "1e-3"), ("--max-order", "5")])
 def test_rho2_rejects_spectrum_flags(capsys, flag, value):
     with pytest.raises(SystemExit) as exc:

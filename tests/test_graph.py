@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 
 from distpareto.errors import DisconnectedGraphError, GraphParseError
 from distpareto.graph import (
-    clique_number,
     coalesce,
     delete_edge,
-    delete_vertex,
     diameter,
     distance_matrix,
     edge_list_text,
@@ -22,7 +20,7 @@ from distpareto.graph import (
     transmission,
     wiener,
 )
-from distpareto.verify import is_isomorphic
+from distpareto.verify import is_isomorphic, random_connected_graph
 
 
 def test_parse_path3():
@@ -114,6 +112,50 @@ def test_distance_matrix_disconnected():
     assert {a, b} <= {0, 1, 2, 3} and (a in (0, 1)) != (b in (0, 1))
 
 
+def _networkx_distances(nx, g):
+    """All-pairs hop distances from networkx; -1 where no path exists."""
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    ref = np.full((g.n, g.n), -1, dtype=np.int64)
+    for s, lengths in nx.all_pairs_shortest_path_length(h):
+        for t, d in lengths.items():
+            ref[s, t] = d
+    return ref
+
+
+def test_distance_matrix_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(17)
+    # K_{2,256}: 256 common neighbors per pair would wrap an 8-bit walk count
+    graphs = [make_graph(1, []), make_family("complete_bipartite", [2, 256])]
+    graphs += [random_connected_graph(n, rng, p) for n in range(2, 41) for p in (0.0, 0.05, 0.3)]
+    for g in graphs:
+        assert (distance_matrix(g).d == _networkx_distances(nx, g)).all(), g
+
+
+def test_distance_matrix_disconnected_names_lowest_unreachable_vertex():
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(19)
+    graphs = [make_graph(5, [(1, 2), (2, 3), (3, 4)]), make_graph(4, [(0, 2), (1, 3)])]
+    for n in range(2, 41):
+        pairs = list(itertools.combinations(range(n), 2))
+        for p in (1.0 / n, 2.0 / n):
+            graphs.append(make_graph(n, [e for e in pairs if rng.random() < p]))
+    disconnected = 0
+    for g in graphs:
+        ref = _networkx_distances(nx, g)
+        if (ref[0] >= 0).all():
+            assert (distance_matrix(g).d == ref).all(), g
+            continue
+        disconnected += 1
+        with pytest.raises(DisconnectedGraphError) as err:
+            distance_matrix(g)
+        lowest = int(np.flatnonzero(ref[0] < 0)[0])
+        assert (err.value.reachable_vertex, err.value.unreachable_vertex) == (0, lowest)
+    assert disconnected >= 20
+
+
 def test_transmission_wiener_diameter_path3():
     dm = distance_matrix(make_family("path", [3]))
     assert transmission(dm, 1) == 2
@@ -139,36 +181,6 @@ def test_transmission_wiener_star5():
 def test_diameter_path_and_complete(n):
     assert diameter(distance_matrix(make_family("path", [n]))) == n - 1
     assert diameter(distance_matrix(make_family("complete", [n]))) == 1
-
-
-def test_clique_number_examples():
-    assert clique_number(make_family("complete", [5])) == 5
-    assert clique_number(make_family("path", [4])) == 2
-    assert clique_number(make_family("complete_minus_edge", [4])) == 3
-
-
-def _clique_number_brute(g):
-    best = 1
-    for k in range(2, g.n + 1):
-        for sub in itertools.combinations(range(g.n), k):
-            if all(g.has_edge(u, v) for u, v in itertools.combinations(sub, 2)):
-                best = max(best, k)
-    return best
-
-
-def test_clique_number_matches_brute_force():
-    rng = np.random.default_rng(7)
-    graphs = [
-        make_family("wheel", [6]),
-        make_family("complete_bipartite", [3, 4]),
-        make_family("star_plus_edge", [5]),
-    ]
-    for _ in range(25):
-        n = int(rng.integers(2, 9))
-        edges = [p for p in itertools.combinations(range(n), 2) if rng.random() < 0.5]
-        graphs.append(make_graph(n, edges))
-    for g in graphs:
-        assert clique_number(g) == _clique_number_brute(g)
 
 
 def test_structure_star4():
@@ -203,13 +215,6 @@ def test_structure_disconnected():
 def test_delete_edge_k3_gives_path():
     g = delete_edge(make_family("complete", [3]), (0, 1))
     assert is_isomorphic(g, make_family("path", [3]))
-
-
-def test_delete_vertex_star_center():
-    g = delete_vertex(make_family("star", [4]), 0)
-    assert g.n == 3 and g.size == 0
-    with pytest.raises(DisconnectedGraphError):
-        distance_matrix(g)
 
 
 def test_coalesce_two_edges_give_path():

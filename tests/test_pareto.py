@@ -8,7 +8,6 @@ from distpareto.errors import CapExceededError, DisconnectedGraphError
 from distpareto.graph import distance_matrix, make_family, make_graph
 from distpareto import pareto
 from distpareto.pareto import (
-    distinct_submatrix_count,
     mu_k,
     pareto_count,
     pareto_eigenpair,
@@ -172,37 +171,6 @@ def test_eigenpair_empty_support_rejected():
         pareto_eigenpair(fam("path", 3), ())
 
 
-def _submatrix_classes_oracle(g):
-    """Independent canonicalizer: maximal flattening instead of minimal."""
-    d = distance_matrix(g).d
-    classes = set()
-    for k in range(1, g.n + 1):
-        for S in itertools.combinations(range(g.n), k):
-            sub = d[np.ix_(S, S)]
-            best = max(
-                tuple(int(sub[i, j]) for i in p for j in p)
-                for p in itertools.permutations(range(k))
-            )
-            classes.add((k, best))
-    return len(classes)
-
-
-def test_distinct_submatrix_counts():
-    k3 = fam("complete", 3)
-    s4 = fam("star", 4)
-    p3 = fam("path", 3)
-    assert distinct_submatrix_count(k3) == 3 == _submatrix_classes_oracle(k3)
-    assert distinct_submatrix_count(s4) == 6 == _submatrix_classes_oracle(s4)
-    # the order-2 classes of the path are {distance 1} and {distance 2};
-    # together with the singleton class and the full matrix that makes 4
-    assert distinct_submatrix_count(p3) == 4 == _submatrix_classes_oracle(p3)
-
-
-def test_distinct_submatrix_bounds_spectrum_count(classes_by_order):
-    for g in classes_by_order[5][:8]:
-        assert pareto_count(g) <= distinct_submatrix_count(g)
-
-
 def test_jobs_do_not_change_results():
     for g in [fam("wheel", 7), fam("path", 6), fam("complete_bipartite", 2, 4)]:
         base = pareto_spectrum(g, jobs=1)
@@ -320,8 +288,6 @@ def test_caps_and_errors():
         pareto_spectrum(fam("path", 8), max_order=6)
     with pytest.raises(DisconnectedGraphError):
         pareto_spectrum(make_graph(3, [(0, 1)]))
-    with pytest.raises(CapExceededError):
-        distinct_submatrix_count(fam("path", 9))
     with pytest.raises(ValueError):
         rho2_fast(make_graph(1, []))
 

@@ -5,15 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distpareto.errors import CapExceededError
 from distpareto.graph import distance_matrix, make_family
 from distpareto.spectral import (
     RESIDUAL_TOL,
     SymMatrix,
-    dominates,
     full_spectrum,
-    principal_submatrix,
-    rayleigh,
     spectral_radius,
 )
 
@@ -76,55 +72,6 @@ def test_perron_vector_positive_on_distance_matrices():
         assert res.vector.min() > 0
 
 
-def test_principal_submatrix_examples():
-    p3 = _dm("path", [3])
-    assert principal_submatrix(p3, [0, 2]).a.tolist() == [[0, 2], [2, 0]]
-    p4 = _dm("path", [4])
-    assert principal_submatrix(p4, [0, 2, 3]).a.tolist() == [
-        [0, 2, 3],
-        [2, 0, 1],
-        [3, 1, 0],
-    ]
-    assert (principal_submatrix(p4, range(4)).a == p4.a).all()
-    with pytest.raises(ValueError):
-        principal_submatrix(p3, [])
-
-
-def test_dominates_same_size_entrywise():
-    assert dominates(_j_minus_i(2, 2.0), _j_minus_i(2))
-
-
-def test_dominates_embedding():
-    small = SymMatrix.from_array([[0, 1], [1, 0]])
-    assert dominates(_dm("path", [3]), small)
-
-
-def test_dominates_equal_matrices_false():
-    assert not dominates(_j_minus_i(3), _j_minus_i(3))
-
-
-def test_dominates_no_embedding_false():
-    # K3 distances contain no pair at distance 2
-    small = SymMatrix.from_array([[0, 2], [2, 0]])
-    assert not dominates(_dm("complete", [3]), small)
-
-
-def test_dominates_cap():
-    big = _j_minus_i(9)
-    with pytest.raises(CapExceededError):
-        dominates(big, big)
-
-
-def test_rayleigh_examples():
-    assert rayleigh(_j_minus_i(3), np.ones(3)) == pytest.approx(2.0)
-    p3 = _dm("path", [3])
-    assert rayleigh(p3, [1.0, 0.0, 0.0]) == 0.0
-    perron = spectral_radius(p3)
-    assert rayleigh(p3, perron.vector) == pytest.approx(1 + math.sqrt(3), abs=1e-10)
-    with pytest.raises(ValueError):
-        rayleigh(p3, [0.0, 0.0, 0.0])
-
-
 def test_radius_at_least_average_row_sum():
     # equality holds exactly when all row sums agree
     for fam, params, regular in [
@@ -150,8 +97,7 @@ def test_dominance_implies_strict_radius_increase():
         for _ in range(40):
             k = int(rng.integers(2, m.k))
             keep = sorted(rng.choice(m.k, size=k, replace=False).tolist())
-            sub = principal_submatrix(m, keep)
-            assert dominates(m, sub)
+            sub = SymMatrix.from_array(m.a[np.ix_(keep, keep)])
             assert spectral_radius(m).value > spectral_radius(sub).value + 1e-9
 
 
@@ -172,7 +118,7 @@ def test_interlacing_of_order_one_less():
         parent = full_spectrum(m)
         for drop in range(m.k):
             keep = [i for i in range(m.k) if i != drop]
-            child = full_spectrum(principal_submatrix(m, keep))
+            child = full_spectrum(SymMatrix.from_array(m.a[np.ix_(keep, keep)]))
             for i in range(m.k - 1):
                 assert parent[i] <= child[i] + 1e-9
                 assert child[i] <= parent[i + 1] + 1e-9
@@ -207,4 +153,4 @@ def test_rayleigh_bounded_by_radius_hypothesis(flat):
         x = rng.normal(size=k)
         if not x.any():
             continue
-        assert rayleigh(m, x) <= rho + 1e-9
+        assert x @ m.a @ x / (x @ x) <= rho + 1e-9

@@ -1,4 +1,5 @@
-"""Source-level guards: one eigensolver site, one thread pool, no second sweep."""
+"""Source-level guards: one eigensolver site, one thread pool, one distance routine,
+no second sweep."""
 
 import pathlib
 import re
@@ -25,3 +26,9 @@ def test_single_thread_pool_site():
 
 def test_pure_python_connectivity_sweep_is_gone():
     assert _occurrences(r"\b_connected_masks\b") == []
+
+
+def test_single_distance_routine():
+    assert _occurrences(r"\b_bulk_distances\b") == []
+    assert _occurrences(r"\bfrontier\b") == []  # no per-vertex BFS
+    assert [hit.split(":")[0] for hit in _occurrences(r"for level in range\(")] == ["graph.py"]

@@ -7,13 +7,11 @@ import pytest
 from distpareto.errors import CapExceededError, DisconnectedGraphError
 from distpareto.graph import distance_matrix, make_family, make_graph
 from distpareto.pareto import pareto_count, pareto_eigenpair
-from distpareto.spectral import SymMatrix, spectral_radius
 from distpareto.verify import (
     canonical_form,
     check_coalescence_quasiconvexity,
     check_edge_monotonicity,
     check_eigenvector_convexity,
-    check_min_structure,
     check_tree_extremes,
     connected_graph_classes,
     connected_graphs_labeled,
@@ -159,45 +157,6 @@ def test_convexity_all_supports_small_trees():
                 for J in itertools.combinations(range(n), k):
                     rep = check_eigenvector_convexity(t, pareto_eigenpair(t, J))
                     assert rep.holds, rep
-
-
-# ---------------------------------------------------------------------------
-# minimizer structure
-
-
-def test_min_structure_unique_center():
-    rep = check_min_structure(fam("path", 3), [3.0, 1.0, 3.0])
-    assert rep.holds and rep.details["minimizers"] == [1]
-
-
-def test_min_structure_two_adjacent():
-    rep = check_min_structure(fam("path", 4), [2.0, 1.0, 1.0, 2.0])
-    assert rep.holds and rep.details["minimizers"] == [1, 2]
-
-
-def test_min_structure_perron_vector_of_path5():
-    t = fam("path", 5)
-    vec = spectral_radius(SymMatrix.from_array(distance_matrix(t).d.astype(float))).vector
-    rep = check_min_structure(t, vec)
-    assert rep.holds and rep.details["minimizers"] == [2]
-
-
-def test_min_structure_perron_vector_of_even_path():
-    t = fam("path", 4)
-    vec = spectral_radius(SymMatrix.from_array(distance_matrix(t).d.astype(float))).vector
-    rep = check_min_structure(t, vec)
-    assert rep.holds and rep.details["minimizers"] == [1, 2]
-
-
-def test_min_structure_hypothesis_failure():
-    rep = check_min_structure(fam("path", 3), [1.0, 3.0, 1.0])
-    assert not rep.holds and rep.hypothesis_failed
-    assert rep.counterexample["path"] == (0, 1, 2)
-
-
-def test_min_structure_reports_are_reproducible():
-    args = (fam("path", 3), [1.0, 3.0, 1.0])
-    assert check_min_structure(*args) == check_min_structure(*args)
 
 
 # ---------------------------------------------------------------------------
