@@ -21,6 +21,7 @@ from .errors import CapExceededError, DisconnectedGraphError, GraphParseError
 from .graph import (
     Graph,
     FAMILY_NAMES,
+    delete_edge,
     diameter,
     distance_matrix,
     make_family,
@@ -40,8 +41,8 @@ from .verify import (
     _EXTREMAL_MAX_ORDER,
     _TREES_MAX_ORDER,
     _describe,
+    _edge_monotonicity,
     check_coalescence_quasiconvexity,
-    check_edge_monotonicity,
     check_eigenvector_convexity,
     check_tree_extremes,
     connected_graph_classes,
@@ -302,12 +303,13 @@ def _suite_convexity(order: int) -> tuple[int, list[dict]]:
 def _monotonicity_reports(order: int):
     for n in range(2, order + 1):
         for g in connected_graph_classes(n):
+            before, _ = rho2_fast(g)
             for e in g.sorted_edges():
                 try:
-                    rep = check_edge_monotonicity(g, e)
+                    after, _ = rho2_fast(delete_edge(g, e))
                 except DisconnectedGraphError:
                     continue
-                yield rep
+                yield _edge_monotonicity(g, e, before, after)
 
 
 def _suite_monotonicity(order: int) -> tuple[int, list[dict]]:

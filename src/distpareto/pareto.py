@@ -13,6 +13,11 @@ lexicographically smallest one of smallest cardinality.
 spectrum, ``rho2_fast`` and the batched sweeps in ``verify``, and hands the
 eigensolver at most ``_GATHER_BYTES`` of submatrices per call.
 
+``rho2_fast`` screens all n single-vertex deletions with one ``eigh`` of the
+distance matrix and O(n^2) work per Newton step on the secular equation
+(``spectral._deletion_roots``), instead of n deletion eigensolves at O(n^4),
+and recomputes with the kernel only the few deletions screened near the top.
+
 ``jobs > 1`` splits the canonical subset range into contiguous chunks handled
 by worker threads (LAPACK releases the GIL); the deduplication runs on the
 merged value array, so results are identical for every worker count.
@@ -28,7 +33,7 @@ import numpy as np
 
 from .errors import CapExceededError, EigensolverError
 from .graph import Graph, distance_matrix
-from .spectral import SymMatrix, spectral_radius, spectral_radius_many
+from .spectral import SymMatrix, _deletion_roots, spectral_radius, spectral_radius_many
 
 __all__ = [
     "ParetoSpectrum",
@@ -46,6 +51,7 @@ __all__ = [
 DEFAULT_DEDUP_TOL = 1e-8
 DEFAULT_MAX_ORDER = 20
 _GATHER_BYTES = 16 << 20  # bytes of gathered work array per batched call
+_SCREEN_WINDOW = 1e-9  # rho2_fast recomputes deletions screened this close to the top
 
 
 @dataclass(frozen=True)
@@ -242,23 +248,36 @@ def mu_k(g: Graph, k: int, **kwargs) -> float:
 def rho2_fast(g: Graph) -> tuple[float, int]:
     """Second largest distance Pareto eigenvalue without full enumeration.
 
-    Equals the maximum Perron root over single-vertex deletions at non-pendant
-    vertices; pendant deletions are dominated by their quasipendant neighbor's
-    and can be skipped.  For K_2 (every vertex pendant) either deletion gives
-    the 1x1 zero matrix.  Returns the value and the smallest achieving vertex.
+    rho2 is the largest Perron root over the single-vertex deletions D - v.
+    A pendant vertex p never attains it when n >= 3: for its neighbor q,
+    D[V - q] with p relabelled q is >= D[V - p] entrywise, and strictly larger
+    in p's row (d(p, x) = d(q, x) + 1), so by Perron-Frobenius the deletion of
+    q has the strictly larger root.  The candidates are therefore the
+    non-pendant vertices, or both vertices of K_2, where either deletion is the
+    1x1 zero matrix.
+
+    ``_deletion_roots`` screens every deletion from one eigendecomposition of
+    D to about 1e-15 relative.  Only the candidates screened within
+    ``_SCREEN_WINDOW`` (1e-9 relative) of the largest candidate are recomputed
+    with ``_perron_roots_for_rows``, so the value comes from the same kernel
+    on the same submatrix as a sweep over every candidate, and the screen's
+    error would have to reach the window to change the result.  Returns the
+    value and the smallest vertex within 1e-12 of it.
     """
     if g.n < 2:
         raise ValueError("second largest Pareto eigenvalue needs n >= 2")
-    dm = distance_matrix(g)
-    deg = g.degrees()
-    candidates = [v for v in range(g.n) if deg[v] > 1] or list(range(g.n))
-    rows = np.array(
-        [[u for u in range(g.n) if u != v] for v in candidates], dtype=np.intp
-    )
-    vals = _perron_roots_for_rows(dm.d, rows)
+    d = distance_matrix(g).d.astype(np.float64)
+    screened = _deletion_roots(d)
+    nonpendant = np.array(g.degrees()) > 1
+    if nonpendant.any():
+        screened[~nonpendant] = -np.inf
+    top = float(screened.max())
+    near = np.flatnonzero(screened >= top - _SCREEN_WINDOW * max(1.0, top))
+    keep = np.arange(g.n - 1)
+    vals = _perron_roots_for_rows(d, keep + (keep >= near[:, None]))
     vmax = float(vals.max())
     pick = int(np.argmax(vals >= vmax - 1e-12 * max(1.0, abs(vmax))))
-    return float(vals[pick]), candidates[pick]
+    return float(vals[pick]), int(near[pick])
 
 
 def pareto_eigenpair(g: Graph, support: tuple[int, ...] | list[int]) -> ParetoEigenpair:

@@ -341,6 +341,14 @@ def check_edge_monotonicity(g: Graph, e: tuple[int, int]) -> PropertyReport:
     g2 = delete_edge(g, e)
     before, _ = rho2_fast(g)
     after, _ = rho2_fast(g2)  # raises DisconnectedGraphError when g-e splits
+    return _edge_monotonicity(g, e, before, after)
+
+
+def _edge_monotonicity(g: Graph, e: tuple[int, int], before: float, after: float) -> PropertyReport:
+    """The report for rho2(g) = ``before`` and rho2(g - e) = ``after``.
+
+    Sweeps compute ``before`` once per graph and pass it for every edge.
+    """
     scale = max(1.0, abs(before))
     holds = after >= before - _STRICT_TOL * scale
     relation = "equal" if abs(after - before) <= _STRICT_TOL * scale else (

@@ -1,5 +1,6 @@
 import json
 import math
+import pathlib
 
 import pytest
 
@@ -171,6 +172,20 @@ def test_verify_monotonicity_order5(capsys):
     doc = json.loads(out)
     assert doc["payload"]["holds"] is True
     assert doc["payload"]["violations"] == []
+
+
+def test_verify_monotonicity_computes_rho2_once_per_class(capsys, monkeypatch):
+    from distpareto.verify import connected_graph_classes
+
+    calls = []
+    rho2 = cli.rho2_fast
+    monkeypatch.setattr(cli, "rho2_fast", lambda g: calls.append(g) or rho2(g))
+    code, out, _ = run(capsys, "verify", "monotonicity", "--order", "5")
+    assert code == 0
+    classes = [g for n in range(2, 6) for g in connected_graph_classes(n)]
+    assert len(calls) == len(classes) + sum(len(g.edges) for g in classes)
+    golden = pathlib.Path(__file__).parent / "golden" / "verify_monotonicity5.out"
+    assert out.encode("utf-8") == golden.read_bytes()
 
 
 def test_formulas_star_radius6(capsys):

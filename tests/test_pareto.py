@@ -324,3 +324,56 @@ def test_bounded_gather_is_bitwise_identical(monkeypatch):
     assert [rho2_fast(wheel), rho2_fast(big)] == rho2
     for rows, want in zip(subsets, stacked):
         assert np.array_equal(pareto._perron_roots_for_rows(stack, rows), want)
+
+
+# ---------------------------------------------------------------------------
+# rho2_fast's secular screen against the kernel on every deletion
+
+
+def _kernel_rho2(g):
+    """rho2 by the kernel on every candidate deletion: the non-pendant vertices,
+    or every vertex when there is none; the witness is the first vertex within
+    1e-12 of the maximum."""
+    d = distance_matrix(g).d
+    deg = g.degrees()
+    candidates = [v for v in range(g.n) if deg[v] > 1] or list(range(g.n))
+    rows = np.array([[u for u in range(g.n) if u != v] for v in candidates], dtype=np.intp)
+    vals = pareto._perron_roots_for_rows(d, rows)
+    vmax = float(vals.max())
+    pick = int(np.argmax(vals >= vmax - 1e-12 * max(1.0, abs(vmax))))
+    return float(vals[pick]), candidates[pick]
+
+
+def _screen_cases():
+    from distpareto.verify import random_connected_graph
+
+    rng = np.random.default_rng(20240607)
+    for n in range(3, 81):
+        for p in (0.02, 0.1, 0.3, 0.7):
+            yield random_connected_graph(n, rng, extra_edge_prob=p)
+    yield fam("complete", 2)
+    for n in range(3, 31):
+        for name in ("path", "star", "cycle", "complete", "complete_minus_edge"):
+            yield fam(name, n)
+    for n in range(4, 31):
+        yield fam("wheel", n)
+    for a in range(1, 9):
+        for b in range(a, 13):
+            yield fam("complete_bipartite", a, b)
+
+
+def test_rho2_screen_matches_kernel_on_every_deletion():
+    from distpareto.spectral import _deletion_roots
+
+    checked = 0
+    for g in _screen_cases():
+        assert rho2_fast(g) == _kernel_rho2(g), g
+        d = distance_matrix(g).d.astype(np.float64)
+        keep = np.arange(g.n - 1)
+        every = keep + (keep >= np.arange(g.n)[:, None])  # row v omits vertex v
+        kernel = pareto._perron_roots_for_rows(d, every)
+        screened = _deletion_roots(d)
+        # 1e-12 relative is 1/1000 of the window rho2_fast recomputes
+        assert np.all(np.abs(screened - kernel) <= 1e-12 * np.maximum(1.0, kernel)), g
+        checked += 1
+    assert checked == 78 * 4 + 1 + 28 * 5 + 27 + 68

@@ -1,5 +1,5 @@
-"""Source-level guards: one eigensolver site, one thread pool, one distance routine,
-no second sweep."""
+"""Source-level guards: one eigensolver site, linear algebra only in ``spectral``,
+one thread pool, one distance routine, no second sweep."""
 
 import pathlib
 import re
@@ -18,6 +18,10 @@ def _occurrences(pattern: str) -> list[str]:
 
 def test_single_eigvalsh_site():
     assert len(_occurrences(r"eigvalsh\(")) == 1
+
+
+def test_linear_algebra_only_in_spectral():
+    assert {hit.split(":")[0] for hit in _occurrences(r"\blinalg\b")} == {"spectral.py"}
 
 
 def test_single_thread_pool_site():
