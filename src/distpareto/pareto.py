@@ -257,7 +257,7 @@ def rho2_fast(g: Graph) -> tuple[float, int]:
     1x1 zero matrix.
 
     ``_deletion_roots`` screens every deletion from one eigendecomposition of
-    D to about 1e-15 relative.  Only the candidates screened within
+    D, certified to 1e-13 relative (about 1e-15 in practice).  Only the candidates screened within
     ``_SCREEN_WINDOW`` (1e-9 relative) of the largest candidate are recomputed
     with ``_perron_roots_for_rows``, so the value comes from the same kernel
     on the same submatrix as a sweep over every candidate, and the screen's
