@@ -249,25 +249,6 @@ def star_spectrum(n: int) -> list[float]:
 # Bounds
 
 
-BOUND_IDS = (
-    "count_lower",
-    "rho2_bipartite_lower",
-    "rho2_diam2_upper",
-    "rho2_dominating_lower",
-    "rho2_dominating_upper",
-    "rho2_noncomplete_lower",
-    "rho2_second_component_upper",
-    "rho2_simple_lower",
-    "rho2_tmin_lower",
-    "rho2_two_edges_lower",
-    "rho2_vs_lambda2",
-    "rho2_wiener_lower",
-    "rho_k_lower",
-)
-
-_RHO2_BOUND_IDS = tuple(b for b in BOUND_IDS if b.startswith("rho2_"))
-
-
 class _BoundContext:
     """Caches the per-graph quantities shared by several bounds."""
 
@@ -291,14 +272,6 @@ class _BoundContext:
     def rho2_pair(self) -> tuple[float, int]:
         return rho2_fast(self.g)
 
-    @property
-    def rho2(self) -> float:
-        return self.rho2_pair[0]
-
-    @property
-    def rho2_witness(self) -> int:
-        return self.rho2_pair[1]
-
     @cached_property
     def lambda2(self) -> float:
         spec = full_spectrum(SymMatrix.from_array(self.dm.d.astype(float)))
@@ -309,20 +282,12 @@ class _BoundContext:
         return [transmission(self.dm, v) for v in range(self.n)]
 
     @cached_property
-    def is_complete(self) -> bool:
-        return self.g.size == self.n * (self.n - 1) // 2
-
-    @cached_property
-    def is_complete_minus_edge(self) -> bool:
-        return self.g.size == self.n * (self.n - 1) // 2 - 1
-
-    @cached_property
     def structure(self):
         return structure_queries(self.g)
 
     @cached_property
     def rho2_vector(self) -> np.ndarray:
-        support = tuple(v for v in range(self.n) if v != self.rho2_witness)
+        support = tuple(v for v in range(self.n) if v != self.rho2_pair[1])
         return pareto_eigenpair(self.g, support).vector
 
 
@@ -342,7 +307,7 @@ def _second_component_bound(ctx: _BoundContext) -> float:
     (T_j - 2 + sqrt((T_j - 2)^2 + 4(n - 2))) / 2.
     """
     x = ctx.rho2_vector
-    u = ctx.rho2_witness
+    u = ctx.rho2_pair[1]
     d = ctx.dm.d
     i = int(np.argmax(x))
     ti = ctx.transmissions[i]
@@ -357,89 +322,96 @@ def _second_component_bound(ctx: _BoundContext) -> float:
     return min(bounds)
 
 
+# Hypotheses: each returns why its bound does not apply, or "" when it does.
+
+
+def _always(ctx: _BoundContext) -> str:
+    return ""
+
+
+def _dominating(ctx: _BoundContext) -> str:
+    return "" if max(ctx.g.degrees()) == ctx.n - 1 else "no vertex of degree n-1"
+
+
+def _missing_edges(ctx: _BoundContext) -> int:
+    return ctx.n * (ctx.n - 1) // 2 - ctx.g.size
+
+
+def _noncomplete(ctx: _BoundContext) -> str:
+    return "" if _missing_edges(ctx) else "graph is complete"
+
+
+def _two_edges_missing(ctx: _BoundContext) -> str:
+    if _missing_edges(ctx) <= 1:
+        return "graph is K_n or K_n minus an edge"
+    return "closed form valid only for n >= 5" if ctx.n < 5 else ""
+
+
+def _tmin_bound(ctx: _BoundContext) -> float:
+    a = min(ctx.transmissions) - 2 * ctx.diam
+    return (a + math.sqrt(a * a + 4 * (ctx.n - ctx.diam - 1))) / 2
+
+
+def _bipartite_bound(ctx: _BoundContext) -> float:
+    n, a = ctx.n, ctx.n // 2
+    return n - 3 + math.sqrt(n * n + n + 1 + 3 * a * (a - n - 1))
+
+
+# bound id -> (direction, hypothesis, bound value), in report order; every row
+# bounds rho2.  Rows call package functions through their module-global names,
+# never a stored function object, so rebinding a name reaches every row.
+_RHO2_BOUNDS = {
+    "rho2_bipartite_lower": (
+        "lower", lambda ctx: "" if ctx.structure.is_bipartite else "graph is not bipartite",
+        _bipartite_bound),
+    "rho2_diam2_upper": (
+        "upper", lambda ctx: "" if ctx.diam == 2 else f"diameter is {ctx.diam}, not 2",
+        lambda ctx: float(2 * (ctx.n - 2))),
+    "rho2_dominating_lower": ("lower", _dominating, lambda ctx: float(ctx.n - 2)),
+    "rho2_dominating_upper": ("upper", _dominating, lambda ctx: float(2 * (ctx.n - 2))),
+    "rho2_noncomplete_lower": (
+        "lower", _noncomplete, lambda ctx: closed_form("rho2_kn_minus_e", ctx.n)),
+    "rho2_second_component_upper": (
+        "upper", lambda ctx: "needs n >= 3 (two positive components)" if ctx.n < 3 else "",
+        _second_component_bound),
+    "rho2_simple_lower": ("lower", _noncomplete, lambda ctx: ctx.n - 2 + 2.0 / (ctx.n - 1)),
+    "rho2_tmin_lower": ("lower", _always, _tmin_bound),
+    "rho2_two_edges_lower": (
+        "lower", _two_edges_missing, lambda ctx: closed_form("rho2_two_nonincident", ctx.n)),
+    "rho2_vs_lambda2": ("lower", _always, lambda ctx: ctx.lambda2),
+    "rho2_wiener_lower": (
+        "lower", _always,
+        lambda ctx: 2.0 * (wiener(ctx.dm) - min(ctx.transmissions)) / (ctx.n - 1)),
+}
+
+BOUND_IDS = ("count_lower", *_RHO2_BOUNDS, "rho_k_lower")
+
+
 def _evaluate(ctx: _BoundContext, bound_id: str, k: int | None = None) -> BoundResult:
     n = ctx.n
 
+    if bound_id in _RHO2_BOUNDS:
+        direction, hypothesis, bound = _RHO2_BOUNDS[bound_id]
+        reason = "order < 2" if n < 2 else hypothesis(ctx)
+        if reason:
+            return _inapplicable(bound_id, direction, reason)
+        return _result(bound_id, direction, bound(ctx), ctx.rho2_pair[0])
+
+    if bound_id not in ("count_lower", "rho_k_lower"):
+        raise ValueError(f"unknown bound id {bound_id!r}")
     if bound_id == "rho_k_lower" and k is None:
         raise ValueError("rho_k_lower requires k")
+    if bound_id == "count_lower":
+        k = None  # only the per-k family carries k
 
-    if bound_id in ("count_lower", "rho_k_lower") and n > DEFAULT_MAX_ORDER:
+    if n > DEFAULT_MAX_ORDER:
         reason = f"needs the full spectrum, enumerated only for n <= {DEFAULT_MAX_ORDER}"
         return _inapplicable(bound_id, "lower", reason, k=k)
-
-    if bound_id == "rho_k_lower":
-        if not (1 <= k <= ctx.spectrum.count):
-            return _inapplicable(bound_id, "lower", f"k={k} exceeds spectrum size", k=k)
-        return _result(bound_id, "lower", float(n - k), ctx.spectrum.rho_k(k), k=k)
-
-    if bound_id == "count_lower":
+    if k is None:
         return _result(bound_id, "lower", float(n + ctx.diam - 1), float(ctx.spectrum.count))
-
-    if bound_id in _RHO2_BOUND_IDS and n < 2:
-        return _inapplicable(bound_id, "lower" if bound_id.endswith("lower") else "upper", "order < 2")
-
-    if bound_id == "rho2_dominating_lower":
-        if max(ctx.g.degrees()) != n - 1:
-            return _inapplicable(bound_id, "lower", "no vertex of degree n-1")
-        return _result(bound_id, "lower", float(n - 2), ctx.rho2)
-
-    if bound_id == "rho2_dominating_upper":
-        if max(ctx.g.degrees()) != n - 1:
-            return _inapplicable(bound_id, "upper", "no vertex of degree n-1")
-        return _result(bound_id, "upper", float(2 * (n - 2)), ctx.rho2)
-
-    if bound_id == "rho2_diam2_upper":
-        if ctx.diam != 2:
-            return _inapplicable(bound_id, "upper", f"diameter is {ctx.diam}, not 2")
-        return _result(bound_id, "upper", float(2 * (n - 2)), ctx.rho2)
-
-    if bound_id == "rho2_noncomplete_lower":
-        if ctx.is_complete:
-            return _inapplicable(bound_id, "lower", "graph is complete")
-        return _result(bound_id, "lower", closed_form("rho2_kn_minus_e", n), ctx.rho2)
-
-    if bound_id == "rho2_simple_lower":
-        if ctx.is_complete:
-            return _inapplicable(bound_id, "lower", "graph is complete")
-        return _result(bound_id, "lower", n - 2 + 2.0 / (n - 1), ctx.rho2)
-
-    if bound_id == "rho2_two_edges_lower":
-        if ctx.is_complete or ctx.is_complete_minus_edge:
-            return _inapplicable(bound_id, "lower", "graph is K_n or K_n minus an edge")
-        if n < 5:
-            return _inapplicable(bound_id, "lower", "closed form valid only for n >= 5")
-        return _result(bound_id, "lower", closed_form("rho2_two_nonincident", n), ctx.rho2)
-
-    if bound_id == "rho2_wiener_lower":
-        dm = ctx.dm
-        w = wiener(dm)
-        tmin = min(ctx.transmissions)
-        return _result(bound_id, "lower", 2.0 * (w - tmin) / (n - 1), ctx.rho2)
-
-    if bound_id == "rho2_tmin_lower":
-        tmin = min(ctx.transmissions)
-        d = ctx.diam
-        a = tmin - 2 * d
-        bound = (a + math.sqrt(a * a + 4 * (n - d - 1))) / 2
-        return _result(bound_id, "lower", bound, ctx.rho2)
-
-    if bound_id == "rho2_vs_lambda2":
-        return _result(bound_id, "lower", ctx.lambda2, ctx.rho2)
-
-    if bound_id == "rho2_bipartite_lower":
-        st = ctx.structure
-        if not st.is_bipartite:
-            return _inapplicable(bound_id, "lower", "graph is not bipartite")
-        a = n // 2
-        bound = n - 3 + math.sqrt(n * n + n + 1 + 3 * a * (a - n - 1))
-        return _result(bound_id, "lower", bound, ctx.rho2)
-
-    if bound_id == "rho2_second_component_upper":
-        if n < 3:
-            return _inapplicable(bound_id, "upper", "needs n >= 3 (two positive components)")
-        return _result(bound_id, "upper", _second_component_bound(ctx), ctx.rho2)
-
-    raise ValueError(f"unknown bound id {bound_id!r}")
+    if not (1 <= k <= ctx.spectrum.count):
+        return _inapplicable(bound_id, "lower", f"k={k} exceeds spectrum size", k=k)
+    return _result(bound_id, "lower", float(n - k), ctx.spectrum.rho_k(k), k=k)
 
 
 def evaluate_bound(bound_id: str, g: Graph, k: int | None = None) -> BoundResult:
@@ -450,15 +422,10 @@ def evaluate_bound(bound_id: str, g: Graph, k: int | None = None) -> BoundResult
 def bound_report(g: Graph) -> list[BoundResult]:
     """Every bound evaluated on ``g``; rho_k_lower expands over k = 1..n.
 
-    Results are ordered by (bound_id, k) so reports are deterministic.
+    Results are ordered by (bound_id, k) so reports are deterministic:
+    ``BOUND_IDS`` is sorted and rho_k_lower comes last.
     """
     ctx = _BoundContext(g)
-    results: list[BoundResult] = []
-    for bound_id in BOUND_IDS:
-        if bound_id == "rho_k_lower":
-            for k in range(1, g.n + 1):
-                results.append(_evaluate(ctx, bound_id, k=k))
-        else:
-            results.append(_evaluate(ctx, bound_id))
-    results.sort(key=lambda r: (r.bound_id, r.k if r.k is not None else 0))
+    results = [_evaluate(ctx, bound_id) for bound_id in BOUND_IDS[:-1]]
+    results += [_evaluate(ctx, "rho_k_lower", k=k) for k in range(1, g.n + 1)]
     return results

@@ -26,6 +26,7 @@ merged value array, so results are identical for every worker count.
 from __future__ import annotations
 
 import itertools
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -137,14 +138,15 @@ def _perron_roots_for_rows(dmat: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def _map_spans(fn, total: int, jobs: int) -> list:
     """``fn`` over ``jobs`` contiguous spans of range(total), results in span order.
 
-    Spans run in worker threads (LAPACK and numpy release the GIL).
+    Spans run in worker threads (LAPACK and numpy release the GIL), at most one
+    per CPU; the split depends only on ``jobs``.
     """
     jobs = max(1, int(jobs))
     if jobs == 1 or total < 2 * jobs:
         return [fn((0, total))]
     bounds = np.linspace(0, total, jobs + 1).astype(int)
     spans = [(int(bounds[i]), int(bounds[i + 1])) for i in range(jobs)]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
+    with ThreadPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
         return list(pool.map(fn, spans))
 
 

@@ -24,6 +24,11 @@ CASES = {
     "spectrum_path25_cap": ["spectrum", "--family", "path", "25"],
     "rho2_bounds_kn_minus_e6_json": ["rho2", "--family", "complete_minus_edge", "6", "--bounds"],
     "rho2_bounds_star8_csv": ["rho2", "--family", "star", "8", "--bounds", "--format", "csv"],
+    "rho2_bounds_complete5_json": ["rho2", "--bounds", "--family", "complete", "5"],
+    "rho2_bounds_path2_json": ["rho2", "--bounds", "--family", "path", "2"],
+    "rho2_bounds_cycle4_csv": ["rho2", "--bounds", "--family", "cycle", "4", "--format", "csv"],
+    "rho2_bounds_path6_table": ["rho2", "--bounds", "--family", "path", "6", "--format", "table"],
+    "rho2_bounds_path21_json": ["rho2", "--bounds", "--family", "path", "21"],
     "verify_extremal5": ["verify", "extremal", "--order", "5"],
     "verify_monotonicity5": ["verify", "monotonicity", "--order", "5"],
     "verify_quasiconvex6": ["verify", "quasiconvex", "--order", "6"],

@@ -1,4 +1,6 @@
 import math
+import pathlib
+import re
 
 import pytest
 
@@ -217,3 +219,49 @@ def test_tmin_lower_examples():
     assert tight.tight
     loose = evaluate_bound("rho2_tmin_lower", fam("path", 6))
     assert loose.applicable and loose.slack > 1e-6
+
+
+def test_count_lower_never_carries_k():
+    # only the per-k family rho_k_lower reports k, on both sides of the n <= 20 cap
+    for n in (5, 21):
+        res = evaluate_bound("count_lower", fam("path", n), k=3)
+        assert res.k is None and res.bound_id == "count_lower"
+    capped = evaluate_bound("rho_k_lower", fam("path", 21), k=3)
+    assert capped.k == 3 and not capped.applicable
+
+
+def test_bound_report_single_vertex():
+    report = bound_report(fam("complete", 1))
+    rho2_rows = [r for r in report if r.bound_id.startswith("rho2_")]
+    assert len(rho2_rows) == 11 == len(BOUND_IDS) - 2
+    assert all(not r.applicable and r.reason == "order < 2" for r in rho2_rows)
+    # each row keeps the direction it has where it applies
+    directions = {r.bound_id: r.direction for r in bound_report(fam("star", 5))}
+    assert all(r.direction == directions[r.bound_id] for r in rho2_rows)
+    rest = [r for r in report if not r.bound_id.startswith("rho2_")]
+    assert [(r.bound_id, r.k) for r in rest] == [("count_lower", None), ("rho_k_lower", 1)]
+    assert [(r.applicable, r.bound_value, r.actual_value) for r in rest] == [
+        (True, 0.0, 1.0), (True, 0.0, 0.0)]
+
+
+def test_rho_k_lower_beyond_spectrum():
+    g = fam("path", 4)
+    count = pareto_spectrum(g).count
+    res = evaluate_bound("rho_k_lower", g, k=count + 1)
+    assert not res.applicable and res.k == count + 1
+    assert res.reason == f"k={count + 1} exceeds spectrum size"
+
+
+def test_evaluate_bound_errors():
+    g = fam("path", 4)
+    with pytest.raises(ValueError, match=r"^unknown bound id 'nope'$"):
+        evaluate_bound("nope", g)
+    with pytest.raises(ValueError, match=r"^rho_k_lower requires k$"):
+        evaluate_bound("rho_k_lower", g)
+
+
+def test_readme_bound_catalogue_lists_every_bound():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Bound catalogue", 1)[1].split("\n#", 1)[0]
+    listed = re.findall(r"^\| `(\w+)` \|", section, flags=re.MULTILINE)
+    assert sorted(listed) == sorted(BOUND_IDS)

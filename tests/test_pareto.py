@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -178,6 +179,36 @@ def test_jobs_do_not_change_results():
             other = pareto_spectrum(g, jobs=jobs)
             assert other.values == base.values
             assert other.witnesses == base.witnesses
+
+
+def test_jobs_split_spans_but_threads_stay_at_cpu_count(monkeypatch):
+    # The pool is replaced by one that records its size and runs the spans
+    # serially, so the test starts no thread whatever jobs asks for.
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    monkeypatch.setattr(pareto, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    spans = pareto._map_spans(lambda span: span, 100_000, 10_000)
+    assert len(spans) == 10_000 and spans[0][0] == 0 and spans[-1][1] == 100_000
+    assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+    g = fam("path", 8)
+    base = pareto_spectrum(g, jobs=1)
+    other = pareto_spectrum(g, jobs=100)  # 255 subsets in 100 spans
+    assert (other.values, other.witnesses) == (base.values, base.witnesses)
+    assert sizes == [2, 2]
 
 
 def test_integer_ladder_and_top_value(classes_by_order):
