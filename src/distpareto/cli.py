@@ -12,6 +12,7 @@ import dataclasses
 import io
 import itertools
 import json
+import math
 import sys
 
 import numpy as np
@@ -58,15 +59,28 @@ EXIT_CAP = 3
 EXIT_DISCONNECTED = 4
 
 
-def _round12(x: float) -> float:
-    return float(f"{float(x):.12g}")
+_PLAIN = frozenset({bool, int, str, type(None)})  # scalar types JSON takes unchanged
+_DIGITS12 = "{:.12g}".format  # floats are printed to 12 significant digits
 
 
 def _jsonable(obj):
-    """Recursively convert payload values to JSON-stable types."""
+    """Convert payload values to JSON-stable types.
+
+    Floats are rounded to 12 significant digits, NaN (an inapplicable numeric
+    field) becomes None, numpy scalars become Python scalars, tuples become
+    lists and keys become str.  A list of plain scalars, or of lists of them,
+    is converted as a whole; anything else element by element.
+    """
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
+        kinds = set(map(type, obj))
+        if kinds <= _PLAIN:
+            return list(obj)
+        if kinds == {float} and not any(map(math.isnan, obj)):
+            return list(map(float, map(_DIGITS12, obj)))
+        if kinds <= {list, tuple} and set(map(type, itertools.chain.from_iterable(obj))) <= _PLAIN:
+            return list(map(list, obj))
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
@@ -76,7 +90,7 @@ def _jsonable(obj):
         v = float(obj)
         if v != v:  # NaN marks inapplicable numeric fields
             return None
-        return _round12(v)
+        return float(_DIGITS12(v))
     return obj
 
 
@@ -101,8 +115,51 @@ def _document(command: str, payload: dict, graph: Graph | None = None) -> dict:
     return _jsonable(doc)
 
 
+def _encoder(level: int) -> json.JSONEncoder:
+    """C encoder whose item separator starts a new line indented to ``level``."""
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * level, ": "))
+
+
+def _scalars(items) -> bool:
+    """Whether no item is a container (checked per type, not per item)."""
+    return not any(issubclass(t, (dict, list)) for t in set(map(type, items)))
+
+
+def _layout(obj, level: int) -> str:
+    """``obj``, normalised by ``_jsonable``, in the layout of ``json.dumps`` with
+    sorted keys and a 2-space indent, opened at nesting ``level``.
+
+    Each container of scalars, and each list of nonempty lists of scalars, is
+    encoded by the C encoder in one call; only the containers above them are
+    walked here.
+    """
+    if not isinstance(obj, (dict, list)) or not obj:
+        return json.dumps(obj)
+    pad, inner = "  " * level, "  " * (level + 1)
+    is_dict = isinstance(obj, dict)
+    if _scalars(obj.values() if is_dict else obj):
+        body = _encoder(level + 1).encode(obj)[1:-1]
+    elif is_dict:
+        body = (",\n" + inner).join(
+            f"{json.dumps(k)}: {_layout(obj[k], level + 1)}" for k in sorted(obj)
+        )
+    elif set(map(type, obj)) == {list} and all(obj) and _scalars(itertools.chain.from_iterable(obj)):
+        # Encoded with the sublists' separator, then each sublist is closed and
+        # the next opened on lines of their own.  A scalar neither ends in "]"
+        # nor starts with "[", and an encoded string holds no newline, so
+        # "]" + separator + "[" occurs exactly between two sublists.
+        deep = "\n" + "  " * (level + 2)
+        text = _encoder(level + 2).encode(obj)[2:-2]
+        between = f"\n{inner}],\n{inner}[{deep}"
+        body = f"[{deep}" + text.replace(f"],{deep}[", between) + f"\n{inner}]"
+    else:
+        body = (",\n" + inner).join(_layout(v, level + 1) for v in obj)
+    opening, closing = "{}" if is_dict else "[]"
+    return f"{opening}\n{inner}{body}\n{pad}{closing}"
+
+
 def _emit_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return _layout(doc, 0) + "\n"
 
 
 def _emit_table(doc: dict) -> str:
@@ -119,19 +176,19 @@ def _emit_table(doc: dict) -> str:
     def scalar_list(val):
         return isinstance(val, list) and not any(isinstance(v, (dict, list)) for v in val)
 
-    def walk(obj, indent=0):
-        pad = "  " * indent
+    def walk(obj, depth=0):
+        pad = "  " * depth
         if isinstance(obj, dict):
             for key, val in obj.items():
                 if isinstance(val, dict) or (isinstance(val, list) and not scalar_list(val)):
                     print(f"{pad}{key}:", file=out)
-                    walk(val, indent + 1)
+                    walk(val, depth + 1)
                 else:
                     print(f"{pad}{key}: {val}", file=out)
         elif isinstance(obj, list):
             for val in obj:
                 if isinstance(val, dict):
-                    walk(val, indent)
+                    walk(val, depth)
                     print(f"{pad}-", file=out)
                 else:
                     print(f"{pad}{val}", file=out)
@@ -227,16 +284,20 @@ def _cmd_spectrum(args) -> int:
     spec = pareto_spectrum(
         g, jobs=args.jobs, dedup_tolerance=args.tolerance, max_order=args.max_order
     )
-    d = diameter(distance_matrix(g))
-    ladder = list(range(d + 1))
-    present = all(
-        any(abs(v - t) <= 1e-8 * max(1.0, t) for v in spec.values) for t in ladder
+    ladder = np.arange(diameter(distance_matrix(g)) + 1)
+    # The value nearest each integer is one of its neighbours in the ascending values.
+    values = np.array(spec.values)
+    at = np.searchsorted(values, ladder)
+    gap = np.minimum(
+        abs(values[np.maximum(at - 1, 0)] - ladder),
+        abs(values[np.minimum(at, values.size - 1)] - ladder),
     )
+    present = bool((gap <= 1e-8 * np.maximum(1.0, ladder)).all())
     payload = {
-        "values": list(spec.values),
-        "witnesses": [list(w) for w in spec.witnesses],
+        "values": spec.values,
+        "witnesses": spec.witnesses,
         "count": spec.count,
-        "integer_ladder": {"integers": ladder, "all_present": present},
+        "integer_ladder": {"integers": ladder.tolist(), "all_present": present},
         "dedup_tolerance": spec.dedup_tolerance,
     }
     sys.stdout.write(_emit(_document("spectrum", payload, g), args.format))

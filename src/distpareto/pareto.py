@@ -26,6 +26,7 @@ merged value array, so results are identical for every worker count.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -196,10 +197,22 @@ def _dedup(values: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     return values[witness_idx], witness_idx
 
 
-def _decode_flat(idx: int, subsets: dict[int, np.ndarray], offsets: np.ndarray) -> tuple[int, ...]:
-    k = int(np.searchsorted(offsets, idx, side="right"))
-    row = idx - int(offsets[k - 1])
-    return tuple(int(x) for x in subsets[k][row])
+def _decode(
+    witness_idx: np.ndarray, subsets: dict[int, np.ndarray], offsets: np.ndarray
+) -> tuple[tuple[int, ...], ...]:
+    """Subsets at the canonical flat indices ``witness_idx``, in the same order.
+
+    Sorting the indices groups them by size, so each size's rows come from one
+    fancy index into ``subsets[k]``.
+    """
+    order = np.argsort(witness_idx)
+    flat = witness_idx[order]
+    cuts = np.searchsorted(flat, offsets)  # flat[cuts[k-1]:cuts[k]] are subsets of size k
+    rows: list[tuple[int, ...]] = []
+    for k in range(1, len(offsets)):
+        sel = flat[cuts[k - 1] : cuts[k]] - offsets[k - 1]
+        rows += map(tuple, subsets[k][sel].tolist())
+    return tuple(map(rows.__getitem__, np.argsort(order).tolist()))  # back to input order
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +226,12 @@ def pareto_spectrum(
     dedup_tolerance: float = DEFAULT_DEDUP_TOL,
     max_order: int = DEFAULT_MAX_ORDER,
 ) -> ParetoSpectrum:
-    """All distinct distance Pareto eigenvalues of ``g`` with one witness each."""
+    """All distinct distance Pareto eigenvalues of ``g`` with one witness each.
+
+    Raises ValueError unless ``dedup_tolerance`` is finite and non-negative.
+    """
+    if not (math.isfinite(dedup_tolerance) and dedup_tolerance >= 0):
+        raise ValueError(f"dedup tolerance must be finite and >= 0, got {dedup_tolerance}")
     if g.n > max_order:
         raise CapExceededError(
             f"pareto_spectrum enumerates 2^n - 1 subsets; n={g.n} exceeds cap {max_order}"
@@ -223,10 +241,9 @@ def pareto_spectrum(
     offsets = np.concatenate([[0], np.cumsum(counts)])
     values = _all_subset_values(distance_matrix(g).d, subsets, jobs)
     reps, witness_idx = _dedup(values, dedup_tolerance)
-    witnesses = tuple(_decode_flat(int(i), subsets, offsets) for i in witness_idx)
     return ParetoSpectrum(
-        values=tuple(float(v) for v in reps),
-        witnesses=witnesses,
+        values=tuple(reps.tolist()),
+        witnesses=_decode(witness_idx, subsets, offsets),
         dedup_tolerance=dedup_tolerance,
         graph_order=g.n,
     )

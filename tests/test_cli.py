@@ -2,7 +2,10 @@ import json
 import math
 import pathlib
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distpareto import cli
 from distpareto.graph import make_family, parse_edge_list
@@ -268,3 +271,81 @@ def test_graph6_source(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["payload"]["values"] == [0.0, 1.0, 2.0, 3.0]
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_spectrum_rejects_invalid_tolerance(capsys, value):
+    code, out, err = run(capsys, "spectrum", "--family", "path", "4", f"--tolerance={value}",
+                         "--format", "csv")
+    assert code == cli.EXIT_PARSE
+    assert out == ""
+    assert "tolerance" in err
+
+
+def _reference_jsonable(obj):
+    """The element-by-element conversion the JSON writer must reproduce."""
+    if isinstance(obj, dict):
+        return {str(k): _reference_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_reference_jsonable(v) for v in obj]
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        v = float(obj)
+        if v != v:
+            return None
+        return float(f"{v:.12g}")
+    return obj
+
+
+_TEXT = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(['"', "\\", "n\u00e9 \u2211 \u6f22", ", ", "[", "]", "],\n    [", "{}", 'a"b\\c]']),
+)
+_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, math.inf, -math.inf, math.nan, 1e-300, 5e-324, 1 / 3, 1e16]),
+)
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    _FLOATS,
+    _TEXT,
+    st.booleans().map(np.bool_),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(0, 255).map(np.uint8),
+    _FLOATS.map(np.float64),
+    st.floats(width=32).map(np.float32),
+)
+_KEYS = st.one_of(st.text(max_size=4), st.integers(-3, 3), st.booleans(), st.none(),
+                  st.floats(allow_nan=False))
+_DOCS = st.recursive(
+    _SCALARS,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=5),
+        st.lists(kids, max_size=3).map(tuple),
+        st.dictionaries(_KEYS, kids, max_size=5),
+        st.lists(st.lists(st.one_of(st.integers(), _FLOATS, _TEXT), max_size=3), max_size=4),
+        st.lists(st.lists(st.integers(0, 20), min_size=1, max_size=4).map(tuple), max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_DOCS)
+def test_json_writer_matches_indented_dumps(doc):
+    expected = json.dumps(_reference_jsonable(doc), sort_keys=True, indent=2) + "\n"
+    assert cli._emit_json(cli._jsonable(doc)) == expected
+
+
+def test_json_writer_matches_indented_dumps_on_a_spectrum():
+    from distpareto.pareto import pareto_spectrum
+
+    spec = pareto_spectrum(make_family("wheel", [7]))
+    doc = {"values": spec.values, "witnesses": spec.witnesses, "empty": [[], {}], "nested": [[[1]]]}
+    expected = json.dumps(_reference_jsonable(doc), sort_keys=True, indent=2) + "\n"
+    assert cli._emit_json(cli._jsonable(doc)) == expected

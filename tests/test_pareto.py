@@ -408,3 +408,40 @@ def test_rho2_screen_matches_kernel_on_every_deletion():
         assert np.all(np.abs(screened - kernel) <= 1e-12 * np.maximum(1.0, kernel)), g
         checked += 1
     assert checked == 78 * 4 + 1 + 28 * 5 + 27 + 68
+
+
+def _flat_witnesses(g):
+    """Witnesses by looking up ``_dedup``'s flat indices in one flat subset list."""
+    flat = list(
+        itertools.chain.from_iterable(
+            itertools.combinations(range(g.n), k) for k in range(1, g.n + 1)
+        )
+    )
+    values = pareto._all_subset_values(distance_matrix(g).d, pareto._subsets_by_size(g.n), 1)
+    _, idx = pareto._dedup(values, pareto.DEFAULT_DEDUP_TOL)
+    return tuple(flat[i] for i in idx)
+
+
+def test_witness_decode_matches_flat_reference():
+    from distpareto.verify import random_connected_graph
+
+    rng = np.random.default_rng(20240611)
+    graphs = [fam("path", 1)]
+    graphs += [random_connected_graph(n, rng, extra_edge_prob=p) for n in range(2, 13) for p in (0.1, 0.5)]
+    for g in graphs:
+        assert pareto_spectrum(g).witnesses == _flat_witnesses(g), g
+    path16 = fam("path", 16)
+    witnesses = pareto_spectrum(path16).witnesses
+    assert witnesses == _flat_witnesses(path16)
+    assert witnesses[-1] == tuple(range(16))  # the last canonical index
+
+
+@pytest.mark.parametrize("tol", [-1.0, -1e-12, math.nan, math.inf, -math.inf])
+def test_invalid_dedup_tolerance_rejected(tol):
+    with pytest.raises(ValueError, match="tolerance"):
+        pareto_spectrum(fam("path", 4), dedup_tolerance=tol)
+
+
+def test_zero_dedup_tolerance_is_accepted():
+    # every k-subset of K4 gives the same submatrix, so equal roots still merge
+    assert pareto_spectrum(fam("complete", 4), dedup_tolerance=0.0).count == 4

@@ -1,5 +1,6 @@
 """Source-level guards: one eigensolver site, linear algebra only in ``spectral``,
-one thread pool, one distance routine, no second sweep."""
+one thread pool, one distance routine, no second sweep, one JSON writer and one
+witness decode."""
 
 import pathlib
 import re
@@ -36,3 +37,8 @@ def test_single_distance_routine():
     assert _occurrences(r"\b_bulk_distances\b") == []
     assert _occurrences(r"\bfrontier\b") == []  # no per-vertex BFS
     assert [hit.split(":")[0] for hit in _occurrences(r"for level in range\(")] == ["graph.py"]
+
+
+def test_one_json_writer_and_one_witness_decode():
+    assert _occurrences(r"\bindent\s*=") == []  # the pure-Python indenting encoder
+    assert _occurrences(r"\b_decode_flat\b") == []  # per-witness searchsorted
