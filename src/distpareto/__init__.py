@@ -19,7 +19,6 @@ from .errors import (
 from .graph import (
     DistanceMatrix,
     Graph,
-    StructureSummary,
     coalesce,
     delete_edge,
     diameter,
@@ -29,7 +28,6 @@ from .graph import (
     make_graph,
     parse_edge_list,
     parse_graph6,
-    structure_queries,
     transmission,
     wiener,
 )

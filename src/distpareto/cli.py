@@ -36,7 +36,7 @@ from .laws import (
     closed_form_brute_force,
     closed_form_surd,
 )
-from .pareto import DEFAULT_DEDUP_TOL, DEFAULT_MAX_ORDER, pareto_eigenpair, pareto_spectrum, rho2_fast
+from .pareto import DEFAULT_DEDUP_TOL, pareto_eigenpair, pareto_spectrum, rho2_fast
 from .verify import (
     _CLASSES_MAX_ORDER,
     _EXTREMAL_MAX_ORDER,
@@ -105,13 +105,13 @@ def _graph_summary(g: Graph) -> dict:
     }
 
 
-def _document(command: str, payload: dict, graph: Graph | None = None) -> dict:
+def _document(command: str, payload: dict, summary: dict | None = None) -> dict:
     doc = {
         "command": command,
         "payload": payload,
         "tool_version": __version__,
+        "graph_summary": summary,
     }
-    doc["graph_summary"] = _graph_summary(graph) if graph is not None else None
     return _jsonable(doc)
 
 
@@ -281,10 +281,9 @@ def _load_graph(args) -> Graph:
 
 def _cmd_spectrum(args) -> int:
     g = _load_graph(args)
-    spec = pareto_spectrum(
-        g, jobs=args.jobs, dedup_tolerance=args.tolerance, max_order=args.max_order
-    )
-    ladder = np.arange(diameter(distance_matrix(g)) + 1)
+    spec = pareto_spectrum(g, jobs=args.jobs, dedup_tolerance=args.tolerance)
+    summary = _graph_summary(g)
+    ladder = np.arange(summary["diameter"] + 1)
     # The value nearest each integer is one of its neighbours in the ascending values.
     values = np.array(spec.values)
     at = np.searchsorted(values, ladder)
@@ -300,7 +299,7 @@ def _cmd_spectrum(args) -> int:
         "integer_ladder": {"integers": ladder.tolist(), "all_present": present},
         "dedup_tolerance": spec.dedup_tolerance,
     }
-    sys.stdout.write(_emit(_document("spectrum", payload, g), args.format))
+    sys.stdout.write(_emit(_document("spectrum", payload, summary), args.format))
     return EXIT_OK
 
 
@@ -310,7 +309,7 @@ def _cmd_rho2(args) -> int:
     payload = {"value": value, "witness_vertex": witness}
     if args.bounds:
         payload["bounds"] = [dataclasses.asdict(b) for b in bound_report(g)]
-    sys.stdout.write(_emit(_document("rho2", payload, g), args.format))
+    sys.stdout.write(_emit(_document("rho2", payload, _graph_summary(g)), args.format))
     return EXIT_OK
 
 
@@ -426,7 +425,7 @@ def _suite_bounds_sweep(order: int, random_count: int, seed: int) -> tuple[int, 
 
 
 def _suite_extremal(order: int, jobs: int) -> dict:
-    result = extremal_search(order, dedup_iso=True, jobs=jobs)
+    result = extremal_search(order, jobs=jobs)
     return {
         "checked": result.graphs_scanned,
         "max_count": result.max_count,
@@ -479,7 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec = sub.add_parser("spectrum", help="full distance Pareto spectrum with witnesses")
     _add_source_flags(p_spec)
     _add_common_flags(p_spec, "worker count for subset enumeration")
-    p_spec.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER)
     p_spec.add_argument("--tolerance", type=float, default=DEFAULT_DEDUP_TOL,
                         help="dedup tolerance for distinct Pareto eigenvalues")
     p_spec.set_defaults(func=_cmd_spectrum)

@@ -30,7 +30,6 @@ from .errors import DisconnectedGraphError, GraphParseError
 __all__ = [
     "Graph",
     "DistanceMatrix",
-    "StructureSummary",
     "make_graph",
     "make_family",
     "FAMILY_NAMES",
@@ -41,7 +40,6 @@ __all__ = [
     "transmission",
     "wiener",
     "diameter",
-    "structure_queries",
     "delete_edge",
     "coalesce",
 ]
@@ -111,17 +109,6 @@ class DistanceMatrix:
 
     def __post_init__(self):
         self.d.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class StructureSummary:
-    degrees: tuple[int, ...]
-    pendant_vertices: tuple[int, ...]
-    quasipendant_vertices: tuple[int, ...]
-    is_connected: bool
-    is_tree: bool
-    is_bipartite: bool
-    bipartition: tuple[tuple[int, ...], tuple[int, ...]] | None
 
 
 # ---------------------------------------------------------------------------
@@ -372,49 +359,6 @@ def wiener(dm: DistanceMatrix) -> int:
 
 def diameter(dm: DistanceMatrix) -> int:
     return int(dm.d.max())
-
-
-def structure_queries(g: Graph) -> StructureSummary:
-    """Degrees, pendant/quasipendant sets, tree/bipartite/connectivity flags."""
-    deg = g.degrees()
-    adj = g.adjacency()
-    pendants = tuple(v for v in range(g.n) if deg[v] == 1)
-    quasi = tuple(sorted({w for v in pendants for w in adj[v]}))
-
-    color = [-1] * g.n
-    components = 0
-    bipartite = True
-    for s in range(g.n):
-        if color[s] >= 0:
-            continue
-        components += 1
-        color[s] = 0
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if color[y] < 0:
-                    color[y] = 1 - color[x]
-                    stack.append(y)
-                elif color[y] == color[x]:
-                    bipartite = False
-    connected = components == 1
-    is_tree = connected and g.size == g.n - 1
-    parts = None
-    if bipartite:
-        parts = (
-            tuple(v for v in range(g.n) if color[v] == 0),
-            tuple(v for v in range(g.n) if color[v] == 1),
-        )
-    return StructureSummary(
-        degrees=tuple(deg),
-        pendant_vertices=pendants,
-        quasipendant_vertices=quasi,
-        is_connected=connected,
-        is_tree=is_tree,
-        is_bipartite=bipartite,
-        bipartition=parts,
-    )
 
 
 # ---------------------------------------------------------------------------

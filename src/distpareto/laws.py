@@ -20,7 +20,6 @@ from .graph import (
     distance_matrix,
     diameter,
     make_family,
-    structure_queries,
     transmission,
     wiener,
 )
@@ -282,10 +281,6 @@ class _BoundContext:
         return [transmission(self.dm, v) for v in range(self.n)]
 
     @cached_property
-    def structure(self):
-        return structure_queries(self.g)
-
-    @cached_property
     def rho2_vector(self) -> np.ndarray:
         support = tuple(v for v in range(self.n) if v != self.rho2_pair[1])
         return pareto_eigenpair(self.g, support).vector
@@ -352,6 +347,14 @@ def _tmin_bound(ctx: _BoundContext) -> float:
     return (a + math.sqrt(a * a + 4 * (ctx.n - ctx.diam - 1))) / 2
 
 
+def _bipartite(ctx: _BoundContext) -> str:
+    # A connected graph is bipartite exactly when every d(u, v) has the parity
+    # of d(0, u) + d(0, v): the parity of d(0, .) is then a proper 2-colouring,
+    # and a graph with an odd cycle has an edge uv with d(0, u) = d(0, v).
+    d = ctx.dm.d
+    return "graph is not bipartite" if ((d + d[0][:, None] + d[0]) % 2).any() else ""
+
+
 def _bipartite_bound(ctx: _BoundContext) -> float:
     n, a = ctx.n, ctx.n // 2
     return n - 3 + math.sqrt(n * n + n + 1 + 3 * a * (a - n - 1))
@@ -362,8 +365,7 @@ def _bipartite_bound(ctx: _BoundContext) -> float:
 # never a stored function object, so rebinding a name reaches every row.
 _RHO2_BOUNDS = {
     "rho2_bipartite_lower": (
-        "lower", lambda ctx: "" if ctx.structure.is_bipartite else "graph is not bipartite",
-        _bipartite_bound),
+        "lower", _bipartite, _bipartite_bound),
     "rho2_diam2_upper": (
         "upper", lambda ctx: "" if ctx.diam == 2 else f"diameter is {ctx.diam}, not 2",
         lambda ctx: float(2 * (ctx.n - 2))),

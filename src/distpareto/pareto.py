@@ -12,6 +12,8 @@ lexicographically smallest one of smallest cardinality.
 ``_perron_roots_for_rows`` is the one gather-and-solve kernel: it serves the
 spectrum, ``rho2_fast`` and the batched sweeps in ``verify``, and hands the
 eigensolver at most ``_GATHER_BYTES`` of submatrices per call.
+``_all_subset_values`` is the one pass over every subset, for one matrix (the
+spectrum) or a stack (``_distinct_counts``, the extremal search's counts).
 
 ``rho2_fast`` screens all n single-vertex deletions with one ``eigh`` of the
 distance matrix and O(n^2) work per Newton step on the secular equation
@@ -151,23 +153,28 @@ def _map_spans(fn, total: int, jobs: int) -> list:
         return list(pool.map(fn, spans))
 
 
+def _size_offsets(subsets: dict[int, np.ndarray]) -> np.ndarray:
+    """Canonical flat index at which each subset size starts, then the total."""
+    return np.concatenate([[0], np.cumsum([rows.shape[0] for rows in subsets.values()])])
+
+
 def _all_subset_values(dmat: np.ndarray, subsets: dict[int, np.ndarray], jobs: int) -> np.ndarray:
-    """Perron roots for every nonempty subset, in canonical flat order."""
-    n = dmat.shape[0]
-    counts = [subsets[k].shape[0] for k in range(1, n + 1)]
-    offsets = np.concatenate([[0], np.cumsum(counts)])
+    """Perron roots for every nonempty subset, in canonical flat order.
+
+    ``dmat`` is one (n, n) matrix or a stack (m, n, n); the result has shape
+    (2^n - 1,) or (m, 2^n - 1).
+    """
+    offsets = _size_offsets(subsets)
     total = int(offsets[-1])
-    values = np.empty(total, dtype=np.float64)
+    values = np.empty(dmat.shape[:-2] + (total,), dtype=np.float64)
 
     def fill(span: tuple[int, int]) -> None:
         lo, hi = span
-        for k in range(1, n + 1):
+        for k, rows in subsets.items():
             k_lo, k_hi = int(offsets[k - 1]), int(offsets[k])
             a, b = max(lo, k_lo), min(hi, k_hi)
-            if a >= b:
-                continue
-            rows = subsets[k][a - k_lo : b - k_lo]
-            values[a:b] = _perron_roots_for_rows(dmat, rows)
+            if a < b:
+                values[..., a:b] = _perron_roots_for_rows(dmat, rows[a - k_lo : b - k_lo])
 
     _map_spans(fill, total, jobs)
     return values
@@ -197,14 +204,20 @@ def _dedup(values: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     return values[witness_idx], witness_idx
 
 
-def _decode(
-    witness_idx: np.ndarray, subsets: dict[int, np.ndarray], offsets: np.ndarray
-) -> tuple[tuple[int, ...], ...]:
+def _distinct_counts(dmats: np.ndarray, tol: float) -> np.ndarray:
+    """Distinct Pareto eigenvalue count per distance matrix in a stack (m, n, n)."""
+    values = _all_subset_values(dmats, _subsets_by_size(dmats.shape[-1]), 1)
+    values.sort(axis=-1)
+    return 1 + _breaks(values, tol).sum(axis=-1)
+
+
+def _decode(witness_idx: np.ndarray, subsets: dict[int, np.ndarray]) -> tuple[tuple[int, ...], ...]:
     """Subsets at the canonical flat indices ``witness_idx``, in the same order.
 
     Sorting the indices groups them by size, so each size's rows come from one
     fancy index into ``subsets[k]``.
     """
+    offsets = _size_offsets(subsets)
     order = np.argsort(witness_idx)
     flat = witness_idx[order]
     cuts = np.searchsorted(flat, offsets)  # flat[cuts[k-1]:cuts[k]] are subsets of size k
@@ -224,7 +237,6 @@ def pareto_spectrum(
     *,
     jobs: int = 1,
     dedup_tolerance: float = DEFAULT_DEDUP_TOL,
-    max_order: int = DEFAULT_MAX_ORDER,
 ) -> ParetoSpectrum:
     """All distinct distance Pareto eigenvalues of ``g`` with one witness each.
 
@@ -232,18 +244,16 @@ def pareto_spectrum(
     """
     if not (math.isfinite(dedup_tolerance) and dedup_tolerance >= 0):
         raise ValueError(f"dedup tolerance must be finite and >= 0, got {dedup_tolerance}")
-    if g.n > max_order:
+    if g.n > DEFAULT_MAX_ORDER:
         raise CapExceededError(
-            f"pareto_spectrum enumerates 2^n - 1 subsets; n={g.n} exceeds cap {max_order}"
+            f"pareto_spectrum enumerates 2^n - 1 subsets; n={g.n} exceeds cap {DEFAULT_MAX_ORDER}"
         )
     subsets = _subsets_by_size(g.n)
-    counts = [subsets[k].shape[0] for k in range(1, g.n + 1)]
-    offsets = np.concatenate([[0], np.cumsum(counts)])
     values = _all_subset_values(distance_matrix(g).d, subsets, jobs)
     reps, witness_idx = _dedup(values, dedup_tolerance)
     return ParetoSpectrum(
         values=tuple(reps.tolist()),
-        witnesses=_decode(witness_idx, subsets, offsets),
+        witnesses=_decode(witness_idx, subsets),
         dedup_tolerance=dedup_tolerance,
         graph_order=g.n,
     )

@@ -17,24 +17,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapExceededError
-from .graph import (
-    Graph,
-    _hop_distances,
-    coalesce,
-    delete_edge,
-    distance_matrix,
-    make_graph,
-    structure_queries,
-)
+from .errors import CapExceededError, DisconnectedGraphError
+from .graph import Graph, _hop_distances, coalesce, delete_edge, distance_matrix, make_graph
 from .pareto import (
     _GATHER_BYTES,
     DEFAULT_DEDUP_TOL,
     ParetoEigenpair,
-    _breaks,
+    _distinct_counts,
     _map_spans,
     _perron_roots_for_rows,
-    _subsets_by_size,
     rho2_fast,
 )
 
@@ -71,7 +62,6 @@ class PropertyReport:
     holds: bool
     counterexample: dict | None = None
     inconclusive: bool = False
-    hypothesis_failed: bool = False
     details: dict = field(default_factory=dict)
 
 
@@ -85,6 +75,14 @@ class ExtremalResult:
 
 def _describe(g: Graph) -> str:
     return g.name or f"n={g.n}, edges={g.sorted_edges()}"
+
+
+def _is_connected(g: Graph) -> bool:
+    try:
+        distance_matrix(g)
+    except DisconnectedGraphError:
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +296,7 @@ def check_eigenvector_convexity(t: Graph, pair: ParetoEigenpair) -> PropertyRepo
     For every path i ~ j ~ k inside the support, 2 x_j < x_i + x_k must hold
     strictly.  Zero Pareto value (singleton support) holds vacuously.
     """
-    if not structure_queries(t).is_tree:
+    if t.size != t.n - 1 or not _is_connected(t):
         raise ValueError("convexity checker requires a tree")
     instance = f"{_describe(t)}, support={pair.support}"
     if pair.value <= _CONVEXITY_TOL:
@@ -374,10 +372,9 @@ def check_coalescence_quasiconvexity(t: Graph, h: Graph, w: int) -> PropertyRepo
     deletion vertex u, the one-sided convexity
     rho(D(G^i) - u) + rho(D(G^k) - u) >= 2 rho(D(G^j) - u) on paths i ~ j ~ k.
     """
-    if not structure_queries(t).is_tree or t.n < 3:
+    if t.n < 3 or t.size != t.n - 1 or not _is_connected(t):
         raise ValueError("needs a tree with at least 3 vertices")
-    st_h = structure_queries(h)
-    if not st_h.is_connected or h.n < 2:
+    if h.n < 2 or not _is_connected(h):
         raise ValueError("attachment graph must be connected with >= 2 vertices")
     total = t.n + h.n - 1
     graphs = [coalesce(t, i, h, w) for i in range(t.n)]
@@ -469,24 +466,13 @@ def check_tree_extremes(n: int) -> PropertyReport:
 # Extremal search over connected graphs
 
 
-def _bulk_pareto_counts(dmats: np.ndarray, tol: float) -> np.ndarray:
-    """Distinct Pareto eigenvalue count per distance matrix in a stack."""
-    n = dmats.shape[-1]
-    vals = np.concatenate(
-        [_perron_roots_for_rows(dmats, rows) for rows in _subsets_by_size(n).values()], axis=1
-    )
-    vals.sort(axis=1)
-    return 1 + _breaks(vals, tol).sum(axis=1)
-
-
-def extremal_search(n: int, dedup_iso: bool = True, jobs: int = 1) -> ExtremalResult:
+def extremal_search(n: int, jobs: int = 1) -> ExtremalResult:
     """Maximum number of distance Pareto eigenvalues over connected graphs of order n.
 
     Sweeps all 2^(n(n-1)/2) labeled graphs in chunks: connectivity and
     distances are computed with vectorized matrix powers, Perron roots are
     batched by subset size, and counts use the standard dedup tolerance.
-    Witnesses attaining the maximum are returned, deduplicated by canonical
-    form when ``dedup_iso`` is set.
+    Witnesses attaining the maximum are returned, one per isomorphism class.
     """
     if not (2 <= n <= _EXTREMAL_MAX_ORDER):
         raise CapExceededError(f"extremal search limited to 2 <= n <= {_EXTREMAL_MAX_ORDER}")
@@ -498,7 +484,7 @@ def extremal_search(n: int, dedup_iso: bool = True, jobs: int = 1) -> ExtremalRe
         scanned = 0
         for masks, dist in _connected_chunks(n, *span):
             scanned += masks.size
-            counts = _bulk_pareto_counts(dist, DEFAULT_DEDUP_TOL)
+            counts = _distinct_counts(dist, DEFAULT_DEDUP_TOL)
             cmax = int(counts.max())
             if cmax > best:
                 best = cmax
@@ -511,7 +497,5 @@ def extremal_search(n: int, dedup_iso: bool = True, jobs: int = 1) -> ExtremalRe
     best = max(p[0] for p in parts)
     witness_masks = sorted(itertools.chain.from_iterable(p[1] for p in parts if p[0] == best))
     scanned = sum(p[2] for p in parts)
-    if dedup_iso and witness_masks:
-        witness_masks = _first_of_each_class(witness_masks, n)
-    graphs = tuple(_mask_to_graph(m, n, pairs) for m in witness_masks)
+    graphs = tuple(_mask_to_graph(m, n, pairs) for m in _first_of_each_class(witness_masks, n))
     return ExtremalResult(order=n, max_count=best, witnesses=graphs, graphs_scanned=scanned)

@@ -225,8 +225,15 @@ def test_exit_code_parse_error(tmp_path, capsys):
 
 
 def test_exit_code_cap(capsys):
-    code, _, err = run(capsys, "spectrum", "--family", "path", "9", "--max-order", "6")
+    code, _, err = run(capsys, "spectrum", "--family", "path", "21")
     assert code == cli.EXIT_CAP
+    assert "exceeds cap 20" in err
+
+
+def test_spectrum_cap_cannot_be_raised():
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["spectrum", "--family", "path", "4", "--max-order", "5"])
+    assert exc.value.code == cli.EXIT_PARSE
 
 
 def test_exit_code_disconnected(tmp_path, capsys):

@@ -16,7 +16,6 @@ from distpareto.graph import (
     make_graph,
     parse_edge_list,
     parse_graph6,
-    structure_queries,
     transmission,
     wiener,
 )
@@ -181,35 +180,6 @@ def test_transmission_wiener_star5():
 def test_diameter_path_and_complete(n):
     assert diameter(distance_matrix(make_family("path", [n]))) == n - 1
     assert diameter(distance_matrix(make_family("complete", [n]))) == 1
-
-
-def test_structure_star4():
-    st4 = structure_queries(make_family("star", [4]))
-    assert set(st4.pendant_vertices) == {1, 2, 3}
-    assert set(st4.quasipendant_vertices) == {0}
-    assert st4.is_tree
-
-
-def test_structure_cycle5():
-    c5 = structure_queries(make_family("cycle", [5]))
-    assert c5.pendant_vertices == ()
-    assert not c5.is_tree
-    assert not c5.is_bipartite
-
-
-def test_structure_k23():
-    k23 = structure_queries(make_family("complete_bipartite", [2, 3]))
-    assert k23.is_bipartite
-    sizes = sorted(len(p) for p in k23.bipartition)
-    assert sizes == [2, 3]
-
-
-def test_structure_disconnected():
-    g = make_graph(4, [(0, 1), (2, 3)])
-    st4 = structure_queries(g)
-    assert not st4.is_connected and not st4.is_tree
-    assert st4.is_bipartite  # bipartiteness is independent of connectivity
-    assert sorted(len(p) for p in st4.bipartition) == [2, 2]
 
 
 def test_delete_edge_k3_gives_path():

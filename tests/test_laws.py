@@ -2,6 +2,8 @@ import math
 import pathlib
 import re
 
+import networkx as nx
+import numpy as np
 import pytest
 
 from distpareto.graph import make_family
@@ -16,7 +18,7 @@ from distpareto.laws import (
     star_spectrum,
 )
 from distpareto.pareto import pareto_spectrum
-from distpareto.verify import is_isomorphic
+from distpareto.verify import is_isomorphic, random_connected_graph
 
 
 def fam(name, *params):
@@ -212,6 +214,24 @@ def test_simple_lower_tight_only_for_path3(classes_by_order):
                 continue
             if res.tight:
                 assert is_isomorphic(g, fam("path", 3))
+
+
+def test_bipartite_lower_applies_exactly_to_bipartite_graphs(classes_by_order):
+    rng = np.random.default_rng(20240607)
+    graphs = [g for n in range(2, 7) for g in classes_by_order[n]]
+    graphs += [fam("complete_bipartite", a, b) for b in range(1, 9) for a in range(1, b + 1)]
+    graphs += [fam("cycle", n) for n in range(3, 30)]
+    graphs += [
+        random_connected_graph(int(rng.integers(2, 13)), rng, extra_edge_prob=p)
+        for p in (0.0, 0.03, 0.1, 0.3)
+        for _ in range(50)
+    ]
+    for g in graphs:
+        row = evaluate_bound("rho2_bipartite_lower", g)
+        want = nx.is_bipartite(nx.Graph(list(g.edges)))
+        assert row.applicable == want, g
+        assert row.reason == ("" if want else "graph is not bipartite")
+        assert row.slack >= -1e-8 or not want, g
 
 
 def test_tmin_lower_examples():

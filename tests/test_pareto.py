@@ -316,7 +316,7 @@ def test_rho2_rayleigh_characterization(classes_by_order):
 
 def test_caps_and_errors():
     with pytest.raises(CapExceededError):
-        pareto_spectrum(fam("path", 8), max_order=6)
+        pareto_spectrum(fam("path", pareto.DEFAULT_MAX_ORDER + 1))
     with pytest.raises(DisconnectedGraphError):
         pareto_spectrum(make_graph(3, [(0, 1)]))
     with pytest.raises(ValueError):
@@ -328,12 +328,12 @@ def test_caps_and_errors():
 
 
 def test_bulk_counts_match_pareto_count(classes_by_order):
-    from distpareto.verify import _bulk_pareto_counts
+    from distpareto.pareto import _distinct_counts
 
     for n in range(2, 7):
         graphs = classes_by_order[n]
         dmats = np.stack([distance_matrix(g).d for g in graphs])
-        counts = _bulk_pareto_counts(dmats, pareto.DEFAULT_DEDUP_TOL)
+        counts = _distinct_counts(dmats, pareto.DEFAULT_DEDUP_TOL)
         assert counts.tolist() == [pareto_count(g) for g in graphs]
 
 

@@ -1,6 +1,6 @@
 """Source-level guards: one eigensolver site, linear algebra only in ``spectral``,
-one thread pool, one distance routine, no second sweep, one JSON writer and one
-witness decode."""
+one thread pool, one distance routine, no second sweep, one JSON writer, one
+witness decode and one all-subsets pass."""
 
 import pathlib
 import re
@@ -42,3 +42,9 @@ def test_single_distance_routine():
 def test_one_json_writer_and_one_witness_decode():
     assert _occurrences(r"\bindent\s*=") == []  # the pure-Python indenting encoder
     assert _occurrences(r"\b_decode_flat\b") == []  # per-witness searchsorted
+
+
+def test_structure_answered_from_distances_and_one_subset_pass():
+    assert _occurrences(r"\bstructure_queries\b") == []  # DFS beside the distance routine
+    assert _occurrences(r"\bStructureSummary\b") == []
+    assert _occurrences(r"\b_bulk_pareto_counts\b") == []  # second all-subsets pass

@@ -244,6 +244,16 @@ def test_coalescence_input_validation():
         check_coalescence_quasiconvexity(fam("path", 3), make_graph(1, []), 0)
 
 
+def test_checkers_reject_n_minus_1_edges_when_disconnected():
+    triangle_plus_isolated = make_graph(4, [(0, 1), (1, 2), (0, 2)])  # 3 = n - 1 edges
+    with pytest.raises(ValueError, match="requires a tree"):
+        check_eigenvector_convexity(triangle_plus_isolated, pareto_eigenpair(fam("path", 4), (0,)))
+    with pytest.raises(ValueError, match="needs a tree"):
+        check_coalescence_quasiconvexity(triangle_plus_isolated, fam("complete", 2), 0)
+    with pytest.raises(ValueError, match="attachment graph must be connected"):
+        check_coalescence_quasiconvexity(fam("path", 3), triangle_plus_isolated, 0)
+
+
 # ---------------------------------------------------------------------------
 # tree extremes and extremal search
 
@@ -296,12 +306,6 @@ def test_extremal_jobs_agree():
     assert a.max_count == b.max_count
     assert [w.edges for w in a.witnesses] == [w.edges for w in b.witnesses]
     assert a.graphs_scanned == b.graphs_scanned
-
-
-def test_extremal_without_iso_dedup():
-    res = extremal_search(3, dedup_iso=False)
-    # the path on 3 labeled vertices has three labelings
-    assert res.max_count == 4 and len(res.witnesses) == 3
 
 
 def test_extremal_witnesses_attain_max():
