@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import io
 import itertools
 import json
@@ -22,6 +23,7 @@ from .errors import CapExceededError, DisconnectedGraphError, GraphParseError
 from .graph import (
     Graph,
     FAMILY_NAMES,
+    _family_order,
     delete_edge,
     diameter,
     distance_matrix,
@@ -31,12 +33,13 @@ from .graph import (
 )
 from .laws import (
     CLOSED_FORM_IDS,
+    BoundResult,
     bound_report,
     closed_form,
     closed_form_brute_force,
     closed_form_surd,
 )
-from .pareto import DEFAULT_DEDUP_TOL, pareto_eigenpair, pareto_spectrum, rho2_fast
+from .pareto import DEFAULT_DEDUP_TOL, _check_order, pareto_eigenpair, pareto_spectrum, rho2_fast
 from .verify import (
     _CLASSES_MAX_ORDER,
     _EXTREMAL_MAX_ORDER,
@@ -69,10 +72,11 @@ def _jsonable(obj):
     Floats are rounded to 12 significant digits, NaN (an inapplicable numeric
     field) becomes None, numpy scalars become Python scalars, tuples become
     lists and keys become str.  A list of plain scalars, or of lists of them,
-    is converted as a whole; anything else element by element.
+    is converted as a whole, and a plain scalar in a dict is kept as it is;
+    anything else element by element.
     """
     if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
+        return {str(k): v if type(v) in _PLAIN else _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         kinds = set(map(type, obj))
         if kinds <= _PLAIN:
@@ -115,8 +119,12 @@ def _document(command: str, payload: dict, summary: dict | None = None) -> dict:
     return _jsonable(doc)
 
 
+@functools.cache
 def _encoder(level: int) -> json.JSONEncoder:
-    """C encoder whose item separator starts a new line indented to ``level``."""
+    """C encoder whose item separator starts a new line indented to ``level``.
+
+    Built once per level: an encoder keeps no state between ``encode`` calls.
+    """
     return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * level, ": "))
 
 
@@ -280,6 +288,8 @@ def _load_graph(args) -> Graph:
 
 
 def _cmd_spectrum(args) -> int:
+    if args.family:  # check the cap from the parameters: building a large family is slow
+        _check_order(_family_order(args.family[0], [int(x) for x in args.family[1:]]))
     g = _load_graph(args)
     spec = pareto_spectrum(g, jobs=args.jobs, dedup_tolerance=args.tolerance)
     summary = _graph_summary(g)
@@ -303,12 +313,15 @@ def _cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
+_BOUND_COLUMNS = tuple(f.name for f in dataclasses.fields(BoundResult))  # scalars, report order
+
+
 def _cmd_rho2(args) -> int:
     g = _load_graph(args)
     value, witness = rho2_fast(g)
     payload = {"value": value, "witness_vertex": witness}
     if args.bounds:
-        payload["bounds"] = [dataclasses.asdict(b) for b in bound_report(g)]
+        payload["bounds"] = [{f: getattr(b, f) for f in _BOUND_COLUMNS} for b in bound_report(g)]
     sys.stdout.write(_emit(_document("rho2", payload, _graph_summary(g)), args.format))
     return EXIT_OK
 
@@ -506,9 +519,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser.  ``parse_args`` leaves no state in it, and the
+    ``_SUITES`` runners look their ``_suite_*`` function up when they run."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except GraphParseError as exc:

@@ -201,15 +201,34 @@ _FAMILIES = {
 FAMILY_NAMES = tuple(sorted(_FAMILIES))
 
 
-def make_family(family: str, params: Sequence[int]) -> Graph:
-    """Construct a named graph family instance with its canonical labeling."""
+# Vertex count of a family instance, for the families whose first parameter is not it.
+_FAMILY_ORDERS = {
+    "complete_bipartite": lambda a, b: a + b,
+    "clique_plus_pendant_p": lambda w, p: w + 1,
+}
+
+
+def _family_params(family: str, params: Sequence[int]) -> list[int]:
+    """``params`` as ints, after checking the family name and the parameter count."""
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}; known: {', '.join(FAMILY_NAMES)}")
-    builder, arity = _FAMILIES[family]
+    arity = _FAMILIES[family][1]
     params = [int(p) for p in params]
     if len(params) != arity:
         raise ValueError(f"family {family!r} takes {arity} parameter(s), got {len(params)}")
-    return builder(*params)
+    return params
+
+
+def _family_order(family: str, params: Sequence[int]) -> int:
+    """Vertex count of ``make_family(family, params)``, found without building it."""
+    params = _family_params(family, params)
+    return _FAMILY_ORDERS.get(family, lambda n: n)(*params)
+
+
+def make_family(family: str, params: Sequence[int]) -> Graph:
+    """Construct a named graph family instance with its canonical labeling."""
+    params = _family_params(family, params)
+    return _FAMILIES[family][0](*params)
 
 
 # ---------------------------------------------------------------------------
@@ -334,15 +353,22 @@ def _hop_distances(adj: np.ndarray) -> np.ndarray:
 def distance_matrix(g: Graph) -> DistanceMatrix:
     """All-pairs hop distances; raises DisconnectedGraphError on disconnected input.
 
-    The error names vertex 0 and the lowest vertex it cannot reach.
+    The error names vertex 0 and the lowest vertex it cannot reach.  The result
+    (immutable) is kept on ``g`` itself, so each graph instance computes it once
+    and the cache goes with the graph; a disconnected graph keeps nothing.
     """
+    cached = g.__dict__.get("_distances")
+    if cached is not None:
+        return cached
     adj = np.zeros((1, g.n, g.n), dtype=bool)
     e = np.array(list(g.edges), dtype=np.intp).reshape(-1, 2)
     adj[0, e[:, 0], e[:, 1]] = adj[0, e[:, 1], e[:, 0]] = True
     d = _hop_distances(adj)[0]
     if (d[0] < 0).any():
         raise DisconnectedGraphError(0, int(np.argmin(d[0])))
-    return DistanceMatrix(n=g.n, d=d)
+    dm = DistanceMatrix(n=g.n, d=d)
+    object.__setattr__(g, "_distances", dm)  # Graph is frozen; not a field, so not compared
+    return dm
 
 
 def transmission(dm: DistanceMatrix, v: int) -> int:

@@ -49,8 +49,8 @@ class BoundResult:
 
     ``slack`` is actual - bound for lower bounds and bound - actual for upper
     bounds, so nonnegative slack means the inequality holds.  ``k`` is set
-    only for the per-k family ``rho_k_lower``.  The fields are in report
-    column order, which ``dataclasses.asdict`` keeps.
+    only for the per-k family ``rho_k_lower``.  The fields are scalars, in
+    report column order: the CLI writes a row's fields in the order declared.
     """
 
     bound_id: str

@@ -27,9 +27,12 @@ merged value array, so results are identical for every worker count.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
+import types
+from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -100,12 +103,21 @@ class ParetoEigenpair:
 # Subset machinery
 
 
-def _subsets_by_size(n: int) -> dict[int, np.ndarray]:
-    """Size -> (C(n,k), k) array of subsets, rows in lexicographic order."""
+@functools.cache
+def _subsets_by_size(n: int) -> Mapping[int, np.ndarray]:
+    """Size -> (C(n,k), k) array of subsets, rows in lexicographic order.
+
+    Built once per order and shared, so the mapping and its arrays are
+    read-only.  The arrays are uint8, which holds every label up to the cap
+    n <= ``DEFAULT_MAX_ORDER`` (20): 10.5 MB at n = 20 rather than 84 MB of intp.
+    """
     out = {}
     for k in range(1, n + 1):
-        out[k] = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp)
-    return out
+        flat = itertools.chain.from_iterable(itertools.combinations(range(n), k))
+        rows = np.fromiter(flat, dtype=np.uint8, count=math.comb(n, k) * k).reshape(-1, k)
+        rows.setflags(write=False)
+        out[k] = rows
+    return types.MappingProxyType(out)
 
 
 def _perron_roots_for_rows(dmat: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -153,12 +165,12 @@ def _map_spans(fn, total: int, jobs: int) -> list:
         return list(pool.map(fn, spans))
 
 
-def _size_offsets(subsets: dict[int, np.ndarray]) -> np.ndarray:
+def _size_offsets(subsets: Mapping[int, np.ndarray]) -> np.ndarray:
     """Canonical flat index at which each subset size starts, then the total."""
     return np.concatenate([[0], np.cumsum([rows.shape[0] for rows in subsets.values()])])
 
 
-def _all_subset_values(dmat: np.ndarray, subsets: dict[int, np.ndarray], jobs: int) -> np.ndarray:
+def _all_subset_values(dmat: np.ndarray, subsets: Mapping[int, np.ndarray], jobs: int) -> np.ndarray:
     """Perron roots for every nonempty subset, in canonical flat order.
 
     ``dmat`` is one (n, n) matrix or a stack (m, n, n); the result has shape
@@ -211,7 +223,7 @@ def _distinct_counts(dmats: np.ndarray, tol: float) -> np.ndarray:
     return 1 + _breaks(values, tol).sum(axis=-1)
 
 
-def _decode(witness_idx: np.ndarray, subsets: dict[int, np.ndarray]) -> tuple[tuple[int, ...], ...]:
+def _decode(witness_idx: np.ndarray, subsets: Mapping[int, np.ndarray]) -> tuple[tuple[int, ...], ...]:
     """Subsets at the canonical flat indices ``witness_idx``, in the same order.
 
     Sorting the indices groups them by size, so each size's rows come from one
@@ -232,6 +244,14 @@ def _decode(witness_idx: np.ndarray, subsets: dict[int, np.ndarray]) -> tuple[tu
 # Public operations
 
 
+def _check_order(n: int) -> None:
+    """Raise CapExceededError if ``pareto_spectrum`` would refuse an n-vertex graph."""
+    if n > DEFAULT_MAX_ORDER:
+        raise CapExceededError(
+            f"pareto_spectrum enumerates 2^n - 1 subsets; n={n} exceeds cap {DEFAULT_MAX_ORDER}"
+        )
+
+
 def pareto_spectrum(
     g: Graph,
     *,
@@ -244,10 +264,7 @@ def pareto_spectrum(
     """
     if not (math.isfinite(dedup_tolerance) and dedup_tolerance >= 0):
         raise ValueError(f"dedup tolerance must be finite and >= 0, got {dedup_tolerance}")
-    if g.n > DEFAULT_MAX_ORDER:
-        raise CapExceededError(
-            f"pareto_spectrum enumerates 2^n - 1 subsets; n={g.n} exceeds cap {DEFAULT_MAX_ORDER}"
-        )
+    _check_order(g.n)
     subsets = _subsets_by_size(g.n)
     values = _all_subset_values(distance_matrix(g).d, subsets, jobs)
     reps, witness_idx = _dedup(values, dedup_tolerance)

@@ -356,3 +356,69 @@ def test_json_writer_matches_indented_dumps_on_a_spectrum():
     doc = {"values": spec.values, "witnesses": spec.witnesses, "empty": [[], {}], "nested": [[[1]]]}
     expected = json.dumps(_reference_jsonable(doc), sort_keys=True, indent=2) + "\n"
     assert cli._emit_json(cli._jsonable(doc)) == expected
+
+
+# ---------------------------------------------------------------------------
+# One parser per process, built-once caches and the work they save
+
+
+def test_spectrum_cap_checked_before_the_graph_is_built(capsys, monkeypatch):
+    from distpareto import graph
+
+    def refuse(*params):
+        raise AssertionError(f"family built with {params}")
+
+    for name, (_, arity) in graph._FAMILIES.items():
+        monkeypatch.setitem(graph._FAMILIES, name, (refuse, arity))
+    for params in (["complete", "2000"], ["complete_bipartite", "10", "11"],
+                   ["clique_plus_pendant_p", "20", "3"], ["path", "21"]):
+        code, out, err = run(capsys, "spectrum", "--family", *params)
+        assert code == cli.EXIT_CAP and out == ""
+        assert "exceeds cap 20" in err
+    # at the cap the check passes and the family is built
+    for params in (["complete_bipartite", "10", "10"], ["clique_plus_pendant_p", "19", "2"],
+                   ["star", "20"]):
+        with pytest.raises(AssertionError, match="family built"):
+            cli.main(["spectrum", "--family", *params])
+
+
+def test_in_process_reuse_leaks_no_state(capsys):
+    commands = [
+        ["rho2", "--family", "wheel", "7", "--bounds"],
+        ["rho2", "--family", "wheel", "7"],
+        ["spectrum", "--family", "cycle", "5", "--format", "csv"],
+    ]
+    first = [run(capsys, *argv) for argv in commands]
+    assert all(code == 0 for code, _, _ in first)
+    assert "bounds" in json.loads(first[0][1])["payload"]
+    assert "bounds" not in json.loads(first[1][1])["payload"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["rho2", "--bounds"])  # no graph source: usage error
+    assert exc.value.code == cli.EXIT_PARSE
+    capsys.readouterr()
+    assert [run(capsys, *argv) for argv in commands] == first
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    try:
+        for _ in range(50):
+            assert cli.main(["rho2", "--family", "path", "4"]) == 0
+    finally:
+        cli._parser.cache_clear()
+    capsys.readouterr()
+    assert len(built) == 1
+
+
+def test_rho2_bounds_op_computes_distances_once(capsys, monkeypatch):
+    from distpareto import graph
+
+    calls = []
+    real = graph._hop_distances
+    monkeypatch.setattr(graph, "_hop_distances", lambda adj: calls.append(adj.shape) or real(adj))
+    code, out, _ = run(capsys, "rho2", "--family", "wheel", "9", "--bounds")
+    assert code == 0 and len(json.loads(out)["payload"]["bounds"]) == 21
+    assert calls == [(1, 9, 9)]

@@ -273,3 +273,22 @@ def test_distance_matrix_metric_properties(g):
         assert d[i, k] <= d[i, j] + d[j, k]
     assert d.max() == diameter(dm)
     assert 2 * wiener(dm) == sum(transmission(dm, v) for v in range(g.n))
+
+
+def test_distance_matrix_is_kept_on_the_graph_instance():
+    g, h = make_family("wheel", [7]), make_family("wheel", [7])
+    dm = distance_matrix(g)
+    assert distance_matrix(g) is dm
+    assert g == h and hash(g) == hash(h)  # the cache is not part of the value
+    other = distance_matrix(h)
+    assert other is not dm and (other.d == dm.d).all()
+    with pytest.raises(ValueError, match="read-only"):
+        dm.d[0, 1] = 5
+
+
+def test_distance_matrix_of_a_disconnected_graph_raises_on_every_call():
+    g = make_graph(4, [(0, 1), (2, 3)])
+    for _ in range(3):
+        with pytest.raises(DisconnectedGraphError):
+            distance_matrix(g)
+    assert "_distances" not in vars(g)

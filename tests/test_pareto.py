@@ -445,3 +445,29 @@ def test_invalid_dedup_tolerance_rejected(tol):
 def test_zero_dedup_tolerance_is_accepted():
     # every k-subset of K4 gives the same submatrix, so equal roots still merge
     assert pareto_spectrum(fam("complete", 4), dedup_tolerance=0.0).count == 4
+
+
+# ---------------------------------------------------------------------------
+# The per-order subset tables
+
+
+def test_subset_tables_are_shared_read_only_and_canonical():
+    for n in range(1, 13):
+        tables = pareto._subsets_by_size(n)
+        assert pareto._subsets_by_size(n) is tables
+        assert list(tables) == list(range(1, n + 1))
+        for k, rows in tables.items():
+            assert rows.dtype == np.uint8
+            assert rows.tolist() == [list(c) for c in itertools.combinations(range(n), k)]
+            with pytest.raises(ValueError, match="read-only"):
+                rows[0, 0] = 1
+        with pytest.raises(TypeError):
+            tables[1] = tables[n]
+
+
+def test_spectra_at_one_order_build_the_subset_table_once():
+    pareto._subsets_by_size.cache_clear()
+    pareto_spectrum(fam("wheel", 9))
+    pareto_spectrum(fam("path", 9))
+    info = pareto._subsets_by_size.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
