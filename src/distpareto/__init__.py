@@ -52,12 +52,6 @@ from .pareto import (
     rho2_fast,
     rho_k,
 )
-from .spectral import (
-    EigenResult,
-    SymMatrix,
-    full_spectrum,
-    spectral_radius,
-)
 from .verify import (
     ExtremalResult,
     PropertyReport,

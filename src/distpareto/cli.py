@@ -23,7 +23,9 @@ from .errors import CapExceededError, DisconnectedGraphError, GraphParseError
 from .graph import (
     Graph,
     FAMILY_NAMES,
+    _edge_list_order,
     _family_order,
+    _graph6_order,
     delete_edge,
     diameter,
     distance_matrix,
@@ -39,15 +41,15 @@ from .laws import (
     closed_form_brute_force,
     closed_form_surd,
 )
-from .pareto import DEFAULT_DEDUP_TOL, _check_order, pareto_eigenpair, pareto_spectrum, rho2_fast
+from .pareto import DEFAULT_DEDUP_TOL, _check_order, pareto_spectrum, rho2_fast
 from .verify import (
     _CLASSES_MAX_ORDER,
     _EXTREMAL_MAX_ORDER,
     _TREES_MAX_ORDER,
     _describe,
     _edge_monotonicity,
+    _tree_convexity_reports,
     check_coalescence_quasiconvexity,
-    check_eigenvector_convexity,
     check_tree_extremes,
     connected_graph_classes,
     extremal_search,
@@ -271,16 +273,22 @@ def _add_common_flags(p: argparse.ArgumentParser, jobs_help: str) -> None:
     p.add_argument("--jobs", type=int, default=1, help=jobs_help)
 
 
-def _load_graph(args) -> Graph:
+def _load_graph(args, check_order=lambda n: None) -> Graph:
+    """The input graph; ``check_order`` sees its declared order before any edge is read."""
     if args.family:
         name = args.family[0]
         params = [int(x) for x in args.family[1:]]
+        check_order(_family_order(name, params))
         return make_family(name, params)
     if args.edges:
         with open(args.edges, "r", encoding="utf-8") as fh:
-            return parse_edge_list(fh.read())
+            text = fh.read()
+        check_order(_edge_list_order(text)[0])
+        return parse_edge_list(text)
     with open(args.graph6, "r", encoding="utf-8") as fh:
-        return parse_graph6(fh.readline())
+        line = fh.readline()
+    check_order(_graph6_order(line)[0])
+    return parse_graph6(line)
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +296,7 @@ def _load_graph(args) -> Graph:
 
 
 def _cmd_spectrum(args) -> int:
-    if args.family:  # check the cap from the parameters: building a large family is slow
-        _check_order(_family_order(args.family[0], [int(x) for x in args.family[1:]]))
-    g = _load_graph(args)
+    g = _load_graph(args, _check_order)
     spec = pareto_spectrum(g, jobs=args.jobs, dedup_tolerance=args.tolerance)
     summary = _graph_summary(g)
     ladder = np.arange(summary["diameter"] + 1)
@@ -365,11 +371,10 @@ def _tally(reports) -> tuple[int, list[dict]]:
 
 def _suite_convexity(order: int) -> tuple[int, list[dict]]:
     return _tally(
-        check_eigenvector_convexity(t, pareto_eigenpair(t, J))
+        rep
         for n in range(2, order + 1)
         for t in trees_upto_iso(n)
-        for k in range(1, n + 1)
-        for J in itertools.combinations(range(n), k)
+        for rep in _tree_convexity_reports(t)
     )
 
 

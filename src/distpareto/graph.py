@@ -235,26 +235,32 @@ def make_family(family: str, params: Sequence[int]) -> Graph:
 # Parsers
 
 
+def _edge_list_order(text: str):
+    """The vertex count an edge list declares on its first line that is neither blank
+    nor a comment, and an iterator over the (line number, line) pairs of such lines after it."""
+    lines = ((lineno, line) for lineno, raw in enumerate(text.splitlines(), start=1)
+             if (line := raw.strip()) and not line.startswith("#"))
+    lineno, line = next(lines, (0, None))
+    if line is None:
+        raise GraphParseError("empty input: no vertex count line")
+    try:
+        n = int(line)
+    except ValueError:
+        raise GraphParseError(f"line {lineno}: expected vertex count, got {line!r}") from None
+    if n < 1:
+        raise GraphParseError(f"line {lineno}: vertex count must be positive, got {n}")
+    return n, lines
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the line-oriented edge-list format.
 
     First non-comment line is the order n; every following non-comment line is
     an edge ``u v``.  ``#`` starts a comment line.  Duplicate edges collapse.
     """
-    n: int | None = None
+    n, lines = _edge_list_order(text)
     edges: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if n is None:
-            try:
-                n = int(line)
-            except ValueError:
-                raise GraphParseError(f"line {lineno}: expected vertex count, got {line!r}") from None
-            if n < 1:
-                raise GraphParseError(f"line {lineno}: vertex count must be positive, got {n}")
-            continue
+    for lineno, line in lines:
         parts = line.split()
         if len(parts) != 2:
             raise GraphParseError(f"line {lineno}: expected 'u v', got {line!r}")
@@ -267,8 +273,6 @@ def parse_edge_list(text: str) -> Graph:
         if u == v:
             raise GraphParseError(f"line {lineno}: self-loop at vertex {u}")
         edges.add((min(u, v), max(u, v)))
-    if n is None:
-        raise GraphParseError("empty input: no vertex count line")
     return make_graph(n, edges)
 
 
@@ -281,48 +285,44 @@ def edge_list_text(g: Graph) -> str:
 _G6_HEADER = ">>graph6<<"
 
 
+def _graph6_order(line: str | bytes) -> tuple[int, str]:
+    """The order declared by one graph6 line (after an optional ``>>graph6<<``
+    header), and the rest of the line; only the order bytes are checked."""
+    if isinstance(line, bytes):
+        line = line.decode("ascii", errors="replace")
+    line = line.strip().removeprefix(_G6_HEADER)
+    if not line:
+        raise GraphParseError("empty graph6 input")
+    width = 4 if line[0] == "~" else 1  # "~" (63) opens the 18-bit long form
+    data = [ord(c) - 63 for c in line[:width]]
+    if any(x < 0 or x > 63 for x in data):
+        raise GraphParseError(f"graph6 byte out of range in {line!r}")
+    if len(data) < width:
+        raise GraphParseError("truncated graph6 long-form order")
+    n = data[0] if width == 1 else (data[1] << 12) | (data[2] << 6) | data[3]
+    if n < 1:
+        raise GraphParseError("graph6 order must be positive")
+    return n, line[width:]
+
+
 def parse_graph6(line: str | bytes) -> Graph:
     """Parse one graph in graph6 format (optional ``>>graph6<<`` header).
 
     Bytes 63..126; upper triangle packed column-major, 6 bits per byte,
     big-endian within each byte.
     """
-    if isinstance(line, bytes):
-        line = line.decode("ascii", errors="replace")
-    line = line.strip()
-    if line.startswith(_G6_HEADER):
-        line = line[len(_G6_HEADER):]
-    if not line:
-        raise GraphParseError("empty graph6 input")
-    data = [ord(c) - 63 for c in line]
-    if any(x < 0 or x > 63 for x in data):
-        raise GraphParseError(f"graph6 byte out of range in {line!r}")
-    if data[0] < 63:
-        n = data[0]
-        body = data[1:]
-    else:
-        if len(data) < 4:
-            raise GraphParseError("truncated graph6 long-form order")
-        n = (data[1] << 12) | (data[2] << 6) | data[3]
-        body = data[4:]
-    if n < 1:
-        raise GraphParseError("graph6 order must be positive")
+    n, rest = _graph6_order(line)
+    body = [ord(c) - 63 for c in rest]
+    if any(x < 0 or x > 63 for x in body):
+        raise GraphParseError(f"graph6 byte out of range in {rest!r}")
     nbits = n * (n - 1) // 2
     if len(body) != (nbits + 5) // 6:
         raise GraphParseError(
             f"graph6 body length {len(body)} does not match order {n}"
         )
-    bits = []
-    for x in body:
-        bits.extend((x >> shift) & 1 for shift in range(5, -1, -1))
-    edges = []
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[k]:
-                edges.append((i, j))
-            k += 1
-    return make_graph(n, edges)
+    bits = [(x >> shift) & 1 for x in body for shift in range(5, -1, -1)]
+    pairs = ((i, j) for j in range(1, n) for i in range(j))  # column-major upper triangle
+    return make_graph(n, itertools.compress(pairs, bits))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from .graph import (
     wiener,
 )
 from .pareto import DEFAULT_MAX_ORDER, ParetoSpectrum, pareto_eigenpair, pareto_spectrum, rho2_fast
-from .spectral import SymMatrix, full_spectrum
+from .spectral import _eigenvalues
 
 __all__ = [
     "BoundResult",
@@ -273,8 +273,7 @@ class _BoundContext:
 
     @cached_property
     def lambda2(self) -> float:
-        spec = full_spectrum(SymMatrix.from_array(self.dm.d.astype(float)))
-        return spec[-2]
+        return float(_eigenvalues(self.dm.d.astype(float))[-2])
 
     @cached_property
     def transmissions(self) -> list[int]:

@@ -12,6 +12,8 @@ lexicographically smallest one of smallest cardinality.
 ``_perron_roots_for_rows`` is the one gather-and-solve kernel: it serves the
 spectrum, ``rho2_fast`` and the batched sweeps in ``verify``, and hands the
 eigensolver at most ``_GATHER_BYTES`` of submatrices per call.
+``_perron_pairs_for_rows`` adds the vectors, for ``pareto_eigenpair`` (one
+row) and the convexity sweep in ``verify`` (every subset of a tree).
 ``_all_subset_values`` is the one pass over every subset, for one matrix (the
 spectrum) or a stack (``_distinct_counts``, the extremal search's counts).
 
@@ -40,7 +42,7 @@ import numpy as np
 
 from .errors import CapExceededError, EigensolverError
 from .graph import Graph, distance_matrix
-from .spectral import SymMatrix, _deletion_roots, spectral_radius, spectral_radius_many
+from .spectral import _deletion_roots, perron_pairs_many, spectral_radius_many
 
 __all__ = [
     "ParetoSpectrum",
@@ -148,6 +150,35 @@ def _perron_roots_for_rows(dmat: np.ndarray, rows: np.ndarray) -> np.ndarray:
                     subs.reshape(-1, k, k)
                 ).reshape(subs.shape[:2])
     return out.reshape(d.shape[:-2] + (r,))
+
+
+def _perron_pairs_for_rows(d: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Perron values (r,) and vectors (r, n), zero off the row, of the (n, n) matrix
+    ``d`` restricted to each index row of ``rows``, gathered as in ``_perron_roots_for_rows``.
+
+    EigensolverError unless each vector x is positive on its row, D x >= value x
+    (complementarity) and x^T D x = value (Rayleigh).
+    """
+    r, k = rows.shape
+    values = np.empty(r)
+    vectors = np.zeros((r, d.shape[0]))
+    low = np.empty(r)  # smallest vector entry on each row
+    per_row = max(1, _GATHER_BYTES // (k * k * 8))
+    for lo in range(0, r, per_row):
+        sel = rows[lo : lo + per_row]
+        values[lo : lo + per_row], vecs = perron_pairs_many(d[sel[:, :, None], sel[:, None, :]])
+        np.put_along_axis(vectors[lo : lo + per_row], sel, vecs, axis=1)
+        low[lo : lo + per_row] = vecs.min(axis=1)
+    tol = 1e-9 * np.maximum(1.0, np.abs(values))
+    dx = vectors @ d  # row i is D x for x = vectors[i], as D is symmetric
+    for bad, what in (
+        (low <= 1e-12, "Perron vector not strictly positive"),
+        ((dx - values[:, None] * vectors).min(axis=1) < -tol, "complementarity condition violated"),
+        (np.abs(np.einsum("ij,ij->i", dx, vectors) - values) > tol, "Rayleigh identity violated"),
+    ):
+        if bad.any():
+            raise EigensolverError(f"{what} on support {tuple(rows[bad.argmax()].tolist())}")
+    return values, vectors
 
 
 def _map_spans(fn, total: int, jobs: int) -> list:
@@ -330,34 +361,15 @@ def pareto_eigenpair(g: Graph, support: tuple[int, ...] | list[int]) -> ParetoEi
     """Pareto eigenpair for a given support set J.
 
     The value is the Perron root of the distance submatrix on J and the vector
-    is its Perron eigenvector embedded at positions J (zeros elsewhere).  The
-    complementarity condition (Dx >= value * x) and the Rayleigh identity are
-    verified before returning.
+    is its Perron eigenvector embedded at positions J (zeros elsewhere), both
+    from ``_perron_pairs_for_rows``, which verifies the complementarity
+    condition (Dx >= value * x) and the Rayleigh identity.
     """
     J = tuple(sorted(set(int(v) for v in support)))
     if not J:
         raise ValueError("support must be nonempty")
-    dm = distance_matrix(g)
+    d = distance_matrix(g).d.astype(np.float64)
     if J[0] < 0 or J[-1] >= g.n:
         raise ValueError(f"support {J} out of range [0, {g.n})")
-    x = np.zeros(g.n)
-    if len(J) == 1:
-        value = 0.0
-        x[J[0]] = 1.0
-    else:
-        sub = SymMatrix.from_array(dm.d[np.ix_(J, J)].astype(np.float64))
-        eig = spectral_radius(sub)
-        if eig.vector.min() <= 1e-12:
-            raise EigensolverError(
-                f"Perron vector not strictly positive on support {J}"
-            )
-        value = eig.value
-        x[list(J)] = eig.vector
-    dmat = dm.d.astype(np.float64)
-    slack = dmat @ x - value * x
-    if slack.min() < -1e-9 * max(1.0, abs(value)):
-        raise EigensolverError("complementarity condition violated")
-    quad = float(x @ dmat @ x)
-    if abs(quad - value) > 1e-9 * max(1.0, abs(value)):
-        raise EigensolverError("Rayleigh identity violated for the eigenpair")
-    return ParetoEigenpair(value=value, support=J, vector=x)
+    values, vectors = _perron_pairs_for_rows(d, np.array([J]))
+    return ParetoEigenpair(value=float(values[0]), support=J, vector=vectors[0])

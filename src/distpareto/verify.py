@@ -25,7 +25,9 @@ from .pareto import (
     ParetoEigenpair,
     _distinct_counts,
     _map_spans,
+    _perron_pairs_for_rows,
     _perron_roots_for_rows,
+    _subsets_by_size,
     rho2_fast,
 )
 
@@ -290,48 +292,65 @@ def random_connected_graph(n: int, rng: np.random.Generator, extra_edge_prob: fl
 # Property checkers
 
 
+def _convexity_reports(t: Graph, supports, values, vectors) -> list[PropertyReport]:
+    """Convexity reports for the Pareto eigenpairs (values[s], vectors[s]) of the tree t
+    on the sorted ``supports[s]``.  Each path i ~ j ~ k of t is listed once, ordered
+    by j and then (i, k), and a support's first failing path is its counterexample.
+    """
+    adj = t.adjacency()
+    paths = [(i, j, k) for j in range(t.n) for i, k in itertools.combinations(adj[j], 2)]
+    paths = np.array(paths, dtype=np.intp).reshape(-1, 3)
+    i, j, k = paths.T
+    inside = np.zeros(vectors.shape, dtype=bool)
+    np.put_along_axis(inside, np.asarray(supports, dtype=np.intp), True, axis=1)
+    active = inside[:, i] & inside[:, j] & inside[:, k]
+    margins = vectors[:, i] + vectors[:, k] - 2.0 * vectors[:, j]
+    failed = active & (margins <= _CONVEXITY_TOL)
+    checked = active.sum(axis=1).tolist()
+    name = _describe(t)
+    reports = []
+    for s, support in enumerate(map(tuple, np.asarray(supports).tolist())):
+        holds, counterexample, details = True, None, {"paths_checked": checked[s]}
+        if values[s] <= _CONVEXITY_TOL:
+            details = {"vacuous": True}
+        elif failed[s].any():
+            f = failed[s].argmax()
+            holds, details = False, {}
+            counterexample = {"path": tuple(paths[f].tolist()),
+                              "values": tuple(vectors[s, paths[f]].tolist()),
+                              "margin": float(margins[s, f])}
+        reports.append(PropertyReport("eigenvector_convexity", f"{name}, support={support}",
+                                      holds, counterexample, details=details))
+    return reports
+
+
 def check_eigenvector_convexity(t: Graph, pair: ParetoEigenpair) -> PropertyReport:
     """Strict convexity of a Pareto eigenvector on the forest induced by its support.
 
     For every path i ~ j ~ k inside the support, 2 x_j < x_i + x_k must hold
-    strictly.  Zero Pareto value (singleton support) holds vacuously.
+    strictly.  Zero Pareto value (singleton support) holds vacuously.  Raises
+    ValueError unless t is a tree and ``pair`` an eigenpair of t on its support.
     """
     if t.size != t.n - 1 or not _is_connected(t):
         raise ValueError("convexity checker requires a tree")
-    instance = f"{_describe(t)}, support={pair.support}"
-    if pair.value <= _CONVEXITY_TOL:
-        return PropertyReport(
-            property_id="eigenvector_convexity",
-            instance=instance,
-            holds=True,
-            details={"vacuous": True},
-        )
-    support = set(pair.support)
-    adj = t.adjacency()
-    x = pair.vector
-    checked = 0
-    for j in pair.support:
-        nbrs = [w for w in adj[j] if w in support]
-        for i, k in itertools.combinations(nbrs, 2):
-            checked += 1
-            margin = x[i] + x[k] - 2.0 * x[j]
-            if margin <= _CONVEXITY_TOL:
-                return PropertyReport(
-                    property_id="eigenvector_convexity",
-                    instance=instance,
-                    holds=False,
-                    counterexample={
-                        "path": (i, j, k),
-                        "values": (float(x[i]), float(x[j]), float(x[k])),
-                        "margin": float(margin),
-                    },
-                )
-    return PropertyReport(
-        property_id="eigenvector_convexity",
-        instance=instance,
-        holds=True,
-        details={"paths_checked": checked},
-    )
+    x, J = pair.vector, list(pair.support)
+    if x.shape != (t.n,) or not all(0 <= v < t.n for v in J):
+        raise ValueError(f"pair on {x.size} vertices, support {pair.support}, "
+                         f"does not fit a tree of order {t.n}")
+    residual = np.abs(distance_matrix(t).d[J] @ x - pair.value * x[J]).max()
+    if residual > 1e-9 * max(1.0, abs(pair.value)):
+        raise ValueError(f"pair fails the tree's eigen-equation on support {pair.support}")
+    return _convexity_reports(t, [pair.support], np.array([pair.value]), x[None])[0]
+
+
+def _tree_convexity_reports(t: Graph) -> list[PropertyReport]:
+    """Convexity reports for every nonempty support of the tree t, in canonical
+    order, from one stacked eigenpair call per support size."""
+    d = distance_matrix(t).d.astype(np.float64)
+    reports = []
+    for rows in _subsets_by_size(t.n).values():
+        reports += _convexity_reports(t, rows, *_perron_pairs_for_rows(d, rows))
+    return reports
 
 
 def check_edge_monotonicity(g: Graph, e: tuple[int, int]) -> PropertyReport:

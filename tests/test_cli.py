@@ -382,6 +382,42 @@ def test_spectrum_cap_checked_before_the_graph_is_built(capsys, monkeypatch):
             cli.main(["spectrum", "--family", *params])
 
 
+def test_spectrum_cap_checked_before_any_edge_is_parsed(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("input parsed before the cap was checked")
+
+    monkeypatch.setattr(cli, "parse_edge_list", refuse)
+    monkeypatch.setattr(cli, "parse_graph6", refuse)
+    big = tmp_path / "k400.txt"  # a large edge list: K_400
+    big.write_text("400\n" + "".join(f"{u} {v}\n" for u in range(400) for v in range(u + 1, 400)))
+    commented = tmp_path / "commented.txt"  # comments and blanks before the order line
+    commented.write_text("# a path\n\n   # indented comment\n  21  \n0 1\n")
+    malformed = tmp_path / "malformed.txt"  # above the cap and malformed: the cap wins
+    malformed.write_text("25\n0 99\nnot an edge\n")
+    g6_short = tmp_path / "k21.g6"  # order 21 in the one-byte form, no body
+    g6_short.write_text(">>graph6<<" + chr(63 + 21) + "\n")
+    g6_long = tmp_path / "p63.g6"  # order 63 in the long form, truncated body
+    g6_long.write_text("~??~@\n")
+    for flag, f in (("--edges", big), ("--edges", commented), ("--edges", malformed),
+                    ("--graph6", g6_short), ("--graph6", g6_long)):
+        code, out, err = run(capsys, "spectrum", flag, str(f))
+        assert code == cli.EXIT_CAP and out == "", f
+        assert "exceeds cap 20" in err
+    # at the cap the check passes and the parser runs
+    at_cap = tmp_path / "at_cap.txt"
+    at_cap.write_text("# order\n20\n")
+    with pytest.raises(AssertionError, match="before the cap"):
+        cli.main(["spectrum", "--edges", str(at_cap)])
+
+
+@pytest.mark.parametrize("text", ["", "# only a comment\n", "x\n0 1\n", "0\n"])
+def test_spectrum_bad_order_line_is_a_parse_error(tmp_path, capsys, text):
+    f = tmp_path / "bad.txt"
+    f.write_text(text)
+    code, out, _ = run(capsys, "spectrum", "--edges", str(f))
+    assert code == cli.EXIT_PARSE and out == ""
+
+
 def test_in_process_reuse_leaks_no_state(capsys):
     commands = [
         ["rho2", "--family", "wheel", "7", "--bounds"],

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from distpareto.errors import CapExceededError, DisconnectedGraphError
+from distpareto.errors import CapExceededError, DisconnectedGraphError, EigensolverError
 from distpareto.graph import distance_matrix, make_family, make_graph
 from distpareto import pareto
 from distpareto.pareto import (
@@ -168,8 +168,74 @@ def test_eigenpair_complementarity_everywhere(classes_by_order):
 
 
 def test_eigenpair_empty_support_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nonempty"):
         pareto_eigenpair(fam("path", 3), ())
+
+
+@pytest.mark.parametrize("support", [(-1, 0), (0, 3), (5,)])
+def test_eigenpair_out_of_range_support_rejected(support):
+    with pytest.raises(ValueError, match="out of range"):
+        pareto_eigenpair(fam("path", 3), support)
+
+
+def _independent_pair(d, row):
+    """Perron pair of d on ``row`` from its own eigh, flipped toward the largest entry."""
+    values, vectors = np.linalg.eigh(d[np.ix_(row, row)])
+    x = vectors[:, -1]
+    if x[np.argmax(np.abs(x))] < 0:
+        x = -x
+    out = np.zeros(d.shape[0])
+    out[list(row)] = x
+    return values[-1], out
+
+
+def _check_stacked_pairs(g, rows):
+    d = distance_matrix(g).d.astype(float)
+    values, vectors = pareto._perron_pairs_for_rows(d, rows)
+    assert values.shape == (len(rows),) and vectors.shape == (len(rows), g.n)
+    for row, value, vector in zip(rows.tolist(), values, vectors):
+        one = pareto._perron_pairs_for_rows(d, np.array([row]))
+        assert one[0].tobytes() == value.tobytes() and one[1][0].tobytes() == vector.tobytes()
+        pair = pareto_eigenpair(g, row)
+        assert pair.value == value and pair.vector.tobytes() == vector.tobytes()
+        ref_value, ref_vector = _independent_pair(d, row)
+        assert ref_value == value and ref_vector.tobytes() == vector.tobytes()
+
+
+def test_stacked_pairs_match_one_row_and_independent_eigh_on_trees():
+    from distpareto.verify import trees_upto_iso
+
+    for n in range(2, 8):
+        for t in trees_upto_iso(n):
+            for rows in pareto._subsets_by_size(n).values():
+                _check_stacked_pairs(t, rows)
+
+
+def test_stacked_pairs_match_one_row_and_independent_eigh_on_random_graphs():
+    from distpareto.verify import random_connected_graph
+
+    rng = np.random.default_rng(20240601)
+    for _ in range(40):
+        g = random_connected_graph(int(rng.integers(2, 11)), rng)
+        for k in range(1, g.n + 1):
+            rows = np.array(sorted({tuple(sorted(rng.choice(g.n, size=k, replace=False).tolist()))
+                                    for _ in range(6)}))
+            _check_stacked_pairs(g, rows)
+
+
+def test_stacked_pairs_check_every_pair(monkeypatch):
+    d = distance_matrix(fam("path", 4)).d.astype(float)
+    rows = np.array([[0, 1], [1, 2], [2, 3]])
+    real = pareto.perron_pairs_many
+
+    def negated_second(mats):
+        values, vectors = real(mats)
+        vectors[1] = -vectors[1]
+        return values, vectors
+
+    monkeypatch.setattr(pareto, "perron_pairs_many", negated_second)
+    with pytest.raises(EigensolverError, match=r"support \(1, 2\)"):
+        pareto._perron_pairs_for_rows(d, rows)
 
 
 def test_jobs_do_not_change_results():

@@ -1,6 +1,6 @@
-"""Source-level guards: one eigensolver site, linear algebra only in ``spectral``,
-one thread pool, one distance routine, no second sweep, one JSON writer, one
-witness decode and one all-subsets pass."""
+"""Source-level guards: one eigensolver site, one stacked eigenpair path, linear
+algebra only in ``spectral``, one thread pool, one distance routine, no second
+sweep, one JSON writer, one witness decode and one all-subsets pass."""
 
 import pathlib
 import re
@@ -48,3 +48,13 @@ def test_structure_answered_from_distances_and_one_subset_pass():
     assert _occurrences(r"\bstructure_queries\b") == []  # DFS beside the distance routine
     assert _occurrences(r"\bStructureSummary\b") == []
     assert _occurrences(r"\b_bulk_pareto_counts\b") == []  # second all-subsets pass
+
+
+def test_one_stacked_eigenpair_path():
+    assert _occurrences(r"\bSymMatrix\b") == []
+    assert _occurrences(r"\bEigenResult\b") == []
+    assert _occurrences(r"\bspectral_radius\(") == []  # the single-matrix eigenpair
+    assert _occurrences(r"\bfull_spectrum\b") == []
+    assert len(_occurrences(r"eigvalsh\(")) == 1
+    assert [hit.split(":")[0] for hit in _occurrences(r"\bperron_pairs_many\(")] == [
+        "pareto.py", "spectral.py"]

@@ -6,6 +6,7 @@ import pytest
 
 from distpareto.errors import CapExceededError, DisconnectedGraphError
 from distpareto.graph import distance_matrix, make_family, make_graph
+from distpareto import pareto, verify
 from distpareto.pareto import pareto_count, pareto_eigenpair
 from distpareto.verify import (
     canonical_form,
@@ -148,6 +149,58 @@ def test_convexity_star5_center_below_leaf_midpoint():
 def test_convexity_requires_tree():
     with pytest.raises(ValueError):
         check_eigenvector_convexity(fam("cycle", 4), pareto_eigenpair(fam("cycle", 4), (0,)))
+
+
+def test_convexity_rejects_a_pair_of_another_order():
+    with pytest.raises(ValueError, match="on 5 vertices"):
+        check_eigenvector_convexity(fam("path", 4), pareto_eigenpair(fam("path", 5), range(5)))
+
+
+def test_convexity_rejects_a_pair_of_another_tree():
+    # same order, but the star's Perron pair fails the path's eigen-equation
+    with pytest.raises(ValueError, match="eigen-equation"):
+        check_eigenvector_convexity(fam("path", 5), pareto_eigenpair(fam("star", 5), range(5)))
+
+
+def _reference_convexity(t, support, value, x):
+    """The per-support loop: paths i ~ j ~ k by j in the support, then neighbor pairs."""
+    if value <= 1e-12:
+        return True, None, {"vacuous": True}
+    adj = t.adjacency()
+    checked = 0
+    for j in support:
+        for i, k in itertools.combinations([w for w in adj[j] if w in support], 2):
+            checked += 1
+            margin = x[i] + x[k] - 2.0 * x[j]
+            if margin <= 1e-12:
+                values = (float(x[i]), float(x[j]), float(x[k]))
+                return False, {"path": (i, j, k), "values": values, "margin": float(margin)}, {}
+    return True, None, {"paths_checked": checked}
+
+
+def test_stacked_convexity_rule_matches_the_per_support_loop():
+    # random vectors make most supports fail, so the first violation is compared too
+    rng = np.random.default_rng(7)
+    for n in (3, 5, 7):
+        for t in trees_upto_iso(n):
+            for rows in pareto._subsets_by_size(n).values():
+                vectors = np.zeros((len(rows), n))
+                np.put_along_axis(vectors, rows.astype(np.intp), rng.random(rows.shape), axis=1)
+                values = rng.choice([0.0, 1.0], size=len(rows), p=[0.1, 0.9])
+                reports = verify._convexity_reports(t, rows, values, vectors)
+                for row, value, x, rep in zip(rows.tolist(), values, vectors, reports):
+                    holds, counterexample, details = _reference_convexity(t, row, value, x)
+                    assert rep.instance == f"{verify._describe(t)}, support={tuple(row)}"
+                    assert (rep.holds, rep.counterexample, rep.details) == (
+                        holds, counterexample, details)
+
+
+def test_convexity_suite_reports_equal_one_support_checks():
+    for n in (2, 4, 6):
+        for t in trees_upto_iso(n):
+            expected = [check_eigenvector_convexity(t, pareto_eigenpair(t, J))
+                        for k in range(1, n + 1) for J in itertools.combinations(range(n), k)]
+            assert verify._tree_convexity_reports(t) == expected
 
 
 def test_convexity_all_supports_small_trees():
