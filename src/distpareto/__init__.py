@@ -64,7 +64,6 @@ from .verify import (
     connected_graphs_labeled,
     extremal_search,
     is_isomorphic,
-    labeled_trees,
     random_connected_graph,
     trees_upto_iso,
 )

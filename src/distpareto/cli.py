@@ -45,6 +45,7 @@ from .pareto import DEFAULT_DEDUP_TOL, _check_order, pareto_spectrum, rho2_fast
 from .verify import (
     _CLASSES_MAX_ORDER,
     _EXTREMAL_MAX_ORDER,
+    _TREE_SUPPORTS_MAX_ORDER,
     _TREES_MAX_ORDER,
     _describe,
     _edge_monotonicity,
@@ -324,10 +325,11 @@ _BOUND_COLUMNS = tuple(f.name for f in dataclasses.fields(BoundResult))  # scala
 
 def _cmd_rho2(args) -> int:
     g = _load_graph(args)
-    value, witness = rho2_fast(g)
-    payload = {"value": value, "witness_vertex": witness}
+    pair = rho2_fast(g)
+    payload = {"value": pair[0], "witness_vertex": pair[1]}
     if args.bounds:
-        payload["bounds"] = [{f: getattr(b, f) for f in _BOUND_COLUMNS} for b in bound_report(g)]
+        payload["bounds"] = [{f: getattr(b, f) for f in _BOUND_COLUMNS}
+                             for b in bound_report(g, rho2=pair)]
     sys.stdout.write(_emit(_document("rho2", payload, _graph_summary(g)), args.format))
     return EXIT_OK
 
@@ -462,9 +464,10 @@ def _verdict(checked: int, violations: list[dict]) -> dict:
 
 # suite name -> (run on the parsed arguments, giving the payload fields; order range allowed)
 _SUITES = {
-    "convexity": (lambda a: _verdict(*_suite_convexity(a.order)), 2, _TREES_MAX_ORDER),
+    "convexity": (lambda a: _verdict(*_suite_convexity(a.order)), 2, _TREE_SUPPORTS_MAX_ORDER),
     "monotonicity": (lambda a: _verdict(*_suite_monotonicity(a.order)), 2, _CLASSES_MAX_ORDER),
-    "quasiconvex": (lambda a: _verdict(*_suite_quasiconvex(a.order)), 3, _TREES_MAX_ORDER),
+    "quasiconvex": (lambda a: _verdict(*_suite_quasiconvex(a.order)), 3,
+                    _TREE_SUPPORTS_MAX_ORDER),
     "tree-extremes": (lambda a: _verdict(*_suite_tree_extremes(a.order)), 3, _TREES_MAX_ORDER),
     "bounds-sweep": (lambda a: _verdict(*_suite_bounds_sweep(a.order, a.random, a.seed)),
                      2, _CLASSES_MAX_ORDER),

@@ -420,13 +420,16 @@ def evaluate_bound(bound_id: str, g: Graph, k: int | None = None) -> BoundResult
     return _evaluate(_BoundContext(g), bound_id, k=k)
 
 
-def bound_report(g: Graph) -> list[BoundResult]:
+def bound_report(g: Graph, rho2: tuple[float, int] | None = None) -> list[BoundResult]:
     """Every bound evaluated on ``g``; rho_k_lower expands over k = 1..n.
 
     Results are ordered by (bound_id, k) so reports are deterministic:
-    ``BOUND_IDS`` is sorted and rho_k_lower comes last.
+    ``BOUND_IDS`` is sorted and rho_k_lower comes last.  A caller that already
+    holds ``rho2_fast(g)`` passes it as ``rho2`` and it is not computed again.
     """
     ctx = _BoundContext(g)
+    if rho2 is not None:
+        ctx.rho2_pair = rho2
     results = [_evaluate(ctx, bound_id) for bound_id in BOUND_IDS[:-1]]
     results += [_evaluate(ctx, "rho_k_lower", k=k) for k in range(1, g.n + 1)]
     return results

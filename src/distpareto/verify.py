@@ -2,8 +2,8 @@
 
 The exhaustive machinery enumerates labeled graphs as edge bitmasks, in chunks
 that share one batched connectivity and distance pass (``_connected_chunks``),
-and labeled trees from Prufer sequences with canonical-form deduplication
-(sorted rooted encodings at the tree centers).
+and trees directly from center-rooted level sequences, one per isomorphism
+class (``_free_tree_levels``).
 Pareto counts are isomorphism-invariant, so searches aggregate on labeled
 graphs and deduplicate only the witnesses.
 """
@@ -39,7 +39,6 @@ __all__ = [
     "check_coalescence_quasiconvexity",
     "check_tree_extremes",
     "extremal_search",
-    "labeled_trees",
     "trees_upto_iso",
     "connected_graphs_labeled",
     "connected_graph_classes",
@@ -52,7 +51,8 @@ _STRICT_TOL = 1e-9
 _CONVEXITY_TOL = 1e-12
 _ISO_MAX_ORDER = 8
 _EXTREMAL_MAX_ORDER = 7
-_TREES_MAX_ORDER = 9
+_TREES_MAX_ORDER = 14
+_TREE_SUPPORTS_MAX_ORDER = 10  # convexity and quasiconvexity sweep every support
 _CLASSES_MAX_ORDER = 6
 _SWEEP_CHUNK = 4096  # edge masks per batched connectivity and distance pass
 
@@ -88,7 +88,7 @@ def _is_connected(g: Graph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Tree enumeration (Prufer sequences + canonical rooted encodings)
+# Tree enumeration (level sequences, one per free tree)
 
 
 def _prufer_to_edges(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
@@ -110,63 +110,77 @@ def _prufer_to_edges(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
     return edges
 
 
-def labeled_trees(n: int):
-    """Yield every labeled tree on n vertices (n^(n-2) of them)."""
-    if n < 2:
-        raise ValueError("labeled_trees needs n >= 2")
-    if n == 2:
-        yield make_graph(2, [(0, 1)])
-        return
-    for seq in itertools.product(range(n), repeat=n - 2):
-        yield make_graph(n, _prufer_to_edges(seq, n))
+def _next_rooted(levels: list[int], p: int) -> list[int]:
+    """The rooted tree after ``levels`` that keeps positions before p (Beyer and
+    Hedetniemi, SIAM J. Comput. 9, 1980): from p on, repeat the levels that start
+    at q, the parent of vertex p (levels[p] >= 2)."""
+    q = p - 1
+    while levels[q] != levels[p] - 1:
+        q -= 1
+    out = levels[:p]
+    for i in range(p, len(levels)):
+        out.append(out[i - p + q])
+    return out
 
 
-def _tree_centers(n: int, adj: list[list[int]]) -> list[int]:
-    if n == 1:
-        return [0]
-    degree = [len(a) for a in adj]
-    layer = [v for v in range(n) if degree[v] == 1]
-    removed = len(layer)
-    while removed < n:
-        nxt = []
-        for v in layer:
-            for w in adj[v]:
-                degree[w] -= 1
-                if degree[w] == 1:
-                    nxt.append(w)
-        if not nxt:
-            break
-        removed += len(nxt)
-        layer = nxt
-    return sorted(layer)
+def _free_tree_levels(n: int):
+    """Yield the level sequence of one tree per isomorphism class on n >= 2 vertices.
+
+    A level sequence lists each vertex's depth in preorder, every subtree's
+    sequence no smaller than its right sibling's; the trees are rooted at a
+    center, in decreasing lexicographic order, starting from the path.  This is
+    the constant-time generator of Wright, Richmond, Odlyzko and McKay (SIAM J.
+    Comput. 15, 1986).  Split a tree at its root's second child, at m: the first
+    subtree ``levels[1:m]`` (height h1 below the child) and the rest, the root with
+    its other subtrees (height h2).  The root is a center when h2 >= h1; when
+    h2 == h1 it is one of two, and the root whose rest is the larger half, by size
+    and then by level sequence, is kept.  A rejected tree stays rejected while its
+    first subtree is unchanged, so the next candidate changes the first subtree's
+    last vertex and, when that vertex lies deeper than 2, ends the sequence with a
+    path down to depth h1 + 1, which makes the rest the higher half.
+    """
+    def second_child(levels: list[int]) -> int:
+        return next((i for i in range(2, n) if levels[i] == 1), n)
+
+    levels = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+    while True:
+        m = second_child(levels)
+        first = [level - 1 for level in levels[1:m]]
+        rest = [0] + levels[m:]
+        h1, h2 = max(first), max(rest)
+        if h2 > h1 or (h2 == h1 and (len(first), first) <= (len(rest), rest)):
+            yield levels
+            p = max((i for i in range(n) if levels[i] > 1), default=0)
+            if p == 0:
+                return
+            levels = _next_rooted(levels, p)
+        else:
+            deep = levels[m - 1] > 2
+            levels = _next_rooted(levels, m - 1)
+            if deep:
+                h = max(levels[1:second_child(levels)])
+                levels[n - h:] = range(1, h + 1)
 
 
-def _rooted_code(root: int, parent: int, adj: list[list[int]]) -> str:
-    children = sorted(
-        _rooted_code(w, root, adj) for w in adj[root] if w != parent
-    )
-    return "(" + "".join(children) + ")"
-
-
-def tree_canonical_code(g: Graph) -> str:
-    """Canonical encoding of a tree: minimal rooted code over its centers."""
-    adj = g.adjacency()
-    centers = _tree_centers(g.n, adj)
-    return min(_rooted_code(c, -1, adj) for c in centers)
+def _tree_from_levels(levels: list[int]) -> Graph:
+    """The tree of a level sequence, vertex i at position i and joined to its
+    parent: the last earlier vertex one level up."""
+    last = [0] * len(levels)
+    edges = []
+    for i in range(1, len(levels)):
+        edges.append((last[levels[i] - 1], i))
+        last[levels[i]] = i
+    return make_graph(len(levels), edges)
 
 
 def trees_upto_iso(n: int) -> list[Graph]:
-    """One representative per isomorphism class of trees on n vertices."""
+    """One representative per isomorphism class of trees on n vertices (n <= 14),
+    labeled in preorder from a center, in the generator's deterministic order."""
     if not (1 <= n <= _TREES_MAX_ORDER):
         raise CapExceededError(f"tree enumeration limited to n <= {_TREES_MAX_ORDER}")
     if n == 1:
         return [make_graph(1, [])]
-    out: dict[str, Graph] = {}
-    for t in labeled_trees(n):
-        code = tree_canonical_code(t)
-        if code not in out:
-            out[code] = t
-    return [out[code] for code in sorted(out)]
+    return [_tree_from_levels(levels) for levels in _free_tree_levels(n)]
 
 
 # ---------------------------------------------------------------------------

@@ -105,7 +105,7 @@ def test_formulas_wrong_parameter_count(capsys, argv):
 
 @pytest.mark.parametrize(
     "suite,order",
-    [("tree-extremes", 10), ("convexity", 10), ("quasiconvex", 10),
+    [("tree-extremes", 15), ("convexity", 11), ("quasiconvex", 11),
      ("monotonicity", 7), ("bounds-sweep", 7), ("extremal", 8)],
 )
 def test_verify_order_cap_checked_before_any_work(capsys, monkeypatch, suite, order):

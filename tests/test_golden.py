@@ -34,6 +34,9 @@ CASES = {
     "verify_quasiconvex6": ["verify", "quasiconvex", "--order", "6"],
     "verify_tree_extremes7": ["verify", "tree-extremes", "--order", "7"],
     "verify_convexity5": ["verify", "convexity", "--order", "5"],
+    "verify_convexity8": ["verify", "convexity", "--order", "8"],
+    "verify_quasiconvex8": ["verify", "quasiconvex", "--order", "8"],
+    "verify_tree_extremes8": ["verify", "tree-extremes", "--order", "8"],
     "verify_bounds_sweep5_random20": ["verify", "bounds-sweep", "--order", "5", "--random", "20"],
     "formulas_complete_spectrum5_json": ["formulas", "complete_spectrum", "5"],
     "formulas_star_radius6_json": ["formulas", "star_radius", "6"],

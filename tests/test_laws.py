@@ -183,6 +183,21 @@ def test_bound_report_deterministic_order():
     assert {r.bound_id for r in a} == set(BOUND_IDS)
 
 
+def test_bound_report_takes_a_known_rho2_without_recomputing(monkeypatch):
+    from distpareto import laws
+    from distpareto.pareto import rho2_fast
+
+    for g in [fam("wheel", 6), fam("path", 2), fam("complete_minus_edge", 6)]:
+        expected, pair = bound_report(g), rho2_fast(g)
+
+        def refuse(*args):
+            raise AssertionError("rho2_fast called again")
+
+        with monkeypatch.context() as m:
+            m.setattr(laws, "rho2_fast", refuse)
+            assert bound_report(g, rho2=pair) == expected
+
+
 def test_rho2_exceeds_lambda2_on_families():
     for g in [fam("path", 6), fam("complete", 5), fam("wheel", 7), fam("star", 8)]:
         res = evaluate_bound("rho2_vs_lambda2", g)

@@ -1,6 +1,7 @@
 """Source-level guards: one eigensolver site, one stacked eigenpair path, linear
 algebra only in ``spectral``, one thread pool, one distance routine, no second
-sweep, one JSON writer, one witness decode and one all-subsets pass."""
+sweep, one JSON writer, one witness decode, one all-subsets pass and no
+labeled-tree sweep."""
 
 import pathlib
 import re
@@ -58,3 +59,9 @@ def test_one_stacked_eigenpair_path():
     assert len(_occurrences(r"eigvalsh\(")) == 1
     assert [hit.split(":")[0] for hit in _occurrences(r"\bperron_pairs_many\(")] == [
         "pareto.py", "spectral.py"]
+
+
+def test_trees_are_generated_not_deduplicated():
+    assert _occurrences(r"\blabeled_trees\b") == []  # the n^(n-2) Prufer sweep
+    assert _occurrences(r"\btree_canonical_code\b") == []
+    assert _occurrences(r"\b_rooted_code\b") == []

@@ -18,7 +18,6 @@ from distpareto.verify import (
     connected_graphs_labeled,
     extremal_search,
     is_isomorphic,
-    labeled_trees,
     random_connected_graph,
     trees_upto_iso,
 )
@@ -32,26 +31,53 @@ def fam(name, *params):
 # enumeration machinery
 
 
-def test_labeled_tree_counts():
-    for n in range(2, 7):
-        assert sum(1 for _ in labeled_trees(n)) == n ** max(0, n - 2)
-
-
 def test_unlabeled_tree_counts():
-    expected = {2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23}
-    for n, want in expected.items():
+    expected = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159]  # OEIS A000055
+    for n, want in enumerate(expected, 1):
         assert len(trees_upto_iso(n)) == want
+
+
+def test_trees_are_connected_with_n_minus_1_edges():
+    for n in range(1, 15):
+        for t in trees_upto_iso(n):
+            assert t.n == n and t.size == n - 1
+            assert verify._is_connected(t)
 
 
 def test_trees_against_networkx():
     nx = pytest.importorskip("networkx")
-    for n in range(3, 8):
-        ours = trees_upto_iso(n)
+    for n in range(3, 11):
+        ours = [nx.Graph(t.sorted_edges()) for t in trees_upto_iso(n)]
         theirs = list(nx.nonisomorphic_trees(n))
         assert len(ours) == len(theirs)
-        for t in ours:
-            h = nx.Graph(t.sorted_edges())
-            assert any(nx.is_isomorphic(h, ref) for ref in theirs)
+        for a, b in itertools.combinations(ours, 2):
+            assert not nx.is_isomorphic(a, b)
+        for ref in theirs:
+            assert any(nx.is_isomorphic(h, ref) for h in ours)
+
+
+def test_trees_are_deterministic():
+    for n in (1, 2, 9, 12):
+        first, second = trees_upto_iso(n), trees_upto_iso(n)
+        assert [t.sorted_edges() for t in first] == [t.sorted_edges() for t in second]
+
+
+def test_trees_are_labeled_in_preorder_from_vertex_0():
+    # the parent of vertex i is the last vertex before i one level nearer vertex 0
+    for n in (2, 5, 9):
+        for t in trees_upto_iso(n):
+            depth = distance_matrix(t).d[0].tolist()
+            adj = t.adjacency()
+            for i in range(1, n):
+                parent = max(j for j in range(i) if depth[j] == depth[i] - 1)
+                assert parent in adj[i]
+
+
+def test_tree_order_cap():
+    with pytest.raises(CapExceededError):
+        trees_upto_iso(15)
+    with pytest.raises(CapExceededError):
+        trees_upto_iso(0)
 
 
 def test_connected_class_counts():
