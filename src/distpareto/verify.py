@@ -1,11 +1,11 @@
 """Structural property checkers and exhaustive searches at desk scale.
 
-The exhaustive machinery enumerates labeled graphs as edge bitmasks, in chunks
-that share one batched connectivity and distance pass (``_connected_chunks``),
-and trees directly from center-rooted level sequences, one per isomorphism
-class (``_free_tree_levels``).
-Pareto counts are isomorphism-invariant, so searches aggregate on labeled
-graphs and deduplicate only the witnesses.
+The exhaustive machinery builds connected graphs as canonical edge bitmasks,
+one per isomorphism class, by adding a vertex to each class of the order below
+(``_class_masks``), and trees directly from center-rooted level sequences, one
+per isomorphism class (``_free_tree_levels``).  Pareto counts are
+isomorphism-invariant, so searches count each class once.  The labeled sweep
+(``_connected_chunks``) remains only for ``connected_graphs_labeled``.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,7 +54,7 @@ _ISO_MAX_ORDER = 8
 _EXTREMAL_MAX_ORDER = 7
 _TREES_MAX_ORDER = 14
 _TREE_SUPPORTS_MAX_ORDER = 10  # convexity and quasiconvexity sweep every support
-_CLASSES_MAX_ORDER = 6
+_CLASSES_MAX_ORDER = 7
 _SWEEP_CHUNK = 4096  # edge masks per batched connectivity and distance pass
 
 
@@ -195,6 +196,22 @@ def _mask_to_graph(mask: int, n: int, pairs: list[tuple[int, int]]) -> Graph:
     return make_graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
 
 
+def _mask_bits(masks, width: int) -> np.ndarray:
+    """(m, width) boolean matrix: bit j of each edge mask."""
+    arr = np.asarray(masks, dtype=np.int64)
+    return ((arr[:, None] >> np.arange(width)) & 1).astype(bool)
+
+
+def _mask_distances(masks: np.ndarray, n: int) -> np.ndarray:
+    """Hop distances (-1 if unreachable) of the graphs with these edge masks."""
+    ui, vi = np.triu_indices(n, 1)
+    bits = _mask_bits(masks, ui.size)
+    adj = np.zeros((masks.size, n, n), dtype=bool)
+    adj[:, ui, vi] = bits
+    adj[:, vi, ui] = bits
+    return _hop_distances(adj)
+
+
 def _connected_chunks(n: int, lo: int, hi: int):
     """Yield (masks, distances) for the connected labeled graphs with edge mask in [lo, hi).
 
@@ -202,14 +219,9 @@ def _connected_chunks(n: int, lo: int, hi: int):
     taken ``_SWEEP_CHUNK`` at a time, and one ``_hop_distances`` pass gives
     each chunk's connectivity and distance matrices; masks stay ascending.
     """
-    ui, vi = np.triu_indices(n, 1)
     for start in range(lo, hi, _SWEEP_CHUNK):
         masks = np.arange(start, min(start + _SWEEP_CHUNK, hi), dtype=np.int64)
-        bits = ((masks[:, None] >> np.arange(ui.size)) & 1).astype(bool)
-        adj = np.zeros((masks.size, n, n), dtype=bool)
-        adj[:, ui, vi] = bits
-        adj[:, vi, ui] = bits
-        dist = _hop_distances(adj)
+        dist = _mask_distances(masks, n)
         connected = (dist[:, 0] >= 0).all(axis=1)
         if connected.any():
             yield masks[connected], dist[connected]
@@ -227,7 +239,8 @@ def connected_graphs_labeled(n: int):
 
 @functools.lru_cache(maxsize=None)
 def _perm_edge_columns(n: int) -> np.ndarray:
-    """(n!, C(n,2)) table: column j of a mask under each vertex permutation (read-only)."""
+    """(C(n,2), n!) weights, read-only: entry (j, p) is 2^(column of pair j under
+    the p-th vertex permutation), so ``bits @ weights`` relabels masks."""
     pairs = _edge_pairs(n)
     index = {p: i for i, p in enumerate(pairs)}
     table = np.array(
@@ -235,24 +248,29 @@ def _perm_edge_columns(n: int) -> np.ndarray:
          for perm in itertools.permutations(range(n))],
         dtype=np.intp,
     )
-    table.setflags(write=False)
-    return table
+    weights = np.ldexp(1.0, table.T)
+    weights.setflags(write=False)
+    return weights
 
 
-def _canonical_mask_values(masks, n: int) -> np.ndarray:
-    """Canonical form of each edge mask: its least value over all vertex relabelings.
+def _canonical_mask_values(masks, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical form of each edge mask, its least value over all vertex
+    relabelings, and how many relabelings reach it: the graph's |Aut|.
 
     The relabeled masks are one float matrix product per block of masks; the
     packed values stay below 2^28, so float64 holds them exactly.
     """
-    weights = np.ldexp(1.0, _perm_edge_columns(n).T)  # (C(n,2), n!)
-    arr = np.asarray(masks, dtype=np.int64)
-    bits = ((arr[:, None] >> np.arange(weights.shape[0])) & 1).astype(np.float64)
-    best = np.empty(arr.size, dtype=np.int64)
+    weights = _perm_edge_columns(n)
+    bits = _mask_bits(masks, weights.shape[0]).astype(np.float64)
+    best = np.empty(bits.shape[0], dtype=np.int64)
+    aut = np.empty(bits.shape[0], dtype=np.int64)
     step = max(1, _GATHER_BYTES // (8 * weights.shape[1]))
-    for lo in range(0, arr.size, step):
-        best[lo : lo + step] = (bits[lo : lo + step] @ weights).min(axis=1)
-    return best
+    for lo in range(0, bits.shape[0], step):
+        relabeled = bits[lo : lo + step] @ weights
+        least = relabeled.min(axis=1)
+        best[lo : lo + step] = least
+        aut[lo : lo + step] = (relabeled == least[:, None]).sum(axis=1)
+    return best, aut
 
 
 def canonical_form(g: Graph) -> tuple[tuple[int, int], ...]:
@@ -265,7 +283,7 @@ def canonical_form(g: Graph) -> tuple[tuple[int, int], ...]:
     pairs = _edge_pairs(g.n)
     index = {p: i for i, p in enumerate(pairs)}
     mask = sum(1 << index[e] for e in g.sorted_edges())
-    best = int(_canonical_mask_values([mask], g.n)[0])
+    best = int(_canonical_mask_values([mask], g.n)[0][0])
     return tuple(p for i, p in enumerate(pairs) if best >> i & 1)
 
 
@@ -275,19 +293,40 @@ def is_isomorphic(a: Graph, b: Graph) -> bool:
     return canonical_form(a) == canonical_form(b)
 
 
-def _first_of_each_class(masks, n: int) -> list[int]:
-    """The masks that are the first of their isomorphism class, in input order."""
-    _, first = np.unique(_canonical_mask_values(masks, n), return_index=True)
-    return [int(masks[i]) for i in sorted(first)]
+@functools.lru_cache(maxsize=None)
+def _class_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical edge masks of the connected graphs on n vertices, ascending, and
+    |Aut| of each (both read-only).
+
+    Every connected graph has a non-cut vertex (a leaf of a spanning tree), so
+    each class is a class on n - 1 vertices plus vertex n - 1 joined to a
+    nonempty subset of the others.  Those candidates are canonicalised and
+    deduplicated; the least mask of a class is its canonical form.
+    """
+    if n == 1:
+        masks, aut = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
+    else:
+        index = {p: i for i, p in enumerate(_edge_pairs(n))}
+        old_pairs = _edge_pairs(n - 1)
+        old_bits = _mask_bits(_class_masks(n - 1)[0], len(old_pairs)).astype(np.int64)
+        old = old_bits @ np.array([1 << index[p] for p in old_pairs], dtype=np.int64)
+        joins = _mask_bits(np.arange(1, 1 << (n - 1)), n - 1).astype(np.int64)
+        new = joins @ np.array([1 << index[(i, n - 1)] for i in range(n - 1)], dtype=np.int64)
+        best, counts = _canonical_mask_values((old[:, None] | new[None, :]).ravel(), n)
+        masks, first = np.unique(best, return_index=True)
+        aut = counts[first]
+    masks.setflags(write=False)
+    aut.setflags(write=False)
+    return masks, aut
 
 
 def connected_graph_classes(n: int) -> list[Graph]:
-    """One representative per isomorphism class of connected graphs (n <= 6)."""
+    """One representative per isomorphism class of connected graphs (n <= 7):
+    the canonical form of each, by ascending edge mask."""
     if not (1 <= n <= _CLASSES_MAX_ORDER):
         raise CapExceededError(f"isomorphism-class sweep limited to n <= {_CLASSES_MAX_ORDER}")
     pairs = _edge_pairs(n)
-    masks = np.concatenate([m for m, _ in _connected_chunks(n, 0, 1 << len(pairs))])
-    return [_mask_to_graph(m, n, pairs) for m in _first_of_each_class(masks, n)]
+    return [_mask_to_graph(m, n, pairs) for m in _class_masks(n)[0].tolist()]
 
 
 def random_connected_graph(n: int, rng: np.random.Generator, extra_edge_prob: float = 0.3) -> Graph:
@@ -502,33 +541,24 @@ def check_tree_extremes(n: int) -> PropertyReport:
 def extremal_search(n: int, jobs: int = 1) -> ExtremalResult:
     """Maximum number of distance Pareto eigenvalues over connected graphs of order n.
 
-    Sweeps all 2^(n(n-1)/2) labeled graphs in chunks: connectivity and
-    distances are computed with vectorized matrix powers, Perron roots are
-    batched by subset size, and counts use the standard dedup tolerance.
-    Witnesses attaining the maximum are returned, one per isomorphism class.
+    The count is isomorphism-invariant, so it is taken once per isomorphism
+    class, on the canonical forms built by vertex augmentation
+    (``_class_masks``): distances come from one batched pass, Perron roots
+    are batched by subset size, and counts use the standard dedup tolerance.
+    Witnesses attaining the maximum are returned, one per isomorphism class,
+    and ``graphs_scanned`` is the number of connected labeled graphs the
+    classes cover, the sum of n!/|Aut|.
     """
     if not (2 <= n <= _EXTREMAL_MAX_ORDER):
         raise CapExceededError(f"extremal search limited to 2 <= n <= {_EXTREMAL_MAX_ORDER}")
+    masks, aut = _class_masks(n)
+
+    def count(span: tuple[int, int]) -> np.ndarray:
+        return _distinct_counts(_mask_distances(masks[span[0] : span[1]], n), DEFAULT_DEDUP_TOL)
+
+    counts = np.concatenate(_map_spans(count, masks.size, jobs))
+    best = int(counts.max())
     pairs = _edge_pairs(n)
-
-    def scan(span: tuple[int, int]) -> tuple[int, list[int], int]:
-        best = 0
-        witnesses: list[int] = []
-        scanned = 0
-        for masks, dist in _connected_chunks(n, *span):
-            scanned += masks.size
-            counts = _distinct_counts(dist, DEFAULT_DEDUP_TOL)
-            cmax = int(counts.max())
-            if cmax > best:
-                best = cmax
-                witnesses = []
-            if cmax == best:
-                witnesses.extend(int(x) for x in masks[counts == best])
-        return best, witnesses, scanned
-
-    parts = _map_spans(scan, 1 << len(pairs), jobs)
-    best = max(p[0] for p in parts)
-    witness_masks = sorted(itertools.chain.from_iterable(p[1] for p in parts if p[0] == best))
-    scanned = sum(p[2] for p in parts)
-    graphs = tuple(_mask_to_graph(m, n, pairs) for m in _first_of_each_class(witness_masks, n))
+    graphs = tuple(_mask_to_graph(m, n, pairs) for m in masks[counts == best].tolist())
+    scanned = sum(math.factorial(n) // a for a in aut.tolist())
     return ExtremalResult(order=n, max_count=best, witnesses=graphs, graphs_scanned=scanned)

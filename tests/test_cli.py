@@ -106,7 +106,7 @@ def test_formulas_wrong_parameter_count(capsys, argv):
 @pytest.mark.parametrize(
     "suite,order",
     [("tree-extremes", 15), ("convexity", 11), ("quasiconvex", 11),
-     ("monotonicity", 7), ("bounds-sweep", 7), ("extremal", 8)],
+     ("monotonicity", 8), ("bounds-sweep", 8), ("extremal", 8)],
 )
 def test_verify_order_cap_checked_before_any_work(capsys, monkeypatch, suite, order):
     def refuse(*args, **kwargs):

@@ -30,6 +30,7 @@ CASES = {
     "rho2_bounds_path6_table": ["rho2", "--bounds", "--family", "path", "6", "--format", "table"],
     "rho2_bounds_path21_json": ["rho2", "--bounds", "--family", "path", "21"],
     "verify_extremal5": ["verify", "extremal", "--order", "5"],
+    "verify_extremal7": ["verify", "extremal", "--order", "7"],
     "verify_monotonicity5": ["verify", "monotonicity", "--order", "5"],
     "verify_quasiconvex6": ["verify", "quasiconvex", "--order", "6"],
     "verify_tree_extremes7": ["verify", "tree-extremes", "--order", "7"],

@@ -1,8 +1,9 @@
 """Source-level guards: one eigensolver site, one stacked eigenpair path, linear
 algebra only in ``spectral``, one thread pool, one distance routine, no second
-sweep, one JSON writer, one witness decode, one all-subsets pass and no
-labeled-tree sweep."""
+sweep, one JSON writer, one witness decode, one all-subsets pass, no
+labeled-tree sweep and no labeled-graph sweep outside ``connected_graphs_labeled``."""
 
+import ast
 import pathlib
 import re
 
@@ -65,3 +66,14 @@ def test_trees_are_generated_not_deduplicated():
     assert _occurrences(r"\blabeled_trees\b") == []  # the n^(n-2) Prufer sweep
     assert _occurrences(r"\btree_canonical_code\b") == []
     assert _occurrences(r"\b_rooted_code\b") == []
+
+
+def test_graph_classes_are_augmented_not_swept():
+    assert _occurrences(r"\b_first_of_each_class\b") == []  # dedup of the labeled sweep
+    callers = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, ast.FunctionDef):
+                callers += [fn.name for node in ast.walk(fn) if isinstance(node, ast.Call)
+                            and getattr(node.func, "id", None) == "_connected_chunks"]
+    assert callers == ["connected_graphs_labeled"]

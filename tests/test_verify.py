@@ -81,9 +81,39 @@ def test_tree_order_cap():
 
 
 def test_connected_class_counts():
-    expected = {2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
+    expected = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}  # OEIS A001349
     for n, want in expected.items():
         assert len(connected_graph_classes(n)) == want
+
+
+def test_connected_classes_against_graph_atlas():
+    nx = pytest.importorskip("networkx")
+    atlas = {n: [] for n in range(1, 8)}
+    for h in nx.graph_atlas_g():
+        if h.number_of_nodes() >= 1 and nx.is_connected(h):
+            atlas[h.number_of_nodes()].append(make_graph(h.number_of_nodes(), h.edges()))
+    for n, theirs in atlas.items():
+        classes = connected_graph_classes(n)
+        ours = {canonical_form(g) for g in classes}
+        assert len(ours) == len(classes) == len(theirs)
+        assert ours == {canonical_form(g) for g in theirs}
+
+
+def test_connected_classes_are_canonical_and_ascending():
+    for n in range(1, 8):
+        classes = connected_graph_classes(n)
+        assert all(g.sorted_edges() == list(canonical_form(g)) for g in classes)
+        masks, _ = verify._class_masks(n)
+        assert (np.diff(masks) > 0).all()
+
+
+def test_class_automorphisms_cover_the_labeled_graphs():
+    expected = [1, 1, 4, 38, 728, 26704, 1866256]  # OEIS A001187
+    for n, want in enumerate(expected, 1):
+        _, aut = verify._class_masks(n)
+        assert sum(math.factorial(n) // int(a) for a in aut) == want
+    _, aut = verify._class_masks(4)
+    assert sorted(aut.tolist()) == [2, 2, 4, 6, 8, 24]  # P4, paw, K4 - e, K_{1,3}, C4, K4
 
 
 def test_connected_labeled_counts():
@@ -392,6 +422,43 @@ def test_extremal_witnesses_attain_max():
     for w in res.witnesses:
         assert w.n == 5
         assert pareto_count(w) == res.max_count
+
+
+def _labeled_extremal(n):
+    """Reference maximum, witnesses (least labeled mask of each class) and count
+    of connected labeled graphs, from a sweep over every labeled graph."""
+    best, masks, scanned = 0, [], 0
+    for chunk, dist in verify._connected_chunks(n, 0, 1 << (n * (n - 1) // 2)):
+        scanned += chunk.size
+        counts = pareto._distinct_counts(dist, pareto.DEFAULT_DEDUP_TOL)
+        if counts.max() > best:
+            best, masks = int(counts.max()), []
+        masks += chunk[counts == best].tolist()
+    values, _ = verify._canonical_mask_values(masks, n)
+    _, first = np.unique(values, return_index=True)
+    pairs = verify._edge_pairs(n)
+    witnesses = [[p for i, p in enumerate(pairs) if masks[f] >> i & 1] for f in sorted(first)]
+    return best, witnesses, scanned
+
+
+def test_extremal_matches_labeled_sweep():
+    for n in range(2, 6):
+        res = extremal_search(n)
+        best, witnesses, scanned = _labeled_extremal(n)
+        assert res.max_count == best
+        assert [w.sorted_edges() for w in res.witnesses] == witnesses
+        assert res.graphs_scanned == scanned
+
+
+def test_extremal_order7():
+    res = extremal_search(7)
+    assert res.max_count == 64
+    assert res.graphs_scanned == 1866256
+    assert [w.sorted_edges() for w in res.witnesses] == [
+        [(0, 2), (0, 4), (0, 6), (1, 3), (1, 5), (2, 3), (2, 4)],
+        [(0, 2), (0, 3), (0, 4), (0, 6), (1, 3), (1, 5), (2, 3), (2, 4)],
+        [(0, 3), (0, 4), (0, 6), (1, 2), (1, 3), (1, 6), (2, 5), (3, 4)],
+    ]
 
 
 def test_extremal_cap():
