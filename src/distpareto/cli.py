@@ -26,7 +26,6 @@ from .graph import (
     _edge_list_order,
     _family_order,
     _graph6_order,
-    delete_edge,
     diameter,
     distance_matrix,
     make_family,
@@ -48,7 +47,7 @@ from .verify import (
     _TREE_SUPPORTS_MAX_ORDER,
     _TREES_MAX_ORDER,
     _describe,
-    _edge_monotonicity,
+    _monotonicity_reports,
     _tree_convexity_reports,
     check_coalescence_quasiconvexity,
     check_tree_extremes,
@@ -378,18 +377,6 @@ def _suite_convexity(order: int) -> tuple[int, list[dict]]:
         for t in trees_upto_iso(n)
         for rep in _tree_convexity_reports(t)
     )
-
-
-def _monotonicity_reports(order: int):
-    for n in range(2, order + 1):
-        for g in connected_graph_classes(n):
-            before, _ = rho2_fast(g)
-            for e in g.sorted_edges():
-                try:
-                    after, _ = rho2_fast(delete_edge(g, e))
-                except DisconnectedGraphError:
-                    continue
-                yield _edge_monotonicity(g, e, before, after)
 
 
 def _suite_monotonicity(order: int) -> tuple[int, list[dict]]:

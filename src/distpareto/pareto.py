@@ -21,6 +21,9 @@ spectrum) or a stack (``_distinct_counts``, the extremal search's counts).
 distance matrix and O(n^2) work per Newton step on the secular equation
 (``spectral._deletion_roots``), instead of n deletion eigensolves at O(n^4),
 and recomputes with the kernel only the few deletions screened near the top.
+``_rho2_many`` gives the same values and witnesses for a stack of small graphs
+from one kernel pass over every deletion of every graph, for the sweeps in
+``verify``; both pick the witness with ``_first_near_max``.
 
 ``jobs > 1`` splits the canonical subset range into contiguous chunks handled
 by worker threads (LAPACK releases the GIL); the deduplication runs on the
@@ -140,7 +143,7 @@ def _perron_roots_for_rows(dmat: np.ndarray, rows: np.ndarray) -> np.ndarray:
         out = stack[:, rows[:, 0], rows[:, 1]]
     else:
         out = np.empty((m, r))
-        per_row = max(1, _GATHER_BYTES // (k * k * 8 * m))  # rows per block
+        per_row = max(1, _GATHER_BYTES // (k * k * 8 * max(1, m)))  # rows per block
         per_mat = max(1, _GATHER_BYTES // (k * k * 8 * per_row))  # matrices per block
         for i in range(0, m, per_mat):
             for lo in range(0, r, per_row):
@@ -350,11 +353,49 @@ def rho2_fast(g: Graph) -> tuple[float, int]:
         screened[~nonpendant] = -np.inf
     top = float(screened.max())
     near = np.flatnonzero(screened >= top - _SCREEN_WINDOW * max(1.0, top))
-    keep = np.arange(g.n - 1)
-    vals = _perron_roots_for_rows(d, keep + (keep >= near[:, None]))
-    vmax = float(vals.max())
-    pick = int(np.argmax(vals >= vmax - 1e-12 * max(1.0, abs(vmax))))
+    vals = _perron_roots_for_rows(d, _deletion_rows(g.n)[near])
+    pick = int(_first_near_max(vals))
     return float(vals[pick]), int(near[pick])
+
+
+def _deletion_rows(n: int) -> np.ndarray:
+    """(n, n - 1) index rows; row v keeps every vertex but v."""
+    keep = np.arange(n - 1)
+    return keep + (keep >= np.arange(n)[:, None])
+
+
+def _first_near_max(vals: np.ndarray) -> np.ndarray:
+    """Index, along the last axis, of the first value within 1e-12 relative of the
+    largest: the rho2 witness rule.  A value of -inf is never picked."""
+    vmax = vals.max(axis=-1, keepdims=True)
+    return np.argmax(vals >= vmax - 1e-12 * np.maximum(1.0, np.abs(vmax)), axis=-1)
+
+
+def _rho2_of_deletions(dmats: np.ndarray, roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """rho2 (m,) and witness vertices (m,) of the graphs with distance matrices
+    ``dmats`` (m, n, n), from the Perron roots ``roots`` (m, n) of their
+    single-vertex deletions.
+
+    As in ``rho2_fast``, pendant vertices (one entry 1 in their row) are not
+    candidates unless every vertex is pendant (K_2).
+    """
+    nonpendant = (dmats == 1).sum(axis=-1) > 1
+    nonpendant |= ~nonpendant.any(axis=-1, keepdims=True)
+    pick = _first_near_max(np.where(nonpendant, roots, -np.inf))
+    return np.take_along_axis(roots, pick[:, None], axis=-1)[:, 0], pick
+
+
+def _rho2_many(dmats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``rho2_fast`` on a stack (m, n, n) of connected distance matrices, n >= 2:
+    rho2 (m,) and witness vertices (m,), from one kernel pass over every
+    single-vertex deletion of every matrix.
+
+    For the small graphs of the exhaustive sweeps one stacked pass costs less than
+    m screens; the values are those of ``rho2_fast``, which reads the same kernel
+    on the same submatrices and applies the same witness rule.
+    """
+    roots = _perron_roots_for_rows(dmats, _deletion_rows(dmats.shape[-1]))
+    return _rho2_of_deletions(dmats, roots)
 
 
 def pareto_eigenpair(g: Graph, support: tuple[int, ...] | list[int]) -> ParetoEigenpair:

@@ -6,6 +6,12 @@ one per isomorphism class, by adding a vertex to each class of the order below
 per isomorphism class (``_free_tree_levels``).  Pareto counts are
 isomorphism-invariant, so searches count each class once.  The labeled sweep
 (``_connected_chunks``) remains only for ``connected_graphs_labeled``.
+
+The rho2 sweeps (edge monotonicity over the classes, tree extremes, coalescence
+quasiconvexity) take rho2 of a whole stack of graphs from one kernel pass over
+every single-vertex deletion (``pareto._rho2_many``), with the values and
+witnesses of ``rho2_fast``; only the one-edge ``check_edge_monotonicity`` calls
+``rho2_fast``.
 """
 
 from __future__ import annotations
@@ -24,10 +30,13 @@ from .pareto import (
     _GATHER_BYTES,
     DEFAULT_DEDUP_TOL,
     ParetoEigenpair,
+    _deletion_rows,
     _distinct_counts,
     _map_spans,
     _perron_pairs_for_rows,
     _perron_roots_for_rows,
+    _rho2_many,
+    _rho2_of_deletions,
     _subsets_by_size,
     rho2_fast,
 )
@@ -436,6 +445,28 @@ def _edge_monotonicity(g: Graph, e: tuple[int, int], before: float, after: float
     return report
 
 
+def _monotonicity_reports(order: int):
+    """Yield the ``check_edge_monotonicity`` report of every edge of every connected
+    class of order 2..``order`` whose deletion keeps the class connected: classes
+    by ascending canonical mask, edges in ``sorted_edges`` order.
+
+    Per order, rho2 of the classes is one ``_rho2_many`` call, and the
+    deletions (each mask with one set bit cleared) are one distance pass, whose
+    connected part is the other ``_rho2_many`` call.
+    """
+    for n in range(2, order + 1):
+        masks = _class_masks(n)[0]
+        pairs = _edge_pairs(n)
+        before = _rho2_many(_mask_distances(masks, n))[0].tolist()
+        cls, bit = np.nonzero(_mask_bits(masks, len(pairs)))  # class order, then pair order
+        dist = _mask_distances(masks[cls] ^ (np.int64(1) << bit), n)
+        connected = (dist[:, 0] >= 0).all(axis=1)
+        after = iter(_rho2_many(dist[connected])[0].tolist())
+        graphs = connected_graph_classes(n)
+        for c, j in zip(cls[connected].tolist(), bit[connected].tolist()):
+            yield _edge_monotonicity(graphs[c], pairs[j], before[c], next(after))
+
+
 def check_coalescence_quasiconvexity(t: Graph, h: Graph, w: int) -> PropertyReport:
     """Quasiconvexity of rho2 over the attachment vertex of a fixed graph.
 
@@ -449,13 +480,10 @@ def check_coalescence_quasiconvexity(t: Graph, h: Graph, w: int) -> PropertyRepo
     if h.n < 2 or not _is_connected(h):
         raise ValueError("attachment graph must be connected with >= 2 vertices")
     total = t.n + h.n - 1
-    graphs = [coalesce(t, i, h, w) for i in range(t.n)]
-    r2 = np.array([rho2_fast(gi)[0] for gi in graphs])
+    dmats = np.stack([distance_matrix(coalesce(t, i, h, w)).d for i in range(t.n)])
     # rho of every single-vertex deletion, per coalescence point
-    rows = np.array(
-        [[x for x in range(total) if x != u] for u in range(total)], dtype=np.intp
-    )
-    deletion_rho = _perron_roots_for_rows(np.stack([distance_matrix(gi).d for gi in graphs]), rows)
+    deletion_rho = _perron_roots_for_rows(dmats, _deletion_rows(total))
+    r2 = _rho2_of_deletions(dmats, deletion_rho)[0]
 
     instance = f"tree {_describe(t)} x attachment {_describe(h)} at {w}"
     adj = t.adjacency()
@@ -505,7 +533,7 @@ def check_tree_extremes(n: int) -> PropertyReport:
     if not (3 <= n <= _TREES_MAX_ORDER):
         raise CapExceededError(f"tree extremes need 3 <= n <= {_TREES_MAX_ORDER}")
     trees = trees_upto_iso(n)
-    values = [rho2_fast(t)[0] for t in trees]
+    values = _rho2_many(np.stack([distance_matrix(t).d for t in trees]))[0].tolist()
     degs = [tuple(sorted(t.degrees())) for t in trees]
     path_sig = tuple(sorted([1, 1] + [2] * (n - 2)))
     star_sig = tuple(sorted([n - 1] + [1] * (n - 1)))

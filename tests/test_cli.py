@@ -178,15 +178,19 @@ def test_verify_monotonicity_order5(capsys):
 
 
 def test_verify_monotonicity_computes_rho2_once_per_class(capsys, monkeypatch):
-    from distpareto.verify import connected_graph_classes
+    from distpareto import verify
 
-    calls = []
-    rho2 = cli.rho2_fast
-    monkeypatch.setattr(cli, "rho2_fast", lambda g: calls.append(g) or rho2(g))
+    stacks, singles = [], []
+    rho2_many = verify._rho2_many
+    monkeypatch.setattr(verify, "_rho2_many", lambda d: stacks.append(d.shape) or rho2_many(d))
+    for module in (cli, verify):
+        monkeypatch.setattr(module, "rho2_fast", lambda g: singles.append(g))
     code, out, _ = run(capsys, "verify", "monotonicity", "--order", "5")
     assert code == 0
-    classes = [g for n in range(2, 6) for g in connected_graph_classes(n)]
-    assert len(calls) == len(classes) + sum(len(g.edges) for g in classes)
+    assert singles == []
+    assert len(stacks) <= 2 * 4  # the classes and their edge deletions, per order 2..5
+    classes = sum(len(verify.connected_graph_classes(n)) for n in range(2, 6))
+    assert sum(shape[0] for shape in stacks) == classes + json.loads(out)["payload"]["checked"]
     golden = pathlib.Path(__file__).parent / "golden" / "verify_monotonicity5.out"
     assert out.encode("utf-8") == golden.read_bytes()
 

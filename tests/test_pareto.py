@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from distpareto.errors import CapExceededError, DisconnectedGraphError, EigensolverError
-from distpareto.graph import distance_matrix, make_family, make_graph
+from distpareto.graph import delete_edge, distance_matrix, make_family, make_graph
 from distpareto import pareto
 from distpareto.pareto import (
     mu_k,
@@ -474,6 +474,58 @@ def test_rho2_screen_matches_kernel_on_every_deletion():
         assert np.all(np.abs(screened - kernel) <= 1e-12 * np.maximum(1.0, kernel)), g
         checked += 1
     assert checked == 78 * 4 + 1 + 28 * 5 + 27 + 68
+
+
+def _rho2_pairs(graphs):
+    """``_rho2_many`` on the stacked distance matrices of ``graphs``, as (value, vertex) pairs."""
+    values, witnesses = pareto._rho2_many(np.stack([distance_matrix(g).d for g in graphs]))
+    return list(zip(values.tolist(), witnesses.tolist()))
+
+
+def test_rho2_many_equals_rho2_fast_on_classes_and_edge_deletions(classes_by_order):
+    for n in range(2, 7):
+        graphs = classes_by_order[n]
+        assert _rho2_pairs(graphs) == [rho2_fast(g) for g in graphs], n
+        deletions = []
+        for g in graphs:
+            for e in g.sorted_edges():
+                h = delete_edge(g, e)
+                try:
+                    distance_matrix(h)
+                except DisconnectedGraphError:
+                    continue
+                deletions.append(h)
+        if deletions:
+            assert _rho2_pairs(deletions) == [rho2_fast(h) for h in deletions], n
+
+
+def test_rho2_many_equals_rho2_fast_on_trees_and_symmetric_graphs():
+    from distpareto.verify import trees_upto_iso
+
+    for n in range(3, 11):
+        trees = trees_upto_iso(n)
+        assert _rho2_pairs(trees) == [rho2_fast(t) for t in trees], n
+    k2 = fam("complete", 2)  # no non-pendant vertex: both deletions are candidates
+    assert _rho2_pairs([k2]) == [rho2_fast(k2)] == [(0.0, 0)]
+    # every deletion of these ties, so the witness is the smallest vertex
+    for n in range(3, 13):
+        for g in (fam("complete", n), fam("cycle", n)):
+            assert _rho2_pairs([g]) == [rho2_fast(g)] and rho2_fast(g)[1] == 0, g
+    for a in range(1, 7):
+        for b in range(max(a, 2), 8):
+            g = fam("complete_bipartite", a, b)
+            pair = rho2_fast(g)
+            assert _rho2_pairs([g]) == [pair], g
+            if a == b:
+                assert pair[1] == 0, g
+
+
+def test_empty_stacks():
+    for k in (1, 2, 3, 5):
+        rows = np.array(list(itertools.combinations(range(6), k)), dtype=np.intp)
+        assert pareto._perron_roots_for_rows(np.empty((0, 6, 6)), rows).shape == (0, rows.shape[0])
+    values, witnesses = pareto._rho2_many(np.empty((0, 5, 5), dtype=np.int64))
+    assert values.shape == witnesses.shape == (0,)
 
 
 def _flat_witnesses(g):

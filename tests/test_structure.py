@@ -1,7 +1,8 @@
 """Source-level guards: one eigensolver site, one stacked eigenpair path, linear
 algebra only in ``spectral``, one thread pool, one distance routine, no second
 sweep, one JSON writer, one witness decode, one all-subsets pass, no
-labeled-tree sweep and no labeled-graph sweep outside ``connected_graphs_labeled``."""
+labeled-tree sweep, no labeled-graph sweep outside ``connected_graphs_labeled``
+and no sweep that calls ``rho2_fast`` once per graph."""
 
 import ast
 import pathlib
@@ -77,3 +78,16 @@ def test_graph_classes_are_augmented_not_swept():
                 callers += [fn.name for node in ast.walk(fn) if isinstance(node, ast.Call)
                             and getattr(node.func, "id", None) == "_connected_chunks"]
     assert callers == ["connected_graphs_labeled"]
+
+
+def test_sweeps_stack_rho2_instead_of_calling_rho2_fast():
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+                name = getattr(fn, "name", "<lambda>")
+                callers |= {name for node in ast.walk(fn) if isinstance(node, ast.Call)
+                            and "rho2_fast" in (getattr(node.func, "id", None),
+                                                getattr(node.func, "attr", None))}
+    # the rho2 command, the laws catalogue and report context, the one-edge check
+    assert callers == {"_cmd_rho2", "_second", "rho2_pair", "check_edge_monotonicity"}

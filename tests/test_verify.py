@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from distpareto.errors import CapExceededError, DisconnectedGraphError
-from distpareto.graph import distance_matrix, make_family, make_graph
+from distpareto.graph import delete_edge, distance_matrix, make_family, make_graph
 from distpareto import pareto, verify
 from distpareto.pareto import pareto_count, pareto_eigenpair
 from distpareto.verify import (
@@ -318,6 +318,28 @@ def test_monotonicity_sweep_with_strictness_rule(classes_by_order):
                 assert rep.holds, rep
                 if any(v not in e for v in achievers):
                     assert rep.details["relation"] == "strict_increase", (g, e, rep)
+
+
+def _rho2_fast_monotonicity_reports(order):
+    """The monotonicity sweep with one ``rho2_fast`` per class and per connected edge deletion."""
+    for n in range(2, order + 1):
+        for g in connected_graph_classes(n):
+            before, _ = pareto.rho2_fast(g)
+            for e in g.sorted_edges():
+                try:
+                    after, _ = pareto.rho2_fast(delete_edge(g, e))
+                except DisconnectedGraphError:
+                    continue
+                yield verify._edge_monotonicity(g, e, before, after)
+
+
+def test_monotonicity_sweep_equals_rho2_fast_reference():
+    reports = list(verify._monotonicity_reports(6))
+    assert len(reports) == sum(
+        1 for n in range(2, 7) for g in connected_graph_classes(n) for e in g.sorted_edges()
+        if verify._is_connected(delete_edge(g, e)))
+    for got, want in itertools.zip_longest(reports, _rho2_fast_monotonicity_reports(6)):
+        assert got == want
 
 
 # ---------------------------------------------------------------------------
