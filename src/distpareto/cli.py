@@ -66,6 +66,16 @@ EXIT_DISCONNECTED = 4
 
 _PLAIN = frozenset({bool, int, str, type(None)})  # scalar types JSON takes unchanged
 _DIGITS12 = "{:.12g}".format  # floats are printed to 12 significant digits
+_BLOCK = 4096  # numbers per piece of an array leaf's JSON text
+
+
+@dataclasses.dataclass(frozen=True)
+class _Ragged:
+    """JSON array leaf: a list of int lists, as their concatenated entries ``flat``
+    and the length of each list, ``sizes``."""
+
+    flat: np.ndarray
+    sizes: np.ndarray
 
 
 def _jsonable(obj):
@@ -75,7 +85,9 @@ def _jsonable(obj):
     field) becomes None, numpy scalars become Python scalars, tuples become
     lists and keys become str.  A list of plain scalars, or of lists of them,
     is converted as a whole, and a plain scalar in a dict is kept as it is;
-    anything else element by element.
+    anything else element by element.  The array leaves, a 1-D float
+    ``np.ndarray`` and a ``_Ragged``, are kept as they are: ``_layout`` writes
+    them as the lists they stand for would be written after this conversion.
     """
     if isinstance(obj, dict):
         return {str(k): v if type(v) in _PLAIN else _jsonable(v) for k, v in obj.items()}
@@ -93,11 +105,13 @@ def _jsonable(obj):
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
-        v = float(obj)
-        if v != v:  # NaN marks inapplicable numeric fields
-            return None
-        return float(_DIGITS12(v))
+        return _rounded(float(obj))
     return obj
+
+
+def _rounded(v: float) -> float | None:
+    """A float as ``_jsonable`` keeps it: None for NaN, else rounded to 12 digits."""
+    return None if v != v else float(_DIGITS12(v))
 
 
 def _graph_summary(g: Graph) -> dict:
@@ -131,29 +145,36 @@ def _encoder(level: int) -> json.JSONEncoder:
 
 
 def _scalars(items) -> bool:
-    """Whether no item is a container (checked per type, not per item)."""
-    return not any(issubclass(t, (dict, list)) for t in set(map(type, items)))
+    """Whether no item is a container or an array leaf (checked per type, not per item)."""
+    return not any(issubclass(t, (dict, list, np.ndarray, _Ragged)) for t in set(map(type, items)))
 
 
-def _layout(obj, level: int) -> str:
-    """``obj``, normalised by ``_jsonable``, in the layout of ``json.dumps`` with
-    sorted keys and a 2-space indent, opened at nesting ``level``.
+def _layout(obj, level: int):
+    """Yield ``obj``, normalised by ``_jsonable``, as pieces of the text of
+    ``json.dumps`` with sorted keys and a 2-space indent, opened at nesting ``level``.
 
     Each container of scalars, and each list of nonempty lists of scalars, is
-    encoded by the C encoder in one call; only the containers above them are
-    walked here.
+    one piece from one call of the C encoder; an array leaf comes in pieces of
+    about ``_BLOCK`` numbers (``_float_pieces``, ``_ragged_pieces``).  Only the
+    containers above them are walked here.
     """
+    if isinstance(obj, np.ndarray):
+        yield from _float_pieces(obj, level)
+        return
+    if isinstance(obj, _Ragged):
+        yield from _ragged_pieces(obj, level)
+        return
     if not isinstance(obj, (dict, list)) or not obj:
-        return json.dumps(obj)
+        yield json.dumps(obj)
+        return
     pad, inner = "  " * level, "  " * (level + 1)
     is_dict = isinstance(obj, dict)
+    opening, closing = "{}" if is_dict else "[]"
     if _scalars(obj.values() if is_dict else obj):
         body = _encoder(level + 1).encode(obj)[1:-1]
-    elif is_dict:
-        body = (",\n" + inner).join(
-            f"{json.dumps(k)}: {_layout(obj[k], level + 1)}" for k in sorted(obj)
-        )
-    elif set(map(type, obj)) == {list} and all(obj) and _scalars(itertools.chain.from_iterable(obj)):
+    elif not is_dict and set(map(type, obj)) == {list} and all(obj) and _scalars(
+        itertools.chain.from_iterable(obj)
+    ):
         # Encoded with the sublists' separator, then each sublist is closed and
         # the next opened on lines of their own.  A scalar neither ends in "]"
         # nor starts with "[", and an encoded string holds no newline, so
@@ -163,13 +184,65 @@ def _layout(obj, level: int) -> str:
         between = f"\n{inner}],\n{inner}[{deep}"
         body = f"[{deep}" + text.replace(f"],{deep}[", between) + f"\n{inner}]"
     else:
-        body = (",\n" + inner).join(_layout(v, level + 1) for v in obj)
-    opening, closing = "{}" if is_dict else "[]"
-    return f"{opening}\n{inner}{body}\n{pad}{closing}"
+        sep = opening + "\n" + inner
+        for key in sorted(obj) if is_dict else range(len(obj)):
+            yield f"{sep}{json.dumps(key)}: " if is_dict else sep
+            yield from _layout(obj[key], level + 1)
+            sep = ",\n" + inner
+        yield f"\n{pad}{closing}"
+        return
+    yield f"{opening}\n{inner}{body}\n{pad}{closing}"
 
 
-def _emit_json(doc: dict) -> str:
-    return _layout(doc, 0) + "\n"
+def _float_pieces(a: np.ndarray, level: int):
+    """A 1-D float array as the JSON list of its ``_jsonable`` roundings, in
+    pieces of ``_BLOCK`` numbers, each from one ``%`` format call.
+
+    ``%.12g`` writes a rounded float r as ``repr(r)`` does except where r is
+    an integer ("4" for 4.0), has a decimal exponent of 12 to 15 (``repr``
+    writes those positionally) or is subnormal (where ``repr`` may need fewer
+    digits), and NaN and +-inf are written null and +-Infinity.  Each of these
+    lies within 1e-11 relative of an integer (|v| >= 5e10 and |v| <= 1e-11 always
+    do), or is NaN; numbers that do are written one by one through ``_rounded``.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    if a.size == 0:
+        yield "[]"
+        return
+    inner = "  " * (level + 1)
+    sep = ",\n" + inner
+    for lo in range(0, a.size, _BLOCK):
+        block = a[lo : lo + _BLOCK]
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the test
+            plain = np.abs(block - np.rint(block)) > 1e-11 * np.maximum(1.0, np.abs(block))
+        args = block.tolist()
+        fmts = ["%.12g"] * len(args)
+        for i in np.flatnonzero(~plain).tolist():
+            fmts[i], args[i] = "%s", json.dumps(_rounded(args[i]))
+        yield ("[\n" + inner if lo == 0 else sep) + sep.join(fmts) % tuple(args)
+    yield "\n" + "  " * level + "]"
+
+
+def _ragged_pieces(r: _Ragged, level: int):
+    """A ``_Ragged`` as the JSON list of its int lists, in pieces of about
+    ``_BLOCK`` entries (whole lists; a list counts one more than its length),
+    each from one ``%`` format call with one format string per list length."""
+    if r.sizes.size == 0:
+        yield "[]"
+        return
+    inner, deep = "  " * (level + 1), "\n" + "  " * (level + 2)
+    sep = ",\n" + inner
+    row = {k: f"[{deep}" + f",{deep}".join(["%d"] * k) + f"\n{inner}]" if k else "[]"
+           for k in np.unique(r.sizes).tolist()}
+    ends = np.cumsum(r.sizes)
+    weight = ends + np.arange(1, ends.size + 1)
+    cuts = np.unique(np.searchsorted(weight, np.arange(_BLOCK, weight[-1], _BLOCK), side="right"))
+    bounds = [0, *cuts[(cuts > 0) & (cuts < ends.size)].tolist(), ends.size]
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        fmt = sep.join(map(row.__getitem__, r.sizes[a:b].tolist()))
+        entries = r.flat[ends[a] - r.sizes[a] : ends[b - 1]].tolist()
+        yield ("[\n" + inner if a == 0 else sep) + fmt % tuple(entries)
+    yield "\n" + "  " * level + "]"
 
 
 def _emit_table(doc: dict) -> str:
@@ -248,12 +321,16 @@ def _emit_csv(doc: dict) -> str:
     return out.getvalue()
 
 
-def _emit(doc: dict, fmt: str) -> str:
+def _write(doc: dict, fmt: str) -> None:
+    """Write ``doc`` to stdout in ``fmt``.  JSON goes out piece by piece as
+    ``_layout`` yields it, so the whole document is never one string."""
+    write = sys.stdout.write
     if fmt == "json":
-        return _emit_json(doc)
-    if fmt == "csv":
-        return _emit_csv(doc)
-    return _emit_table(doc)
+        for piece in _layout(doc, 0):
+            write(piece)
+        write("\n")
+    else:
+        write(_emit_csv(doc) if fmt == "csv" else _emit_table(doc))
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +350,11 @@ def _add_common_flags(p: argparse.ArgumentParser, jobs_help: str) -> None:
     p.add_argument("--jobs", type=int, default=1, help=jobs_help)
 
 
+def _chunks(fh):
+    """Fixed-size reads of the text file ``fh``, from where it stands to its end."""
+    return iter(functools.partial(fh.read, 1 << 16), "")
+
+
 def _load_graph(args, check_order=lambda n: None) -> Graph:
     """The input graph; ``check_order`` sees its declared order before any edge is read."""
     if args.family:
@@ -282,9 +364,9 @@ def _load_graph(args, check_order=lambda n: None) -> Graph:
         return make_family(name, params)
     if args.edges:
         with open(args.edges, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        check_order(_edge_list_order(text)[0])
-        return parse_edge_list(text)
+            check_order(_edge_list_order(_chunks(fh))[0])  # reads up to the order line
+            fh.seek(0)
+            return parse_edge_list(_chunks(fh))
     with open(args.graph6, "r", encoding="utf-8") as fh:
         line = fh.readline()
     check_order(_graph6_order(line)[0])
@@ -301,21 +383,25 @@ def _cmd_spectrum(args) -> int:
     summary = _graph_summary(g)
     ladder = np.arange(summary["diameter"] + 1)
     # The value nearest each integer is one of its neighbours in the ascending values.
-    values = np.array(spec.values)
+    values = spec.value_array
     at = np.searchsorted(values, ladder)
     gap = np.minimum(
         abs(values[np.maximum(at - 1, 0)] - ladder),
         abs(values[np.minimum(at, values.size - 1)] - ladder),
     )
     present = bool((gap <= 1e-8 * np.maximum(1.0, ladder)).all())
+    if args.format == "json":  # array leaves, formatted block by block
+        witnesses = _Ragged(*spec.witness_rows)
+    else:
+        values, witnesses = spec.values, spec.witnesses
     payload = {
-        "values": spec.values,
-        "witnesses": spec.witnesses,
+        "values": values,
+        "witnesses": witnesses,
         "count": spec.count,
         "integer_ladder": {"integers": ladder.tolist(), "all_present": present},
         "dedup_tolerance": spec.dedup_tolerance,
     }
-    sys.stdout.write(_emit(_document("spectrum", payload, summary), args.format))
+    _write(_document("spectrum", payload, summary), args.format)
     return EXIT_OK
 
 
@@ -329,7 +415,7 @@ def _cmd_rho2(args) -> int:
     if args.bounds:
         payload["bounds"] = [{f: getattr(b, f) for f in _BOUND_COLUMNS}
                              for b in bound_report(g, rho2=pair)]
-    sys.stdout.write(_emit(_document("rho2", payload, _graph_summary(g)), args.format))
+    _write(_document("rho2", payload, _graph_summary(g)), args.format)
     return EXIT_OK
 
 
@@ -355,7 +441,7 @@ def _cmd_formulas(args) -> int:
         "brute_force_value": brute,
         "abs_diff": diff,
     }
-    sys.stdout.write(_emit(_document("formulas", payload), args.format))
+    _write(_document("formulas", payload), args.format)
     return EXIT_OK
 
 
@@ -470,7 +556,7 @@ def _cmd_verify(args) -> int:
         raise CapExceededError(f"verify {args.suite} limited to --order <= {top}")
     payload: dict = {"suite": args.suite, "params": {"order": args.order}}
     payload.update(run(args))
-    sys.stdout.write(_emit(_document("verify", payload), args.format))
+    _write(_document("verify", payload), args.format)
     return EXIT_OK if payload["holds"] else EXIT_VIOLATION
 
 

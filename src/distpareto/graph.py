@@ -20,8 +20,9 @@ in reports are reproducible across runs:
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -235,10 +236,33 @@ def make_family(family: str, params: Sequence[int]) -> Graph:
 # Parsers
 
 
-def _edge_list_order(text: str):
+# The line boundaries of str.splitlines; "\r\n" is one boundary.
+_LINE_BREAK = re.compile("\r\n|[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
+
+
+def _split_lines(chunks: Iterable[str]) -> Iterator[str]:
+    """The lines of the text that ``chunks`` join to, exactly as ``str.splitlines``
+    gives them, taking one chunk at a time."""
+    rest = ""
+    for chunk in chunks:
+        text = rest + chunk
+        held = text.endswith("\r")  # may be the first half of "\r\n"
+        lines = _LINE_BREAK.split(text[:-1] if held else text)
+        rest = lines.pop() + ("\r" if held else "")
+        yield from lines
+    if rest:
+        yield rest.removesuffix("\r")
+
+
+def _edge_list_order(text: str | Iterable[str]):
     """The vertex count an edge list declares on its first line that is neither blank
-    nor a comment, and an iterator over the (line number, line) pairs of such lines after it."""
-    lines = ((lineno, line) for lineno, raw in enumerate(text.splitlines(), start=1)
+    nor a comment, and an iterator over the (line number, line) pairs of such lines after it.
+
+    ``text`` is the whole text or an iterable of its chunks, such as fixed-size
+    reads of a file; chunks are taken only as far as the lines are read.
+    """
+    chunks = [text] if isinstance(text, str) else text
+    lines = ((lineno, line) for lineno, raw in enumerate(_split_lines(chunks), start=1)
              if (line := raw.strip()) and not line.startswith("#"))
     lineno, line = next(lines, (0, None))
     if line is None:
@@ -252,11 +276,12 @@ def _edge_list_order(text: str):
     return n, lines
 
 
-def parse_edge_list(text: str) -> Graph:
-    """Parse the line-oriented edge-list format.
+def parse_edge_list(text: str | Iterable[str]) -> Graph:
+    """Parse the line-oriented edge-list format, given whole or in chunks.
 
     First non-comment line is the order n; every following non-comment line is
     an edge ``u v``.  ``#`` starts a comment line.  Duplicate edges collapse.
+    Lines end where ``str.splitlines`` ends them.
     """
     n, lines = _edge_list_order(text)
     edges: set[tuple[int, int]] = set()

@@ -7,7 +7,9 @@ canonical order (ascending cardinality, lexicographic within a cardinality),
 computes each Perron root with a full symmetric eigendecomposition batched by
 subset size, then deduplicates with a relative tolerance.  The witness kept
 for each distinct value is the first subset in canonical order, i.e. the
-lexicographically smallest one of smallest cardinality.
+lexicographically smallest one of smallest cardinality.  The spectrum keeps
+the values and the witnesses' canonical flat indices as arrays; ``_decode``
+turns the indices into vertex labels only when the witnesses are read.
 
 ``_perron_roots_for_rows`` is the one gather-and-solve kernel: it serves the
 spectrum, ``rho2_fast`` and the batched sweeps in ``verify``, and hands the
@@ -66,30 +68,65 @@ _GATHER_BYTES = 16 << 20  # bytes of gathered work array per batched call
 _SCREEN_WINDOW = 1e-9  # rho2_fast recomputes deletions screened this close to the top
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParetoSpectrum:
-    """Distinct distance Pareto eigenvalues of one graph, ascending."""
+    """Distinct distance Pareto eigenvalues of one graph, ascending, one witness each.
 
-    values: tuple[float, ...]
-    witnesses: tuple[tuple[int, ...], ...]
+    The spectrum is held as read-only arrays: ``value_array`` (float64) and
+    ``witness_index``, the canonical flat index of each witness subset.  The
+    tuple forms ``values`` and ``witnesses`` are built on first read; two
+    spectra are equal when those forms, the tolerance and the order are.
+    """
+
+    value_array: np.ndarray
+    witness_index: np.ndarray
     dedup_tolerance: float
     graph_order: int
 
+    @functools.cached_property
+    def values(self) -> tuple[float, ...]:
+        return tuple(self.value_array.tolist())
+
+    @functools.cached_property
+    def witness_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The witnesses' vertex labels, concatenated in value order, and the size of each."""
+        return _decode(self.witness_index, _subsets_by_size(self.graph_order))
+
+    @functools.cached_property
+    def witnesses(self) -> tuple[tuple[int, ...], ...]:
+        labels, sizes = self.witness_rows
+        ends = np.cumsum(sizes)
+        rows = map(slice, (ends - sizes).tolist(), ends.tolist())
+        return tuple(map(tuple, map(labels.tolist().__getitem__, rows)))
+
     @property
     def count(self) -> int:
-        return len(self.values)
+        return self.value_array.size
 
     def rho_k(self, k: int) -> float:
         """k-th largest distinct value (k = 1 is the spectral radius)."""
         if not (1 <= k <= self.count):
             raise ValueError(f"k must be in 1..{self.count}, got {k}")
-        return self.values[-k]
+        return float(self.value_array[-k])
 
     def mu_k(self, k: int) -> float:
         """k-th smallest distinct value (k = 1 is always 0)."""
         if not (1 <= k <= self.count):
             raise ValueError(f"k must be in 1..{self.count}, got {k}")
-        return self.values[k - 1]
+        return float(self.value_array[k - 1])
+
+    def __eq__(self, other):
+        if not isinstance(other, ParetoSpectrum):
+            return NotImplemented
+        # equal flat indices at one order are equal witness subsets
+        return (
+            (self.dedup_tolerance, self.graph_order) == (other.dedup_tolerance, other.graph_order)
+            and np.array_equal(self.value_array, other.value_array)
+            and np.array_equal(self.witness_index, other.witness_index)
+        )
+
+    def __hash__(self):
+        return hash((self.values, self.dedup_tolerance, self.graph_order))
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,21 +294,25 @@ def _distinct_counts(dmats: np.ndarray, tol: float) -> np.ndarray:
     return 1 + _breaks(values, tol).sum(axis=-1)
 
 
-def _decode(witness_idx: np.ndarray, subsets: Mapping[int, np.ndarray]) -> tuple[tuple[int, ...], ...]:
-    """Subsets at the canonical flat indices ``witness_idx``, in the same order.
+def _decode(witness_idx: np.ndarray, subsets: Mapping[int, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The labels of the subsets at the canonical flat indices ``witness_idx``,
+    concatenated in the same order, and the size of each subset.
 
-    Sorting the indices groups them by size, so each size's rows come from one
-    fancy index into ``subsets[k]``.
+    Each size's rows come from one fancy index into ``subsets[k]`` and go to
+    their places in the output with one scatter.
     """
     offsets = _size_offsets(subsets)
-    order = np.argsort(witness_idx)
-    flat = witness_idx[order]
-    cuts = np.searchsorted(flat, offsets)  # flat[cuts[k-1]:cuts[k]] are subsets of size k
-    rows: list[tuple[int, ...]] = []
-    for k in range(1, len(offsets)):
-        sel = flat[cuts[k - 1] : cuts[k]] - offsets[k - 1]
-        rows += map(tuple, subsets[k][sel].tolist())
-    return tuple(map(rows.__getitem__, np.argsort(order).tolist()))  # back to input order
+    sizes = np.searchsorted(offsets, witness_idx, side="right")  # offsets[k-1] <= idx < offsets[k]
+    ends = np.cumsum(sizes)
+    labels = np.empty(int(ends[-1]) if ends.size else 0, dtype=np.uint8)
+    order = np.argsort(witness_idx)  # grouped by size
+    cuts = np.searchsorted(witness_idx[order], offsets)  # size k at order[cuts[k-1]:cuts[k]]
+    for k, rows in subsets.items():
+        sel = order[cuts[k - 1] : cuts[k]]
+        labels[(ends[sel] - k)[:, None] + np.arange(k)] = rows[witness_idx[sel] - offsets[k - 1]]
+    labels.setflags(write=False)
+    sizes.setflags(write=False)
+    return labels, sizes
 
 
 # ---------------------------------------------------------------------------
@@ -302,12 +343,9 @@ def pareto_spectrum(
     subsets = _subsets_by_size(g.n)
     values = _all_subset_values(distance_matrix(g).d, subsets, jobs)
     reps, witness_idx = _dedup(values, dedup_tolerance)
-    return ParetoSpectrum(
-        values=tuple(reps.tolist()),
-        witnesses=_decode(witness_idx, subsets),
-        dedup_tolerance=dedup_tolerance,
-        graph_order=g.n,
-    )
+    reps.setflags(write=False)
+    witness_idx.setflags(write=False)
+    return ParetoSpectrum(reps, witness_idx, dedup_tolerance, g.n)
 
 
 def pareto_count(g: Graph, **kwargs) -> int:

@@ -1,6 +1,8 @@
 import json
 import math
 import pathlib
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -294,7 +296,13 @@ def test_spectrum_rejects_invalid_tolerance(capsys, value):
 
 
 def _reference_jsonable(obj):
-    """The element-by-element conversion the JSON writer must reproduce."""
+    """The element-by-element conversion the JSON writer must reproduce; an array
+    leaf stands for its list form."""
+    if isinstance(obj, np.ndarray):
+        return _reference_jsonable(obj.tolist())
+    if isinstance(obj, cli._Ragged):
+        ends = np.cumsum(obj.sizes).tolist()
+        return [obj.flat[e - k : e].tolist() for e, k in zip(ends, obj.sizes.tolist())]
     if isinstance(obj, dict):
         return {str(k): _reference_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -331,10 +339,20 @@ _SCALARS = st.one_of(
     _FLOATS.map(np.float64),
     st.floats(width=32).map(np.float32),
 )
+
+
+def _ragged(rows) -> cli._Ragged:
+    return cli._Ragged(np.array([x for r in rows for x in r], dtype=np.int64),
+                       np.array([len(r) for r in rows], dtype=np.intp))
+
+
+# the writer's array leaves, empty ones included
+_FLOAT_ARRAYS = st.lists(_FLOATS, max_size=7).map(lambda xs: np.array(xs, dtype=np.float64))
+_RAGGED = st.lists(st.lists(st.integers(-(2**63), 2**63 - 1), max_size=4), max_size=6).map(_ragged)
 _KEYS = st.one_of(st.text(max_size=4), st.integers(-3, 3), st.booleans(), st.none(),
                   st.floats(allow_nan=False))
 _DOCS = st.recursive(
-    _SCALARS,
+    st.one_of(_SCALARS, _FLOAT_ARRAYS, _RAGGED),
     lambda kids: st.one_of(
         st.lists(kids, max_size=5),
         st.lists(kids, max_size=3).map(tuple),
@@ -346,20 +364,113 @@ _DOCS = st.recursive(
 )
 
 
+def _written(doc) -> str:
+    """The text ``cli._write`` sends to stdout for the JSON document ``doc``."""
+    return "".join(cli._layout(doc, 0)) + "\n"
+
+
 @settings(max_examples=400, deadline=None)
-@given(_DOCS)
-def test_json_writer_matches_indented_dumps(doc):
+@given(_DOCS, st.sampled_from([1, 2, 3, cli._BLOCK]))
+def test_json_writer_matches_indented_dumps(doc, block):
     expected = json.dumps(_reference_jsonable(doc), sort_keys=True, indent=2) + "\n"
-    assert cli._emit_json(cli._jsonable(doc)) == expected
+    with mock.patch.object(cli, "_BLOCK", block):  # array leaves split into several pieces
+        assert _written(cli._jsonable(doc)) == expected
+
+
+def _neighbours(v: float, steps: int) -> float:
+    """``v`` moved by ``steps`` units in the last place."""
+    for _ in range(abs(steps)):
+        v = math.nextafter(v, math.copysign(math.inf, steps))
+    return v
+
+
+# Floats whose 12-digit text differs from repr's, and their neighbours: zeros, values
+# that round to integers, 1e-5, the decades 1e11..1e16 where %.12g switches to an
+# exponent before repr does, and subnormals.
+_ADVERSARIAL = st.tuples(
+    st.one_of(
+        st.sampled_from([0.0, 1e-5, 3.9999999999999, 0.9999999999996, 0.5, 9.99999999999e11,
+                         999999999999.5, 1e12, 1e15, 9.9999999999999e15, 1e16, 1e17,
+                         2.2250738585072014e-308, 5e-324, 1.5e-323, 1e-310, 123456.7890125]),
+        st.integers(-(10**13), 10**13).map(float),
+        st.tuples(st.integers(-(10**12), 10**12), st.floats(-6e-12, 6e-12)).map(
+            lambda t: t[0] * (1.0 + t[1]) + t[1]),
+        st.floats(9.99999999999e11, 1e16),
+        st.floats(-2.3e-308, 2.3e-308),
+        st.floats(allow_nan=False, allow_infinity=False),
+    ),
+    st.integers(-2, 2),
+    st.booleans(),
+).map(lambda t: _neighbours(-t[0] if t[2] else t[0], t[1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ADVERSARIAL, min_size=1, max_size=12))
+def test_float_leaf_matches_twelve_digit_repr(xs):
+    expected = ["null" if v != v else json.dumps(float(f"{v:.12g}")) for v in xs]
+    text = "".join(cli._float_pieces(np.array(xs), 0))
+    assert text == "[\n  " + ",\n  ".join(expected) + "\n]"
 
 
 def test_json_writer_matches_indented_dumps_on_a_spectrum():
     from distpareto.pareto import pareto_spectrum
 
     spec = pareto_spectrum(make_family("wheel", [7]))
-    doc = {"values": spec.values, "witnesses": spec.witnesses, "empty": [[], {}], "nested": [[[1]]]}
+    empty = np.empty(0, dtype=np.intp)
+    doc = {"values": spec.values, "witnesses": spec.witnesses, "empty": [[], {}], "nested": [[[1]]],
+           "value_array": spec.value_array, "witness_rows": cli._Ragged(*spec.witness_rows),
+           "no_values": np.empty(0), "no_rows": cli._Ragged(empty, empty)}
     expected = json.dumps(_reference_jsonable(doc), sort_keys=True, indent=2) + "\n"
-    assert cli._emit_json(cli._jsonable(doc)) == expected
+    for block in (1, 5, cli._BLOCK):
+        with mock.patch.object(cli, "_BLOCK", block):
+            assert _written(cli._jsonable(doc)) == expected
+
+
+_WRITE_BOUND = 128 << 10  # characters in one stdout write of the spectrum command
+
+
+def test_spectrum_json_is_written_in_bounded_pieces_from_the_arrays(tmp_path, monkeypatch):
+    from distpareto import pareto
+    from distpareto.graph import edge_list_text
+    from distpareto.verify import random_connected_graph
+
+    g = random_connected_graph(16, np.random.default_rng(3), extra_edge_prob=0.05)
+    f = tmp_path / "g16.txt"
+    f.write_text(edge_list_text(g))
+    writes = []
+    monkeypatch.setattr(sys, "stdout", mock.Mock(write=writes.append))
+    for name in ("values", "witnesses"):  # the JSON path never builds the tuple forms
+        monkeypatch.setattr(pareto.ParetoSpectrum, name, property(lambda s: pytest.fail("tuples read")))
+    assert cli.main(["spectrum", "--edges", str(f)]) == 0
+    monkeypatch.undo()
+    text = "".join(writes)
+    assert len(text) > 4_000_000  # the whole document, about 4.3 MB
+    assert max(map(len, writes)) <= _WRITE_BOUND
+    spec = pareto.pareto_spectrum(g)
+    payload = json.loads(text)["payload"]
+    assert payload["values"] == [float(f"{v:.12g}") for v in spec.values]
+    assert payload["witnesses"] == [list(w) for w in spec.witnesses]
+
+
+def test_spectrum_cap_reads_an_edge_list_only_up_to_its_order_line(tmp_path, capsys):
+    import tracemalloc
+
+    n = 1000  # K_1000: a 3.9 MB edge list and an 83 kB graph6 line
+    edges = tmp_path / "k1000.txt"
+    edges.write_text(f"{n}\n" + "".join(f"{u} {v}\n" for u in range(n) for v in range(u + 1, n)))
+    g6 = tmp_path / "k1000.g6"
+    g6.write_text("~" + "".join(chr(63 + (n >> s & 63)) for s in (12, 6, 0))
+                  + "~" * (n * (n - 1) // 12) + "\n")
+    peaks = {}
+    for flag, f in (("--graph6", g6), ("--edges", edges)):
+        tracemalloc.start()
+        try:
+            assert cli.main(["spectrum", flag, str(f)]) == cli.EXIT_CAP
+            peaks[flag] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert "exceeds cap 20" in capsys.readouterr().err
+    assert peaks["--edges"] < peaks["--graph6"] + (1 << 20), peaks
 
 
 # ---------------------------------------------------------------------------

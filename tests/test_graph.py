@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from distpareto import graph
 from distpareto.errors import DisconnectedGraphError, GraphParseError
 from distpareto.graph import (
     coalesce,
@@ -58,6 +59,33 @@ def test_parse_errors(text, fragment):
 def test_edge_list_round_trip():
     g = make_family("wheel", [6])
     assert parse_edge_list(edge_list_text(g)).edges == g.edges
+
+
+_LINE_TEXT = st.lists(st.sampled_from(
+    list("ab #0") + ["\r\n", "\r", "\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                     "\u2028", "\u2029", "\x1f", "\t"]), max_size=20).map("".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_LINE_TEXT, st.lists(st.integers(0, 40), max_size=5))
+def test_line_splitter_matches_str_splitlines(text, cuts):
+    bounds = [0, *sorted(min(c, len(text)) for c in cuts), len(text)]
+    chunks = [text[a:b] for a, b in zip(bounds[:-1], bounds[1:])]  # "\r\n" may be cut
+    assert list(graph._split_lines(chunks)) == text.splitlines()
+
+
+def test_edge_list_in_chunks_is_read_only_up_to_the_order_line():
+    taken = []
+
+    def chunks():
+        for piece in ("# c", "omment\r", "\n", " 4 \u2028", "0 1\x0c1 2\n", "2 3"):
+            taken.append(piece)
+            yield piece
+
+    n, lines = graph._edge_list_order(chunks())
+    assert n == 4 and taken == ["# c", "omment\r", "\n", " 4 \u2028"]
+    assert list(lines) == [(3, "0 1"), (4, "1 2"), (5, "2 3")]
+    assert parse_edge_list(chunks()).sorted_edges() == [(0, 1), (1, 2), (2, 3)]
 
 
 def test_family_complete():

@@ -554,6 +554,38 @@ def test_witness_decode_matches_flat_reference():
     assert witnesses[-1] == tuple(range(16))  # the last canonical index
 
 
+def test_witnesses_are_decoded_only_when_read(monkeypatch):
+    from distpareto.laws import bound_report
+    from distpareto.verify import random_connected_graph
+
+    decoded = []
+    real = pareto._decode
+    monkeypatch.setattr(pareto, "_decode", lambda idx, subsets: decoded.append(idx.size) or real(idx, subsets))
+    rng = np.random.default_rng(20240612)
+    graphs = [fam("path", 1), random_connected_graph(2, rng)]
+    graphs += [random_connected_graph(n, rng, extra_edge_prob=0.3) for n in (12, 16)]
+    for g in graphs:
+        specs = [pareto_spectrum(g, jobs=jobs) for jobs in (1, 2)]
+        assert decoded == []
+        flat = list(itertools.chain.from_iterable(
+            itertools.combinations(range(g.n), k) for k in range(1, g.n + 1)))
+        for spec in specs:
+            values, idx = spec.value_array, spec.witness_index
+            assert not values.flags.writeable and not idx.flags.writeable
+            assert spec.values == tuple(float(v) for v in values)
+            assert spec.count == len(spec.values)
+            assert spec.witnesses == tuple(flat[i] for i in idx)  # the reference decode
+            assert spec.witnesses is spec.witnesses
+        assert decoded == [specs[0].count] * 2  # once per spectrum
+        assert np.array_equal(specs[0].value_array, specs[1].value_array)
+        assert np.array_equal(specs[0].witness_index, specs[1].witness_index)
+        assert specs[0] == specs[1] and hash(specs[0]) == hash(specs[1])
+        decoded.clear()
+    assert pareto_spectrum(fam("path", 5)) != pareto_spectrum(fam("star", 5))
+    bound_report(fam("wheel", 8))  # the bound catalogue reads values only
+    assert decoded == []
+
+
 @pytest.mark.parametrize("tol", [-1.0, -1e-12, math.nan, math.inf, -math.inf])
 def test_invalid_dedup_tolerance_rejected(tol):
     with pytest.raises(ValueError, match="tolerance"):
