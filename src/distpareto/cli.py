@@ -10,11 +10,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import io
 import itertools
 import json
 import math
 import sys
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -42,6 +42,7 @@ from .laws import (
 )
 from .pareto import DEFAULT_DEDUP_TOL, _check_order, pareto_spectrum, rho2_fast
 from .verify import (
+    PropertyReport,
     _CLASSES_MAX_ORDER,
     _EXTREMAL_MAX_ORDER,
     _TREE_SUPPORTS_MAX_ORDER,
@@ -245,49 +246,53 @@ def _ragged_pieces(r: _Ragged, level: int):
     yield "\n" + "  " * level + "]"
 
 
-def _emit_table(doc: dict) -> str:
-    out = io.StringIO()
-    gs = doc.get("graph_summary")
-    print(f"command: {doc['command']}  (tool {doc['tool_version']})", file=out)
-    if gs:
-        print(
-            f"graph: order={gs['order']} size={gs['size']} diameter={gs['diameter']}"
-            + (f" name={gs['name']}" if gs.get("name") else ""),
-            file=out,
-        )
-
-    def scalar_list(val):
-        return isinstance(val, list) and not any(isinstance(v, (dict, list)) for v in val)
-
-    def walk(obj, depth=0):
-        pad = "  " * depth
-        if isinstance(obj, dict):
-            for key, val in obj.items():
-                if isinstance(val, dict) or (isinstance(val, list) and not scalar_list(val)):
-                    print(f"{pad}{key}:", file=out)
-                    walk(val, depth + 1)
-                else:
-                    print(f"{pad}{key}: {val}", file=out)
-        elif isinstance(obj, list):
-            for val in obj:
-                if isinstance(val, dict):
-                    walk(val, depth)
-                    print(f"{pad}-", file=out)
-                else:
-                    print(f"{pad}{val}", file=out)
-
-    walk(doc["payload"])
-    return out.getvalue()
+def _leaf_lists(leaf):
+    """An array leaf in the list form ``_jsonable`` gives it, ``_BLOCK`` items at a
+    time: rounded floats for a float array, int lists for a ``_Ragged``."""
+    if isinstance(leaf, np.ndarray):
+        for lo in range(0, leaf.size, _BLOCK):
+            yield _jsonable(leaf[lo : lo + _BLOCK].tolist())
+        return
+    ends = np.cumsum(leaf.sizes)
+    for lo in range(0, ends.size, _BLOCK):
+        sizes = leaf.sizes[lo : lo + _BLOCK].tolist()
+        flat = iter(leaf.flat[ends[lo] - sizes[0] : ends[lo + len(sizes) - 1]].tolist())
+        yield [list(itertools.islice(flat, k)) for k in sizes]
 
 
-def _csv_rows(command: str, payload: dict) -> tuple[list[str], list[list]]:
+def _table_pieces(obj, depth: int):
+    """Yield the table text of a payload: a nested dict or list goes below its key,
+    indented, with ``-`` after each dict of a list, and a list of scalars on its
+    key's line as Python writes it.  A float array is such a list, written a
+    block at a time; a ``_Ragged`` is a nested list, one row a line."""
+    pad = "  " * depth
+    if isinstance(obj, dict):
+        for key, val in obj.items():
+            if isinstance(val, np.ndarray):
+                yield f"{pad}{key}: ["
+                for i, block in enumerate(_leaf_lists(val)):
+                    yield (", " if i else "") + ", ".join(map(repr, block))
+                yield "]\n"
+            elif isinstance(val, (dict, _Ragged)) or isinstance(val, list) and not _scalars(val):
+                yield f"{pad}{key}:\n"
+                yield from _table_pieces(val, depth + 1)
+            else:
+                yield f"{pad}{key}: {val}\n"
+        return
+    rows = itertools.chain.from_iterable(_leaf_lists(obj)) if isinstance(obj, _Ragged) else obj
+    for val in rows:
+        if isinstance(val, dict):
+            yield from _table_pieces(val, depth)
+            yield f"{pad}-\n"
+        else:
+            yield f"{pad}{val}\n"
+
+
+def _csv_rows(command: str, payload: dict) -> tuple[list[str], Iterable[list]]:
     if command == "spectrum":
-        header = ["value", "witness"]
-        rows = [
-            [v, " ".join(str(x) for x in w)]
-            for v, w in zip(payload["values"], payload["witnesses"])
-        ]
-        return header, rows
+        values, witnesses = (itertools.chain.from_iterable(_leaf_lists(payload[k]))
+                             for k in ("values", "witnesses"))
+        return ["value", "witness"], ([v, " ".join(map(str, w))] for v, w in zip(values, witnesses))
     if command == "rho2":
         if "bounds" in payload:
             header = [
@@ -309,28 +314,30 @@ def _csv_rows(command: str, payload: dict) -> tuple[list[str], list[list]]:
     raise ValueError(f"no csv layout for command {command!r}")
 
 
-def _emit_csv(doc: dict) -> str:
-    import csv as _csv
-
-    header, rows = _csv_rows(doc["command"], doc["payload"])
-    out = io.StringIO()
-    writer = _csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    return out.getvalue()
-
-
 def _write(doc: dict, fmt: str) -> None:
-    """Write ``doc`` to stdout in ``fmt``.  JSON goes out piece by piece as
-    ``_layout`` yields it, so the whole document is never one string."""
+    """Write ``doc`` to stdout in ``fmt``, each piece as it is formatted, so the
+    whole output never exists as one string.  Array leaves go out a block, or
+    for a ``_Ragged`` in CSV and table a row, at a time."""
     write = sys.stdout.write
     if fmt == "json":
         for piece in _layout(doc, 0):
             write(piece)
         write("\n")
+    elif fmt == "csv":
+        import csv
+
+        header, rows = _csv_rows(doc["command"], doc["payload"])
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
     else:
-        write(_emit_csv(doc) if fmt == "csv" else _emit_table(doc))
+        write(f"command: {doc['command']}  (tool {doc['tool_version']})\n")
+        gs = doc["graph_summary"]
+        if gs:
+            write(f"graph: order={gs['order']} size={gs['size']} diameter={gs['diameter']}"
+                  + (f" name={gs['name']}" if gs.get("name") else "") + "\n")
+        for piece in _table_pieces(doc["payload"], 0):
+            write(piece)
 
 
 # ---------------------------------------------------------------------------
@@ -390,13 +397,9 @@ def _cmd_spectrum(args) -> int:
         abs(values[np.minimum(at, values.size - 1)] - ladder),
     )
     present = bool((gap <= 1e-8 * np.maximum(1.0, ladder)).all())
-    if args.format == "json":  # array leaves, formatted block by block
-        witnesses = _Ragged(*spec.witness_rows)
-    else:
-        values, witnesses = spec.values, spec.witnesses
-    payload = {
+    payload = {  # array leaves, written block by block in every format
         "values": values,
-        "witnesses": witnesses,
+        "witnesses": _Ragged(*spec.witness_rows),
         "count": spec.count,
         "integer_ladder": {"integers": ladder.tolist(), "all_present": present},
         "dedup_tolerance": spec.dedup_tolerance,
@@ -445,76 +448,34 @@ def _cmd_formulas(args) -> int:
     return EXIT_OK
 
 
-def _tally(reports) -> tuple[int, list[dict]]:
-    """Count the reports and collect the ones that do not hold, in order."""
-    checked = 0
-    violations = []
-    for rep in reports:
-        checked += 1
-        if not rep.holds:
-            violations.append({"instance": rep.instance, "counterexample": rep.counterexample})
-    return checked, violations
+def _convexity_sweep(order: int):
+    return (rep for n in range(2, order + 1) for t in trees_upto_iso(n)
+            for rep in _tree_convexity_reports(t))
 
 
-def _suite_convexity(order: int) -> tuple[int, list[dict]]:
-    return _tally(
-        rep
-        for n in range(2, order + 1)
-        for t in trees_upto_iso(n)
-        for rep in _tree_convexity_reports(t)
-    )
-
-
-def _suite_monotonicity(order: int) -> tuple[int, list[dict]]:
-    return _tally(_monotonicity_reports(order))
-
-
-def _suite_quasiconvex(order: int) -> tuple[int, list[dict]]:
+def _quasiconvex_sweep(order: int):
     attachments = [
         make_family("complete", [2]),
         make_family("complete", [3]),
         make_family("path", [3]),
     ]
-    return _tally(
-        check_coalescence_quasiconvexity(t, h, 0)
-        for n in range(3, order + 1)
-        for t in trees_upto_iso(n)
-        for h in attachments
-    )
+    return (check_coalescence_quasiconvexity(t, h, 0)
+            for n in range(3, order + 1) for t in trees_upto_iso(n) for h in attachments)
 
 
-def _suite_tree_extremes(order: int) -> tuple[int, list[dict]]:
-    return _tally(check_tree_extremes(n) for n in range(3, order + 1))
-
-
-def _suite_bounds_sweep(order: int, random_count: int, seed: int) -> tuple[int, list[dict]]:
-    checked = 0
-    violations = []
-
-    def run(g: Graph) -> None:
-        nonlocal checked
-        for b in bound_report(g):
-            if not b.applicable:
-                continue
-            checked += 1
-            if b.slack < -1e-8:
-                violations.append(
-                    {
-                        "instance": _describe(g),
-                        "bound_id": b.bound_id,
-                        "k": b.k,
-                        "slack": b.slack,
-                    }
-                )
-
-    for n in range(2, order + 1):
-        for g in connected_graph_classes(n):
-            run(g)
+def _bounds_sweep(order: int, random_count: int, seed: int):
+    """One report per applicable bound, on every graph class of order 2..``order``
+    and then on ``random_count`` random connected graphs of order 7..10; each
+    counterexample holds the bound's id, ``k`` and slack."""
+    classes = (g for n in range(2, order + 1) for g in connected_graph_classes(n))
     rng = np.random.default_rng(seed)
-    for _ in range(random_count):
-        n = int(rng.integers(7, 11))
-        run(random_connected_graph(n, rng))
-    return checked, violations
+    randoms = (random_connected_graph(int(rng.integers(7, 11)), rng) for _ in range(random_count))
+    for g in itertools.chain(classes, randoms):
+        instance = _describe(g)
+        for b in bound_report(g):
+            if b.applicable:  # a NaN slack counts as no violation
+                yield PropertyReport("bounds_sweep", instance, not b.slack < -1e-8,
+                                     {"bound_id": b.bound_id, "k": b.k, "slack": b.slack})
 
 
 def _suite_extremal(order: int, jobs: int) -> dict:
@@ -531,18 +492,26 @@ def _suite_extremal(order: int, jobs: int) -> dict:
     }
 
 
-def _verdict(checked: int, violations: list[dict]) -> dict:
+def _verdict(reports, violation=lambda rep: {"instance": rep.instance,
+                                             "counterexample": rep.counterexample}) -> dict:
+    """The payload fields of a suite: how many reports it made and, in order,
+    ``violation`` of each that does not hold.  Reports are read one at a time."""
+    checked, violations = 0, []
+    for checked, rep in enumerate(reports, 1):
+        if not rep.holds:
+            violations.append(violation(rep))
     return {"checked": checked, "violations": violations, "holds": not violations}
 
 
 # suite name -> (run on the parsed arguments, giving the payload fields; order range allowed)
 _SUITES = {
-    "convexity": (lambda a: _verdict(*_suite_convexity(a.order)), 2, _TREE_SUPPORTS_MAX_ORDER),
-    "monotonicity": (lambda a: _verdict(*_suite_monotonicity(a.order)), 2, _CLASSES_MAX_ORDER),
-    "quasiconvex": (lambda a: _verdict(*_suite_quasiconvex(a.order)), 3,
-                    _TREE_SUPPORTS_MAX_ORDER),
-    "tree-extremes": (lambda a: _verdict(*_suite_tree_extremes(a.order)), 3, _TREES_MAX_ORDER),
-    "bounds-sweep": (lambda a: _verdict(*_suite_bounds_sweep(a.order, a.random, a.seed)),
+    "convexity": (lambda a: _verdict(_convexity_sweep(a.order)), 2, _TREE_SUPPORTS_MAX_ORDER),
+    "monotonicity": (lambda a: _verdict(_monotonicity_reports(a.order)), 2, _CLASSES_MAX_ORDER),
+    "quasiconvex": (lambda a: _verdict(_quasiconvex_sweep(a.order)), 3, _TREE_SUPPORTS_MAX_ORDER),
+    "tree-extremes": (lambda a: _verdict(check_tree_extremes(n) for n in range(3, a.order + 1)),
+                      3, _TREES_MAX_ORDER),
+    "bounds-sweep": (lambda a: _verdict(_bounds_sweep(a.order, a.random, a.seed),
+                                        lambda rep: {"instance": rep.instance, **rep.counterexample}),
                      2, _CLASSES_MAX_ORDER),
     "extremal": (lambda a: _suite_extremal(a.order, a.jobs), 2, _EXTREMAL_MAX_ORDER),
 }
@@ -552,6 +521,8 @@ def _cmd_verify(args) -> int:
     run, lowest, top = _SUITES[args.suite]
     if args.order < lowest:
         raise ValueError(f"verify {args.suite} needs --order >= {lowest}")
+    if args.random < 0:
+        raise ValueError("verify needs --random >= 0")
     if args.order > top:
         raise CapExceededError(f"verify {args.suite} limited to --order <= {top}")
     payload: dict = {"suite": args.suite, "params": {"order": args.order}}
@@ -603,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The process's one parser.  ``parse_args`` leaves no state in it, and the
-    ``_SUITES`` runners look their ``_suite_*`` function up when they run."""
+    ``_SUITES`` runners look their report generators up when they run."""
     return build_parser()
 
 

@@ -385,10 +385,7 @@ def rho2_fast(g: Graph) -> tuple[float, int]:
     if g.n < 2:
         raise ValueError("second largest Pareto eigenvalue needs n >= 2")
     d = distance_matrix(g).d.astype(np.float64)
-    screened = _deletion_roots(d)
-    nonpendant = np.array(g.degrees()) > 1
-    if nonpendant.any():
-        screened[~nonpendant] = -np.inf
+    screened = np.where(_rho2_candidates(d), _deletion_roots(d), -np.inf)
     top = float(screened.max())
     near = np.flatnonzero(screened >= top - _SCREEN_WINDOW * max(1.0, top))
     vals = _perron_roots_for_rows(d, _deletion_rows(g.n)[near])
@@ -400,6 +397,14 @@ def _deletion_rows(n: int) -> np.ndarray:
     """(n, n - 1) index rows; row v keeps every vertex but v."""
     keep = np.arange(n - 1)
     return keep + (keep >= np.arange(n)[:, None])
+
+
+def _rho2_candidates(d: np.ndarray) -> np.ndarray:
+    """The rho2 candidates (..., n) of distance matrices ``d`` (..., n, n): the
+    vertices that are not pendant (one entry 1 in their row), or every vertex
+    when all are pendant (K_2)."""
+    nonpendant = (d == 1).sum(axis=-1) > 1
+    return nonpendant | ~nonpendant.any(axis=-1, keepdims=True)
 
 
 def _first_near_max(vals: np.ndarray) -> np.ndarray:
@@ -414,12 +419,9 @@ def _rho2_of_deletions(dmats: np.ndarray, roots: np.ndarray) -> tuple[np.ndarray
     ``dmats`` (m, n, n), from the Perron roots ``roots`` (m, n) of their
     single-vertex deletions.
 
-    As in ``rho2_fast``, pendant vertices (one entry 1 in their row) are not
-    candidates unless every vertex is pendant (K_2).
+    The candidates are those of ``rho2_fast``.
     """
-    nonpendant = (dmats == 1).sum(axis=-1) > 1
-    nonpendant |= ~nonpendant.any(axis=-1, keepdims=True)
-    pick = _first_near_max(np.where(nonpendant, roots, -np.inf))
+    pick = _first_near_max(np.where(_rho2_candidates(dmats), roots, -np.inf))
     return np.take_along_axis(roots, pick[:, None], axis=-1)[:, 0], pick
 
 

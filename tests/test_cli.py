@@ -1,3 +1,6 @@
+import csv
+import io
+import itertools
 import json
 import math
 import pathlib
@@ -143,6 +146,19 @@ def test_verify_order_floor_checked_before_any_work(capsys, monkeypatch, suite, 
     assert "--order >=" in err
 
 
+@pytest.mark.parametrize("suite", ["bounds-sweep", "monotonicity"])
+def test_verify_negative_random_rejected_before_any_work(capsys, monkeypatch, suite):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"swept {args} before checking --random")
+
+    for name in ("connected_graph_classes", "random_connected_graph", "_monotonicity_reports"):
+        monkeypatch.setattr(cli, name, refuse)
+    code, out, err = run(capsys, "verify", suite, "--order", "3", "--random", "-3")
+    assert code == cli.EXIT_PARSE
+    assert out == ""
+    assert "--random >= 0" in err
+
+
 def test_rho2_bounds_above_spectrum_cap(capsys):
     code, out, err = run(capsys, "rho2", "--family", "path", "21", "--bounds")
     assert code == 0, err
@@ -214,12 +230,16 @@ def test_verify_bounds_sweep_small(capsys):
 
 
 def test_verify_exit_code_on_violation(capsys, monkeypatch):
-    monkeypatch.setattr(
-        cli, "_suite_monotonicity", lambda order: (1, [{"instance": "fake", "counterexample": {}}])
-    )
+    from distpareto.verify import PropertyReport
+
+    monkeypatch.setattr(cli, "_monotonicity_reports",
+                        lambda order: iter([PropertyReport("edge_monotonicity", "fake", False, {})]))
     code, out, _ = run(capsys, "verify", "monotonicity", "--order", "4")
     assert code == cli.EXIT_VIOLATION
-    assert json.loads(out)["payload"]["holds"] is False
+    payload = json.loads(out)["payload"]
+    assert payload["holds"] is False
+    assert payload["checked"] == 1
+    assert payload["violations"] == [{"instance": "fake", "counterexample": {}}]
 
 
 def test_exit_code_parse_error(tmp_path, capsys):
@@ -429,7 +449,24 @@ def test_json_writer_matches_indented_dumps_on_a_spectrum():
 _WRITE_BOUND = 128 << 10  # characters in one stdout write of the spectrum command
 
 
+def _parsed_spectrum(text: str, fmt: str) -> tuple[list[float], list[list[int]]]:
+    """The values and witnesses of a spectrum's output in ``fmt``."""
+    if fmt == "json":
+        payload = json.loads(text)["payload"]
+        return payload["values"], payload["witnesses"]
+    lines = text.splitlines()
+    if fmt == "csv":
+        rows = list(csv.reader(lines[1:]))
+        return [float(v) for v, _ in rows], [list(map(int, w.split())) for _, w in rows]
+    at = lines.index("witnesses:")
+    assert lines[at - 1].startswith("values: [")
+    witnesses = list(itertools.takewhile(lambda line: line.startswith("  ["), lines[at + 1 :]))
+    assert lines[at + 1 + len(witnesses)].startswith("count: ")
+    return json.loads(lines[at - 1][len("values: "):]), [json.loads(w) for w in witnesses]
+
+
 def test_spectrum_json_is_written_in_bounded_pieces_from_the_arrays(tmp_path, monkeypatch):
+    """Every format, JSON, CSV and table, is written from the arrays in bounded pieces."""
     from distpareto import pareto
     from distpareto.graph import edge_list_text
     from distpareto.verify import random_connected_graph
@@ -437,19 +474,96 @@ def test_spectrum_json_is_written_in_bounded_pieces_from_the_arrays(tmp_path, mo
     g = random_connected_graph(16, np.random.default_rng(3), extra_edge_prob=0.05)
     f = tmp_path / "g16.txt"
     f.write_text(edge_list_text(g))
-    writes = []
-    monkeypatch.setattr(sys, "stdout", mock.Mock(write=writes.append))
-    for name in ("values", "witnesses"):  # the JSON path never builds the tuple forms
-        monkeypatch.setattr(pareto.ParetoSpectrum, name, property(lambda s: pytest.fail("tuples read")))
-    assert cli.main(["spectrum", "--edges", str(f)]) == 0
-    monkeypatch.undo()
-    text = "".join(writes)
-    assert len(text) > 4_000_000  # the whole document, about 4.3 MB
-    assert max(map(len, writes)) <= _WRITE_BOUND
     spec = pareto.pareto_spectrum(g)
-    payload = json.loads(text)["payload"]
-    assert payload["values"] == [float(f"{v:.12g}") for v in spec.values]
-    assert payload["witnesses"] == [list(w) for w in spec.witnesses]
+    expected = [float(f"{v:.12g}") for v in spec.values], [list(w) for w in spec.witnesses]
+    for fmt, size in (("json", 4_000_000), ("csv", 1_000_000), ("table", 1_400_000)):
+        writes = []
+        monkeypatch.setattr(sys, "stdout", mock.Mock(write=writes.append))
+        for name in ("values", "witnesses"):  # the output never builds the tuple forms
+            monkeypatch.setattr(pareto.ParetoSpectrum, name,
+                                property(lambda s: pytest.fail("tuples read")))
+        assert cli.main(["spectrum", "--edges", str(f), "--format", fmt]) == 0
+        monkeypatch.undo()
+        text = "".join(writes)
+        assert len(text) > size, fmt  # the whole output: 4.3, 1.1 and 1.5 MB
+        assert max(map(len, writes)) <= _WRITE_BOUND, fmt
+        assert _parsed_spectrum(text, fmt) == expected, fmt
+
+
+def _reference_table(doc: dict) -> str:
+    """The table text of a document whose leaves are lists, built as one string:
+    the reference for the streamed table writer."""
+    out = io.StringIO()
+    gs = doc.get("graph_summary")
+    print(f"command: {doc['command']}  (tool {doc['tool_version']})", file=out)
+    if gs:
+        print(f"graph: order={gs['order']} size={gs['size']} diameter={gs['diameter']}"
+              + (f" name={gs['name']}" if gs.get("name") else ""), file=out)
+
+    def walk(obj, depth=0):
+        pad = "  " * depth
+        if isinstance(obj, dict):
+            for key, val in obj.items():
+                if isinstance(val, dict) or (
+                    isinstance(val, list) and any(isinstance(v, (dict, list)) for v in val)
+                ):
+                    print(f"{pad}{key}:", file=out)
+                    walk(val, depth + 1)
+                else:
+                    print(f"{pad}{key}: {val}", file=out)
+        else:
+            for val in obj:
+                if isinstance(val, dict):
+                    walk(val, depth)
+                    print(f"{pad}-", file=out)
+                else:
+                    print(f"{pad}{val}", file=out)
+
+    walk(doc["payload"])
+    return out.getvalue()
+
+
+def _reference_csv(doc: dict) -> str:
+    """The spectrum's CSV from a document whose leaves are lists, built as one string."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["value", "witness"])
+    payload = doc["payload"]
+    writer.writerows([v, " ".join(str(x) for x in w)]
+                     for v, w in zip(payload["values"], payload["witnesses"]))
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("source", [("--family", "complete", "1"), ("--family", "complete", "5"),
+                                    ("--family", "wheel", "7"), ("--edges", "g12.txt")])
+def test_spectrum_csv_and_table_match_the_tuple_rendering_at_every_block_size(
+    tmp_path, capsys, source
+):
+    from distpareto.graph import edge_list_text
+    from distpareto.pareto import pareto_spectrum
+    from distpareto.verify import random_connected_graph
+
+    if source[0] == "--edges":
+        g = random_connected_graph(12, np.random.default_rng(7), extra_edge_prob=0.2)
+        source = ("--edges", str(tmp_path / source[1]))
+        pathlib.Path(source[1]).write_text(edge_list_text(g))
+    g = cli._load_graph(cli._parser().parse_args(["spectrum", *source]))
+    spec = pareto_spectrum(g)
+    ladder = json.loads(run(capsys, "spectrum", *source)[1])["payload"]["integer_ladder"]
+    doc = cli._document("spectrum", {
+        "values": spec.values,
+        "witnesses": spec.witnesses,
+        "count": spec.count,
+        "integer_ladder": {"integers": ladder["integers"], "all_present": ladder["all_present"]},
+        "dedup_tolerance": spec.dedup_tolerance,
+    }, cli._graph_summary(g))
+    expected = {"csv": _reference_csv(doc), "table": _reference_table(doc)}
+    for block in (1, 2, 3, cli._BLOCK):
+        with mock.patch.object(cli, "_BLOCK", block):
+            for fmt in ("csv", "table"):
+                code, out, _ = run(capsys, "spectrum", *source, "--format", fmt)
+                assert code == 0
+                assert out == expected[fmt], (fmt, block)
 
 
 def test_spectrum_cap_reads_an_edge_list_only_up_to_its_order_line(tmp_path, capsys):

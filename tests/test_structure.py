@@ -1,8 +1,9 @@
 """Source-level guards: one eigensolver site, one stacked eigenpair path, linear
 algebra only in ``spectral``, one thread pool, one distance routine, no second
-sweep, one JSON writer, one witness decode, one all-subsets pass, no
-labeled-tree sweep, no labeled-graph sweep outside ``connected_graphs_labeled``
-and no sweep that calls ``rho2_fast`` once per graph."""
+sweep, one JSON writer, one spectrum document for every output format, one
+witness decode, one all-subsets pass, no labeled-tree sweep, no labeled-graph
+sweep outside ``connected_graphs_labeled`` and no sweep that calls
+``rho2_fast`` once per graph."""
 
 import ast
 import pathlib
@@ -45,6 +46,12 @@ def test_single_distance_routine():
 def test_one_json_writer_and_one_witness_decode():
     assert _occurrences(r"\bindent\s*=") == []  # the pure-Python indenting encoder
     assert _occurrences(r"\b_decode_flat\b") == []  # per-witness searchsorted
+
+
+def test_every_spectrum_format_is_written_from_the_arrays():
+    # no output built as one string, no second CSV path, no tuple spectrum in the CLI
+    hits = _occurrences(r"\bStringIO\b|\b_emit_csv\b|\bspec\.(values|witnesses)\b")
+    assert [hit for hit in hits if hit.startswith("cli.py:")] == []
 
 
 def test_structure_answered_from_distances_and_one_subset_pass():
