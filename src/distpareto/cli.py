@@ -13,8 +13,8 @@ import functools
 import itertools
 import json
 import math
+import operator
 import sys
-from collections.abc import Iterable
 
 import numpy as np
 
@@ -67,7 +67,7 @@ EXIT_DISCONNECTED = 4
 
 _PLAIN = frozenset({bool, int, str, type(None)})  # scalar types JSON takes unchanged
 _DIGITS12 = "{:.12g}".format  # floats are printed to 12 significant digits
-_BLOCK = 4096  # numbers per piece of an array leaf's JSON text
+_BLOCK = 4096  # entries per piece of an array leaf's text, in every format
 
 
 @dataclasses.dataclass(frozen=True)
@@ -77,6 +77,9 @@ class _Ragged:
 
     flat: np.ndarray
     sizes: np.ndarray
+
+    def __len__(self) -> int:
+        return self.sizes.size
 
 
 def _jsonable(obj):
@@ -156,14 +159,18 @@ def _layout(obj, level: int):
 
     Each container of scalars, and each list of nonempty lists of scalars, is
     one piece from one call of the C encoder; an array leaf comes in pieces of
-    about ``_BLOCK`` numbers (``_float_pieces``, ``_ragged_pieces``).  Only the
-    containers above them are walked here.
+    about ``_BLOCK`` numbers (``_leaf_pieces``).  Only the containers above them
+    are walked here.
     """
-    if isinstance(obj, np.ndarray):
-        yield from _float_pieces(obj, level)
-        return
-    if isinstance(obj, _Ragged):
-        yield from _ragged_pieces(obj, level)
+    if isinstance(obj, (np.ndarray, _Ragged)):
+        if not len(obj):
+            yield "[]"
+            return
+        inner, deep = "  " * (level + 1), "\n" + "  " * (level + 2)
+        yield from _leaf_pieces(
+            obj, lambda k: f"[{deep}" + f",{deep}".join(["%d"] * k) + f"\n{inner}]" if k else "[]",
+            "[\n" + inner, ",\n" + inner)
+        yield "\n" + "  " * level + "]"
         return
     if not isinstance(obj, (dict, list)) or not obj:
         yield json.dumps(obj)
@@ -195,9 +202,10 @@ def _layout(obj, level: int):
     yield f"{opening}\n{inner}{body}\n{pad}{closing}"
 
 
-def _float_pieces(a: np.ndarray, level: int):
-    """A 1-D float array as the JSON list of its ``_jsonable`` roundings, in
-    pieces of ``_BLOCK`` numbers, each from one ``%`` format call.
+def _float_args(block: np.ndarray) -> tuple[list[str], list]:
+    """The ``%`` format and argument of each number of a float block, together
+    writing the JSON text of its ``_jsonable`` roundings: for a finite rounding,
+    its ``repr``, as CSV and the table write it.
 
     ``%.12g`` writes a rounded float r as ``repr(r)`` does except where r is
     an integer ("4" for 4.0), has a decimal exponent of 12 to 15 (``repr``
@@ -206,72 +214,59 @@ def _float_pieces(a: np.ndarray, level: int):
     lies within 1e-11 relative of an integer (|v| >= 5e10 and |v| <= 1e-11 always
     do), or is NaN; numbers that do are written one by one through ``_rounded``.
     """
-    a = np.asarray(a, dtype=np.float64)
-    if a.size == 0:
-        yield "[]"
-        return
-    inner = "  " * (level + 1)
-    sep = ",\n" + inner
-    for lo in range(0, a.size, _BLOCK):
-        block = a[lo : lo + _BLOCK]
-        with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the test
-            plain = np.abs(block - np.rint(block)) > 1e-11 * np.maximum(1.0, np.abs(block))
-        args = block.tolist()
-        fmts = ["%.12g"] * len(args)
-        for i in np.flatnonzero(~plain).tolist():
-            fmts[i], args[i] = "%s", json.dumps(_rounded(args[i]))
-        yield ("[\n" + inner if lo == 0 else sep) + sep.join(fmts) % tuple(args)
-    yield "\n" + "  " * level + "]"
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the test
+        plain = np.abs(block - np.rint(block)) > 1e-11 * np.maximum(1.0, np.abs(block))
+    args = block.tolist()
+    fmts = ["%.12g"] * len(args)
+    for i in np.flatnonzero(~plain).tolist():
+        fmts[i], args[i] = "%s", json.dumps(_rounded(args[i]))
+    return fmts, args
 
 
-def _ragged_pieces(r: _Ragged, level: int):
-    """A ``_Ragged`` as the JSON list of its int lists, in pieces of about
-    ``_BLOCK`` entries (whole lists; a list counts one more than its length),
-    each from one ``%`` format call with one format string per list length."""
-    if r.sizes.size == 0:
-        yield "[]"
+def _leaf_pieces(leaf, row, opening: str, sep: str, lead: np.ndarray | None = None):
+    """Yield an array leaf's rows, joined by ``sep`` after ``opening``, in pieces
+    of about ``_BLOCK`` entries (whole rows; a row counts one more than its
+    length), each from one ``%`` format call.  An empty leaf is ``opening`` alone.
+
+    A ``_Ragged``'s int list of length k is written by the format string
+    ``row(k)``, after its number in the float array ``lead`` when one is given.
+    A float array is the lead of empty rows, one number a row; ``row`` is unused.
+    """
+    if isinstance(leaf, np.ndarray):
+        lead, sizes = np.asarray(leaf, dtype=np.float64), np.zeros(leaf.size, np.intp)
+        leaf, row = _Ragged(sizes[:0], sizes), lambda k: ""
+    if not len(leaf):
+        yield opening
         return
-    inner, deep = "  " * (level + 1), "\n" + "  " * (level + 2)
-    sep = ",\n" + inner
-    row = {k: f"[{deep}" + f",{deep}".join(["%d"] * k) + f"\n{inner}]" if k else "[]"
-           for k in np.unique(r.sizes).tolist()}
-    ends = np.cumsum(r.sizes)
+    rows = np.array([row(k) for k in range(leaf.sizes.max() + 1)], dtype=object)
+    ends = np.cumsum(leaf.sizes)
     weight = ends + np.arange(1, ends.size + 1)
     cuts = np.unique(np.searchsorted(weight, np.arange(_BLOCK, weight[-1], _BLOCK), side="right"))
     bounds = [0, *cuts[(cuts > 0) & (cuts < ends.size)].tolist(), ends.size]
     for a, b in zip(bounds[:-1], bounds[1:]):
-        fmt = sep.join(map(row.__getitem__, r.sizes[a:b].tolist()))
-        entries = r.flat[ends[a] - r.sizes[a] : ends[b - 1]].tolist()
-        yield ("[\n" + inner if a == 0 else sep) + fmt % tuple(entries)
-    yield "\n" + "  " * level + "]"
-
-
-def _leaf_lists(leaf):
-    """An array leaf in the list form ``_jsonable`` gives it, ``_BLOCK`` items at a
-    time: rounded floats for a float array, int lists for a ``_Ragged``."""
-    if isinstance(leaf, np.ndarray):
-        for lo in range(0, leaf.size, _BLOCK):
-            yield _jsonable(leaf[lo : lo + _BLOCK].tolist())
-        return
-    ends = np.cumsum(leaf.sizes)
-    for lo in range(0, ends.size, _BLOCK):
-        sizes = leaf.sizes[lo : lo + _BLOCK].tolist()
-        flat = iter(leaf.flat[ends[lo] - sizes[0] : ends[lo + len(sizes) - 1]].tolist())
-        yield [list(itertools.islice(flat, k)) for k in sizes]
+        starts = ends[a:b] - leaf.sizes[a:b]
+        fmts = rows[leaf.sizes[a:b]].tolist()
+        args = leaf.flat[starts[0] : ends[b - 1]].tolist()
+        if lead is not None:  # each row's number goes before its entries
+            heads, values = _float_args(lead[a:b])
+            fmts = list(map(operator.add, heads, fmts))
+            args = np.insert(np.array(args, dtype=object), starts - starts[0], values).tolist()
+        yield (opening if a == 0 else sep) + sep.join(fmts) % tuple(args)
 
 
 def _table_pieces(obj, depth: int):
     """Yield the table text of a payload: a nested dict or list goes below its key,
     indented, with ``-`` after each dict of a list, and a list of scalars on its
-    key's line as Python writes it.  A float array is such a list, written a
-    block at a time; a ``_Ragged`` is a nested list, one row a line."""
+    key's line as Python writes it.  A float array is such a list and a
+    ``_Ragged`` a nested list, one row a line; both are written a block at a time."""
     pad = "  " * depth
+    if isinstance(obj, _Ragged):
+        yield from _leaf_pieces(obj, lambda k: f"{pad}[" + ", ".join(["%d"] * k) + "]\n", "", "")
+        return
     if isinstance(obj, dict):
         for key, val in obj.items():
             if isinstance(val, np.ndarray):
-                yield f"{pad}{key}: ["
-                for i, block in enumerate(_leaf_lists(val)):
-                    yield (", " if i else "") + ", ".join(map(repr, block))
+                yield from _leaf_pieces(val, None, f"{pad}{key}: [", ", ")
                 yield "]\n"
             elif isinstance(val, (dict, _Ragged)) or isinstance(val, list) and not _scalars(val):
                 yield f"{pad}{key}:\n"
@@ -279,8 +274,7 @@ def _table_pieces(obj, depth: int):
             else:
                 yield f"{pad}{key}: {val}\n"
         return
-    rows = itertools.chain.from_iterable(_leaf_lists(obj)) if isinstance(obj, _Ragged) else obj
-    for val in rows:
+    for val in obj:
         if isinstance(val, dict):
             yield from _table_pieces(val, depth)
             yield f"{pad}-\n"
@@ -288,11 +282,7 @@ def _table_pieces(obj, depth: int):
             yield f"{pad}{val}\n"
 
 
-def _csv_rows(command: str, payload: dict) -> tuple[list[str], Iterable[list]]:
-    if command == "spectrum":
-        values, witnesses = (itertools.chain.from_iterable(_leaf_lists(payload[k]))
-                             for k in ("values", "witnesses"))
-        return ["value", "witness"], ([v, " ".join(map(str, w))] for v, w in zip(values, witnesses))
+def _csv_rows(command: str, payload: dict) -> tuple[list[str], list[list]]:
     if command == "rho2":
         if "bounds" in payload:
             header = [
@@ -316,13 +306,18 @@ def _csv_rows(command: str, payload: dict) -> tuple[list[str], Iterable[list]]:
 
 def _write(doc: dict, fmt: str) -> None:
     """Write ``doc`` to stdout in ``fmt``, each piece as it is formatted, so the
-    whole output never exists as one string.  Array leaves go out a block, or
-    for a ``_Ragged`` in CSV and table a row, at a time."""
+    whole output never exists as one string.  Array leaves go out a block at a
+    time: the spectrum's CSV rows are its witnesses, each led by its value."""
     write = sys.stdout.write
     if fmt == "json":
         for piece in _layout(doc, 0):
             write(piece)
         write("\n")
+    elif fmt == "csv" and doc["command"] == "spectrum":
+        payload = doc["payload"]
+        for piece in _leaf_pieces(payload["witnesses"], lambda k: "," + " ".join(["%d"] * k) + "\n",
+                                  "value,witness\n", "", payload["values"]):
+            write(piece)
     elif fmt == "csv":
         import csv
 
@@ -425,13 +420,9 @@ def _cmd_rho2(args) -> int:
 def _cmd_formulas(args) -> int:
     ident = args.identifier
     params = [int(p) for p in args.params]
-    try:
-        value = closed_form(ident, *params)
-        surd = closed_form_surd(ident, *params)
-        brute = closed_form_brute_force(ident, *params)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    value = closed_form(ident, *params)
+    surd = closed_form_surd(ident, *params)
+    brute = closed_form_brute_force(ident, *params)
     if isinstance(value, list):
         diff = max(abs(a - b) for a, b in zip(value, brute)) if value else 0.0
     else:
@@ -565,8 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--random", type=int, default=0,
                        help="bounds-sweep: extra random connected graphs on 7..10 vertices")
     p_ver.add_argument("--seed", type=int, default=20240601, help="rng seed for --random")
-    p_ver.add_argument("--jobs", type=int, default=1)
-    p_ver.add_argument("--format", choices=("json", "csv", "table"), default="json")
+    _add_common_flags(p_ver, "extremal: worker count for the class search")
     p_ver.set_defaults(func=_cmd_verify)
     return parser
 
@@ -581,6 +571,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if getattr(args, "jobs", 1) < 1:  # formulas takes no --jobs
+            raise ValueError("--jobs needs a worker count >= 1")
         return args.func(args)
     except GraphParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -17,13 +17,15 @@ import numpy as np
 
 from .graph import (
     Graph,
+    _family_order,
     distance_matrix,
     diameter,
     make_family,
     transmission,
     wiener,
 )
-from .pareto import DEFAULT_MAX_ORDER, ParetoSpectrum, pareto_eigenpair, pareto_spectrum, rho2_fast
+from .pareto import (DEFAULT_MAX_ORDER, ParetoSpectrum, _check_order, pareto_eigenpair,
+                     pareto_spectrum, rho2_fast)
 from .spectral import _eigenvalues
 
 __all__ = [
@@ -162,20 +164,18 @@ def _second(g: Graph) -> float:
     return rho2_fast(g)[0]
 
 
-# identifier -> (parameter count, surd builder, family instance, enumerated quantity)
+# identifier -> (parameter count, surd builder, family name and parameters, enumerated quantity)
 _CLOSED_FORMS = {
-    "complete_spectrum": (1, _complete_spectrum, lambda n: make_family("complete", [n]),
+    "complete_spectrum": (1, _complete_spectrum, lambda n: ("complete", [n]),
                           lambda g: list(pareto_spectrum(g).values)),
-    "star_radius": (1, _star_radius, lambda n: make_family("star", [n]), _largest),
-    "kn_minus_e_radius": (1, _kn_minus_e_radius,
-                          lambda n: make_family("complete_minus_edge", [n]), _largest),
-    "rho2_kn_minus_e": (1, _rho2_kn_minus_e,
-                        lambda n: make_family("complete_minus_edge", [n]), _second),
-    "rho2_kab": (2, _rho2_kab, lambda a, b: make_family("complete_bipartite", [a, b]), _second),
+    "star_radius": (1, _star_radius, lambda n: ("star", [n]), _largest),
+    "kn_minus_e_radius": (1, _kn_minus_e_radius, lambda n: ("complete_minus_edge", [n]), _largest),
+    "rho2_kn_minus_e": (1, _rho2_kn_minus_e, lambda n: ("complete_minus_edge", [n]), _second),
+    "rho2_kab": (2, _rho2_kab, lambda a, b: ("complete_bipartite", [a, b]), _second),
     "rho2_k_pendant": (1, _rho2_k_pendant,
-                       lambda n: make_family("clique_plus_pendant_p", [n - 1, 1]), _second),
+                       lambda n: ("clique_plus_pendant_p", [n - 1, 1]), _second),
     "rho2_two_nonincident": (1, _rho2_two_nonincident,
-                             lambda n: make_family("complete_minus_two_nonincident_edges", [n]),
+                             lambda n: ("complete_minus_two_nonincident_edges", [n]),
                              _second),
 }
 
@@ -221,9 +221,14 @@ def closed_form_surd(identifier: str, *params: int) -> str:
 
 
 def closed_form_brute_force(identifier: str, *params: int):
-    """Independent enumeration-based value for the same family instance."""
+    """Independent enumeration-based value for the same family instance.  Above the
+    ``pareto_spectrum`` cap, a form that enumerates the spectrum raises
+    CapExceededError before the instance is built (``rho2_fast`` has no cap)."""
     _, _, family, quantity = _form(identifier, params)
-    return quantity(family(*params))
+    name, family_params = family(*params)
+    if quantity is not _second:
+        _check_order(_family_order(name, family_params))
+    return quantity(make_family(name, family_params))
 
 
 def star_spectrum(n: int) -> list[float]:

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import itertools
@@ -157,6 +158,23 @@ def test_verify_negative_random_rejected_before_any_work(capsys, monkeypatch, su
     assert code == cli.EXIT_PARSE
     assert out == ""
     assert "--random >= 0" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--family", "path", "5", "--jobs", "-3"),
+    ("rho2", "--family", "path", "5", "--jobs", "0"),
+    ("verify", "extremal", "--order", "4", "--jobs", "0"),
+])
+def test_jobs_below_one_rejected_before_any_work(capsys, monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"worked on {args} before checking --jobs")
+
+    for name in ("make_family", "pareto_spectrum", "rho2_fast", "extremal_search"):
+        monkeypatch.setattr(cli, name, refuse)
+    code, out, err = run(capsys, *argv)
+    assert code == cli.EXIT_PARSE
+    assert out == ""
+    assert "--jobs needs a worker count >= 1" in err
 
 
 def test_rho2_bounds_above_spectrum_cap(capsys):
@@ -427,9 +445,19 @@ _ADVERSARIAL = st.tuples(
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_ADVERSARIAL, min_size=1, max_size=12))
 def test_float_leaf_matches_twelve_digit_repr(xs):
-    expected = ["null" if v != v else json.dumps(float(f"{v:.12g}")) for v in xs]
-    text = "".join(cli._float_pieces(np.array(xs), 0))
+    rounded = [float(f"{v:.12g}") for v in xs]
+    expected = ["null" if v != v else json.dumps(r) for v, r in zip(xs, rounded)]
+    text = "".join(cli._layout(np.array(xs), 0))
     assert text == "[\n  " + ",\n  ".join(expected) + "\n]"
+    # CSV and table write a number whose rounding is finite as repr of that rounding
+    finite = np.isfinite(rounded)
+    values, rounded = np.array(xs)[finite], np.array(rounded)[finite].tolist()
+    assert "".join(cli._table_pieces({"values": values}, 0)) == f"values: {rounded}\n"
+    witnesses = cli._Ragged(np.arange(values.size), np.ones(values.size, dtype=np.intp))
+    doc = {"command": "spectrum", "payload": {"values": values, "witnesses": witnesses}}
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        cli._write(doc, "csv")
+    assert out.getvalue() == "value,witness\n" + "".join(f"{r!r},{i}\n" for i, r in enumerate(rounded))
 
 
 def test_json_writer_matches_indented_dumps_on_a_spectrum():
@@ -609,6 +637,24 @@ def test_spectrum_cap_checked_before_the_graph_is_built(capsys, monkeypatch):
                    ["star", "20"]):
         with pytest.raises(AssertionError, match="family built"):
             cli.main(["spectrum", "--family", *params])
+
+
+def test_formulas_cap_checked_before_the_family_is_built(capsys, monkeypatch):
+    from distpareto import laws
+
+    def refuse(*params):
+        raise AssertionError(f"family built with {params}")
+
+    monkeypatch.setattr(laws, "make_family", refuse)
+    for params in (["star_radius", "1000000"], ["complete_spectrum", "21"],
+                   ["kn_minus_e_radius", "21"]):
+        code, out, err = run(capsys, "formulas", *params)
+        assert code == cli.EXIT_CAP and out == ""
+        assert "exceeds cap 20" in err
+    # at the cap the check passes, and the rho2 forms have no cap: the family is built
+    for params in (["star_radius", "20"], ["rho2_kn_minus_e", "21"]):
+        with pytest.raises(AssertionError, match="family built"):
+            cli.main(["formulas", *params])
 
 
 def test_spectrum_cap_checked_before_any_edge_is_parsed(tmp_path, capsys, monkeypatch):

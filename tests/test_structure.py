@@ -1,7 +1,7 @@
 """Source-level guards: one eigensolver site, one stacked eigenpair path, linear
 algebra only in ``spectral``, one thread pool, one distance routine, no second
 sweep, one JSON writer, one spectrum document for every output format, one
-witness decode, one all-subsets pass, no labeled-tree sweep, no labeled-graph
+array-leaf renderer, one witness decode, one all-subsets pass, no labeled-tree sweep, no labeled-graph
 sweep outside ``connected_graphs_labeled`` and no sweep that calls
 ``rho2_fast`` once per graph."""
 
@@ -52,6 +52,17 @@ def test_every_spectrum_format_is_written_from_the_arrays():
     # no output built as one string, no second CSV path, no tuple spectrum in the CLI
     hits = _occurrences(r"\bStringIO\b|\b_emit_csv\b|\bspec\.(values|witnesses)\b")
     assert [hit for hit in hits if hit.startswith("cli.py:")] == []
+
+
+def test_one_array_leaf_renderer():
+    # CSV and table format the array leaves in blocks, as JSON does, not list by list
+    assert _occurrences(r"\b_leaf_lists\b") == []
+    assert _occurrences(r'" "\.join\(map\(str') == []
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    csv_rows = next(fn for fn in ast.walk(tree)
+                    if isinstance(fn, ast.FunctionDef) and fn.name == "_csv_rows")
+    assert "spectrum" not in {node.value for node in ast.walk(csv_rows)
+                              if isinstance(node, ast.Constant)}
 
 
 def test_structure_answered_from_distances_and_one_subset_pass():
