@@ -23,18 +23,19 @@ from .errors import CapExceededError, DisconnectedGraphError, GraphParseError
 from .graph import (
     Graph,
     FAMILY_NAMES,
+    _edge_list_graph,
     _edge_list_order,
     _family_order,
     _graph6_order,
     diameter,
     distance_matrix,
     make_family,
-    parse_edge_list,
     parse_graph6,
 )
 from .laws import (
     CLOSED_FORM_IDS,
     BoundResult,
+    _form_instance,
     bound_report,
     closed_form,
     closed_form_brute_force,
@@ -88,13 +89,15 @@ def _jsonable(obj):
     Floats are rounded to 12 significant digits, NaN (an inapplicable numeric
     field) becomes None, numpy scalars become Python scalars, tuples become
     lists and keys become str.  A list of plain scalars, or of lists of them,
-    is converted as a whole, and a plain scalar in a dict is kept as it is;
-    anything else element by element.  The array leaves, a 1-D float
-    ``np.ndarray`` and a ``_Ragged``, are kept as they are: ``_layout`` writes
-    them as the lists they stand for would be written after this conversion.
+    is converted as a whole, a plain scalar in a dict is kept as it is and a
+    float in a dict is rounded in place; anything else element by element.
+    The array leaves, a 1-D float ``np.ndarray`` and a ``_Ragged``, are kept as
+    they are: ``_layout`` writes them as the lists they stand for would be
+    written after this conversion.
     """
     if isinstance(obj, dict):
-        return {str(k): v if type(v) in _PLAIN else _jsonable(v) for k, v in obj.items()}
+        return {str(k): v if type(v) in _PLAIN else _rounded(v) if type(v) is float
+                else _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         kinds = set(map(type, obj))
         if kinds <= _PLAIN:
@@ -153,14 +156,27 @@ def _scalars(items) -> bool:
     return not any(issubclass(t, (dict, list, np.ndarray, _Ragged)) for t in set(map(type, items)))
 
 
+def _rows_of_scalars(items: list) -> str:
+    """The brackets of ``items`` when it is a list of nonempty lists of scalars
+    ("[]") or of nonempty dicts of scalars ("{}"), else ""."""
+    kinds = set(map(type, items))
+    if kinds == {list} and all(items) and _scalars(itertools.chain.from_iterable(items)):
+        return "[]"
+    if kinds == {dict} and all(items) and _scalars(
+        itertools.chain.from_iterable(map(dict.values, items))
+    ):
+        return "{}"
+    return ""
+
+
 def _layout(obj, level: int):
     """Yield ``obj``, normalised by ``_jsonable``, as pieces of the text of
     ``json.dumps`` with sorted keys and a 2-space indent, opened at nesting ``level``.
 
-    Each container of scalars, and each list of nonempty lists of scalars, is
-    one piece from one call of the C encoder; an array leaf comes in pieces of
-    about ``_BLOCK`` numbers (``_leaf_pieces``).  Only the containers above them
-    are walked here.
+    Each container of scalars, and each list of nonempty lists or nonempty
+    dicts of scalars, is one piece from one call of the C encoder; an array
+    leaf comes in pieces of about ``_BLOCK`` numbers (``_leaf_pieces``).  Only
+    the containers above them are walked here.
     """
     if isinstance(obj, (np.ndarray, _Ragged)):
         if not len(obj):
@@ -180,17 +196,17 @@ def _layout(obj, level: int):
     opening, closing = "{}" if is_dict else "[]"
     if _scalars(obj.values() if is_dict else obj):
         body = _encoder(level + 1).encode(obj)[1:-1]
-    elif not is_dict and set(map(type, obj)) == {list} and all(obj) and _scalars(
-        itertools.chain.from_iterable(obj)
-    ):
-        # Encoded with the sublists' separator, then each sublist is closed and
-        # the next opened on lines of their own.  A scalar neither ends in "]"
-        # nor starts with "[", and an encoded string holds no newline, so
-        # "]" + separator + "[" occurs exactly between two sublists.
+    elif not is_dict and (brackets := _rows_of_scalars(obj)):
+        # Encoded with the rows' separator, then each row is closed and the next
+        # opened on lines of their own.  A scalar neither ends in "]" or "}" nor
+        # starts with "[" or "{", a dict item starts with its key's quote, and an
+        # encoded string holds no newline, so close + separator + open occurs
+        # exactly between two rows.
+        start, end = brackets
         deep = "\n" + "  " * (level + 2)
         text = _encoder(level + 2).encode(obj)[2:-2]
-        between = f"\n{inner}],\n{inner}[{deep}"
-        body = f"[{deep}" + text.replace(f"],{deep}[", between) + f"\n{inner}]"
+        between = f"\n{inner}{end},\n{inner}{start}{deep}"
+        body = f"{start}{deep}" + text.replace(f"{end},{deep}{start}", between) + f"\n{inner}{end}"
     else:
         sep = opening + "\n" + inner
         for key in sorted(obj) if is_dict else range(len(obj)):
@@ -230,11 +246,15 @@ def _leaf_pieces(leaf, row, opening: str, sep: str, lead: np.ndarray | None = No
 
     A ``_Ragged``'s int list of length k is written by the format string
     ``row(k)``, after its number in the float array ``lead`` when one is given.
-    A float array is the lead of empty rows, one number a row; ``row`` is unused.
+    A float array has one number a row and nothing to interleave: its blocks
+    are ``_float_args`` as they are, and ``row`` is unused.
     """
     if isinstance(leaf, np.ndarray):
-        lead, sizes = np.asarray(leaf, dtype=np.float64), np.zeros(leaf.size, np.intp)
-        leaf, row = _Ragged(sizes[:0], sizes), lambda k: ""
+        values = np.asarray(leaf, dtype=np.float64)
+        for lo in range(0, max(values.size, 1), _BLOCK):
+            fmts, args = _float_args(values[lo : lo + _BLOCK])
+            yield (opening if lo == 0 else sep) + sep.join(fmts) % tuple(args)
+        return
     if not len(leaf):
         yield opening
         return
@@ -366,9 +386,9 @@ def _load_graph(args, check_order=lambda n: None) -> Graph:
         return make_family(name, params)
     if args.edges:
         with open(args.edges, "r", encoding="utf-8") as fh:
-            check_order(_edge_list_order(_chunks(fh))[0])  # reads up to the order line
-            fh.seek(0)
-            return parse_edge_list(_chunks(fh))
+            n, lines = _edge_list_order(_chunks(fh))  # reads up to the order line
+            check_order(n)
+            return _edge_list_graph(n, lines)
     with open(args.graph6, "r", encoding="utf-8") as fh:
         line = fh.readline()
     check_order(_graph6_order(line)[0])
@@ -408,11 +428,12 @@ _BOUND_COLUMNS = tuple(f.name for f in dataclasses.fields(BoundResult))  # scala
 
 def _cmd_rho2(args) -> int:
     g = _load_graph(args)
-    pair = rho2_fast(g)
-    payload = {"value": pair[0], "witness_vertex": pair[1]}
-    if args.bounds:
-        payload["bounds"] = [{f: getattr(b, f) for f in _BOUND_COLUMNS}
-                             for b in bound_report(g, rho2=pair)]
+    # the report first: at n <= 20 its spectrum keeps rho2 on g, and rho2_fast reads it
+    bounds = bound_report(g) if args.bounds else None
+    value, vertex = rho2_fast(g)
+    payload = {"value": value, "witness_vertex": vertex}
+    if bounds is not None:
+        payload["bounds"] = [{f: getattr(b, f) for f in _BOUND_COLUMNS} for b in bounds]
     _write(_document("rho2", payload, _graph_summary(g)), args.format)
     return EXIT_OK
 
@@ -420,6 +441,7 @@ def _cmd_rho2(args) -> int:
 def _cmd_formulas(args) -> int:
     ident = args.identifier
     params = [int(p) for p in args.params]
+    _form_instance(ident, tuple(params))  # the cap, before a form enumerates anything
     value = closed_form(ident, *params)
     surd = closed_form_surd(ident, *params)
     brute = closed_form_brute_force(ident, *params)

@@ -283,7 +283,12 @@ def parse_edge_list(text: str | Iterable[str]) -> Graph:
     an edge ``u v``.  ``#`` starts a comment line.  Duplicate edges collapse.
     Lines end where ``str.splitlines`` ends them.
     """
-    n, lines = _edge_list_order(text)
+    return _edge_list_graph(*_edge_list_order(text))
+
+
+def _edge_list_graph(n: int, lines: Iterable[tuple[int, str]]) -> Graph:
+    """The n-vertex graph whose edges are the (line number, line) pairs ``lines``
+    that follow an edge list's order line, as ``_edge_list_order`` gives them."""
     edges: set[tuple[int, int]] = set()
     for lineno, line in lines:
         parts = line.split()

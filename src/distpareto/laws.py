@@ -21,7 +21,6 @@ from .graph import (
     distance_matrix,
     diameter,
     make_family,
-    transmission,
     wiener,
 )
 from .pareto import (DEFAULT_MAX_ORDER, ParetoSpectrum, _check_order, pareto_eigenpair,
@@ -220,14 +219,22 @@ def closed_form_surd(identifier: str, *params: int) -> str:
     return f"{a}+sqrt({b})" if c == 1 else f"({a}+sqrt({b}))/{c}"
 
 
-def closed_form_brute_force(identifier: str, *params: int):
-    """Independent enumeration-based value for the same family instance.  Above the
-    ``pareto_spectrum`` cap, a form that enumerates the spectrum raises
-    CapExceededError before the instance is built (``rho2_fast`` has no cap)."""
+def _form_instance(identifier: str, params: tuple[int, ...]):
+    """The family name and parameters of a form's instance, and the quantity
+    enumerated on it.  Above the ``pareto_spectrum`` cap, a form that enumerates
+    the spectrum raises CapExceededError; nothing is built or evaluated."""
     _, _, family, quantity = _form(identifier, params)
     name, family_params = family(*params)
     if quantity is not _second:
         _check_order(_family_order(name, family_params))
+    return name, family_params, quantity
+
+
+def closed_form_brute_force(identifier: str, *params: int):
+    """Independent enumeration-based value for the same family instance.  Above the
+    ``pareto_spectrum`` cap, a form that enumerates the spectrum raises
+    CapExceededError before the instance is built (``rho2_fast`` has no cap)."""
+    name, family_params, quantity = _form_instance(identifier, params)
     return quantity(make_family(name, family_params))
 
 
@@ -282,7 +289,7 @@ class _BoundContext:
 
     @cached_property
     def transmissions(self) -> list[int]:
-        return [transmission(self.dm, v) for v in range(self.n)]
+        return self.dm.d.sum(axis=1).tolist()
 
     @cached_property
     def rho2_vector(self) -> np.ndarray:
@@ -425,16 +432,15 @@ def evaluate_bound(bound_id: str, g: Graph, k: int | None = None) -> BoundResult
     return _evaluate(_BoundContext(g), bound_id, k=k)
 
 
-def bound_report(g: Graph, rho2: tuple[float, int] | None = None) -> list[BoundResult]:
+def bound_report(g: Graph) -> list[BoundResult]:
     """Every bound evaluated on ``g``; rho_k_lower expands over k = 1..n.
 
     Results are ordered by (bound_id, k) so reports are deterministic:
-    ``BOUND_IDS`` is sorted and rho_k_lower comes last.  A caller that already
-    holds ``rho2_fast(g)`` passes it as ``rho2`` and it is not computed again.
+    ``BOUND_IDS`` is sorted and rho_k_lower comes last.  count_lower, first,
+    enumerates the spectrum at n <= ``DEFAULT_MAX_ORDER``, which keeps rho2 on
+    ``g``, so the rho2 rows read it without screening.
     """
     ctx = _BoundContext(g)
-    if rho2 is not None:
-        ctx.rho2_pair = rho2
     results = [_evaluate(ctx, bound_id) for bound_id in BOUND_IDS[:-1]]
     results += [_evaluate(ctx, "rho_k_lower", k=k) for k in range(1, g.n + 1)]
     return results

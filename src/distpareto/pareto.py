@@ -27,6 +27,12 @@ and recomputes with the kernel only the few deletions screened near the top.
 from one kernel pass over every deletion of every graph, for the sweeps in
 ``verify``; both pick the witness with ``_first_near_max``.
 
+rho2 and its witness are kept on the ``Graph`` instance beside its distances,
+in the slot ``_rho2``.  ``pareto_spectrum`` fills it from its size n - 1 block,
+which holds every deletion, through ``_rho2_of_deletions``, the rule of
+``_rho2_many``; ``rho2_fast`` returns the slot when it is filled and otherwise
+screens and fills it.  So a graph whose spectrum was enumerated never screens.
+
 ``jobs > 1`` splits the canonical subset range into contiguous chunks handled
 by worker threads (LAPACK releases the GIL); the deduplication runs on the
 merged value array, so results are identical for every worker count.
@@ -335,13 +341,22 @@ def pareto_spectrum(
 ) -> ParetoSpectrum:
     """All distinct distance Pareto eigenvalues of ``g`` with one witness each.
 
-    Raises ValueError unless ``dedup_tolerance`` is finite and non-negative.
+    At n >= 2 it also keeps rho2 and its witness on ``g``, from the same pass,
+    for ``rho2_fast``.  Raises ValueError unless ``dedup_tolerance`` is finite
+    and non-negative.
     """
     if not (math.isfinite(dedup_tolerance) and dedup_tolerance >= 0):
         raise ValueError(f"dedup tolerance must be finite and >= 0, got {dedup_tolerance}")
     _check_order(g.n)
     subsets = _subsets_by_size(g.n)
-    values = _all_subset_values(distance_matrix(g).d, subsets, jobs)
+    d = distance_matrix(g).d
+    values = _all_subset_values(d, subsets, jobs)
+    if g.n >= 2:
+        # the size n - 1 block, the n subsets before the whole vertex set, holds
+        # every deletion; its row i deletes vertex n - 1 - i
+        roots = values[-1 - g.n : -1][::-1]
+        value, vertex = _rho2_of_deletions(d[None], roots[None])
+        _keep_rho2(g, (float(value[0]), int(vertex[0])))
     reps, witness_idx = _dedup(values, dedup_tolerance)
     reps.setflags(write=False)
     witness_idx.setflags(write=False)
@@ -380,17 +395,28 @@ def rho2_fast(g: Graph) -> tuple[float, int]:
     with ``_perron_roots_for_rows``, so the value comes from the same kernel
     on the same submatrix as a sweep over every candidate, and the screen's
     error would have to reach the window to change the result.  Returns the
-    value and the smallest vertex within 1e-12 of it.
+    value and the smallest vertex within 1e-12 of it.  The pair is kept on
+    ``g``; when ``pareto_spectrum(g)`` or an earlier call has kept it, it is
+    returned without screening.
     """
     if g.n < 2:
         raise ValueError("second largest Pareto eigenvalue needs n >= 2")
-    d = distance_matrix(g).d.astype(np.float64)
+    dm = distance_matrix(g)
+    if "_rho2" in g.__dict__:
+        return g.__dict__["_rho2"]
+    d = dm.d.astype(np.float64)
     screened = np.where(_rho2_candidates(d), _deletion_roots(d), -np.inf)
     top = float(screened.max())
     near = np.flatnonzero(screened >= top - _SCREEN_WINDOW * max(1.0, top))
     vals = _perron_roots_for_rows(d, _deletion_rows(g.n)[near])
     pick = int(_first_near_max(vals))
-    return float(vals[pick]), int(near[pick])
+    return _keep_rho2(g, (float(vals[pick]), int(near[pick])))
+
+
+def _keep_rho2(g: Graph, pair: tuple[float, int]) -> tuple[float, int]:
+    """Keep ``pair``, rho2 and its witness, on ``g`` beside its distances, and return it."""
+    object.__setattr__(g, "_rho2", pair)  # Graph is frozen; not a field, so not compared
+    return pair
 
 
 def _deletion_rows(n: int) -> np.ndarray:

@@ -415,6 +415,24 @@ def test_json_writer_matches_indented_dumps(doc, block):
         assert _written(cli._jsonable(doc)) == expected
 
 
+# Rows of scalars, as the bound table is: strings that look like the text between
+# two rows, quotes, backslashes and newlines, NaN (null), and empty rows and lists.
+_ROW_TEXT = st.one_of(
+    st.text(max_size=5),
+    st.sampled_from(["}, {", "},\n    {", "],", "}", "{", '"', "\\", "\n", 'a"}, {"b', "{}", "[]"]),
+)
+_ROW_VALUES = st.one_of(_ROW_TEXT, _FLOATS, st.integers(), st.booleans(), st.none())
+_ROWS = st.lists(st.dictionaries(st.one_of(_ROW_TEXT, st.integers(-2, 2)), _ROW_VALUES, max_size=4),
+                 max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_ROWS, st.dictionaries(_ROW_TEXT, _ROWS, max_size=3), st.lists(_ROWS, max_size=3)))
+def test_json_writer_matches_indented_dumps_on_lists_of_dicts(doc):
+    doc = cli._jsonable(doc)
+    assert _written(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def _neighbours(v: float, steps: int) -> float:
     """``v`` moved by ``steps`` units in the last place."""
     for _ in range(abs(steps)):
@@ -657,11 +675,31 @@ def test_formulas_cap_checked_before_the_family_is_built(capsys, monkeypatch):
             cli.main(["formulas", *params])
 
 
+def test_formulas_cap_checked_before_the_closed_form_is_built(capsys, monkeypatch):
+    from distpareto import laws
+
+    def refuse(*params):
+        raise AssertionError(f"closed form built with {params}")
+
+    count, _, family, quantity = laws._CLOSED_FORMS["complete_spectrum"]
+    with monkeypatch.context() as m:
+        m.setitem(laws._CLOSED_FORMS, "complete_spectrum", (count, refuse, family, quantity))
+        code, out, err = run(capsys, "formulas", "complete_spectrum", "4000000")
+    assert code == cli.EXIT_CAP and out == ""
+    assert "exceeds cap 20" in err
+    # invalid parameters still get the builder's own message
+    for params, message in ((["complete_spectrum", "0"], "complete_spectrum needs n >= 1"),
+                            (["star_radius", "1"], "star radius needs n >= 2"),
+                            (["kn_minus_e_radius", "-5"], "kn_minus_e_radius needs n >= 3")):
+        code, out, err = run(capsys, "formulas", *params)
+        assert code == cli.EXIT_PARSE and out == "" and message in err, params
+
+
 def test_spectrum_cap_checked_before_any_edge_is_parsed(tmp_path, capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("input parsed before the cap was checked")
 
-    monkeypatch.setattr(cli, "parse_edge_list", refuse)
+    monkeypatch.setattr(cli, "_edge_list_graph", refuse)  # parses the lines after the order
     monkeypatch.setattr(cli, "parse_graph6", refuse)
     big = tmp_path / "k400.txt"  # a large edge list: K_400
     big.write_text("400\n" + "".join(f"{u} {v}\n" for u in range(400) for v in range(u + 1, 400)))
@@ -733,3 +771,18 @@ def test_rho2_bounds_op_computes_distances_once(capsys, monkeypatch):
     code, out, _ = run(capsys, "rho2", "--family", "wheel", "9", "--bounds")
     assert code == 0 and len(json.loads(out)["payload"]["bounds"]) == 21
     assert calls == [(1, 9, 9)]
+
+
+def test_rho2_bounds_op_solves_each_deletion_once(capsys, monkeypatch):
+    # at n <= 20 the report's spectrum keeps rho2; above the cap it is screened once
+    from distpareto import pareto
+
+    calls = []
+    screen = pareto._deletion_roots
+    monkeypatch.setattr(pareto, "_deletion_roots", lambda d: calls.append(d.shape) or screen(d))
+    for n, screens in ((12, []), (21, [(21, 21)])):
+        calls.clear()
+        code, out, _ = run(capsys, "rho2", "--bounds", "--family", "path", str(n))
+        assert code == 0 and len(json.loads(out)["payload"]["bounds"]) == 12 + n
+        assert calls == screens, n
+

@@ -184,18 +184,21 @@ def test_bound_report_deterministic_order():
 
 
 def test_bound_report_takes_a_known_rho2_without_recomputing(monkeypatch):
-    from distpareto import laws
-    from distpareto.pareto import rho2_fast
+    # rho2 kept on the graph is read, not screened: at n <= 20 the report's own
+    # spectrum keeps it, above the cap the first report's screen does
+    from distpareto import pareto
 
-    for g in [fam("wheel", 6), fam("path", 2), fam("complete_minus_edge", 6)]:
-        expected, pair = bound_report(g), rho2_fast(g)
+    def refuse(*args):
+        raise AssertionError("rho2 screened")
 
-        def refuse(*args):
-            raise AssertionError("rho2_fast called again")
-
+    for params in [("wheel", 6), ("path", 2), ("complete_minus_edge", 6), ("path", 21)]:
+        g = fam(*params)
+        expected = bound_report(g)
         with monkeypatch.context() as m:
-            m.setattr(laws, "rho2_fast", refuse)
-            assert bound_report(g, rho2=pair) == expected
+            m.setattr(pareto, "_deletion_roots", refuse)
+            assert bound_report(g) == expected
+            if g.n <= 20:
+                assert bound_report(fam(*params)) == expected
 
 
 def test_rho2_exceeds_lambda2_on_families():

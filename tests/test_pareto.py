@@ -476,6 +476,26 @@ def test_rho2_screen_matches_kernel_on_every_deletion():
     assert checked == 78 * 4 + 1 + 28 * 5 + 27 + 68
 
 
+def test_rho2_from_the_spectrum_equals_the_screen(monkeypatch):
+    from distpareto.verify import random_connected_graph
+
+    rng = np.random.default_rng(20240601)  # the 500 graphs of the acceptance sweep
+    accepted = [random_connected_graph(int(rng.integers(7, 11)), rng) for _ in range(500)]
+    graphs = [g for g in _screen_cases() if g.n <= 12] + accepted
+    screened = [rho2_fast(make_graph(g.n, g.edges)) for g in graphs]  # fresh copies
+
+    def refuse(*args):
+        raise AssertionError("rho2 solved again after the spectrum")
+
+    for g, pair in zip(graphs, screened):
+        pareto_spectrum(g)
+        with monkeypatch.context() as m:
+            m.setattr(pareto, "_deletion_roots", refuse)
+            m.setattr(pareto, "spectral_radius_many", refuse)
+            assert rho2_fast(g) == pair, g
+    assert len(graphs) == 40 + 1 + 50 + 9 + 36 + 500
+
+
 def _rho2_pairs(graphs):
     """``_rho2_many`` on the stacked distance matrices of ``graphs``, as (value, vertex) pairs."""
     values, witnesses = pareto._rho2_many(np.stack([distance_matrix(g).d for g in graphs]))

@@ -2,8 +2,10 @@
 algebra only in ``spectral``, one thread pool, one distance routine, no second
 sweep, one JSON writer, one spectrum document for every output format, one
 array-leaf renderer, one witness decode, one all-subsets pass, no labeled-tree sweep, no labeled-graph
-sweep outside ``connected_graphs_labeled`` and no sweep that calls
-``rho2_fast`` once per graph."""
+sweep outside ``connected_graphs_labeled``, no sweep that calls
+``rho2_fast`` once per graph, rho2 read from deletion roots only by the stacked
+sweeps and the spectrum pass, and no second way to hand rho2 to the bound
+report."""
 
 import ast
 import pathlib
@@ -99,13 +101,30 @@ def test_graph_classes_are_augmented_not_swept():
 
 
 def test_sweeps_stack_rho2_instead_of_calling_rho2_fast():
+    # the rho2 command, the laws catalogue and report context, the one-edge check
+    assert _callers("rho2_fast") == {"_cmd_rho2", "_second", "rho2_pair", "check_edge_monotonicity"}
+
+
+def _callers(name: str) -> set[str]:
+    """The functions (``<lambda>`` for a lambda) of the package that call ``name``."""
     callers = set()
     for path in sorted(SRC.glob("*.py")):
         for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(fn, (ast.FunctionDef, ast.Lambda)):
-                name = getattr(fn, "name", "<lambda>")
-                callers |= {name for node in ast.walk(fn) if isinstance(node, ast.Call)
-                            and "rho2_fast" in (getattr(node.func, "id", None),
-                                                getattr(node.func, "attr", None))}
-    # the rho2 command, the laws catalogue and report context, the one-edge check
-    assert callers == {"_cmd_rho2", "_second", "rho2_pair", "check_edge_monotonicity"}
+                callers |= {getattr(fn, "name", "<lambda>") for node in ast.walk(fn)
+                            if isinstance(node, ast.Call) and name in (
+                                getattr(node.func, "id", None), getattr(node.func, "attr", None))}
+    return callers
+
+
+def test_rho2_read_from_deletions_by_the_stacked_sweeps_and_the_spectrum():
+    # the coalescence check reads every deletion's root as well as rho2
+    assert _callers("_rho2_of_deletions") == {
+        "_rho2_many", "pareto_spectrum", "check_coalescence_quasiconvexity"}
+
+
+def test_bound_report_takes_no_rho2():
+    tree = ast.parse((SRC / "laws.py").read_text(encoding="utf-8"))
+    fn = next(fn for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name == "bound_report")
+    assert [a.arg for a in fn.args.args + fn.args.kwonlyargs] == ["g"]
