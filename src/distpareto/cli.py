@@ -41,7 +41,7 @@ from .laws import (
     closed_form_brute_force,
     closed_form_surd,
 )
-from .pareto import DEFAULT_DEDUP_TOL, _check_order, pareto_spectrum, rho2_fast
+from .pareto import DEFAULT_DEDUP_TOL, _check_order, _check_rho2_order, pareto_spectrum, rho2_fast
 from .verify import (
     PropertyReport,
     _CLASSES_MAX_ORDER,
@@ -377,7 +377,7 @@ def _chunks(fh):
     return iter(functools.partial(fh.read, 1 << 16), "")
 
 
-def _load_graph(args, check_order=lambda n: None) -> Graph:
+def _load_graph(args, check_order) -> Graph:
     """The input graph; ``check_order`` sees its declared order before any edge is read."""
     if args.family:
         name = args.family[0]
@@ -427,7 +427,7 @@ _BOUND_COLUMNS = tuple(f.name for f in dataclasses.fields(BoundResult))  # scala
 
 
 def _cmd_rho2(args) -> int:
-    g = _load_graph(args)
+    g = _load_graph(args, _check_rho2_order)
     # the report first: at n <= 20 its spectrum keeps rho2 on g, and rho2_fast reads it
     bounds = bound_report(g) if args.bounds else None
     value, vertex = rho2_fast(g)

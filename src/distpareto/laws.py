@@ -23,8 +23,8 @@ from .graph import (
     make_family,
     wiener,
 )
-from .pareto import (DEFAULT_MAX_ORDER, ParetoSpectrum, _check_order, pareto_eigenpair,
-                     pareto_spectrum, rho2_fast)
+from .pareto import (DEFAULT_MAX_ORDER, ParetoSpectrum, _check_order, _check_rho2_order,
+                     pareto_eigenpair, pareto_spectrum, rho2_fast)
 from .spectral import _eigenvalues
 
 __all__ = [
@@ -222,18 +222,19 @@ def closed_form_surd(identifier: str, *params: int) -> str:
 def _form_instance(identifier: str, params: tuple[int, ...]):
     """The family name and parameters of a form's instance, and the quantity
     enumerated on it.  Above the ``pareto_spectrum`` cap, a form that enumerates
-    the spectrum raises CapExceededError; nothing is built or evaluated."""
+    the spectrum raises CapExceededError, and so does a ``rho2_*`` form above the
+    ``rho2`` command's cap; nothing is built or evaluated."""
     _, _, family, quantity = _form(identifier, params)
     name, family_params = family(*params)
-    if quantity is not _second:
-        _check_order(_family_order(name, family_params))
+    check = _check_rho2_order if quantity is _second else _check_order
+    check(_family_order(name, family_params))
     return name, family_params, quantity
 
 
 def closed_form_brute_force(identifier: str, *params: int):
-    """Independent enumeration-based value for the same family instance.  Above the
-    ``pareto_spectrum`` cap, a form that enumerates the spectrum raises
-    CapExceededError before the instance is built (``rho2_fast`` has no cap)."""
+    """Independent enumeration-based value for the same family instance.  Above
+    its cap (``_form_instance``) a form raises CapExceededError before the
+    instance is built."""
     name, family_params, quantity = _form_instance(identifier, params)
     return quantity(make_family(name, family_params))
 

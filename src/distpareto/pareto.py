@@ -70,6 +70,7 @@ __all__ = [
 
 DEFAULT_DEDUP_TOL = 1e-8
 DEFAULT_MAX_ORDER = 20
+_RHO2_MAX_ORDER = 400  # rho2 command and forms; K_400 solves all 400 deletions in about 4.5 s
 _GATHER_BYTES = 16 << 20  # bytes of gathered work array per batched call
 _SCREEN_WINDOW = 1e-9  # rho2_fast recomputes deletions screened this close to the top
 
@@ -330,6 +331,14 @@ def _check_order(n: int) -> None:
     if n > DEFAULT_MAX_ORDER:
         raise CapExceededError(
             f"pareto_spectrum enumerates 2^n - 1 subsets; n={n} exceeds cap {DEFAULT_MAX_ORDER}"
+        )
+
+
+def _check_rho2_order(n: int) -> None:
+    """Raise CapExceededError if the ``rho2`` command would refuse an n-vertex graph."""
+    if n > _RHO2_MAX_ORDER:
+        raise CapExceededError(
+            f"rho2 solves up to n deletions of order n - 1; n={n} exceeds cap {_RHO2_MAX_ORDER}"
         )
 
 

@@ -12,6 +12,10 @@ quasiconvexity) take rho2 of a whole stack of graphs from one kernel pass over
 every single-vertex deletion (``pareto._rho2_many``), with the values and
 witnesses of ``rho2_fast``; only the one-edge ``check_edge_monotonicity`` calls
 ``rho2_fast``.
+
+The tree checkers read the paths i ~ j ~ k of a tree from one array
+(``_tree_paths``): convexity tests every support on them at once, and
+quasiconvexity tests every path and every deletion vertex at once.
 """
 
 from __future__ import annotations
@@ -354,14 +358,20 @@ def random_connected_graph(n: int, rng: np.random.Generator, extra_edge_prob: fl
 # Property checkers
 
 
-def _convexity_reports(t: Graph, supports, values, vectors) -> list[PropertyReport]:
-    """Convexity reports for the Pareto eigenpairs (values[s], vectors[s]) of the tree t
-    on the sorted ``supports[s]``.  Each path i ~ j ~ k of t is listed once, ordered
-    by j and then (i, k), and a support's first failing path is its counterexample.
-    """
+def _tree_paths(t: Graph) -> np.ndarray:
+    """(p, 3) array of the paths i ~ j ~ k of the tree t, each listed once, ordered
+    by j and then (i, k)."""
     adj = t.adjacency()
     paths = [(i, j, k) for j in range(t.n) for i, k in itertools.combinations(adj[j], 2)]
-    paths = np.array(paths, dtype=np.intp).reshape(-1, 3)
+    return np.array(paths, dtype=np.intp).reshape(-1, 3)
+
+
+def _convexity_reports(t: Graph, supports, values, vectors) -> list[PropertyReport]:
+    """Convexity reports for the Pareto eigenpairs (values[s], vectors[s]) of the tree t
+    on the sorted ``supports[s]``; a support's first failing path of ``_tree_paths``
+    is its counterexample.
+    """
+    paths = _tree_paths(t)
     i, j, k = paths.T
     inside = np.zeros(vectors.shape, dtype=bool)
     np.put_along_axis(inside, np.asarray(supports, dtype=np.intp), True, axis=1)
@@ -486,46 +496,27 @@ def check_coalescence_quasiconvexity(t: Graph, h: Graph, w: int) -> PropertyRepo
     r2 = _rho2_of_deletions(dmats, deletion_rho)[0]
 
     instance = f"tree {_describe(t)} x attachment {_describe(h)} at {w}"
-    adj = t.adjacency()
-    inconclusive = False
-    checked = 0
-    for j in range(t.n):
-        for i, k in itertools.combinations(adj[j], 2):
-            checked += 1
-            gap = max(r2[i], r2[k]) - r2[j]
-            scale = max(1.0, abs(r2[j]))
-            if gap <= -_STRICT_TOL * scale:
-                return PropertyReport(
-                    property_id="coalescence_quasiconvexity",
-                    instance=instance,
-                    holds=False,
-                    counterexample={
-                        "path": (i, j, k),
-                        "rho2": (float(r2[i]), float(r2[j]), float(r2[k])),
-                    },
-                )
-            if gap <= _STRICT_TOL * scale:
-                inconclusive = True
-            for u in range(total):
-                s = deletion_rho[i, u] + deletion_rho[k, u] - 2.0 * deletion_rho[j, u]
-                if s < -_STRICT_TOL * max(1.0, abs(deletion_rho[j, u])):
-                    return PropertyReport(
-                        property_id="coalescence_quasiconvexity",
-                        instance=instance,
-                        holds=False,
-                        counterexample={
-                            "path": (i, j, k),
-                            "deletion_vertex": u,
-                            "sum_minus_twice_middle": float(s),
-                        },
-                    )
-    return PropertyReport(
-        property_id="coalescence_quasiconvexity",
-        instance=instance,
-        holds=True,
-        inconclusive=inconclusive,
-        details={"paths_checked": checked, "rho2_by_vertex": [float(v) for v in r2]},
-    )
+    paths = _tree_paths(t)
+    i, j, k = paths.T
+    scale = np.maximum(1.0, np.abs(r2[j]))
+    gap = np.maximum(r2[i], r2[k]) - r2[j]
+    sums = deletion_rho[i] + deletion_rho[k] - 2.0 * deletion_rho[j]  # (path, u)
+    below = sums < -_STRICT_TOL * np.maximum(1.0, np.abs(deletion_rho[j]))
+    peaks = gap <= -_STRICT_TOL * scale  # rho2 at j above both ends
+    failed = peaks | below.any(axis=1)
+    if failed.any():  # the first failing path; its rho2 gap before its deletions
+        f = int(failed.argmax())
+        path = tuple(paths[f].tolist())
+        if peaks[f]:
+            counterexample = {"path": path, "rho2": tuple(r2[paths[f]].tolist())}
+        else:
+            u = int(below[f].argmax())
+            counterexample = {"path": path, "deletion_vertex": u,
+                              "sum_minus_twice_middle": float(sums[f, u])}
+        return PropertyReport("coalescence_quasiconvexity", instance, False, counterexample)
+    return PropertyReport("coalescence_quasiconvexity", instance, True,
+                          inconclusive=bool((gap <= _STRICT_TOL * scale).any()),
+                          details={"paths_checked": len(paths), "rho2_by_vertex": r2.tolist()})
 
 
 def check_tree_extremes(n: int) -> PropertyReport:
@@ -533,27 +524,23 @@ def check_tree_extremes(n: int) -> PropertyReport:
     if not (3 <= n <= _TREES_MAX_ORDER):
         raise CapExceededError(f"tree extremes need 3 <= n <= {_TREES_MAX_ORDER}")
     trees = trees_upto_iso(n)
-    values = _rho2_many(np.stack([distance_matrix(t).d for t in trees]))[0].tolist()
-    degs = [tuple(sorted(t.degrees())) for t in trees]
-    path_sig = tuple(sorted([1, 1] + [2] * (n - 2)))
-    star_sig = tuple(sorted([n - 1] + [1] * (n - 1)))
-    path_idx = degs.index(path_sig)
-    star_idx = degs.index(star_sig)
+    values = _rho2_many(np.stack([distance_matrix(t).d for t in trees]))[0]
+    top = [max(t.degrees()) for t in trees]
+    path_idx, star_idx = top.index(2), top.index(n - 1)  # the same tree at n = 3
     instance = f"all {len(trees)} trees of order {n}"
-    vmax, vmin = max(values), min(values)
-    problems = []
-    for idx, v in enumerate(values):
-        scale = max(1.0, abs(vmax))
-        if idx != path_idx and v >= vmax - _STRICT_TOL * scale:
-            problems.append({"kind": "max_not_unique_to_path", "tree": _describe(trees[idx])})
-        if idx != star_idx and v <= vmin + _STRICT_TOL * max(1.0, abs(vmin)):
-            problems.append({"kind": "min_not_unique_to_star", "tree": _describe(trees[idx])})
-    holds = values[path_idx] == vmax and values[star_idx] == vmin and not problems
+    vmax, vmin = values.max(), values.min()
+    others = np.arange(len(trees))
+    at_max = (others != path_idx) & (values >= vmax - _STRICT_TOL * max(1.0, abs(vmax)))
+    at_min = (others != star_idx) & (values <= vmin + _STRICT_TOL * max(1.0, abs(vmin)))
+    kinds = ("max_not_unique_to_path", "min_not_unique_to_star")
+    problems = [{"kind": kinds[c], "tree": _describe(trees[idx])}  # by tree, max before min
+                for idx, c in zip(*np.nonzero(np.stack([at_max, at_min], axis=1)))]
+    # when the path or the star misses its extreme, the tree at it is a problem
     return PropertyReport(
         property_id="tree_extremes",
         instance=instance,
-        holds=holds,
-        counterexample=None if holds else {"problems": problems},
+        holds=not problems,
+        counterexample={"problems": problems} if problems else None,
         details={
             "tree_count": len(trees),
             "path_rho2": float(values[path_idx]),

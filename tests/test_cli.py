@@ -593,7 +593,7 @@ def test_spectrum_csv_and_table_match_the_tuple_rendering_at_every_block_size(
         g = random_connected_graph(12, np.random.default_rng(7), extra_edge_prob=0.2)
         source = ("--edges", str(tmp_path / source[1]))
         pathlib.Path(source[1]).write_text(edge_list_text(g))
-    g = cli._load_graph(cli._parser().parse_args(["spectrum", *source]))
+    g = cli._load_graph(cli._parser().parse_args(["spectrum", *source]), cli._check_order)
     spec = pareto_spectrum(g)
     ladder = json.loads(run(capsys, "spectrum", *source)[1])["payload"]["integer_ladder"]
     doc = cli._document("spectrum", {
@@ -657,6 +657,35 @@ def test_spectrum_cap_checked_before_the_graph_is_built(capsys, monkeypatch):
             cli.main(["spectrum", "--family", *params])
 
 
+def test_rho2_cap_checked_before_the_graph_is_built(tmp_path, capsys, monkeypatch):
+    from distpareto import graph
+
+    def refuse(*args):
+        raise AssertionError(f"graph built with {args}")
+
+    for name, (_, arity) in graph._FAMILIES.items():
+        monkeypatch.setitem(graph._FAMILIES, name, (refuse, arity))
+    monkeypatch.setattr(cli, "_edge_list_graph", refuse)  # parses the lines after the order
+    monkeypatch.setattr(cli, "parse_graph6", refuse)
+    edges = tmp_path / "big.txt"  # above the cap and malformed: the cap wins
+    edges.write_text("401\n0 1\nnot an edge\n")
+    g6 = tmp_path / "p500.g6"  # order 500 in the long form, no body
+    g6.write_text("~" + "".join(chr(63 + (500 >> s & 63)) for s in (12, 6, 0)) + "\n")
+    for source in (["--family", "complete", "1500"], ["--family", "complete_bipartite", "200", "201"],
+                   ["--family", "path", "401", "--bounds"], ["--edges", str(edges)],
+                   ["--graph6", str(g6)]):
+        code, out, err = run(capsys, "rho2", *source)
+        assert code == cli.EXIT_CAP and out == "", source
+        assert "exceeds cap 400" in err
+    # at the cap the check passes and the graph is built
+    for source in (["--family", "complete", "400"], ["--family", "complete_bipartite", "200", "200"]):
+        with pytest.raises(AssertionError, match="graph built"):
+            cli.main(["rho2", *source])
+    edges.write_text("400\n0 1\n")
+    with pytest.raises(AssertionError, match="graph built"):
+        cli.main(["rho2", "--edges", str(edges)])
+
+
 def test_formulas_cap_checked_before_the_family_is_built(capsys, monkeypatch):
     from distpareto import laws
 
@@ -669,8 +698,15 @@ def test_formulas_cap_checked_before_the_family_is_built(capsys, monkeypatch):
         code, out, err = run(capsys, "formulas", *params)
         assert code == cli.EXIT_CAP and out == ""
         assert "exceeds cap 20" in err
-    # at the cap the check passes, and the rho2 forms have no cap: the family is built
-    for params in (["star_radius", "20"], ["rho2_kn_minus_e", "21"]):
+    # the rho2 forms exit 3 above the rho2 command's cap
+    for params in (["rho2_kn_minus_e", "1500"], ["rho2_kab", "200", "201"],
+                   ["rho2_k_pendant", "401"], ["rho2_two_nonincident", "401"]):
+        code, out, err = run(capsys, "formulas", *params)
+        assert code == cli.EXIT_CAP and out == ""
+        assert "exceeds cap 400" in err
+    # at the caps the check passes and the family is built
+    for params in (["star_radius", "20"], ["rho2_kn_minus_e", "21"], ["rho2_kab", "200", "200"],
+                   ["rho2_k_pendant", "400"], ["rho2_two_nonincident", "400"]):
         with pytest.raises(AssertionError, match="family built"):
             cli.main(["formulas", *params])
 

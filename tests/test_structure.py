@@ -4,8 +4,9 @@ sweep, one JSON writer, one spectrum document for every output format, one
 array-leaf renderer, one witness decode, one all-subsets pass, no labeled-tree sweep, no labeled-graph
 sweep outside ``connected_graphs_labeled``, no sweep that calls
 ``rho2_fast`` once per graph, rho2 read from deletion roots only by the stacked
-sweeps and the spectrum pass, and no second way to hand rho2 to the bound
-report."""
+sweeps and the spectrum pass, no second way to hand rho2 to the bound
+report, one table of the 2-paths i ~ j ~ k for the tree checkers, and no
+per-deletion loop in the quasiconvexity check."""
 
 import ast
 import pathlib
@@ -128,3 +129,17 @@ def test_bound_report_takes_no_rho2():
     fn = next(fn for fn in ast.walk(tree)
               if isinstance(fn, ast.FunctionDef) and fn.name == "bound_report")
     assert [a.arg for a in fn.args.args + fn.args.kwonlyargs] == ["g"]
+
+
+def _functions(module: str) -> dict[str, str]:
+    """Name -> source of every function defined in ``module``."""
+    text = (SRC / module).read_text(encoding="utf-8")
+    return {fn.name: ast.get_source_segment(text, fn) for fn in ast.walk(ast.parse(text))
+            if isinstance(fn, ast.FunctionDef)}
+
+
+def test_tree_checkers_read_one_two_path_table():
+    functions = _functions("verify.py")
+    assert {name for name, src in functions.items()
+            if "itertools.combinations(adj" in src} == {"_tree_paths"}
+    assert "for u in range(" not in functions["check_coalescence_quasiconvexity"]

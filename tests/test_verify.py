@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from distpareto.errors import CapExceededError, DisconnectedGraphError
-from distpareto.graph import delete_edge, distance_matrix, make_family, make_graph
+from distpareto.graph import coalesce, delete_edge, distance_matrix, make_family, make_graph
 from distpareto import pareto, verify
 from distpareto.pareto import pareto_count, pareto_eigenpair
 from distpareto.verify import (
@@ -385,6 +385,70 @@ def test_checkers_reject_n_minus_1_edges_when_disconnected():
         check_coalescence_quasiconvexity(fam("path", 3), triangle_plus_isolated, 0)
 
 
+def _reference_quasiconvexity(t, h, w):
+    """The per-path loops: paths i ~ j ~ k by j, then neighbor pairs, and on each
+    path the rho2 gap first, then every deletion vertex u.  Returns (holds,
+    counterexample, inconclusive, details)."""
+    total = t.n + h.n - 1
+    dmats = np.stack([distance_matrix(coalesce(t, i, h, w)).d for i in range(t.n)])
+    deletion_rho = verify._perron_roots_for_rows(dmats, pareto._deletion_rows(total))
+    r2 = pareto._rho2_of_deletions(dmats, deletion_rho)[0]
+    adj = t.adjacency()
+    inconclusive, checked = False, 0
+    for j in range(t.n):
+        for i, k in itertools.combinations(adj[j], 2):
+            checked += 1
+            gap = max(r2[i], r2[k]) - r2[j]
+            scale = max(1.0, abs(r2[j]))
+            if gap <= -1e-9 * scale:
+                rho2 = (float(r2[i]), float(r2[j]), float(r2[k]))
+                return False, {"path": (i, j, k), "rho2": rho2}, False, {}
+            if gap <= 1e-9 * scale:
+                inconclusive = True
+            for u in range(total):
+                s = deletion_rho[i, u] + deletion_rho[k, u] - 2.0 * deletion_rho[j, u]
+                if s < -1e-9 * max(1.0, abs(deletion_rho[j, u])):
+                    return False, {"path": (i, j, k), "deletion_vertex": u,
+                                   "sum_minus_twice_middle": float(s)}, False, {}
+    return True, None, inconclusive, {"paths_checked": checked,
+                                      "rho2_by_vertex": [float(v) for v in r2]}
+
+
+def _fake_deletion_roots(t, total, mode, rng):
+    """(t.n, total) deletion roots for the coalescences of t: affine in the tree
+    distance to a random vertex with slopes >= 1 ("strict", every path passes
+    strictly) or >= 0 ("ties"), small integers, or uniform floats."""
+    if mode in ("strict", "ties"):
+        depth = distance_matrix(t).d[rng.integers(t.n)].astype(float)
+        slope = rng.integers(1 if mode == "strict" else 0, 3, size=total)
+        return rng.integers(0, 4, size=total) + np.outer(depth, slope)
+    if mode == "integers":
+        return rng.integers(0, 4, size=(t.n, total)).astype(float)
+    return rng.random((t.n, total))
+
+
+def test_quasiconvexity_matches_the_per_path_loops(monkeypatch):
+    # seeded deletion roots reach every branch: both counterexample kinds, ties, clean holds
+    rng = np.random.default_rng(11)
+    attachments = [(fam("complete", 2), 0), (fam("complete", 3), 0), (fam("path", 3), 0)]
+    outcomes = set()
+    for n in range(3, 8):
+        for t in trees_upto_iso(n):
+            for h, w in attachments:
+                for mode in ("strict", "ties", "integers", "uniform"):
+                    roots = _fake_deletion_roots(t, t.n + h.n - 1, mode, rng)
+                    monkeypatch.setattr(verify, "_perron_roots_for_rows", lambda d, rows: roots)
+                    rep = check_coalescence_quasiconvexity(t, h, w)
+                    want = _reference_quasiconvexity(t, h, w)
+                    got = (rep.holds, rep.counterexample, rep.inconclusive, rep.details)
+                    assert got == want and repr(got) == repr(want), (t, h, mode)
+                    assert rep.instance == (f"tree {verify._describe(t)} x attachment "
+                                            f"{verify._describe(h)} at {w}")
+                    outcomes.add("inconclusive" if rep.inconclusive else "holds" if rep.holds
+                                 else next(key for key in rep.counterexample if key != "path"))
+    assert outcomes == {"holds", "inconclusive", "rho2", "deletion_vertex"}
+
+
 # ---------------------------------------------------------------------------
 # tree extremes and extremal search
 
@@ -405,6 +469,56 @@ def test_tree_extremes_n5():
 def test_tree_extremes_n3_single_tree():
     rep = check_tree_extremes(3)
     assert rep.holds and rep.details["tree_count"] == 1
+
+
+def _reference_tree_extremes(n):
+    """The per-tree loop: path and star found by sorted degree signature, then one
+    max and one min test per tree."""
+    trees = trees_upto_iso(n)
+    values = verify._rho2_many(np.stack([distance_matrix(t).d for t in trees]))[0].tolist()
+    degs = [tuple(sorted(t.degrees())) for t in trees]
+    path_idx = degs.index(tuple(sorted([1, 1] + [2] * (n - 2))))
+    star_idx = degs.index(tuple(sorted([n - 1] + [1] * (n - 1))))
+    vmax, vmin = max(values), min(values)
+    problems = []
+    for idx, v in enumerate(values):
+        if idx != path_idx and v >= vmax - 1e-9 * max(1.0, abs(vmax)):
+            problems.append({"kind": "max_not_unique_to_path", "tree": verify._describe(trees[idx])})
+        if idx != star_idx and v <= vmin + 1e-9 * max(1.0, abs(vmin)):
+            problems.append({"kind": "min_not_unique_to_star", "tree": verify._describe(trees[idx])})
+    holds = values[path_idx] == vmax and values[star_idx] == vmin and not problems
+    return holds, None if holds else {"problems": problems}, {
+        "tree_count": len(trees), "path_rho2": float(values[path_idx]),
+        "star_rho2": float(values[star_idx])}
+
+
+def test_tree_extremes_match_the_per_tree_loop(monkeypatch):
+    # crafted rho2 values tie at the maximum and the minimum, exactly and within tolerance
+    rng = np.random.default_rng(5)
+    kinds = set()
+    for n in range(3, 9):
+        trees = trees_upto_iso(n)
+        degrees = [max(t.degrees()) for t in trees]
+        path, star = degrees.index(2), degrees.index(n - 1)
+        for case in range(8):
+            values = rng.integers(0, 4, size=len(trees)).astype(float) * 10.0
+            if case % 4 == 1:  # path strictly largest, star strictly smallest
+                values[path], values[star] = 50.0, -10.0
+            elif case % 4 == 2:  # a tolerance tie beside the path and beside the star
+                values[path], values[star] = 50.0, -10.0
+                values[rng.integers(len(trees))] = 50.0 - 1e-8
+                values[rng.integers(len(trees))] = -10.0 + 1e-9
+            elif case % 4 == 3:  # path and star just inside the tolerance of the extremes
+                values[path], values[star] = values.max() - 1e-9, values.min() + 1e-9
+            monkeypatch.setattr(verify, "_rho2_many", lambda d: (values, None))
+            rep = check_tree_extremes(n)
+            want = _reference_tree_extremes(n)
+            assert (rep.holds, rep.counterexample, rep.details) == want, (n, values)
+            assert type(rep.holds) is bool
+            assert rep.instance == f"all {len(trees)} trees of order {n}"
+            kinds |= {p["kind"] for p in (rep.counterexample or {"problems": []})["problems"]}
+            kinds.add(rep.holds)
+    assert kinds == {True, False, "max_not_unique_to_path", "min_not_unique_to_star"}
 
 
 def test_extremal_small_orders():
