@@ -12,20 +12,20 @@ the values and the witnesses' canonical flat indices as arrays; ``_decode``
 turns the indices into vertex labels only when the witnesses are read.
 
 ``_perron_roots_for_rows`` is the one gather-and-solve kernel: it serves the
-spectrum, ``rho2_fast`` and the batched sweeps in ``verify``, and hands the
+spectrum, the rho2 screen and the batched sweeps in ``verify``, and hands the
 eigensolver at most ``_GATHER_BYTES`` of submatrices per call.
 ``_perron_pairs_for_rows`` adds the vectors, for ``pareto_eigenpair`` (one
 row) and the convexity sweep in ``verify`` (every subset of a tree).
 ``_all_subset_values`` is the one pass over every subset, for one matrix (the
 spectrum) or a stack (``_distinct_counts``, the extremal search's counts).
 
-``rho2_fast`` screens all n single-vertex deletions with one ``eigh`` of the
-distance matrix and O(n^2) work per Newton step on the secular equation
+``_rho2_many`` is the one rho2 screen, for a stack of graphs: it screens all n
+single-vertex deletions of each graph with one ``eigh`` of its distance matrix
+and O(n^2) work per Newton step on the secular equation
 (``spectral._deletion_roots``), instead of n deletion eigensolves at O(n^4),
-and recomputes with the kernel only the few deletions screened near the top.
-``_rho2_many`` gives the same values and witnesses for a stack of small graphs
-from one kernel pass over every deletion of every graph, for the sweeps in
-``verify``; both pick the witness with ``_first_near_max``.
+and recomputes with the kernel only the few deletions screened near each
+graph's top.  ``rho2_fast`` is its one-graph case, and the sweeps in
+``verify`` run it on a whole stack.
 
 rho2 and its witness are kept on the ``Graph`` instance beside its distances,
 in the slot ``_rho2``.  ``pareto_spectrum`` fills it from its size n - 1 block,
@@ -72,7 +72,7 @@ DEFAULT_DEDUP_TOL = 1e-8
 DEFAULT_MAX_ORDER = 20
 _RHO2_MAX_ORDER = 400  # rho2 command and forms; K_400 solves all 400 deletions in about 4.5 s
 _GATHER_BYTES = 16 << 20  # bytes of gathered work array per batched call
-_SCREEN_WINDOW = 1e-9  # rho2_fast recomputes deletions screened this close to the top
+_SCREEN_WINDOW = 1e-9  # the rho2 screen recomputes deletions this close to a graph's top
 
 
 @dataclass(frozen=True, eq=False)
@@ -398,12 +398,7 @@ def rho2_fast(g: Graph) -> tuple[float, int]:
     non-pendant vertices, or both vertices of K_2, where either deletion is the
     1x1 zero matrix.
 
-    ``_deletion_roots`` screens every deletion from one eigendecomposition of
-    D, certified to 1e-13 relative (about 1e-15 in practice).  Only the candidates screened within
-    ``_SCREEN_WINDOW`` (1e-9 relative) of the largest candidate are recomputed
-    with ``_perron_roots_for_rows``, so the value comes from the same kernel
-    on the same submatrix as a sweep over every candidate, and the screen's
-    error would have to reach the window to change the result.  Returns the
+    The value comes from the screen ``_rho2_many`` on D alone.  Returns the
     value and the smallest vertex within 1e-12 of it.  The pair is kept on
     ``g``; when ``pareto_spectrum(g)`` or an earlier call has kept it, it is
     returned without screening.
@@ -413,13 +408,8 @@ def rho2_fast(g: Graph) -> tuple[float, int]:
     dm = distance_matrix(g)
     if "_rho2" in g.__dict__:
         return g.__dict__["_rho2"]
-    d = dm.d.astype(np.float64)
-    screened = np.where(_rho2_candidates(d), _deletion_roots(d), -np.inf)
-    top = float(screened.max())
-    near = np.flatnonzero(screened >= top - _SCREEN_WINDOW * max(1.0, top))
-    vals = _perron_roots_for_rows(d, _deletion_rows(g.n)[near])
-    pick = int(_first_near_max(vals))
-    return _keep_rho2(g, (float(vals[pick]), int(near[pick])))
+    value, vertex = _rho2_many(dm.d[None])
+    return _keep_rho2(g, (float(value[0]), int(vertex[0])))
 
 
 def _keep_rho2(g: Graph, pair: tuple[float, int]) -> tuple[float, int]:
@@ -442,35 +432,42 @@ def _rho2_candidates(d: np.ndarray) -> np.ndarray:
     return nonpendant | ~nonpendant.any(axis=-1, keepdims=True)
 
 
-def _first_near_max(vals: np.ndarray) -> np.ndarray:
-    """Index, along the last axis, of the first value within 1e-12 relative of the
-    largest: the rho2 witness rule.  A value of -inf is never picked."""
-    vmax = vals.max(axis=-1, keepdims=True)
-    return np.argmax(vals >= vmax - 1e-12 * np.maximum(1.0, np.abs(vmax)), axis=-1)
-
-
 def _rho2_of_deletions(dmats: np.ndarray, roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """rho2 (m,) and witness vertices (m,) of the graphs with distance matrices
     ``dmats`` (m, n, n), from the Perron roots ``roots`` (m, n) of their
     single-vertex deletions.
 
-    The candidates are those of ``rho2_fast``.
+    The candidates are those of ``rho2_fast``, and the witness is the first
+    candidate within 1e-12 relative of the largest candidate root.
     """
-    pick = _first_near_max(np.where(_rho2_candidates(dmats), roots, -np.inf))
+    vals = np.where(_rho2_candidates(dmats), roots, -np.inf)
+    vmax = vals.max(axis=-1, keepdims=True)
+    pick = np.argmax(vals >= vmax - 1e-12 * np.maximum(1.0, np.abs(vmax)), axis=-1)
     return np.take_along_axis(roots, pick[:, None], axis=-1)[:, 0], pick
 
 
 def _rho2_many(dmats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``rho2_fast`` on a stack (m, n, n) of connected distance matrices, n >= 2:
-    rho2 (m,) and witness vertices (m,), from one kernel pass over every
-    single-vertex deletion of every matrix.
+    """rho2 (m,) and witness vertices (m,) of a stack (m, n, n) of connected
+    distance matrices, n >= 2, with the candidates and witness rule of ``rho2_fast``.
 
-    For the small graphs of the exhaustive sweeps one stacked pass costs less than
-    m screens; the values are those of ``rho2_fast``, which reads the same kernel
-    on the same submatrices and applies the same witness rule.
+    ``_deletion_roots`` screens every deletion of every matrix from one
+    eigendecomposition each, certified to 1e-13 relative (about 1e-15 in
+    practice).  Only the candidates screened within ``_SCREEN_WINDOW`` (1e-9
+    relative) of their graph's largest candidate are recomputed with
+    ``_perron_roots_for_rows``, one call per deletion vertex over the graphs
+    that keep it, so each value comes from the same kernel on the same
+    submatrix as a sweep over every candidate, and the screen's error would
+    have to reach the window to change the result.
     """
-    roots = _perron_roots_for_rows(dmats, _deletion_rows(dmats.shape[-1]))
-    return _rho2_of_deletions(dmats, roots)
+    d = dmats.astype(np.float64, copy=False)
+    screened = np.where(_rho2_candidates(d), _deletion_roots(d), -np.inf)
+    top = screened.max(axis=-1, keepdims=True)
+    near = screened >= top - _SCREEN_WINDOW * np.maximum(1.0, top)
+    rows = _deletion_rows(d.shape[-1])
+    roots = np.full(near.shape, -np.inf)
+    for v in np.flatnonzero(near.any(axis=0)).tolist():
+        roots[near[:, v], v] = _perron_roots_for_rows(d[near[:, v]], rows[v : v + 1])[:, 0]
+    return _rho2_of_deletions(d, roots)
 
 
 def pareto_eigenpair(g: Graph, support: tuple[int, ...] | list[int]) -> ParetoEigenpair:

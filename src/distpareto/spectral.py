@@ -7,7 +7,8 @@ eigenvalues nearly collide.  ``spectral_radius_many`` gives the largest
 eigenvalue of each matrix in a stack (the spectrum's hot path),
 ``perron_pairs_many`` also a sign-normalized eigenvector (one stacked
 ``eigh``), ``_eigenvalues`` every eigenvalue of one matrix, and
-``_deletion_roots`` the Perron root of every single-vertex deletion.  The pairs
+``_deletion_roots`` the Perron root of every single-vertex deletion of each
+matrix in a stack (the rho2 screen, for one graph or many).  The pairs
 of ``perron_pairs_many`` and ``_eigenvalues`` are checked against the residual
 contract ``|Mx - vx|_inf <= 1e-10 * max(1, |v|)``.
 """
@@ -62,9 +63,10 @@ _SECULAR_TOL = 1e-13  # certified relative error at which the Newton loop stops
 
 
 def _deletion_roots(d: np.ndarray) -> np.ndarray:
-    """Perron root of ``d`` with row and column v removed, for every vertex v.
+    """Perron root of each matrix in ``d`` with row and column v removed, for every
+    vertex v: shape (m, n) for a stack (m, n, n), or (n,) for one matrix.
 
-    ``d`` is the float64 distance matrix of a connected graph on n >= 2
+    Each matrix is the float64 distance matrix of a connected graph on n >= 2
     vertices.  One eigendecomposition d = Q diag(lam) Q^T serves every v: the
     eigenvalues of the deletion are the roots of the secular function
     sum_i Q_vi^2 / (x - lam_i) (Golub, SIAM Review 15, 1973), and by
@@ -77,32 +79,32 @@ def _deletion_roots(d: np.ndarray) -> np.ndarray:
     which is concave and increasing on x > lam_{n-1} with H' >= 1.  Newton's
     method on H therefore lands at or below r from any start and then climbs
     to it monotonically.  The first step starts at lam_n, where psi and psi'
-    are two matrix-vector products shared by all vertices; each later step is
-    O(n^2) over all vertices at once.  A step from x with H(x) = -h leaves an
-    error of at most h^2 / (x - lam_{n-1}) (concavity gives r - x <= h, and
-    |H''| <= 2 H' / (x - lam_{n-1})), so the loop stops once that bound is
-    below ``_SECULAR_TOL`` relative for every vertex.  Estimates are kept just
-    above lam_{n-1}, where psi has its pole, and returned clipped to
-    [lam_{n-1}, lam_n]: where e_v has no weight on lam_{n-1}'s eigenvectors,
-    lam_{n-1} itself is the deletion's Perron root.
+    are two matrix-vector products per matrix shared by all its vertices; each
+    later step is O(n^2) per matrix over all vertices at once.  A step from x
+    with H(x) = -h leaves an error of at most h^2 / (x - lam_{n-1}) (concavity
+    gives r - x <= h, and |H''| <= 2 H' / (x - lam_{n-1})), so the loop stops
+    once that bound is below ``_SECULAR_TOL`` relative for every vertex of
+    every matrix.  Estimates are kept just above lam_{n-1}, where psi has its
+    pole, and returned clipped to [lam_{n-1}, lam_n]: where e_v has no weight
+    on lam_{n-1}'s eigenvectors, lam_{n-1} itself is the deletion's Perron root.
     """
     lam, q = np.linalg.eigh(d)
     w = q * q
-    top, low = float(lam[-1]), float(lam[-2])
-    rest, wtop, wrest = lam[:-1], w[:, -1], w[:, :-1]
+    top, low = lam[..., -1:], lam[..., -2:-1]
+    rest, wtop, wrest = lam[..., :-1], w[..., -1], w[..., :-1]
     u = 1.0 / (top - rest)
-    psi = wrest @ u
-    x = top - wtop * psi / (wtop * (wrest @ (u * u)) + psi * psi)
+    psi = (wrest @ u[..., None])[..., 0]
+    x = top - wtop * psi / (wtop * (wrest @ (u * u)[..., None])[..., 0] + psi * psi)
     x = np.maximum(x, low + 1e-14 * top)
     tol = _SECULAR_TOL * top
     for _ in range(_SECULAR_ITERATIONS):
-        r = 1.0 / (x[:, None] - rest)
+        r = 1.0 / (x[..., None] - rest[..., None, :])
         t = wrest * r
-        psi = t.sum(axis=1)
+        psi = t.sum(axis=-1)
         gap = wtop / psi
         h = np.maximum(top - x - gap, 0.0)
-        certified = (h * h / (x - low)).max() <= tol
-        x = x + h / (gap * (t * r).sum(axis=1) / psi + 1.0)
+        certified = (h * h / (x - low) <= tol).all()
+        x = x + h / (gap * (t * r).sum(axis=-1) / psi + 1.0)
         if certified:
             break
     return np.clip(x, low, top)

@@ -4,14 +4,16 @@ The exhaustive machinery builds connected graphs as canonical edge bitmasks,
 one per isomorphism class, by adding a vertex to each class of the order below
 (``_class_masks``), and trees directly from center-rooted level sequences, one
 per isomorphism class (``_free_tree_levels``).  Pareto counts are
-isomorphism-invariant, so searches count each class once.  The labeled sweep
-(``_connected_chunks``) remains only for ``connected_graphs_labeled``.
+isomorphism-invariant, so searches count each class once.  The labeled graphs
+of ``connected_graphs_labeled`` are the vertex relabelings of the classes
+(``_relabelings``, which also gives the canonical forms).
 
-The rho2 sweeps (edge monotonicity over the classes, tree extremes, coalescence
-quasiconvexity) take rho2 of a whole stack of graphs from one kernel pass over
-every single-vertex deletion (``pareto._rho2_many``), with the values and
-witnesses of ``rho2_fast``; only the one-edge ``check_edge_monotonicity`` calls
-``rho2_fast``.
+The rho2 sweeps (edge monotonicity over the classes, tree extremes) take rho2
+of a whole stack of graphs from one call of the rho2 screen
+(``pareto._rho2_many``), whose one-graph case is ``rho2_fast``; only the
+one-edge ``check_edge_monotonicity`` calls ``rho2_fast``.  Coalescence
+quasiconvexity needs every deletion's root, so it runs the kernel on every
+deletion and reads rho2 from those roots.
 
 The tree checkers read the paths i ~ j ~ k of a tree from one array
 (``_tree_paths``): convexity tests every support on them at once, and
@@ -68,7 +70,6 @@ _EXTREMAL_MAX_ORDER = 7
 _TREES_MAX_ORDER = 14
 _TREE_SUPPORTS_MAX_ORDER = 10  # convexity and quasiconvexity sweep every support
 _CLASSES_MAX_ORDER = 7
-_SWEEP_CHUNK = 4096  # edge masks per batched connectivity and distance pass
 
 
 @dataclass(frozen=True)
@@ -225,29 +226,15 @@ def _mask_distances(masks: np.ndarray, n: int) -> np.ndarray:
     return _hop_distances(adj)
 
 
-def _connected_chunks(n: int, lo: int, hi: int):
-    """Yield (masks, distances) for the connected labeled graphs with edge mask in [lo, hi).
-
-    Bit j of a mask is the j-th vertex pair in lexicographic order.  Masks are
-    taken ``_SWEEP_CHUNK`` at a time, and one ``_hop_distances`` pass gives
-    each chunk's connectivity and distance matrices; masks stay ascending.
-    """
-    for start in range(lo, hi, _SWEEP_CHUNK):
-        masks = np.arange(start, min(start + _SWEEP_CHUNK, hi), dtype=np.int64)
-        dist = _mask_distances(masks, n)
-        connected = (dist[:, 0] >= 0).all(axis=1)
-        if connected.any():
-            yield masks[connected], dist[connected]
-
-
 def connected_graphs_labeled(n: int):
-    """Yield every connected labeled graph on n vertices (n <= 7)."""
+    """Yield every connected labeled graph on n vertices (n <= 7), by ascending
+    edge mask: every vertex relabeling of every connected class."""
     if not (1 <= n <= _EXTREMAL_MAX_ORDER):
         raise CapExceededError(f"labeled sweep limited to n <= {_EXTREMAL_MAX_ORDER}")
+    blocks = [np.unique(relabeled) for relabeled in _relabelings(_class_masks(n)[0], n)]
     pairs = _edge_pairs(n)
-    for masks, _ in _connected_chunks(n, 0, 1 << len(pairs)):
-        for mask in masks:
-            yield _mask_to_graph(int(mask), n, pairs)
+    for mask in np.unique(np.concatenate(blocks)).astype(np.int64).tolist():
+        yield _mask_to_graph(mask, n, pairs)
 
 
 @functools.lru_cache(maxsize=None)
@@ -266,24 +253,29 @@ def _perm_edge_columns(n: int) -> np.ndarray:
     return weights
 
 
-def _canonical_mask_values(masks, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical form of each edge mask, its least value over all vertex
-    relabelings, and how many relabelings reach it: the graph's |Aut|.
+def _relabelings(masks, n: int):
+    """Yield, block by block of at most ``_GATHER_BYTES``, the (block, n!) float
+    matrix of every edge mask under every vertex relabeling, masks in order.
 
-    The relabeled masks are one float matrix product per block of masks; the
-    packed values stay below 2^28, so float64 holds them exactly.
+    Each block is one float matrix product; the packed values stay below 2^28,
+    so float64 holds them exactly.
     """
     weights = _perm_edge_columns(n)
     bits = _mask_bits(masks, weights.shape[0]).astype(np.float64)
-    best = np.empty(bits.shape[0], dtype=np.int64)
-    aut = np.empty(bits.shape[0], dtype=np.int64)
     step = max(1, _GATHER_BYTES // (8 * weights.shape[1]))
     for lo in range(0, bits.shape[0], step):
-        relabeled = bits[lo : lo + step] @ weights
+        yield bits[lo : lo + step] @ weights
+
+
+def _canonical_mask_values(masks, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical form of each edge mask, its least value over all vertex
+    relabelings, and how many relabelings reach it: the graph's |Aut|."""
+    best, aut = [], []
+    for relabeled in _relabelings(masks, n):
         least = relabeled.min(axis=1)
-        best[lo : lo + step] = least
-        aut[lo : lo + step] = (relabeled == least[:, None]).sum(axis=1)
-    return best, aut
+        best.append(least.astype(np.int64))
+        aut.append((relabeled == least[:, None]).sum(axis=1))
+    return np.concatenate(best), np.concatenate(aut)
 
 
 def canonical_form(g: Graph) -> tuple[tuple[int, int], ...]:

@@ -816,7 +816,7 @@ def test_rho2_bounds_op_solves_each_deletion_once(capsys, monkeypatch):
     calls = []
     screen = pareto._deletion_roots
     monkeypatch.setattr(pareto, "_deletion_roots", lambda d: calls.append(d.shape) or screen(d))
-    for n, screens in ((12, []), (21, [(21, 21)])):
+    for n, screens in ((12, []), (21, [(1, 21, 21)])):
         calls.clear()
         code, out, _ = run(capsys, "rho2", "--bounds", "--family", "path", str(n))
         assert code == 0 and len(json.loads(out)["payload"]["bounds"]) == 12 + n

@@ -2,9 +2,9 @@
 algebra only in ``spectral``, one thread pool, one distance routine, no second
 sweep, one JSON writer, one spectrum document for every output format, one
 array-leaf renderer, one witness decode, one all-subsets pass, no labeled-tree sweep, no labeled-graph
-sweep outside ``connected_graphs_labeled``, no sweep that calls
-``rho2_fast`` once per graph, rho2 read from deletion roots only by the stacked
-sweeps and the spectrum pass, no second way to hand rho2 to the bound
+sweep, no sweep that calls ``rho2_fast`` once per graph, one rho2 screen for
+one graph and a stack, rho2 read from deletion roots only by the screen, the
+coalescence check and the spectrum pass, no second way to hand rho2 to the bound
 report, one table of the 2-paths i ~ j ~ k for the tree checkers, and no
 per-deletion loop in the quasiconvexity check."""
 
@@ -92,13 +92,8 @@ def test_trees_are_generated_not_deduplicated():
 
 def test_graph_classes_are_augmented_not_swept():
     assert _occurrences(r"\b_first_of_each_class\b") == []  # dedup of the labeled sweep
-    callers = []
-    for path in sorted(SRC.glob("*.py")):
-        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(fn, ast.FunctionDef):
-                callers += [fn.name for node in ast.walk(fn) if isinstance(node, ast.Call)
-                            and getattr(node.func, "id", None) == "_connected_chunks"]
-    assert callers == ["connected_graphs_labeled"]
+    # the labeled graphs are the classes' relabelings, not a sweep of every edge mask
+    assert _occurrences(r"\b_connected_chunks\b|\b_SWEEP_CHUNK\b") == []
 
 
 def test_sweeps_stack_rho2_instead_of_calling_rho2_fast():
@@ -122,6 +117,12 @@ def test_rho2_read_from_deletions_by_the_stacked_sweeps_and_the_spectrum():
     # the coalescence check reads every deletion's root as well as rho2
     assert _callers("_rho2_of_deletions") == {
         "_rho2_many", "pareto_spectrum", "check_coalescence_quasiconvexity"}
+
+
+def test_one_rho2_screen_for_a_graph_and_a_stack():
+    assert _callers("_deletion_roots") == {"_rho2_many"}
+    rho2_fast = _functions("pareto.py")["rho2_fast"]
+    assert "_deletion_roots(" not in rho2_fast and "_perron_roots_for_rows(" not in rho2_fast
 
 
 def test_bound_report_takes_no_rho2():

@@ -521,6 +521,20 @@ def test_tree_extremes_match_the_per_tree_loop(monkeypatch):
     assert kinds == {True, False, "max_not_unique_to_path", "min_not_unique_to_star"}
 
 
+def test_tree_extremes_solve_no_pendant_deletion(monkeypatch):
+    # a tree less a leaf is a tree: its distance submatrix holds n - 2 unit pairs;
+    # less an inner vertex it is a forest, with fewer
+    solved = []
+    real = pareto.spectral_radius_many
+    monkeypatch.setattr(pareto, "spectral_radius_many", lambda m: solved.append(m) or real(m))
+    n = 10
+    assert check_tree_extremes(n).holds
+    mats = np.concatenate(solved)
+    assert mats.shape[1:] == (n - 1, n - 1)
+    assert ((mats == 1).sum(axis=(1, 2)) < 2 * (n - 2)).all()
+    assert mats.shape[0] < 2 * len(trees_upto_iso(n)) == 2 * 106
+
+
 def test_extremal_small_orders():
     for n, want in [(2, 2), (3, 4), (4, 7)]:
         res = extremal_search(n)
@@ -563,13 +577,12 @@ def test_extremal_witnesses_attain_max():
 def _labeled_extremal(n):
     """Reference maximum, witnesses (least labeled mask of each class) and count
     of connected labeled graphs, from a sweep over every labeled graph."""
-    best, masks, scanned = 0, [], 0
-    for chunk, dist in verify._connected_chunks(n, 0, 1 << (n * (n - 1) // 2)):
-        scanned += chunk.size
-        counts = pareto._distinct_counts(dist, pareto.DEFAULT_DEDUP_TOL)
-        if counts.max() > best:
-            best, masks = int(counts.max()), []
-        masks += chunk[counts == best].tolist()
+    every = np.arange(1 << (n * (n - 1) // 2))
+    dist = verify._mask_distances(every, n)
+    connected = (dist[:, 0] >= 0).all(axis=1)
+    counts = pareto._distinct_counts(dist[connected], pareto.DEFAULT_DEDUP_TOL)
+    best, scanned = int(counts.max()), int(connected.sum())
+    masks = every[connected][counts == best].tolist()
     values, _ = verify._canonical_mask_values(masks, n)
     _, first = np.unique(values, return_index=True)
     pairs = verify._edge_pairs(n)
