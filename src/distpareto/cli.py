@@ -42,22 +42,7 @@ from .laws import (
     closed_form_surd,
 )
 from .pareto import DEFAULT_DEDUP_TOL, _check_order, _check_rho2_order, pareto_spectrum, rho2_fast
-from .verify import (
-    PropertyReport,
-    _CLASSES_MAX_ORDER,
-    _EXTREMAL_MAX_ORDER,
-    _TREE_SUPPORTS_MAX_ORDER,
-    _TREES_MAX_ORDER,
-    _describe,
-    _monotonicity_reports,
-    _tree_convexity_reports,
-    check_coalescence_quasiconvexity,
-    check_tree_extremes,
-    connected_graph_classes,
-    extremal_search,
-    random_connected_graph,
-    trees_upto_iso,
-)
+from .verify import _SUITES
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -69,6 +54,7 @@ EXIT_DISCONNECTED = 4
 _PLAIN = frozenset({bool, int, str, type(None)})  # scalar types JSON takes unchanged
 _DIGITS12 = "{:.12g}".format  # floats are printed to 12 significant digits
 _BLOCK = 4096  # entries per piece of an array leaf's text, in every format
+_BOUND_COLUMNS = tuple(f.name for f in dataclasses.fields(BoundResult))  # scalars, report order
 
 
 @dataclasses.dataclass(frozen=True)
@@ -305,12 +291,9 @@ def _table_pieces(obj, depth: int):
 def _csv_rows(command: str, payload: dict) -> tuple[list[str], list[list]]:
     if command == "rho2":
         if "bounds" in payload:
-            header = [
-                "bound_id", "k", "direction", "bound_value",
-                "actual_value", "slack", "tight", "applicable", "reason",
-            ]
             # csv writes None (the k of a per-graph bound, NaN values) as ""
-            return header, [[b[h] for h in header] for b in payload["bounds"]]
+            rows = [[b[h] for h in _BOUND_COLUMNS] for b in payload["bounds"]]
+            return list(_BOUND_COLUMNS), rows
         return ["value", "witness_vertex"], [[payload["value"], payload["witness_vertex"]]]
     if command == "formulas":
         header = ["identifier", "params", "formula_value", "surd", "brute_force_value", "abs_diff"]
@@ -423,9 +406,6 @@ def _cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
-_BOUND_COLUMNS = tuple(f.name for f in dataclasses.fields(BoundResult))  # scalars, report order
-
-
 def _cmd_rho2(args) -> int:
     g = _load_graph(args, _check_rho2_order)
     # the report first: at n <= 20 its spectrum keeps rho2 on g, and rho2_fast reads it
@@ -461,75 +441,6 @@ def _cmd_formulas(args) -> int:
     return EXIT_OK
 
 
-def _convexity_sweep(order: int):
-    return (rep for n in range(2, order + 1) for t in trees_upto_iso(n)
-            for rep in _tree_convexity_reports(t))
-
-
-def _quasiconvex_sweep(order: int):
-    attachments = [
-        make_family("complete", [2]),
-        make_family("complete", [3]),
-        make_family("path", [3]),
-    ]
-    return (check_coalescence_quasiconvexity(t, h, 0)
-            for n in range(3, order + 1) for t in trees_upto_iso(n) for h in attachments)
-
-
-def _bounds_sweep(order: int, random_count: int, seed: int):
-    """One report per applicable bound, on every graph class of order 2..``order``
-    and then on ``random_count`` random connected graphs of order 7..10; each
-    counterexample holds the bound's id, ``k`` and slack."""
-    classes = (g for n in range(2, order + 1) for g in connected_graph_classes(n))
-    rng = np.random.default_rng(seed)
-    randoms = (random_connected_graph(int(rng.integers(7, 11)), rng) for _ in range(random_count))
-    for g in itertools.chain(classes, randoms):
-        instance = _describe(g)
-        for b in bound_report(g):
-            if b.applicable:  # a NaN slack counts as no violation
-                yield PropertyReport("bounds_sweep", instance, not b.slack < -1e-8,
-                                     {"bound_id": b.bound_id, "k": b.k, "slack": b.slack})
-
-
-def _suite_extremal(order: int, jobs: int) -> dict:
-    result = extremal_search(order, jobs=jobs)
-    return {
-        "checked": result.graphs_scanned,
-        "max_count": result.max_count,
-        "witnesses": [
-            {"order": w.n, "edges": [list(e) for e in w.sorted_edges()]}
-            for w in result.witnesses
-        ],
-        "violations": [],
-        "holds": True,
-    }
-
-
-def _verdict(reports, violation=lambda rep: {"instance": rep.instance,
-                                             "counterexample": rep.counterexample}) -> dict:
-    """The payload fields of a suite: how many reports it made and, in order,
-    ``violation`` of each that does not hold.  Reports are read one at a time."""
-    checked, violations = 0, []
-    for checked, rep in enumerate(reports, 1):
-        if not rep.holds:
-            violations.append(violation(rep))
-    return {"checked": checked, "violations": violations, "holds": not violations}
-
-
-# suite name -> (run on the parsed arguments, giving the payload fields; order range allowed)
-_SUITES = {
-    "convexity": (lambda a: _verdict(_convexity_sweep(a.order)), 2, _TREE_SUPPORTS_MAX_ORDER),
-    "monotonicity": (lambda a: _verdict(_monotonicity_reports(a.order)), 2, _CLASSES_MAX_ORDER),
-    "quasiconvex": (lambda a: _verdict(_quasiconvex_sweep(a.order)), 3, _TREE_SUPPORTS_MAX_ORDER),
-    "tree-extremes": (lambda a: _verdict(check_tree_extremes(n) for n in range(3, a.order + 1)),
-                      3, _TREES_MAX_ORDER),
-    "bounds-sweep": (lambda a: _verdict(_bounds_sweep(a.order, a.random, a.seed),
-                                        lambda rep: {"instance": rep.instance, **rep.counterexample}),
-                     2, _CLASSES_MAX_ORDER),
-    "extremal": (lambda a: _suite_extremal(a.order, a.jobs), 2, _EXTREMAL_MAX_ORDER),
-}
-
-
 def _cmd_verify(args) -> int:
     run, lowest, top = _SUITES[args.suite]
     if args.order < lowest:
@@ -539,7 +450,7 @@ def _cmd_verify(args) -> int:
     if args.order > top:
         raise CapExceededError(f"verify {args.suite} limited to --order <= {top}")
     payload: dict = {"suite": args.suite, "params": {"order": args.order}}
-    payload.update(run(args))
+    payload.update(run(order=args.order, random=args.random, seed=args.seed, jobs=args.jobs))
     _write(_document("verify", payload), args.format)
     return EXIT_OK if payload["holds"] else EXIT_VIOLATION
 

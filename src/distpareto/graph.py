@@ -238,6 +238,11 @@ def make_family(family: str, params: Sequence[int]) -> Graph:
 
 # The line boundaries of str.splitlines; "\r\n" is one boundary.
 _LINE_BREAK = re.compile("\r\n|[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
+# An edge list's integers are ASCII digits, optionally negative; int() would also
+# take "1_0", "+3" and non-ASCII digits.  \s matches what str.split splits at.
+_INTEGER = "-?[0-9]+"
+_is_integer = re.compile(_INTEGER).fullmatch
+_edge_line = re.compile(rf"({_INTEGER})\s+({_INTEGER})").fullmatch
 
 
 def _split_lines(chunks: Iterable[str]) -> Iterator[str]:
@@ -267,10 +272,9 @@ def _edge_list_order(text: str | Iterable[str]):
     lineno, line = next(lines, (0, None))
     if line is None:
         raise GraphParseError("empty input: no vertex count line")
-    try:
-        n = int(line)
-    except ValueError:
-        raise GraphParseError(f"line {lineno}: expected vertex count, got {line!r}") from None
+    if not _is_integer(line):
+        raise GraphParseError(f"line {lineno}: expected vertex count, got {line!r}")
+    n = int(line)
     if n < 1:
         raise GraphParseError(f"line {lineno}: vertex count must be positive, got {n}")
     return n, lines
@@ -291,13 +295,12 @@ def _edge_list_graph(n: int, lines: Iterable[tuple[int, str]]) -> Graph:
     that follow an edge list's order line, as ``_edge_list_order`` gives them."""
     edges: set[tuple[int, int]] = set()
     for lineno, line in lines:
-        parts = line.split()
-        if len(parts) != 2:
-            raise GraphParseError(f"line {lineno}: expected 'u v', got {line!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphParseError(f"line {lineno}: non-integer vertex in {line!r}") from None
+        edge = _edge_line(line)
+        if edge is None:
+            if len(line.split()) != 2:
+                raise GraphParseError(f"line {lineno}: expected 'u v', got {line!r}")
+            raise GraphParseError(f"line {lineno}: non-integer vertex in {line!r}")
+        u, v = int(edge[1]), int(edge[2])
         if not (0 <= u < n and 0 <= v < n):
             raise GraphParseError(f"line {lineno}: vertex out of range [0, {n}) in {line!r}")
         if u == v:

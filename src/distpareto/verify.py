@@ -18,6 +18,9 @@ deletion and reads rho2 from those roots.
 The tree checkers read the paths i ~ j ~ k of a tree from one array
 (``_tree_paths``): convexity tests every support on them at once, and
 quasiconvexity tests every path and every deletion vertex at once.
+
+The ``verify`` suites of the command line are the entries of ``_SUITES``: each
+holds its runner, which gives the suite's payload fields, and its order range.
 """
 
 from __future__ import annotations
@@ -31,7 +34,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapExceededError, DisconnectedGraphError
-from .graph import Graph, _hop_distances, coalesce, delete_edge, distance_matrix, make_graph
+from .graph import (Graph, _hop_distances, coalesce, delete_edge, distance_matrix, make_family,
+                    make_graph)
+from .laws import bound_report
 from .pareto import (
     _GATHER_BYTES,
     DEFAULT_DEDUP_TOL,
@@ -569,3 +574,73 @@ def extremal_search(n: int, jobs: int = 1) -> ExtremalResult:
     graphs = tuple(_mask_to_graph(m, n, pairs) for m in masks[counts == best].tolist())
     scanned = sum(math.factorial(n) // a for a in aut.tolist())
     return ExtremalResult(order=n, max_count=best, witnesses=graphs, graphs_scanned=scanned)
+
+
+# ---------------------------------------------------------------------------
+# Verification suites
+
+
+def _convexity_sweep(order: int):
+    return (rep for n in range(2, order + 1) for t in trees_upto_iso(n)
+            for rep in _tree_convexity_reports(t))
+
+
+def _quasiconvex_sweep(order: int):
+    attachments = [make_family("complete", [2]), make_family("complete", [3]),
+                   make_family("path", [3])]
+    return (check_coalescence_quasiconvexity(t, h, 0)
+            for n in range(3, order + 1) for t in trees_upto_iso(n) for h in attachments)
+
+
+def _bounds_sweep(order: int, random_count: int, seed: int):
+    """One report per applicable bound, on every graph class of order 2..``order``
+    and then on ``random_count`` random connected graphs of order 7..10; each
+    counterexample holds the bound's id, ``k`` and slack."""
+    classes = (g for n in range(2, order + 1) for g in connected_graph_classes(n))
+    rng = np.random.default_rng(seed)
+    randoms = (random_connected_graph(int(rng.integers(7, 11)), rng) for _ in range(random_count))
+    for g in itertools.chain(classes, randoms):
+        instance = _describe(g)
+        for b in bound_report(g):
+            if b.applicable:  # a NaN slack counts as no violation
+                yield PropertyReport("bounds_sweep", instance, not b.slack < -1e-8,
+                                     {"bound_id": b.bound_id, "k": b.k, "slack": b.slack})
+
+
+def _suite_extremal(order: int, jobs: int) -> dict:
+    result = extremal_search(order, jobs=jobs)
+    witnesses = [{"order": w.n, "edges": [list(e) for e in w.sorted_edges()]}
+                 for w in result.witnesses]
+    return {"checked": result.graphs_scanned, "max_count": result.max_count,
+            "witnesses": witnesses, "violations": [], "holds": True}
+
+
+def _verdict(reports, violation=lambda rep: {"instance": rep.instance,
+                                             "counterexample": rep.counterexample}) -> dict:
+    """The payload fields of a suite: how many reports it made and, in order,
+    ``violation`` of each that does not hold.  Reports are read one at a time."""
+    checked, violations = 0, []
+    for checked, rep in enumerate(reports, 1):
+        if not rep.holds:
+            violations.append(violation(rep))
+    return {"checked": checked, "violations": violations, "holds": not violations}
+
+
+# suite name -> (runner, lowest order, cap).  A runner takes the order and the
+# suite options ``random``, ``seed`` and ``jobs`` as keywords and gives the
+# payload fields; it looks its sweep up when it runs.
+_SUITES = {
+    "convexity": (lambda order, **_: _verdict(_convexity_sweep(order)),
+                  2, _TREE_SUPPORTS_MAX_ORDER),
+    "monotonicity": (lambda order, **_: _verdict(_monotonicity_reports(order)),
+                     2, _CLASSES_MAX_ORDER),
+    "quasiconvex": (lambda order, **_: _verdict(_quasiconvex_sweep(order)),
+                    3, _TREE_SUPPORTS_MAX_ORDER),
+    "tree-extremes": (lambda order, **_: _verdict(map(check_tree_extremes, range(3, order + 1))),
+                      3, _TREES_MAX_ORDER),
+    "bounds-sweep": (lambda order, random, seed, **_: _verdict(
+                         _bounds_sweep(order, random, seed),
+                         lambda rep: {"instance": rep.instance, **rep.counterexample}),
+                     2, _CLASSES_MAX_ORDER),
+    "extremal": (lambda order, jobs, **_: _suite_extremal(order, jobs), 2, _EXTREMAL_MAX_ORDER),
+}

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distpareto import cli
+from distpareto import cli, verify
 from distpareto.graph import make_family, parse_edge_list
 
 
@@ -109,37 +109,31 @@ def test_formulas_wrong_parameter_count(capsys, argv):
     assert "parameter(s)" in err
 
 
-@pytest.mark.parametrize(
-    "suite,order",
-    [("tree-extremes", 15), ("convexity", 11), ("quasiconvex", 11),
-     ("monotonicity", 8), ("bounds-sweep", 8), ("extremal", 8)],
-)
-def test_verify_order_cap_checked_before_any_work(capsys, monkeypatch, suite, order):
+def _refuse_sweeps(monkeypatch, what: str) -> None:
     def refuse(*args, **kwargs):
-        raise AssertionError(f"swept {args} before checking the cap")
+        raise AssertionError(f"swept {args} before checking {what}")
 
-    monkeypatch.setattr(cli, "trees_upto_iso", refuse)
-    monkeypatch.setattr(cli, "connected_graph_classes", refuse)
-    monkeypatch.setattr(cli, "check_tree_extremes", refuse)
-    monkeypatch.setattr(cli, "extremal_search", refuse)
+    for name in ("trees_upto_iso", "connected_graph_classes", "check_tree_extremes",
+                 "extremal_search", "random_connected_graph", "_monotonicity_reports"):
+        monkeypatch.setattr(verify, name, refuse)
+
+
+@pytest.mark.parametrize("suite,order", [(suite, top + 1)
+                                         for suite, (_, _, top) in verify._SUITES.items()])
+def test_verify_order_cap_checked_before_any_work(capsys, monkeypatch, suite, order):
+    _refuse_sweeps(monkeypatch, "the cap")
     code, out, err = run(capsys, "verify", suite, "--order", str(order))
     assert code == cli.EXIT_CAP
     assert out == ""
     assert "cap exceeded" in err
 
 
-@pytest.mark.parametrize(
-    "suite,order",
-    [("tree-extremes", 0), ("convexity", 1), ("quasiconvex", 2),
-     ("monotonicity", -3), ("bounds-sweep", 1), ("extremal", 1)],
-)
+@pytest.mark.parametrize("suite,order", [
+    *((suite, lowest - 1) for suite, (_, lowest, _) in verify._SUITES.items()),
+    ("tree-extremes", 0), ("monotonicity", -3),  # far below the floor
+])
 def test_verify_order_floor_checked_before_any_work(capsys, monkeypatch, suite, order):
-    def refuse(*args, **kwargs):
-        raise AssertionError(f"swept {args} before checking the order range")
-
-    for name in ("trees_upto_iso", "connected_graph_classes", "check_tree_extremes",
-                 "extremal_search", "random_connected_graph"):
-        monkeypatch.setattr(cli, name, refuse)
+    _refuse_sweeps(monkeypatch, "the order range")
     # --random would make bounds-sweep run random graphs even with no order to sweep
     code, out, err = run(capsys, "verify", suite, "--order", str(order), "--random", "3")
     assert code == cli.EXIT_PARSE
@@ -147,13 +141,9 @@ def test_verify_order_floor_checked_before_any_work(capsys, monkeypatch, suite, 
     assert "--order >=" in err
 
 
-@pytest.mark.parametrize("suite", ["bounds-sweep", "monotonicity"])
+@pytest.mark.parametrize("suite", sorted(verify._SUITES))
 def test_verify_negative_random_rejected_before_any_work(capsys, monkeypatch, suite):
-    def refuse(*args, **kwargs):
-        raise AssertionError(f"swept {args} before checking --random")
-
-    for name in ("connected_graph_classes", "random_connected_graph", "_monotonicity_reports"):
-        monkeypatch.setattr(cli, name, refuse)
+    _refuse_sweeps(monkeypatch, "--random")
     code, out, err = run(capsys, "verify", suite, "--order", "3", "--random", "-3")
     assert code == cli.EXIT_PARSE
     assert out == ""
@@ -169,8 +159,9 @@ def test_jobs_below_one_rejected_before_any_work(capsys, monkeypatch, argv):
     def refuse(*args, **kwargs):
         raise AssertionError(f"worked on {args} before checking --jobs")
 
-    for name in ("make_family", "pareto_spectrum", "rho2_fast", "extremal_search"):
+    for name in ("make_family", "pareto_spectrum", "rho2_fast"):
         monkeypatch.setattr(cli, name, refuse)
+    monkeypatch.setattr(verify, "extremal_search", refuse)
     code, out, err = run(capsys, *argv)
     assert code == cli.EXIT_PARSE
     assert out == ""
@@ -214,8 +205,6 @@ def test_verify_monotonicity_order5(capsys):
 
 
 def test_verify_monotonicity_computes_rho2_once_per_class(capsys, monkeypatch):
-    from distpareto import verify
-
     stacks, singles = [], []
     rho2_many = verify._rho2_many
     monkeypatch.setattr(verify, "_rho2_many", lambda d: stacks.append(d.shape) or rho2_many(d))
@@ -250,7 +239,7 @@ def test_verify_bounds_sweep_small(capsys):
 def test_verify_exit_code_on_violation(capsys, monkeypatch):
     from distpareto.verify import PropertyReport
 
-    monkeypatch.setattr(cli, "_monotonicity_reports",
+    monkeypatch.setattr(verify, "_monotonicity_reports",
                         lambda order: iter([PropertyReport("edge_monotonicity", "fake", False, {})]))
     code, out, _ = run(capsys, "verify", "monotonicity", "--order", "4")
     assert code == cli.EXIT_VIOLATION
@@ -266,6 +255,15 @@ def test_exit_code_parse_error(tmp_path, capsys):
     code, _, err = run(capsys, "spectrum", "--edges", str(f))
     assert code == cli.EXIT_PARSE
     assert "line 2" in err
+
+
+def test_edge_list_integers_are_ascii_digits(tmp_path, capsys):
+    f = tmp_path / "underscores.txt"
+    f.write_text("1_0\n0 1\n1 2_0\n")  # int() reads "1_0" as 10
+    code, out, err = run(capsys, "spectrum", "--edges", str(f))
+    assert code == cli.EXIT_PARSE
+    assert out == ""
+    assert "line 1: expected vertex count, got '1_0'" in err
 
 
 def test_exit_code_cap(capsys):

@@ -40,6 +40,9 @@ CASES = {
     "verify_tree_extremes8": ["verify", "tree-extremes", "--order", "8"],
     "verify_quasiconvex10": ["verify", "quasiconvex", "--order", "10"],  # the suites' caps
     "verify_tree_extremes14": ["verify", "tree-extremes", "--order", "14"],
+    "verify_monotonicity7": ["verify", "monotonicity", "--order", "7"],
+    "verify_bounds_sweep7": ["verify", "bounds-sweep", "--order", "7"],
+    "verify_convexity10": ["verify", "convexity", "--order", "10"],
     "verify_bounds_sweep5_random20": ["verify", "bounds-sweep", "--order", "5", "--random", "20"],
     "formulas_complete_spectrum5_json": ["formulas", "complete_spectrum", "5"],
     "formulas_star_radius6_json": ["formulas", "star_radius", "6"],

@@ -48,12 +48,25 @@ def test_parse_comments_and_duplicates():
         ("3\n1 1", "self-loop"),
         ("x", "vertex count"),
         ("", "empty"),
+        # int() takes these; an edge list takes only ASCII digits with an optional "-"
+        ("1_0\n0 1", "line 1: expected vertex count"),
+        ("+3\n0 1", "line 1: expected vertex count"),
+        ("\uff13\n0 1", "line 1: expected vertex count"),
+        ("3\n0 1_0", "line 2: non-integer vertex"),
+        ("3\n+0 1", "line 2: non-integer vertex"),
+        ("3\n0 \uff12", "line 2: non-integer vertex"),
+        ("-3\n0 1", "vertex count must be positive, got -3"),
+        ("3\n-1 2", "out of range"),
     ],
 )
 def test_parse_errors(text, fragment):
     with pytest.raises(GraphParseError) as err:
         parse_edge_list(text)
     assert fragment in str(err.value)
+
+
+def test_edge_vertices_are_split_where_str_split_splits():
+    assert parse_edge_list("3\n0\u00a01\n1 \t\u20032\n").sorted_edges() == [(0, 1), (1, 2)]
 
 
 def test_edge_list_round_trip():

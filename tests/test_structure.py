@@ -5,8 +5,9 @@ array-leaf renderer, one witness decode, one all-subsets pass, no labeled-tree s
 sweep, no sweep that calls ``rho2_fast`` once per graph, one rho2 screen for
 one graph and a stack, rho2 read from deletion roots only by the screen, the
 coalescence check and the spectrum pass, no second way to hand rho2 to the bound
-report, one table of the 2-paths i ~ j ~ k for the tree checkers, and no
-per-deletion loop in the quasiconvexity check."""
+report, one table of the 2-paths i ~ j ~ k for the tree checkers, no
+per-deletion loop in the quasiconvexity check, and the verify suites (sweeps,
+verdict and order ranges) in ``verify`` alone, the CLI importing only their table."""
 
 import ast
 import pathlib
@@ -144,3 +145,15 @@ def test_tree_checkers_read_one_two_path_table():
     assert {name for name, src in functions.items()
             if "itertools.combinations(adj" in src} == {"_tree_paths"}
     assert "for u in range(" not in functions["check_coalescence_quasiconvexity"]
+
+
+def test_verify_suites_live_in_verify():
+    text = (SRC / "cli.py").read_text(encoding="utf-8")
+    from_verify = [alias.name for node in ast.walk(ast.parse(text))
+                   if isinstance(node, ast.ImportFrom)
+                   for alias in node.names if node.module == "verify" or alias.name == "verify"]
+    assert from_verify == ["_SUITES"]
+    assert [name for name in _functions("cli.py")
+            if re.search(r"sweep|_suite|_verdict|_reports", name)] == []
+    # the table of runners and order ranges is defined once, in verify
+    assert [hit.split(":")[0] for hit in _occurrences(r"^_SUITES\b")] == ["verify.py"]
