@@ -21,12 +21,14 @@ import numpy as np
 from . import __version__
 from .errors import CapExceededError, DisconnectedGraphError, GraphParseError
 from .graph import (
+    _G6_HEADER,
     Graph,
     FAMILY_NAMES,
     _edge_list_graph,
     _edge_list_order,
     _family_order,
     _graph6_order,
+    _is_integer,
     diameter,
     distance_matrix,
     make_family,
@@ -342,6 +344,18 @@ def _write(doc: dict, fmt: str) -> None:
 # Graph source handling
 
 
+def _integer(text: str) -> int:
+    """An integer argument, read by the edge-list rule (``graph._INTEGER``): ASCII
+    digits after an optional "-".  ``int`` alone would also take "1_0", "+3", " 7"
+    and "５"; the error is the one ``int`` gives, and argparse names the type "int"."""
+    if not _is_integer(text):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
+_integer.__name__ = "int"
+
+
 def _add_source_flags(p: argparse.ArgumentParser) -> None:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--family", nargs="+", metavar=("NAME", "PARAM"),
@@ -352,7 +366,7 @@ def _add_source_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_common_flags(p: argparse.ArgumentParser, jobs_help: str) -> None:
     p.add_argument("--format", choices=("json", "csv", "table"), default="json")
-    p.add_argument("--jobs", type=int, default=1, help=jobs_help)
+    p.add_argument("--jobs", type=_integer, default=1, help=jobs_help)
 
 
 def _chunks(fh):
@@ -364,7 +378,7 @@ def _load_graph(args, check_order) -> Graph:
     """The input graph; ``check_order`` sees its declared order before any edge is read."""
     if args.family:
         name = args.family[0]
-        params = [int(x) for x in args.family[1:]]
+        params = [_integer(x) for x in args.family[1:]]
         check_order(_family_order(name, params))
         return make_family(name, params)
     if args.edges:
@@ -373,9 +387,18 @@ def _load_graph(args, check_order) -> Graph:
             check_order(n)
             return _edge_list_graph(n, lines)
     with open(args.graph6, "r", encoding="utf-8") as fh:
-        line = fh.readline()
-    check_order(_graph6_order(line)[0])
-    return parse_graph6(line)
+        return _graph6_graph(fh, check_order)
+
+
+def _graph6_graph(fh, check_order) -> Graph:
+    """The graph on the first line of the text file ``fh``.  The line is read as far
+    as its order bytes (past leading blanks and the optional header) until
+    ``check_order`` has seen the order, and only then to its end."""
+    head, need = "", len(_G6_HEADER) + 4
+    while not head.endswith("\n") and len(head.strip()) < need and (part := fh.readline(need)):
+        head += part
+    check_order(_graph6_order(head)[0])
+    return parse_graph6(head if head.endswith("\n") else head + fh.readline())
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +443,7 @@ def _cmd_rho2(args) -> int:
 
 def _cmd_formulas(args) -> int:
     ident = args.identifier
-    params = [int(p) for p in args.params]
+    params = [_integer(p) for p in args.params]
     _form_instance(ident, tuple(params))  # the cap, before a form enumerates anything
     value = closed_form(ident, *params)
     surd = closed_form_surd(ident, *params)
@@ -485,10 +508,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run a verification suite; exit 1 on violations")
     p_ver.add_argument("suite", choices=tuple(_SUITES))
-    p_ver.add_argument("--order", type=int, default=5, help="maximum graph order for the sweep")
-    p_ver.add_argument("--random", type=int, default=0,
+    p_ver.add_argument("--order", type=_integer, default=5,
+                       help="maximum graph order for the sweep")
+    p_ver.add_argument("--random", type=_integer, default=0,
                        help="bounds-sweep: extra random connected graphs on 7..10 vertices")
-    p_ver.add_argument("--seed", type=int, default=20240601, help="rng seed for --random")
+    p_ver.add_argument("--seed", type=_integer, default=20240601, help="rng seed for --random")
     _add_common_flags(p_ver, "extremal: worker count for the class search")
     p_ver.set_defaults(func=_cmd_verify)
     return parser

@@ -65,38 +65,15 @@ class BoundResult:
     reason: str = ""
 
 
-def _result(
-    bound_id: str,
-    direction: str,
-    bound_value: float,
-    actual_value: float,
-    k: int | None = None,
-) -> BoundResult:
-    slack = (actual_value - bound_value) if direction == "lower" else (bound_value - actual_value)
-    return BoundResult(
-        bound_id=bound_id,
-        direction=direction,
-        bound_value=bound_value,
-        actual_value=actual_value,
-        slack=slack,
-        tight=abs(slack) <= TIGHT_TOL,
-        applicable=True,
-        k=k,
-    )
-
-
-def _inapplicable(bound_id: str, direction: str, reason: str, k: int | None = None) -> BoundResult:
-    return BoundResult(
-        bound_id=bound_id,
-        direction=direction,
-        bound_value=math.nan,
-        actual_value=math.nan,
-        slack=math.nan,
-        tight=False,
-        applicable=False,
-        reason=reason,
-        k=k,
-    )
+def _row(bound_id: str, direction: str, bound_value: float = math.nan,
+         actual_value: float = math.nan, k: int | None = None, reason: str = "") -> BoundResult:
+    """One report row; a ``reason`` makes it inapplicable, its numbers ``math.nan``
+    itself (the one object, so two reports of one graph compare equal)."""
+    slack = math.nan if reason else (
+        actual_value - bound_value if direction == "lower" else bound_value - actual_value)
+    return BoundResult(bound_id=bound_id, k=k, direction=direction, bound_value=bound_value,
+                       actual_value=actual_value, slack=slack, tight=abs(slack) <= TIGHT_TOL,
+                       applicable=not reason, reason=reason)
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +385,8 @@ def _evaluate(ctx: _BoundContext, bound_id: str, k: int | None = None) -> BoundR
         direction, hypothesis, bound = _RHO2_BOUNDS[bound_id]
         reason = "order < 2" if n < 2 else hypothesis(ctx)
         if reason:
-            return _inapplicable(bound_id, direction, reason)
-        return _result(bound_id, direction, bound(ctx), ctx.rho2_pair[0])
+            return _row(bound_id, direction, reason=reason)
+        return _row(bound_id, direction, bound(ctx), ctx.rho2_pair[0])
 
     if bound_id not in ("count_lower", "rho_k_lower"):
         raise ValueError(f"unknown bound id {bound_id!r}")
@@ -420,12 +397,12 @@ def _evaluate(ctx: _BoundContext, bound_id: str, k: int | None = None) -> BoundR
 
     if n > DEFAULT_MAX_ORDER:
         reason = f"needs the full spectrum, enumerated only for n <= {DEFAULT_MAX_ORDER}"
-        return _inapplicable(bound_id, "lower", reason, k=k)
+        return _row(bound_id, "lower", k=k, reason=reason)
     if k is None:
-        return _result(bound_id, "lower", float(n + ctx.diam - 1), float(ctx.spectrum.count))
+        return _row(bound_id, "lower", float(n + ctx.diam - 1), float(ctx.spectrum.count))
     if not (1 <= k <= ctx.spectrum.count):
-        return _inapplicable(bound_id, "lower", f"k={k} exceeds spectrum size", k=k)
-    return _result(bound_id, "lower", float(n - k), ctx.spectrum.rho_k(k), k=k)
+        return _row(bound_id, "lower", k=k, reason=f"k={k} exceeds spectrum size")
+    return _row(bound_id, "lower", float(n - k), ctx.spectrum.rho_k(k), k=k)
 
 
 def evaluate_bound(bound_id: str, g: Graph, k: int | None = None) -> BoundResult:

@@ -12,10 +12,10 @@ the values and the witnesses' canonical flat indices as arrays; ``_decode``
 turns the indices into vertex labels only when the witnesses are read.
 
 ``_perron_roots_for_rows`` is the one gather-and-solve kernel: it serves the
-spectrum, the rho2 screen and the batched sweeps in ``verify``, and hands the
-eigensolver at most ``_GATHER_BYTES`` of submatrices per call.
+spectrum, the rho2 screen and the batched sweeps in ``verify``.
 ``_perron_pairs_for_rows`` adds the vectors, for ``pareto_eigenpair`` (one
-row) and the convexity sweep in ``verify`` (every subset of a tree).
+row) and the convexity sweep in ``verify`` (every subset of a tree).  Both take
+their submatrices from ``_gathered``, at most ``_GATHER_BYTES`` per block.
 ``_all_subset_values`` is the one pass over every subset, for one matrix (the
 spectrum) or a stack (``_distinct_counts``, the extremal search's counts).
 
@@ -169,53 +169,56 @@ def _subsets_by_size(n: int) -> Mapping[int, np.ndarray]:
     return types.MappingProxyType(out)
 
 
+def _gathered(stack: np.ndarray, rows: np.ndarray):
+    """Yield (mats, part, subs): the submatrices ``subs`` of the stack (m, n, n)
+    ``stack[mats]`` on the index rows ``rows[part]``, at most ``_GATHER_BYTES`` (or
+    one submatrix) per block, so memory stays bounded whatever m and the rows are."""
+    m = stack.shape[0]
+    r, k = rows.shape
+    per_row = max(1, _GATHER_BYTES // (k * k * 8 * max(1, m)))  # rows per block
+    per_mat = max(1, _GATHER_BYTES // (k * k * 8 * per_row))  # matrices per block
+    for i in range(0, m, per_mat):
+        for lo in range(0, r, per_row):
+            sel = rows[lo : lo + per_row]
+            yield (slice(i, i + per_mat), slice(lo, lo + per_row),
+                   stack[i : i + per_mat, sel[:, :, None], sel[:, None, :]])
+
+
 def _perron_roots_for_rows(dmat: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Perron roots of ``dmat`` restricted to each index row of ``rows``.
 
     ``dmat`` is one (n, n) matrix or a stack (m, n, n); the result has shape
-    (r,) or (m, r) for r rows.  Submatrices are gathered and solved at most
-    ``_GATHER_BYTES`` at a time (or one at a time, if one is larger), so memory
-    stays bounded whatever m and r are.
+    (r,) or (m, r) for r rows.  Submatrices come in ``_gathered`` blocks.
     """
     d = dmat.astype(np.float64, copy=False)
     stack = d.reshape((-1,) + d.shape[-2:])
-    m = stack.shape[0]
     r, k = rows.shape
     if k == 1:
-        out = np.zeros((m, r))
+        out = np.zeros((stack.shape[0], r))
     elif k == 2:
         out = stack[:, rows[:, 0], rows[:, 1]]
     else:
-        out = np.empty((m, r))
-        per_row = max(1, _GATHER_BYTES // (k * k * 8 * max(1, m)))  # rows per block
-        per_mat = max(1, _GATHER_BYTES // (k * k * 8 * per_row))  # matrices per block
-        for i in range(0, m, per_mat):
-            for lo in range(0, r, per_row):
-                sel = rows[lo : lo + per_row]
-                subs = stack[i : i + per_mat, sel[:, :, None], sel[:, None, :]]
-                out[i : i + per_mat, lo : lo + per_row] = spectral_radius_many(
-                    subs.reshape(-1, k, k)
-                ).reshape(subs.shape[:2])
+        out = np.empty((stack.shape[0], r))
+        for mats, part, subs in _gathered(stack, rows):
+            out[mats, part] = spectral_radius_many(subs.reshape(-1, k, k)).reshape(subs.shape[:2])
     return out.reshape(d.shape[:-2] + (r,))
 
 
 def _perron_pairs_for_rows(d: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Perron values (r,) and vectors (r, n), zero off the row, of the (n, n) matrix
-    ``d`` restricted to each index row of ``rows``, gathered as in ``_perron_roots_for_rows``.
+    ``d`` restricted to each index row of ``rows``, gathered in ``_gathered`` blocks.
 
     EigensolverError unless each vector x is positive on its row, D x >= value x
     (complementarity) and x^T D x = value (Rayleigh).
     """
-    r, k = rows.shape
+    r = rows.shape[0]
     values = np.empty(r)
     vectors = np.zeros((r, d.shape[0]))
     low = np.empty(r)  # smallest vector entry on each row
-    per_row = max(1, _GATHER_BYTES // (k * k * 8))
-    for lo in range(0, r, per_row):
-        sel = rows[lo : lo + per_row]
-        values[lo : lo + per_row], vecs = perron_pairs_many(d[sel[:, :, None], sel[:, None, :]])
-        np.put_along_axis(vectors[lo : lo + per_row], sel, vecs, axis=1)
-        low[lo : lo + per_row] = vecs.min(axis=1)
+    for _, part, subs in _gathered(d[None], rows):
+        values[part], vecs = perron_pairs_many(subs[0])
+        np.put_along_axis(vectors[part], rows[part], vecs, axis=1)
+        low[part] = vecs.min(axis=1)
     tol = 1e-9 * np.maximum(1.0, np.abs(values))
     dx = vectors @ d  # row i is D x for x = vectors[i], as D is symmetric
     for bad, what in (
@@ -294,9 +297,10 @@ def _dedup(values: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     return values[witness_idx], witness_idx
 
 
-def _distinct_counts(dmats: np.ndarray, tol: float) -> np.ndarray:
-    """Distinct Pareto eigenvalue count per distance matrix in a stack (m, n, n)."""
-    values = _all_subset_values(dmats, _subsets_by_size(dmats.shape[-1]), 1)
+def _distinct_counts(dmats: np.ndarray, tol: float, jobs: int = 1) -> np.ndarray:
+    """Distinct Pareto eigenvalue count per distance matrix in a stack (m, n, n);
+    ``jobs`` workers split the subset range, as for one matrix."""
+    values = _all_subset_values(dmats, _subsets_by_size(dmats.shape[-1]), jobs)
     values.sort(axis=-1)
     return 1 + _breaks(values, tol).sum(axis=-1)
 

@@ -266,6 +266,77 @@ def test_edge_list_integers_are_ascii_digits(tmp_path, capsys):
     assert "line 1: expected vertex count, got '1_0'" in err
 
 
+def _exit_code(capsys, *argv):
+    """The exit code of ``main``, returned or raised by argparse as SystemExit."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    capsys.readouterr()
+    return code
+
+
+@pytest.mark.parametrize("argv", [
+    ["rho2", "--family", "path", "1_0", "--format", "csv"],
+    ["spectrum", "--family", "complete_bipartite", "2", "+3"],
+    ["formulas", "star_radius", "\uff15"],  # a fullwidth 5
+    ["formulas", "rho2_kab", "2", " 3"],
+    ["verify", "extremal", "--order", "\uff14"],
+    ["verify", "bounds-sweep", "--order", "3", "--random", "1_0"],
+    ["verify", "bounds-sweep", "--order", "3", "--random", "1", "--seed", "+7"],
+    ["spectrum", "--family", "path", "3", "--jobs", "1_0"],
+], ids=["family", "family-plus", "formulas-fullwidth", "formulas-blank", "order-fullwidth",
+        "random", "seed", "jobs"])
+def test_cli_integers_follow_the_edge_list_rule(capsys, argv):
+    # every integer argument is ASCII digits after an optional "-", as in an edge list
+    assert _exit_code(capsys, *argv) == cli.EXIT_PARSE
+
+
+def test_cli_integers_keep_their_values(capsys):
+    # leading zeros still read as they did
+    assert run(capsys, "spectrum", "--family", "path", "03", "--jobs", "02")[1] == run(
+        capsys, "spectrum", "--family", "path", "3")[1]
+
+
+class _CountingText(io.StringIO):
+    """A text file that counts the characters read from it."""
+
+    read_chars = 0
+
+    def read(self, size=-1):
+        text = super().read(size)
+        self.read_chars += len(text)
+        return text
+
+    def readline(self, size=-1):
+        text = super().readline(size)
+        self.read_chars += len(text)
+        return text
+
+
+def test_graph6_read_only_to_its_order_before_the_cap():
+    from distpareto.errors import CapExceededError, GraphParseError
+    from distpareto.graph import parse_graph6
+    from distpareto.pareto import _check_order
+
+    n = 1000  # K_1000 in the long form: an 83 kB line
+    k1000 = "~" + "".join(chr(63 + (n >> s & 63)) for s in (12, 6, 0)) + "~" * (n * (n - 1) // 12)
+    for line in (k1000, "  >>graph6<<" + k1000):
+        fh = _CountingText(line + "\nC~\n")
+        with pytest.raises(CapExceededError):
+            cli._graph6_graph(fh, _check_order)
+        assert fh.read_chars <= 2 * 14, line[:16]  # leading blanks, header and order bytes
+    k20 = "S" + "~" * 32  # within the cap the first line is read whole, and no further
+    for line in (k20, ">>graph6<<" + k20, "Bg", " C~ ", ""):
+        fh = _CountingText(line + "\nC~\n")
+        if line:
+            assert cli._graph6_graph(fh, _check_order) == parse_graph6(line)
+        else:
+            with pytest.raises(GraphParseError, match="empty graph6 input"):
+                cli._graph6_graph(fh, _check_order)
+        assert fh.read_chars == len(line) + 1, line
+
+
 def test_exit_code_cap(capsys):
     code, _, err = run(capsys, "spectrum", "--family", "path", "21")
     assert code == cli.EXIT_CAP

@@ -29,11 +29,15 @@ CASES = {
     "rho2_bounds_cycle4_csv": ["rho2", "--bounds", "--family", "cycle", "4", "--format", "csv"],
     "rho2_bounds_path6_table": ["rho2", "--bounds", "--family", "path", "6", "--format", "table"],
     "rho2_bounds_path21_json": ["rho2", "--bounds", "--family", "path", "21"],
+    "rho2_path6_csv": ["rho2", "--family", "path", "6", "--format", "csv"],
+    "rho2_wheel7_table": ["rho2", "--family", "wheel", "7", "--format", "table"],
     "verify_extremal5": ["verify", "extremal", "--order", "5"],
     "verify_extremal7": ["verify", "extremal", "--order", "7"],
+    "verify_extremal5_table": ["verify", "extremal", "--order", "5", "--format", "table"],
     "verify_monotonicity5": ["verify", "monotonicity", "--order", "5"],
     "verify_quasiconvex6": ["verify", "quasiconvex", "--order", "6"],
     "verify_tree_extremes7": ["verify", "tree-extremes", "--order", "7"],
+    "verify_tree_extremes7_csv": ["verify", "tree-extremes", "--order", "7", "--format", "csv"],
     "verify_convexity5": ["verify", "convexity", "--order", "5"],
     "verify_convexity8": ["verify", "convexity", "--order", "8"],
     "verify_quasiconvex8": ["verify", "quasiconvex", "--order", "8"],

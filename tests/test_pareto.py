@@ -414,6 +414,17 @@ def test_bounded_gather_is_bitwise_identical(monkeypatch):
     spectrum = pareto_spectrum(wheel)
     rho2 = [rho2_fast(wheel), rho2_fast(big)]
     stacked = [pareto._perron_roots_for_rows(stack, rows) for rows in subsets]
+    pairs = [pareto._perron_pairs_for_rows(stack[0], rows) for rows in subsets]
+    split = stack[0].copy()  # two blocks: a support across them has no positive Perron vector
+    split[:6, 6:] = split[6:, :6] = 0
+    # sizes 2..6, eight copies of the supports inside the blocks before the first across them
+    crossing = [np.concatenate([rows[(rows < 6).all(1) | (rows >= 6).all(1)]] * 8 + [rows])
+                for rows in list(subsets)[1:6]]
+    failures = []
+    for rows in crossing:
+        with pytest.raises(EigensolverError) as exc:
+            pareto._perron_pairs_for_rows(split, rows)
+        failures.append(str(exc.value))
     monkeypatch.setattr(pareto, "_GATHER_BYTES", 4096)
     chunked = pareto_spectrum(wheel)
     assert chunked.values == spectrum.values
@@ -421,6 +432,13 @@ def test_bounded_gather_is_bitwise_identical(monkeypatch):
     assert [rho2_fast(wheel), rho2_fast(big)] == rho2
     for rows, want in zip(subsets, stacked):
         assert np.array_equal(pareto._perron_roots_for_rows(stack, rows), want)
+    for rows, (values, vectors) in zip(subsets, pairs):
+        got = pareto._perron_pairs_for_rows(stack[0], rows)
+        assert np.array_equal(got[0], values) and np.array_equal(got[1], vectors)
+    for rows, failure in zip(crossing, failures):
+        with pytest.raises(EigensolverError) as exc:
+            pareto._perron_pairs_for_rows(split, rows)
+        assert str(exc.value) == failure
 
 
 # ---------------------------------------------------------------------------

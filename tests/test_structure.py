@@ -6,8 +6,10 @@ sweep, no sweep that calls ``rho2_fast`` once per graph, one rho2 screen for
 one graph and a stack, rho2 read from deletion roots only by the screen, the
 coalescence check and the spectrum pass, no second way to hand rho2 to the bound
 report, one table of the 2-paths i ~ j ~ k for the tree checkers, no
-per-deletion loop in the quasiconvexity check, and the verify suites (sweeps,
-verdict and order ranges) in ``verify`` alone, the CLI importing only their table."""
+per-deletion loop in the quasiconvexity check, the verify suites (sweeps,
+verdict and order ranges) in ``verify`` alone, the CLI importing only their table,
+one submatrix gather for both Perron kernels, one ``--jobs`` split (``verify``
+never names the thread pool) and one builder of bound-report rows."""
 
 import ast
 import pathlib
@@ -157,3 +159,14 @@ def test_verify_suites_live_in_verify():
             if re.search(r"sweep|_suite|_verdict|_reports", name)] == []
     # the table of runners and order ranges is defined once, in verify
     assert [hit.split(":")[0] for hit in _occurrences(r"^_SUITES\b")] == ["verify.py"]
+
+
+def test_one_gather_one_jobs_split_one_bound_row_builder():
+    # the values and the pairs kernel take their submatrices from one blocked gather
+    gathers = _occurrences(r"\[:, :, None\], \w+\[:, None, :\]")
+    assert [hit.split(":")[0] for hit in gathers] == ["pareto.py"]
+    assert _callers("_gathered") == {"_perron_roots_for_rows", "_perron_pairs_for_rows"}
+    # the extremal search splits --jobs through the subset pass, not over classes
+    assert "_map_spans" not in (SRC / "verify.py").read_text(encoding="utf-8")
+    assert [hit.split(":")[0] for hit in _occurrences(r"\bBoundResult\(")] == ["laws.py"]
+    assert {name for name, src in _functions("laws.py").items() if "BoundResult(" in src} == {"_row"}

@@ -560,11 +560,14 @@ def test_extremal_n5_witness_set():
 
 
 def test_extremal_jobs_agree():
-    a = extremal_search(5, jobs=1)
-    b = extremal_search(5, jobs=3)
-    assert a.max_count == b.max_count
-    assert [w.edges for w in a.witnesses] == [w.edges for w in b.witnesses]
-    assert a.graphs_scanned == b.graphs_scanned
+    # jobs split the subset range, as in pareto_spectrum (order 2's 3 subsets stay whole)
+    for n in range(2, 8):
+        a = extremal_search(n, jobs=1)
+        for jobs in (2, 3):
+            b = extremal_search(n, jobs=jobs)
+            assert a.max_count == b.max_count
+            assert [w.edges for w in a.witnesses] == [w.edges for w in b.witnesses]
+            assert a.graphs_scanned == b.graphs_scanned
 
 
 def test_extremal_witnesses_attain_max():
