@@ -84,9 +84,6 @@ class Graph:
             deg[v] += 1
         return deg
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
-
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
 
@@ -318,24 +315,35 @@ def edge_list_text(g: Graph) -> str:
 _G6_HEADER = ">>graph6<<"
 
 
-def _graph6_order(line: str | bytes) -> tuple[int, str]:
+def _graph6_values(text: str, start: int) -> list[int]:
+    """The 6-bit values (byte - 63) of graph6 characters; a character outside
+    63..126 is named with its code and its position, ``start`` + its index."""
+    data = [ord(c) - 63 for c in text]
+    bad = next((i for i, x in enumerate(data) if not 0 <= x <= 63), None)
+    if bad is not None:
+        raise GraphParseError(f"graph6 byte {text[bad]!r} (code {ord(text[bad])}) "
+                              f"at position {start + bad} is outside 63..126")
+    return data
+
+
+def _graph6_order(line: str | bytes) -> tuple[int, str, int]:
     """The order declared by one graph6 line (after an optional ``>>graph6<<``
-    header), and the rest of the line; only the order bytes are checked."""
+    header), the rest of the line and the number of order characters before it;
+    only the order bytes are checked.  Positions in messages count from the
+    first character after leading blanks and the header."""
     if isinstance(line, bytes):
         line = line.decode("ascii", errors="replace")
     line = line.strip().removeprefix(_G6_HEADER)
     if not line:
         raise GraphParseError("empty graph6 input")
     width = 4 if line[0] == "~" else 1  # "~" (63) opens the 18-bit long form
-    data = [ord(c) - 63 for c in line[:width]]
-    if any(x < 0 or x > 63 for x in data):
-        raise GraphParseError(f"graph6 byte out of range in {line!r}")
+    data = _graph6_values(line[:width], 0)
     if len(data) < width:
         raise GraphParseError("truncated graph6 long-form order")
     n = data[0] if width == 1 else (data[1] << 12) | (data[2] << 6) | data[3]
     if n < 1:
         raise GraphParseError("graph6 order must be positive")
-    return n, line[width:]
+    return n, line[width:], width
 
 
 def parse_graph6(line: str | bytes) -> Graph:
@@ -344,10 +352,8 @@ def parse_graph6(line: str | bytes) -> Graph:
     Bytes 63..126; upper triangle packed column-major, 6 bits per byte,
     big-endian within each byte.
     """
-    n, rest = _graph6_order(line)
-    body = [ord(c) - 63 for c in rest]
-    if any(x < 0 or x > 63 for x in body):
-        raise GraphParseError(f"graph6 byte out of range in {rest!r}")
+    n, rest, width = _graph6_order(line)
+    body = _graph6_values(rest, width)
     nbits = n * (n - 1) // 2
     if len(body) != (nbits + 5) // 6:
         raise GraphParseError(

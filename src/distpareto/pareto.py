@@ -283,15 +283,14 @@ def _breaks(s: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _dedup(values: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Cluster near-equal values; return (representatives, witness flat indices).
+    """Cluster near-equal values (at least one); return (representatives, witness
+    flat indices).
 
     Clusters break where ``_breaks`` says so.  The representative of each
     cluster is the value at the smallest canonical index in the cluster.
     """
     order = np.argsort(values, kind="stable")
     s = values[order]
-    if s.size == 0:
-        return np.empty(0), np.empty(0, dtype=np.intp)
     starts = np.concatenate([[0], np.nonzero(_breaks(s, tol))[0] + 1])
     witness_idx = np.minimum.reduceat(order, starts)
     return values[witness_idx], witness_idx

@@ -6,7 +6,9 @@ one per isomorphism class, by adding a vertex to each class of the order below
 per isomorphism class (``_free_tree_levels``).  Pareto counts are
 isomorphism-invariant, so searches count each class once.  The labeled graphs
 of ``connected_graphs_labeled`` are the vertex relabelings of the classes
-(``_relabelings``, which also gives the canonical forms).
+(``_relabelings``, which also gives the canonical forms).  Bit j of every edge
+mask is the j-th vertex pair of one table (``_pair_table``), which every
+encoder, relabeling and decoder (``_mask_to_graph``) reads.
 
 The rho2 sweeps (edge monotonicity over the classes, tree extremes) take rho2
 of a whole stack of graphs from one call of the rho2 screen
@@ -206,11 +208,22 @@ def trees_upto_iso(n: int) -> list[Graph]:
 # Labeled / unlabeled connected graph enumeration
 
 
-def _edge_pairs(n: int) -> list[tuple[int, int]]:
-    return list(itertools.combinations(range(n), 2))
+@functools.lru_cache(maxsize=None)
+def _pair_table(n: int) -> tuple[tuple[tuple[int, int], ...], np.ndarray]:
+    """The one pair order of every edge mask: bit j is the j-th vertex pair
+    (u, v), u < v, in lexicographic order.  Returns the pairs and the read-only
+    (n, n) table whose entries (u, v) and (v, u) hold the bit of that pair; the
+    diagonal holds C(n, 2), a bit no mask sets."""
+    u, v = np.triu_indices(n, 1)
+    bit = np.full((n, n), u.size, dtype=np.intp)
+    bit[u, v] = bit[v, u] = np.arange(u.size)
+    bit.setflags(write=False)
+    return tuple(zip(u.tolist(), v.tolist())), bit
 
 
-def _mask_to_graph(mask: int, n: int, pairs: list[tuple[int, int]]) -> Graph:
+def _mask_to_graph(mask: int, n: int) -> Graph:
+    """The graph on n vertices whose edges are the set bits of ``mask``."""
+    pairs = _pair_table(n)[0]
     return make_graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
 
 
@@ -222,12 +235,8 @@ def _mask_bits(masks, width: int) -> np.ndarray:
 
 def _mask_distances(masks: np.ndarray, n: int) -> np.ndarray:
     """Hop distances (-1 if unreachable) of the graphs with these edge masks."""
-    ui, vi = np.triu_indices(n, 1)
-    bits = _mask_bits(masks, ui.size)
-    adj = np.zeros((masks.size, n, n), dtype=bool)
-    adj[:, ui, vi] = bits
-    adj[:, vi, ui] = bits
-    return _hop_distances(adj)
+    pairs, bit = _pair_table(n)
+    return _hop_distances(_mask_bits(masks, len(pairs) + 1)[:, bit])  # diagonal: bit C(n,2), unset
 
 
 def connected_graphs_labeled(n: int):
@@ -236,23 +245,18 @@ def connected_graphs_labeled(n: int):
     if not (1 <= n <= _LABELED_MAX_ORDER):
         raise CapExceededError(f"labeled sweep limited to n <= {_LABELED_MAX_ORDER}")
     blocks = [np.unique(relabeled) for relabeled in _relabelings(_class_masks(n)[0], n)]
-    pairs = _edge_pairs(n)
     for mask in np.unique(np.concatenate(blocks)).astype(np.int64).tolist():
-        yield _mask_to_graph(mask, n, pairs)
+        yield _mask_to_graph(mask, n)
 
 
 @functools.lru_cache(maxsize=None)
 def _perm_edge_columns(n: int) -> np.ndarray:
     """(C(n,2), n!) weights, read-only: entry (j, p) is 2^(column of pair j under
     the p-th vertex permutation), so ``bits @ weights`` relabels masks."""
-    pairs = _edge_pairs(n)
-    index = {p: i for i, p in enumerate(pairs)}
-    table = np.array(
-        [[index[tuple(sorted((perm[u], perm[v])))] for (u, v) in pairs]
-         for perm in itertools.permutations(range(n))],
-        dtype=np.intp,
-    )
-    weights = np.ldexp(1.0, table.T)
+    pairs, bit = _pair_table(n)
+    u, v = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    weights = np.ldexp(1.0, bit[perms[:, u], perms[:, v]].T)
     weights.setflags(write=False)
     return weights
 
@@ -289,11 +293,10 @@ def canonical_form(g: Graph) -> tuple[tuple[int, int], ...]:
     """
     if g.n > _ISO_MAX_ORDER:
         raise CapExceededError(f"canonical_form limited to n <= {_ISO_MAX_ORDER}")
-    pairs = _edge_pairs(g.n)
-    index = {p: i for i, p in enumerate(pairs)}
-    mask = sum(1 << index[e] for e in g.sorted_edges())
+    bit = _pair_table(g.n)[1]
+    mask = sum(1 << int(bit[e]) for e in g.edges)
     best = int(_canonical_mask_values([mask], g.n)[0][0])
-    return tuple(p for i, p in enumerate(pairs) if best >> i & 1)
+    return tuple(_mask_to_graph(best, g.n).sorted_edges())
 
 
 def is_isomorphic(a: Graph, b: Graph) -> bool:
@@ -315,12 +318,11 @@ def _class_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
     if n == 1:
         masks, aut = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
     else:
-        index = {p: i for i, p in enumerate(_edge_pairs(n))}
-        old_pairs = _edge_pairs(n - 1)
-        old_bits = _mask_bits(_class_masks(n - 1)[0], len(old_pairs)).astype(np.int64)
-        old = old_bits @ np.array([1 << index[p] for p in old_pairs], dtype=np.int64)
+        bit = _pair_table(n)[1]  # order n - 1 bit j, pair (u, v), lifts to bit[u, v]
+        u, v = np.array(_pair_table(n - 1)[0], dtype=np.intp).reshape(-1, 2).T
+        old = _mask_bits(_class_masks(n - 1)[0], u.size).astype(np.int64) @ (1 << bit[u, v])
         joins = _mask_bits(np.arange(1, 1 << (n - 1)), n - 1).astype(np.int64)
-        new = joins @ np.array([1 << index[(i, n - 1)] for i in range(n - 1)], dtype=np.int64)
+        new = joins @ (1 << bit[: n - 1, n - 1])
         best, counts = _canonical_mask_values((old[:, None] | new[None, :]).ravel(), n)
         masks, first = np.unique(best, return_index=True)
         aut = counts[first]
@@ -334,8 +336,7 @@ def connected_graph_classes(n: int) -> list[Graph]:
     the canonical form of each, by ascending edge mask."""
     if not (1 <= n <= _CLASSES_MAX_ORDER):
         raise CapExceededError(f"isomorphism-class sweep limited to n <= {_CLASSES_MAX_ORDER}")
-    pairs = _edge_pairs(n)
-    return [_mask_to_graph(m, n, pairs) for m in _class_masks(n)[0].tolist()]
+    return [_mask_to_graph(m, n) for m in _class_masks(n)[0].tolist()]
 
 
 def random_connected_graph(n: int, rng: np.random.Generator, extra_edge_prob: float = 0.3) -> Graph:
@@ -344,9 +345,8 @@ def random_connected_graph(n: int, rng: np.random.Generator, extra_edge_prob: fl
         raise ValueError("random_connected_graph needs n >= 2")
     seq = tuple(int(x) for x in rng.integers(0, n, size=max(0, n - 2)))
     edges = set(_prufer_to_edges(seq, n)) if n > 2 else {(0, 1)}
-    for u, v in itertools.combinations(range(n), 2):
-        if rng.random() < extra_edge_prob:
-            edges.add((u, v))
+    pairs = _pair_table(n)[0]  # one draw per pair, in mask bit order
+    edges.update(itertools.compress(pairs, (rng.random(len(pairs)) < extra_edge_prob).tolist()))
     return make_graph(n, edges)
 
 
@@ -426,14 +426,13 @@ def check_edge_monotonicity(g: Graph, e: tuple[int, int]) -> PropertyReport:
     g2 = delete_edge(g, e)
     before, _ = rho2_fast(g)
     after, _ = rho2_fast(g2)  # raises DisconnectedGraphError when g-e splits
-    return _edge_monotonicity(g, e, before, after)
+    return _edge_monotonicity(_describe(g), e, before, after)
 
 
-def _edge_monotonicity(g: Graph, e: tuple[int, int], before: float, after: float) -> PropertyReport:
-    """The report for rho2(g) = ``before`` and rho2(g - e) = ``after``.
-
-    Sweeps compute ``before`` once per graph and pass it for every edge.
-    """
+def _edge_monotonicity(name: str, e: tuple[int, int], before: float,
+                       after: float) -> PropertyReport:
+    """The report for rho2(g) = ``before`` and rho2(g - e) = ``after``; ``name`` is
+    ``_describe(g)``, which sweeps compute once per graph, as ``before``."""
     scale = max(1.0, abs(before))
     holds = after >= before - _STRICT_TOL * scale
     relation = "equal" if abs(after - before) <= _STRICT_TOL * scale else (
@@ -441,7 +440,7 @@ def _edge_monotonicity(g: Graph, e: tuple[int, int], before: float, after: float
     )
     report = PropertyReport(
         property_id="edge_monotonicity",
-        instance=f"{_describe(g)}, e={tuple(sorted(e))}",
+        instance=f"{name}, e={tuple(sorted(e))}",
         holds=holds,
         counterexample=None
         if holds
@@ -462,15 +461,15 @@ def _monotonicity_reports(order: int):
     """
     for n in range(2, order + 1):
         masks = _class_masks(n)[0]
-        pairs = _edge_pairs(n)
+        pairs = _pair_table(n)[0]
         before = _rho2_many(_mask_distances(masks, n))[0].tolist()
         cls, bit = np.nonzero(_mask_bits(masks, len(pairs)))  # class order, then pair order
         dist = _mask_distances(masks[cls] ^ (np.int64(1) << bit), n)
         connected = (dist[:, 0] >= 0).all(axis=1)
         after = iter(_rho2_many(dist[connected])[0].tolist())
-        graphs = connected_graph_classes(n)
+        names = [_describe(g) for g in connected_graph_classes(n)]
         for c, j in zip(cls[connected].tolist(), bit[connected].tolist()):
-            yield _edge_monotonicity(graphs[c], pairs[j], before[c], next(after))
+            yield _edge_monotonicity(names[c], pairs[j], before[c], next(after))
 
 
 def check_coalescence_quasiconvexity(t: Graph, h: Graph, w: int) -> PropertyReport:
@@ -566,8 +565,7 @@ def extremal_search(n: int, jobs: int = 1) -> ExtremalResult:
     masks, aut = _class_masks(n)
     counts = _distinct_counts(_mask_distances(masks, n), DEFAULT_DEDUP_TOL, jobs)
     best = int(counts.max())
-    pairs = _edge_pairs(n)
-    graphs = tuple(_mask_to_graph(m, n, pairs) for m in masks[counts == best].tolist())
+    graphs = tuple(_mask_to_graph(m, n) for m in masks[counts == best].tolist())
     scanned = sum(math.factorial(n) // a for a in aut.tolist())
     return ExtremalResult(order=n, max_count=best, witnesses=graphs, graphs_scanned=scanned)
 

@@ -270,6 +270,19 @@ def test_graph6_errors():
         parse_graph6("")
     with pytest.raises(GraphParseError):
         parse_graph6("C")  # truncated body for n=4
+    with pytest.raises(GraphParseError, match=r"^graph6 byte '!' \(code 33\) at position 0 "):
+        parse_graph6("!A")  # order byte below 63
+    with pytest.raises(GraphParseError, match="truncated graph6 long-form order"):
+        parse_graph6("~AB")
+    with pytest.raises(GraphParseError, match="graph6 order must be positive"):
+        parse_graph6("?")
+    assert parse_graph6(b"C~").edges == make_family("complete", [4]).edges
+    # one bad body byte on an order-400 line is named alone, not the 13,300-byte body
+    body = ["?"] * (400 * 399 // 2 // 6)  # after "~" and the three order bytes
+    body[1000] = " "
+    with pytest.raises(GraphParseError) as err:
+        parse_graph6(">>graph6<<~?EO" + "".join(body))
+    assert str(err.value) == "graph6 byte ' ' (code 32) at position 1004 is outside 63..126"
 
 
 @pytest.mark.parametrize(

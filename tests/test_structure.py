@@ -9,7 +9,9 @@ report, one table of the 2-paths i ~ j ~ k for the tree checkers, no
 per-deletion loop in the quasiconvexity check, the verify suites (sweeps,
 verdict and order ranges) in ``verify`` alone, the CLI importing only their table,
 one submatrix gather for both Perron kernels, one ``--jobs`` split (``verify``
-never names the thread pool) and one builder of bound-report rows."""
+never names the thread pool), one builder of bound-report rows, and one pair
+order for every edge mask (spelled once in ``verify``, no ``{pair: index}`` dict,
+one mask decoder and no function handed the pair list)."""
 
 import ast
 import pathlib
@@ -170,3 +172,18 @@ def test_one_gather_one_jobs_split_one_bound_row_builder():
     assert "_map_spans" not in (SRC / "verify.py").read_text(encoding="utf-8")
     assert [hit.split(":")[0] for hit in _occurrences(r"\bBoundResult\(")] == ["laws.py"]
     assert {name for name, src in _functions("laws.py").items() if "BoundResult(" in src} == {"_row"}
+
+
+def test_one_pair_order_for_every_edge_mask():
+    # verify spells the pair order of a mask once; every encoder and decoder reads its table
+    functions = _functions("verify.py")
+    assert {name for name, src in functions.items()
+            if re.search(r"triu_indices|combinations\(range", src)} == {"_pair_table"}
+    assert _occurrences(r"\{\s*\w+\s*:\s*\w+\s+for\s+\w+\s*,\s*\w+\s+in\s+enumerate\(") == []
+    # one function turns a mask into pairs, and no function takes the pair list
+    assert {name for name, src in functions.items()
+            if re.search(r">>\s*\w+\s*&\s*1\b", src)} == {"_mask_to_graph"}
+    assert [fn.name for path in sorted(SRC.glob("*.py"))
+            for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(fn, ast.FunctionDef)
+            and "pairs" in [a.arg for a in fn.args.args + fn.args.kwonlyargs]] == []

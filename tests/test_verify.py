@@ -177,6 +177,46 @@ def test_random_connected_graph_is_connected():
         distance_matrix(g)  # raises if disconnected
 
 
+def _random_connected_graph_by_pair(n, rng, extra_edge_prob=0.3):
+    """``random_connected_graph`` with one ``rng.random()`` call per vertex pair."""
+    seq = tuple(int(x) for x in rng.integers(0, n, size=max(0, n - 2)))
+    edges = set(verify._prufer_to_edges(seq, n)) if n > 2 else {(0, 1)}
+    for u, v in itertools.combinations(range(n), 2):
+        if rng.random() < extra_edge_prob:
+            edges.add((u, v))
+    return make_graph(n, edges)
+
+
+def test_random_connected_graph_matches_one_draw_per_pair():
+    got_rng, want_rng = np.random.default_rng(20240601), np.random.default_rng(20240601)
+    for _ in range(500):  # the acceptance batch
+        n = int(got_rng.integers(7, 11))
+        assert n == int(want_rng.integers(7, 11))
+        assert random_connected_graph(n, got_rng) == _random_connected_graph_by_pair(n, want_rng)
+    for n in range(2, 41):
+        for p in (0.0, 0.05, 0.3):
+            assert random_connected_graph(n, got_rng, p) == _random_connected_graph_by_pair(
+                n, want_rng, p)
+    assert got_rng.random() == want_rng.random()  # the generators end in one state
+
+
+def _perm_edge_columns_by_dict(n):
+    """The relabeling weights from a {pair: bit} dict, one permutation at a time."""
+    pairs = list(itertools.combinations(range(n), 2))
+    index = {p: i for i, p in enumerate(pairs)}
+    table = np.array([[index[tuple(sorted((perm[u], perm[v])))] for (u, v) in pairs]
+                      for perm in itertools.permutations(range(n))], dtype=np.intp)
+    return np.ldexp(1.0, table.T)
+
+
+def test_perm_edge_columns_match_the_pair_dict():
+    for n in range(1, 8):
+        got, want = verify._perm_edge_columns(n), _perm_edge_columns_by_dict(n)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # eigenvector convexity
 
@@ -330,7 +370,7 @@ def _rho2_fast_monotonicity_reports(order):
                     after, _ = pareto.rho2_fast(delete_edge(g, e))
                 except DisconnectedGraphError:
                     continue
-                yield verify._edge_monotonicity(g, e, before, after)
+                yield verify._edge_monotonicity(verify._describe(g), e, before, after)
 
 
 def test_monotonicity_sweep_equals_rho2_fast_reference():
@@ -588,7 +628,7 @@ def _labeled_extremal(n):
     masks = every[connected][counts == best].tolist()
     values, _ = verify._canonical_mask_values(masks, n)
     _, first = np.unique(values, return_index=True)
-    pairs = verify._edge_pairs(n)
+    pairs = verify._pair_table(n)[0]
     witnesses = [[p for i, p in enumerate(pairs) if masks[f] >> i & 1] for f in sorted(first)]
     return best, witnesses, scanned
 
