@@ -92,16 +92,19 @@ def _star_radius(n: int) -> tuple[int, int, int]:
     return n - 2, (n - 2) ** 2 + n - 1, 1
 
 
-def _kn_minus_e_radius(n: int) -> tuple[int, int, int]:
-    if n < 3:
-        raise ValueError("kn_minus_e_radius needs n >= 3")
-    return n - 1, (n - 1) ** 2 + 8, 2
+def _kn_minus_matching(name: str, j: int, deleted: int):
+    """The builder of ``name``: rho(K_m - jK2), j disjoint missing edges, at
+    m = n - ``deleted``, from the equitable quotient [[2j, m - 2j], [2j, m - 2j - 1]]
+    (README, "Closed forms").  ``deleted`` = 1 gives rho2(K_n - jK2), the deletion
+    of a vertex on no missing edge, so n >= 2j + 1 (K_4 - 2K2 is C4, off the surd)."""
+    low = max(3, 2 * j + deleted)
 
+    def build(n: int) -> tuple[int, int, int]:
+        if n < low:
+            raise ValueError(f"{name} needs n >= {low}")
+        return n - deleted - 1, (n - deleted - 1) ** 2 + 8 * j, 2
 
-def _rho2_kn_minus_e(n: int) -> tuple[int, int, int]:
-    if n < 3:
-        raise ValueError("rho2_kn_minus_e needs n >= 3")
-    return n - 2, n * n - 4 * n + 12, 2
+    return build
 
 
 def _rho2_kab(a: int, b: int) -> tuple[int, int, int]:
@@ -115,15 +118,6 @@ def _rho2_k_pendant(n: int) -> tuple[int, int, int]:
     if n < 3:
         raise ValueError("rho2_k_pendant needs n >= 3")
     return n - 3, n * n + 10 * n - 23, 2
-
-
-def _rho2_two_nonincident(n: int) -> tuple[int, int, int]:
-    # The closed form matches brute force only from n = 5 up: at n = 4 the
-    # graph is C4, whose largest proper Perron root is 1 + sqrt(3), not this
-    # surd.  n >= 5 is the formula's validity range.
-    if n < 5:
-        raise ValueError("rho2_two_nonincident needs n >= 5")
-    return n - 2, n * n - 4 * n + 20, 2
 
 
 def _complete_spectrum(n: int) -> list[int]:
@@ -145,12 +139,14 @@ _CLOSED_FORMS = {
     "complete_spectrum": (1, _complete_spectrum, lambda n: ("complete", [n]),
                           lambda g: list(pareto_spectrum(g).values)),
     "star_radius": (1, _star_radius, lambda n: ("star", [n]), _largest),
-    "kn_minus_e_radius": (1, _kn_minus_e_radius, lambda n: ("complete_minus_edge", [n]), _largest),
-    "rho2_kn_minus_e": (1, _rho2_kn_minus_e, lambda n: ("complete_minus_edge", [n]), _second),
+    "kn_minus_e_radius": (1, _kn_minus_matching("kn_minus_e_radius", 1, 0),
+                          lambda n: ("complete_minus_edge", [n]), _largest),
+    "rho2_kn_minus_e": (1, _kn_minus_matching("rho2_kn_minus_e", 1, 1),
+                        lambda n: ("complete_minus_edge", [n]), _second),
     "rho2_kab": (2, _rho2_kab, lambda a, b: ("complete_bipartite", [a, b]), _second),
     "rho2_k_pendant": (1, _rho2_k_pendant,
                        lambda n: ("clique_plus_pendant_p", [n - 1, 1]), _second),
-    "rho2_two_nonincident": (1, _rho2_two_nonincident,
+    "rho2_two_nonincident": (1, _kn_minus_matching("rho2_two_nonincident", 2, 1),
                              lambda n: ("complete_minus_two_nonincident_edges", [n]),
                              _second),
 }
@@ -392,6 +388,8 @@ def _evaluate(ctx: _BoundContext, bound_id: str, k: int | None = None) -> BoundR
         raise ValueError(f"unknown bound id {bound_id!r}")
     if bound_id == "rho_k_lower" and k is None:
         raise ValueError("rho_k_lower requires k")
+    if bound_id == "rho_k_lower" and not (isinstance(k, (int, np.integer)) and k >= 1):
+        raise ValueError(f"rho_k_lower needs an integer k >= 1, got {k!r}")
     if bound_id == "count_lower":
         k = None  # only the per-k family carries k
 
@@ -400,7 +398,7 @@ def _evaluate(ctx: _BoundContext, bound_id: str, k: int | None = None) -> BoundR
         return _row(bound_id, "lower", k=k, reason=reason)
     if k is None:
         return _row(bound_id, "lower", float(n + ctx.diam - 1), float(ctx.spectrum.count))
-    if not (1 <= k <= ctx.spectrum.count):
+    if k > ctx.spectrum.count:
         return _row(bound_id, "lower", k=k, reason=f"k={k} exceeds spectrum size")
     return _row(bound_id, "lower", float(n - k), ctx.spectrum.rho_k(k), k=k)
 

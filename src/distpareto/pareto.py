@@ -366,9 +366,8 @@ def pareto_spectrum(
     if g.n >= 2:
         # the size n - 1 block, the n subsets before the whole vertex set, holds
         # every deletion; its row i deletes vertex n - 1 - i
-        roots = values[-1 - g.n : -1][::-1]
-        value, vertex = _rho2_of_deletions(d[None], roots[None])
-        _keep_rho2(g, (float(value[0]), int(vertex[0])))
+        value, vertex = _rho2_of_deletions(values[-1 - g.n : -1][::-1])
+        _keep_rho2(g, (float(value), int(vertex)))
     reps, witness_idx = _dedup(values, dedup_tolerance)
     reps.setflags(write=False)
     witness_idx.setflags(write=False)
@@ -397,9 +396,9 @@ def rho2_fast(g: Graph) -> tuple[float, int]:
     A pendant vertex p never attains it when n >= 3: for its neighbor q,
     D[V - q] with p relabelled q is >= D[V - p] entrywise, and strictly larger
     in p's row (d(p, x) = d(q, x) + 1), so by Perron-Frobenius the deletion of
-    q has the strictly larger root.  The candidates are therefore the
-    non-pendant vertices, or both vertices of K_2, where either deletion is the
-    1x1 zero matrix.
+    q has the strictly larger root.  So no filter is needed: the witness is
+    never a pendant vertex, except in K_2, where both deletions are the 1x1
+    zero matrix.
 
     The value comes from the screen ``_rho2_many`` on D alone.  Returns the
     value and the smallest vertex within 1e-12 of it.  The pair is kept on
@@ -427,50 +426,37 @@ def _deletion_rows(n: int) -> np.ndarray:
     return keep + (keep >= np.arange(n)[:, None])
 
 
-def _rho2_candidates(d: np.ndarray) -> np.ndarray:
-    """The rho2 candidates (..., n) of distance matrices ``d`` (..., n, n): the
-    vertices that are not pendant (one entry 1 in their row), or every vertex
-    when all are pendant (K_2)."""
-    nonpendant = (d == 1).sum(axis=-1) > 1
-    return nonpendant | ~nonpendant.any(axis=-1, keepdims=True)
-
-
-def _rho2_of_deletions(dmats: np.ndarray, roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """rho2 (m,) and witness vertices (m,) of the graphs with distance matrices
-    ``dmats`` (m, n, n), from the Perron roots ``roots`` (m, n) of their
-    single-vertex deletions.
-
-    The candidates are those of ``rho2_fast``, and the witness is the first
-    candidate within 1e-12 relative of the largest candidate root.
-    """
-    vals = np.where(_rho2_candidates(dmats), roots, -np.inf)
-    vmax = vals.max(axis=-1, keepdims=True)
-    pick = np.argmax(vals >= vmax - 1e-12 * np.maximum(1.0, np.abs(vmax)), axis=-1)
-    return np.take_along_axis(roots, pick[:, None], axis=-1)[:, 0], pick
+def _rho2_of_deletions(roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """rho2 (...) and witness vertices (...) from the Perron roots ``roots``
+    (..., n) of the single-vertex deletions of graphs: the largest root, and the
+    first vertex within 1e-12 relative of it."""
+    vmax = roots.max(axis=-1, keepdims=True)
+    pick = np.argmax(roots >= vmax - 1e-12 * np.maximum(1.0, np.abs(vmax)), axis=-1)
+    return np.take_along_axis(roots, pick[..., None], axis=-1)[..., 0], pick
 
 
 def _rho2_many(dmats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """rho2 (m,) and witness vertices (m,) of a stack (m, n, n) of connected
-    distance matrices, n >= 2, with the candidates and witness rule of ``rho2_fast``.
+    distance matrices, n >= 2, with the witness rule of ``rho2_fast``.
 
     ``_deletion_roots`` screens every deletion of every matrix from one
     eigendecomposition each, certified to 1e-13 relative (about 1e-15 in
-    practice).  Only the candidates screened within ``_SCREEN_WINDOW`` (1e-9
-    relative) of their graph's largest candidate are recomputed with
+    practice).  Only the deletions screened within ``_SCREEN_WINDOW`` (1e-9
+    relative) of their graph's largest root are recomputed with
     ``_perron_roots_for_rows``, one call per deletion vertex over the graphs
     that keep it, so each value comes from the same kernel on the same
-    submatrix as a sweep over every candidate, and the screen's error would
+    submatrix as a sweep over every deletion, and the screen's error would
     have to reach the window to change the result.
     """
     d = dmats.astype(np.float64, copy=False)
-    screened = np.where(_rho2_candidates(d), _deletion_roots(d), -np.inf)
+    screened = _deletion_roots(d)
     top = screened.max(axis=-1, keepdims=True)
     near = screened >= top - _SCREEN_WINDOW * np.maximum(1.0, top)
     rows = _deletion_rows(d.shape[-1])
     roots = np.full(near.shape, -np.inf)
     for v in np.flatnonzero(near.any(axis=0)).tolist():
         roots[near[:, v], v] = _perron_roots_for_rows(d[near[:, v]], rows[v : v + 1])[:, 0]
-    return _rho2_of_deletions(d, roots)
+    return _rho2_of_deletions(roots)
 
 
 def pareto_eigenpair(g: Graph, support: tuple[int, ...] | list[int]) -> ParetoEigenpair:

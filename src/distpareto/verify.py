@@ -18,8 +18,9 @@ quasiconvexity needs every deletion's root, so it runs the kernel on every
 deletion and reads rho2 from those roots.
 
 The tree checkers read the paths i ~ j ~ k of a tree from one array
-(``_tree_paths``): convexity tests every support on them at once, and
-quasiconvexity tests every path and every deletion vertex at once.
+(``_tree_paths``), taken from its distance matrix: convexity tests every
+support on them at once, and quasiconvexity tests every path and every
+deletion vertex at once.
 
 The ``verify`` suites of the command line are the entries of ``_SUITES``: each
 holds its runner, which gives the suite's payload fields, and its order range.
@@ -38,7 +39,7 @@ import numpy as np
 from .errors import CapExceededError, DisconnectedGraphError
 from .graph import (Graph, _hop_distances, coalesce, delete_edge, distance_matrix, make_family,
                     make_graph)
-from .laws import bound_report
+from .laws import TIGHT_TOL, bound_report
 from .pareto import (
     _GATHER_BYTES,
     DEFAULT_DEDUP_TOL,
@@ -356,10 +357,12 @@ def random_connected_graph(n: int, rng: np.random.Generator, extra_edge_prob: fl
 
 def _tree_paths(t: Graph) -> np.ndarray:
     """(p, 3) array of the paths i ~ j ~ k of the tree t, each listed once, ordered
-    by j and then (i, k)."""
-    adj = t.adjacency()
-    paths = [(i, j, k) for j in range(t.n) for i, k in itertools.combinations(adj[j], 2)]
-    return np.array(paths, dtype=np.intp).reshape(-1, 3)
+    by j and then (i, k): the geodesic 2-paths, j adjacent to both ends and
+    d(i, k) = 2 with i < k, read from the distance matrix (n^3 booleans)."""
+    d = distance_matrix(t).d
+    adj = d == 1
+    j, i, k = np.nonzero(adj[:, :, None] & adj[:, None, :] & np.triu(d == 2, 1))
+    return np.stack([i, j, k], axis=1)
 
 
 def _convexity_reports(t: Graph, supports, values, vectors) -> list[PropertyReport]:
@@ -488,7 +491,7 @@ def check_coalescence_quasiconvexity(t: Graph, h: Graph, w: int) -> PropertyRepo
     dmats = np.stack([distance_matrix(coalesce(t, i, h, w)).d for i in range(t.n)])
     # rho of every single-vertex deletion, per coalescence point
     deletion_rho = _perron_roots_for_rows(dmats, _deletion_rows(total))
-    r2 = _rho2_of_deletions(dmats, deletion_rho)[0]
+    r2 = _rho2_of_deletions(deletion_rho)[0]
 
     instance = f"tree {_describe(t)} x attachment {_describe(h)} at {w}"
     paths = _tree_paths(t)
@@ -597,7 +600,7 @@ def _bounds_sweep(order: int, random_count: int, seed: int):
         instance = _describe(g)
         for b in bound_report(g):
             if b.applicable:  # a NaN slack counts as no violation
-                yield PropertyReport("bounds_sweep", instance, not b.slack < -1e-8,
+                yield PropertyReport("bounds_sweep", instance, not b.slack < -TIGHT_TOL,
                                      {"bound_id": b.bound_id, "k": b.k, "slack": b.slack})
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import pathlib
 import re
@@ -6,7 +7,8 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from distpareto.graph import make_family
+from distpareto import laws, pareto
+from distpareto.graph import distance_matrix, make_family, make_graph
 from distpareto.laws import (
     BOUND_IDS,
     CLOSED_FORM_IDS,
@@ -17,7 +19,7 @@ from distpareto.laws import (
     evaluate_bound,
     star_spectrum,
 )
-from distpareto.pareto import pareto_spectrum
+from distpareto.pareto import pareto_spectrum, rho2_fast
 from distpareto.verify import is_isomorphic, random_connected_graph
 
 
@@ -48,6 +50,59 @@ def test_closed_form_two_nonincident_validity_range():
     assert closed_form("rho2_two_nonincident", 5) == pytest.approx(4.0, abs=1e-12)
     with pytest.raises(ValueError):
         closed_form("rho2_two_nonincident", 4)
+
+
+# The parent formulas of the three K_m - jK2 forms, written out per form
+PARENT_MATCHING_SURDS = {
+    "kn_minus_e_radius": (3, lambda n: (n - 1, (n - 1) ** 2 + 8, 2)),
+    "rho2_kn_minus_e": (3, lambda n: (n - 2, n * n - 4 * n + 12, 2)),
+    "rho2_two_nonincident": (5, lambda n: (n - 2, n * n - 4 * n + 20, 2)),
+}
+
+
+def test_matching_forms_keep_their_integers_strings_and_ranges():
+    for ident, (low, formula) in PARENT_MATCHING_SURDS.items():
+        for n in range(low, 401):
+            a, b, c = formula(n)
+            assert laws._surd(ident, (n,)) == (a, b, c), (ident, n)
+            assert closed_form_surd(ident, n) == f"({a}+sqrt({b}))/{c}"
+        with pytest.raises(ValueError, match=rf"^{ident} needs n >= {low}$"):
+            closed_form(ident, low - 1)
+
+
+def _complete_minus_matching(m, j):
+    """K_m without the j disjoint edges (0, 1), (2, 3), ..."""
+    missing = {(2 * i, 2 * i + 1) for i in range(j)}
+    return make_graph(m, [e for e in itertools.combinations(range(m), 2) if e not in missing])
+
+
+def _matching_surd(m, j, deleted):
+    a, b, c = laws._kn_minus_matching("test", j, deleted)(m)
+    return (a + math.sqrt(b)) / c
+
+
+def test_one_surd_is_the_perron_root_and_rho2_of_k_minus_matching():
+    checked = 0
+    for j in range(1, 7):
+        for m in range(max(3, 2 * j), 13):
+            g = _complete_minus_matching(m, j)
+            d = distance_matrix(g).d
+            root = float(pareto._perron_roots_for_rows(d, np.arange(m)[None])[0])
+            assert abs(_matching_surd(m, j, 0) - root) <= 1e-12 * root, (m, j)
+            if m >= 2 * j + 1:
+                rho2 = rho2_fast(g)[0]
+                assert abs(_matching_surd(m, j, 1) - rho2) <= 1e-12 * rho2, (m, j)
+            checked += 1
+    assert checked == 10 + 9 + 7 + 5 + 3 + 1
+
+
+def test_cocktail_party_ties_the_matching_one_edge_short():
+    # K_{2j+2} - (j+1)K2 has no vertex off the matching, yet its rho2 is that of
+    # K_{2j+2} - jK2: C4 at j = 1 and K6 minus a perfect matching at j = 2 (5b)
+    for j in range(1, 5):
+        full = rho2_fast(_complete_minus_matching(2 * j + 2, j + 1))[0]
+        short = rho2_fast(_complete_minus_matching(2 * j + 2, j))[0]
+        assert abs(full - short) <= 1e-12 * short, j
 
 
 def test_closed_form_complete_spectrum():
@@ -296,6 +351,11 @@ def test_evaluate_bound_errors():
         evaluate_bound("nope", g)
     with pytest.raises(ValueError, match=r"^rho_k_lower requires k$"):
         evaluate_bound("rho_k_lower", g)
+    for k in (0, -2, 1.5, 2.0, "2"):
+        with pytest.raises(ValueError, match=r"^rho_k_lower needs an integer k >= 1, got "):
+            evaluate_bound("rho_k_lower", g, k=k)
+    row = evaluate_bound("rho_k_lower", g, k=np.int64(2))
+    assert row.applicable and row == evaluate_bound("rho_k_lower", g, k=2)
 
 
 def test_readme_bound_catalogue_lists_every_bound():

@@ -564,6 +564,41 @@ def test_rho2_many_equals_kernel_on_trees_and_symmetric_graphs():
         assert _rho2_pairs(mixed) == [_kernel_rho2(g) for g in mixed], n
 
 
+def _pendant_gaps(d, roots):
+    """Each pendant's deletion root's relative gaps below its neighbour's and
+    below the graph's top, for distance matrices (m, n, n) and roots (m, n)."""
+    pendant = (d == 1).sum(axis=-1) == 1
+    g, p = np.nonzero(pendant)
+    q = np.argmax(d[g, p] == 1, axis=-1)
+    scale = np.maximum(1.0, roots.max(axis=-1))[g]
+    return (roots[g, q] - roots[g, p]) / scale, (roots.max(axis=-1)[g] - roots[g, p]) / scale
+
+
+def test_pendant_deletions_stay_below_their_neighbour_and_the_top(classes_by_order):
+    # the Perron-Frobenius lemma of ``rho2_fast``: rho2 never needs a pendant
+    # filter, and the screen never recomputes a pendant deletion (1e-6 is 1000
+    # times ``_SCREEN_WINDOW``)
+    from distpareto.spectral import _deletion_roots
+    from distpareto.verify import connected_graph_classes, trees_upto_iso
+
+    stacks = [classes_by_order[n] for n in range(3, 7)] + [connected_graph_classes(7)]
+    stacks += [trees_upto_iso(n) for n in range(3, 13)]
+    checked = 0
+    for graphs in stacks:
+        d = np.stack([distance_matrix(g).d for g in graphs])
+        roots = pareto._perron_roots_for_rows(d, pareto._deletion_rows(d.shape[-1]))
+        below_neighbour, below_top = _pendant_gaps(d, roots)
+        assert (below_neighbour > 0).all() and (below_top >= 1e-6).all()
+        checked += len(graphs)
+    assert checked == 2 + 6 + 21 + 112 + 853 + 985
+    assert 1000 * pareto._SCREEN_WINDOW == pytest.approx(1e-6)
+    for g in (fam("star", 400), fam("path", 400), fam("clique_plus_pendant_p", 399, 1)):
+        d = distance_matrix(g).d[None]
+        below_neighbour, below_top = _pendant_gaps(d, _deletion_roots(d.astype(np.float64)))
+        assert below_neighbour.size and (below_neighbour > 0).all(), g
+        assert (below_top >= 1e-6).all(), g
+
+
 def test_empty_stacks():
     for k in (1, 2, 3, 5):
         rows = np.array(list(itertools.combinations(range(6), k)), dtype=np.intp)

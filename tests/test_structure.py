@@ -11,7 +11,9 @@ verdict and order ranges) in ``verify`` alone, the CLI importing only their tabl
 one submatrix gather for both Perron kernels, one ``--jobs`` split (``verify``
 never names the thread pool), one builder of bound-report rows, and one pair
 order for every edge mask (spelled once in ``verify``, no ``{pair: index}`` dict,
-one mask decoder and no function handed the pair list)."""
+one mask decoder and no function handed the pair list), rho2 read from the
+deletion roots alone (no pendant filter), the 2-paths i ~ j ~ k built once and
+from the distance matrix, and one surd builder for the three K_m - jK2 forms."""
 
 import ast
 import pathlib
@@ -145,10 +147,32 @@ def _functions(module: str) -> dict[str, str]:
 
 
 def test_tree_checkers_read_one_two_path_table():
+    # one function builds i ~ j ~ k, from the distance matrix, and both checkers read it
     functions = _functions("verify.py")
-    assert {name for name, src in functions.items()
-            if "itertools.combinations(adj" in src} == {"_tree_paths"}
+    assert _occurrences(r"itertools\.combinations\(adj") == []
+    assert {name for name, src in functions.items() if "np.triu(d == 2" in src} == {"_tree_paths"}
+    assert "distance_matrix(" in functions["_tree_paths"]
+    assert "adjacency(" not in functions["_tree_paths"]
+    assert _callers("_tree_paths") == {"_convexity_reports", "check_coalescence_quasiconvexity"}
     assert "for u in range(" not in functions["check_coalescence_quasiconvexity"]
+
+
+def test_rho2_is_read_from_the_deletion_roots_alone():
+    assert _occurrences(r"\b_rho2_candidates\b") == []  # no pendant filter
+    fn = next(fn for fn in ast.walk(ast.parse((SRC / "pareto.py").read_text(encoding="utf-8")))
+              if isinstance(fn, ast.FunctionDef) and fn.name == "_rho2_of_deletions")
+    assert [a.arg for a in fn.args.args + fn.args.kwonlyargs] == ["roots"]
+
+
+def test_one_builder_for_the_complete_graph_minus_a_matching():
+    from distpareto import laws
+
+    builders = [laws._CLOSED_FORMS[ident][1]
+                for ident in ("kn_minus_e_radius", "rho2_kn_minus_e", "rho2_two_nonincident")]
+    assert len({b.__code__ for b in builders}) == 1
+    functions = _functions("laws.py")
+    assert [name for name in ("_kn_minus_e_radius", "_rho2_kn_minus_e", "_rho2_two_nonincident")
+            if name in functions] == []
 
 
 def test_verify_suites_live_in_verify():

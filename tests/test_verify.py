@@ -432,7 +432,7 @@ def _reference_quasiconvexity(t, h, w):
     total = t.n + h.n - 1
     dmats = np.stack([distance_matrix(coalesce(t, i, h, w)).d for i in range(t.n)])
     deletion_rho = verify._perron_roots_for_rows(dmats, pareto._deletion_rows(total))
-    r2 = pareto._rho2_of_deletions(dmats, deletion_rho)[0]
+    r2 = pareto._rho2_of_deletions(deletion_rho)[0]
     adj = t.adjacency()
     inconclusive, checked = False, 0
     for j in range(t.n):
