@@ -17,7 +17,6 @@ from .errors import (
     GraphParseError,
 )
 from .graph import (
-    DistanceMatrix,
     Graph,
     coalesce,
     delete_edge,
@@ -45,12 +44,10 @@ from .laws import (
 from .pareto import (
     ParetoEigenpair,
     ParetoSpectrum,
-    mu_k,
     pareto_count,
     pareto_eigenpair,
     pareto_spectrum,
     rho2_fast,
-    rho_k,
 )
 from .verify import (
     ExtremalResult,

@@ -14,6 +14,7 @@ import itertools
 import json
 import math
 import operator
+import re
 import sys
 
 import numpy as np
@@ -22,6 +23,7 @@ from . import __version__
 from .errors import CapExceededError, DisconnectedGraphError, GraphParseError
 from .graph import (
     _G6_HEADER,
+    _INTEGER,
     Graph,
     FAMILY_NAMES,
     _edge_list_graph,
@@ -110,11 +112,10 @@ def _rounded(v: float) -> float | None:
 
 
 def _graph_summary(g: Graph) -> dict:
-    dm = distance_matrix(g)
     return {
         "order": g.n,
         "size": g.size,
-        "diameter": diameter(dm),
+        "diameter": diameter(distance_matrix(g)),
         "name": g.name,
         "edges": [list(e) for e in g.sorted_edges()],
     }
@@ -355,6 +356,21 @@ def _integer(text: str) -> int:
 
 _integer.__name__ = "int"
 
+# An integer by the rule above, optional fraction digits and an optional exponent
+# that is such an integer; nan and inf are read, for the command to reject.
+_is_decimal = re.compile(rf"{_INTEGER}(\.[0-9]+)?([eE]{_INTEGER})?|-?(?i:nan|inf)").fullmatch
+
+
+def _decimal(text: str) -> float:
+    """A float argument, read by ``_is_decimal``: ``float`` alone would also take
+    "1_0", "+1e-8", " 1e-8" and "１e-8".  argparse names the type "float"."""
+    if not _is_decimal(text):
+        raise ValueError(f"could not convert string to float: {text!r}")
+    return float(text)
+
+
+_decimal.__name__ = "float"
+
 
 def _add_source_flags(p: argparse.ArgumentParser) -> None:
     src = p.add_mutually_exclusive_group(required=True)
@@ -490,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec = sub.add_parser("spectrum", help="full distance Pareto spectrum with witnesses")
     _add_source_flags(p_spec)
     _add_common_flags(p_spec, "worker count for subset enumeration")
-    p_spec.add_argument("--tolerance", type=float, default=DEFAULT_DEDUP_TOL,
+    p_spec.add_argument("--tolerance", type=_decimal, default=DEFAULT_DEDUP_TOL,
                         help="dedup tolerance for distinct Pareto eigenvalues")
     p_spec.set_defaults(func=_cmd_spectrum)
 

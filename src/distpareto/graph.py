@@ -30,7 +30,6 @@ from .errors import DisconnectedGraphError, GraphParseError
 
 __all__ = [
     "Graph",
-    "DistanceMatrix",
     "make_graph",
     "make_family",
     "FAMILY_NAMES",
@@ -96,17 +95,6 @@ def make_graph(n: int, edges: Iterable[tuple[int, int]], name: str = "") -> Grap
     """Build a Graph, normalizing edge orientation and collapsing duplicates."""
     normalized = frozenset((min(u, v), max(u, v)) for u, v in edges)
     return Graph(n=n, edges=normalized, name=name)
-
-
-@dataclass(frozen=True, eq=False)
-class DistanceMatrix:
-    """Dense all-pairs shortest-path (hop) distances of a connected graph."""
-
-    n: int
-    d: np.ndarray  # (n, n) int64, symmetric, zero diagonal
-
-    def __post_init__(self):
-        self.d.setflags(write=False)
 
 
 # ---------------------------------------------------------------------------
@@ -389,12 +377,14 @@ def _hop_distances(adj: np.ndarray) -> np.ndarray:
     return dist
 
 
-def distance_matrix(g: Graph) -> DistanceMatrix:
-    """All-pairs hop distances; raises DisconnectedGraphError on disconnected input.
+def distance_matrix(g: Graph) -> np.ndarray:
+    """All-pairs hop distances, the read-only (n, n) int64 array that
+    ``_hop_distances`` gives for a stack of one; raises DisconnectedGraphError on
+    disconnected input.
 
-    The error names vertex 0 and the lowest vertex it cannot reach.  The result
-    (immutable) is kept on ``g`` itself, so each graph instance computes it once
-    and the cache goes with the graph; a disconnected graph keeps nothing.
+    The error names vertex 0 and the lowest vertex it cannot reach.  The array
+    is kept on ``g`` itself, so each graph instance computes it once and the
+    cache goes with the graph; a disconnected graph keeps nothing.
     """
     cached = g.__dict__.get("_distances")
     if cached is not None:
@@ -405,25 +395,25 @@ def distance_matrix(g: Graph) -> DistanceMatrix:
     d = _hop_distances(adj)[0]
     if (d[0] < 0).any():
         raise DisconnectedGraphError(0, int(np.argmin(d[0])))
-    dm = DistanceMatrix(n=g.n, d=d)
-    object.__setattr__(g, "_distances", dm)  # Graph is frozen; not a field, so not compared
-    return dm
+    d.setflags(write=False)
+    object.__setattr__(g, "_distances", d)  # Graph is frozen; not a field, so not compared
+    return d
 
 
-def transmission(dm: DistanceMatrix, v: int) -> int:
-    """Sum of distances from v to every other vertex."""
-    if not (0 <= v < dm.n):
+def transmission(d: np.ndarray, v: int) -> int:
+    """Sum of distances from v to every other vertex of the distance matrix ``d``."""
+    if not (0 <= v < d.shape[0]):
         raise IndexError(f"vertex {v} out of range")
-    return int(dm.d[v].sum())
+    return int(d[v].sum())
 
 
-def wiener(dm: DistanceMatrix) -> int:
+def wiener(d: np.ndarray) -> int:
     """Half the sum of all pairwise distances."""
-    return int(dm.d.sum()) // 2
+    return int(d.sum()) // 2
 
 
-def diameter(dm: DistanceMatrix) -> int:
-    return int(dm.d.max())
+def diameter(d: np.ndarray) -> int:
+    return int(d.max())
 
 
 # ---------------------------------------------------------------------------

@@ -242,12 +242,12 @@ class _BoundContext:
         self.n = g.n
 
     @cached_property
-    def dm(self):
+    def d(self) -> np.ndarray:
         return distance_matrix(self.g)
 
     @cached_property
     def diam(self) -> int:
-        return diameter(self.dm)
+        return diameter(self.d)
 
     @cached_property
     def spectrum(self) -> ParetoSpectrum:
@@ -259,11 +259,11 @@ class _BoundContext:
 
     @cached_property
     def lambda2(self) -> float:
-        return float(_eigenvalues(self.dm.d.astype(float))[-2])
+        return float(_eigenvalues(self.d)[-2])
 
     @cached_property
     def transmissions(self) -> list[int]:
-        return self.dm.d.sum(axis=1).tolist()
+        return self.d.sum(axis=1).tolist()
 
     @cached_property
     def rho2_vector(self) -> np.ndarray:
@@ -288,7 +288,7 @@ def _second_component_bound(ctx: _BoundContext) -> float:
     """
     x = ctx.rho2_vector
     u = ctx.rho2_pair[1]
-    d = ctx.dm.d
+    d = ctx.d
     i = int(np.argmax(x))
     ti = ctx.transmissions[i]
     rest = [(x[v], v) for v in range(ctx.n) if v != i]
@@ -336,7 +336,7 @@ def _bipartite(ctx: _BoundContext) -> str:
     # A connected graph is bipartite exactly when every d(u, v) has the parity
     # of d(0, u) + d(0, v): the parity of d(0, .) is then a proper 2-colouring,
     # and a graph with an odd cycle has an edge uv with d(0, u) = d(0, v).
-    d = ctx.dm.d
+    d = ctx.d
     return "graph is not bipartite" if ((d + d[0][:, None] + d[0]) % 2).any() else ""
 
 
@@ -368,7 +368,7 @@ _RHO2_BOUNDS = {
     "rho2_vs_lambda2": ("lower", _always, lambda ctx: ctx.lambda2),
     "rho2_wiener_lower": (
         "lower", _always,
-        lambda ctx: 2.0 * (wiener(ctx.dm) - min(ctx.transmissions)) / (ctx.n - 1)),
+        lambda ctx: 2.0 * (wiener(ctx.d) - min(ctx.transmissions)) / (ctx.n - 1)),
 }
 
 BOUND_IDS = ("count_lower", *_RHO2_BOUNDS, "rho_k_lower")

@@ -62,8 +62,6 @@ __all__ = [
     "DEFAULT_MAX_ORDER",
     "pareto_spectrum",
     "pareto_count",
-    "rho_k",
-    "mu_k",
     "rho2_fast",
     "pareto_eigenpair",
 ]
@@ -361,8 +359,7 @@ def pareto_spectrum(
         raise ValueError(f"dedup tolerance must be finite and >= 0, got {dedup_tolerance}")
     _check_order(g.n)
     subsets = _subsets_by_size(g.n)
-    d = distance_matrix(g).d
-    values = _all_subset_values(d, subsets, jobs)
+    values = _all_subset_values(distance_matrix(g), subsets, jobs)
     if g.n >= 2:
         # the size n - 1 block, the n subsets before the whole vertex set, holds
         # every deletion; its row i deletes vertex n - 1 - i
@@ -377,16 +374,6 @@ def pareto_spectrum(
 def pareto_count(g: Graph, **kwargs) -> int:
     """Number of distinct distance Pareto eigenvalues."""
     return pareto_spectrum(g, **kwargs).count
-
-
-def rho_k(g: Graph, k: int, **kwargs) -> float:
-    """k-th largest distinct distance Pareto eigenvalue."""
-    return pareto_spectrum(g, **kwargs).rho_k(k)
-
-
-def mu_k(g: Graph, k: int, **kwargs) -> float:
-    """k-th smallest distinct distance Pareto eigenvalue."""
-    return pareto_spectrum(g, **kwargs).mu_k(k)
 
 
 def rho2_fast(g: Graph) -> tuple[float, int]:
@@ -407,10 +394,10 @@ def rho2_fast(g: Graph) -> tuple[float, int]:
     """
     if g.n < 2:
         raise ValueError("second largest Pareto eigenvalue needs n >= 2")
-    dm = distance_matrix(g)
+    d = distance_matrix(g)
     if "_rho2" in g.__dict__:
         return g.__dict__["_rho2"]
-    value, vertex = _rho2_many(dm.d[None])
+    value, vertex = _rho2_many(d[None])
     return _keep_rho2(g, (float(value[0]), int(vertex[0])))
 
 
@@ -470,7 +457,7 @@ def pareto_eigenpair(g: Graph, support: tuple[int, ...] | list[int]) -> ParetoEi
     J = tuple(sorted(set(int(v) for v in support)))
     if not J:
         raise ValueError("support must be nonempty")
-    d = distance_matrix(g).d.astype(np.float64)
+    d = distance_matrix(g)
     if J[0] < 0 or J[-1] >= g.n:
         raise ValueError(f"support {J} out of range [0, {g.n})")
     values, vectors = _perron_pairs_for_rows(d, np.array([J]))

@@ -358,11 +358,18 @@ def random_connected_graph(n: int, rng: np.random.Generator, extra_edge_prob: fl
 def _tree_paths(t: Graph) -> np.ndarray:
     """(p, 3) array of the paths i ~ j ~ k of the tree t, each listed once, ordered
     by j and then (i, k): the geodesic 2-paths, j adjacent to both ends and
-    d(i, k) = 2 with i < k, read from the distance matrix (n^3 booleans)."""
-    d = distance_matrix(t).d
+    d(i, k) = 2 with i < k, read from the distance matrix.  The (j, i, k) mask
+    is built in blocks of middle vertices j, at most ``_GATHER_BYTES`` of
+    booleans (or one j) per block, so memory stays O(n^2) and not n^3."""
+    d = distance_matrix(t)
     adj = d == 1
-    j, i, k = np.nonzero(adj[:, :, None] & adj[:, None, :] & np.triu(d == 2, 1))
-    return np.stack([i, j, k], axis=1)
+    ends = np.triu(d == 2, 1)
+    step = max(1, _GATHER_BYTES // ends.size)
+    blocks = []
+    for lo in range(0, t.n, step):
+        j, i, k = np.nonzero(adj[lo : lo + step, :, None] & adj[lo : lo + step, None, :] & ends)
+        blocks.append(np.stack([i, lo + j, k], axis=1))
+    return np.concatenate(blocks)
 
 
 def _convexity_reports(t: Graph, supports, values, vectors) -> list[PropertyReport]:
@@ -408,7 +415,7 @@ def check_eigenvector_convexity(t: Graph, pair: ParetoEigenpair) -> PropertyRepo
     if x.shape != (t.n,) or not all(0 <= v < t.n for v in J):
         raise ValueError(f"pair on {x.size} vertices, support {pair.support}, "
                          f"does not fit a tree of order {t.n}")
-    residual = np.abs(distance_matrix(t).d[J] @ x - pair.value * x[J]).max()
+    residual = np.abs(distance_matrix(t)[J] @ x - pair.value * x[J]).max()
     if residual > 1e-9 * max(1.0, abs(pair.value)):
         raise ValueError(f"pair fails the tree's eigen-equation on support {pair.support}")
     return _convexity_reports(t, [pair.support], np.array([pair.value]), x[None])[0]
@@ -417,7 +424,7 @@ def check_eigenvector_convexity(t: Graph, pair: ParetoEigenpair) -> PropertyRepo
 def _tree_convexity_reports(t: Graph) -> list[PropertyReport]:
     """Convexity reports for every nonempty support of the tree t, in canonical
     order, from one stacked eigenpair call per support size."""
-    d = distance_matrix(t).d.astype(np.float64)
+    d = distance_matrix(t)
     reports = []
     for rows in _subsets_by_size(t.n).values():
         reports += _convexity_reports(t, rows, *_perron_pairs_for_rows(d, rows))
@@ -488,7 +495,7 @@ def check_coalescence_quasiconvexity(t: Graph, h: Graph, w: int) -> PropertyRepo
     if h.n < 2 or not _is_connected(h):
         raise ValueError("attachment graph must be connected with >= 2 vertices")
     total = t.n + h.n - 1
-    dmats = np.stack([distance_matrix(coalesce(t, i, h, w)).d for i in range(t.n)])
+    dmats = np.stack([distance_matrix(coalesce(t, i, h, w)) for i in range(t.n)])
     # rho of every single-vertex deletion, per coalescence point
     deletion_rho = _perron_roots_for_rows(dmats, _deletion_rows(total))
     r2 = _rho2_of_deletions(deletion_rho)[0]
@@ -522,7 +529,7 @@ def check_tree_extremes(n: int) -> PropertyReport:
     if not (3 <= n <= _TREES_MAX_ORDER):
         raise CapExceededError(f"tree extremes need 3 <= n <= {_TREES_MAX_ORDER}")
     trees = trees_upto_iso(n)
-    values = _rho2_many(np.stack([distance_matrix(t).d for t in trees]))[0]
+    values = _rho2_many(np.stack([distance_matrix(t) for t in trees]))[0]
     top = [max(t.degrees()) for t in trees]
     path_idx, star_idx = top.index(2), top.index(n - 1)  # the same tree at n = 3
     instance = f"all {len(trees)} trees of order {n}"

@@ -57,7 +57,7 @@ def report(num, ok, detail=""):
 
 def enumeration_oracle(g, tol=1e-8):
     """Second enumeration order (numeric bitmasks), per-subset eigensolver."""
-    d = distance_matrix(g).d.astype(float)
+    d = distance_matrix(g).astype(float)
     values = []
     for mask in range(1, 1 << g.n):
         keep = [v for v in range(g.n) if mask >> v & 1]

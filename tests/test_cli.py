@@ -292,6 +292,20 @@ def test_cli_integers_follow_the_edge_list_rule(capsys, argv):
     assert _exit_code(capsys, *argv) == cli.EXIT_PARSE
 
 
+@pytest.mark.parametrize("value", ["1_0", "\uff11e-8", " 1e-8", "+1e-8", "1e-0_8"],
+                         ids=["underscore", "fullwidth", "blank", "plus", "exponent-underscore"])
+def test_tolerance_follows_the_decimal_rule(capsys, value):
+    # float() would read each of these; "1_0" as a tolerance of 10
+    assert _exit_code(capsys, "spectrum", "--family", "path", "4", f"--tolerance={value}") == (
+        cli.EXIT_PARSE)
+
+
+def test_tolerance_keeps_its_values(capsys):
+    for value, expected in [("1e-3", 1e-3), ("0", 0.0), ("1.5e-12", 1.5e-12), ("1E-8", 1e-8)]:
+        code, out, _ = run(capsys, "spectrum", "--family", "path", "4", "--tolerance", value)
+        assert code == 0 and json.loads(out)["payload"]["dedup_tolerance"] == expected
+
+
 def test_cli_integers_keep_their_values(capsys):
     # leading zeros still read as they did
     assert run(capsys, "spectrum", "--family", "path", "03", "--jobs", "02")[1] == run(

@@ -128,20 +128,20 @@ def test_family_validation():
 
 
 def test_distance_matrix_path3():
-    dm = distance_matrix(make_family("path", [3]))
-    assert dm.d.tolist() == [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+    d = distance_matrix(make_family("path", [3]))
+    assert d.tolist() == [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
 
 
 def test_distance_matrix_k4_all_ones():
-    dm = distance_matrix(make_family("complete", [4]))
+    d = distance_matrix(make_family("complete", [4]))
     expected = np.ones((4, 4), dtype=int) - np.eye(4, dtype=int)
-    assert (dm.d == expected).all()
+    assert (d == expected).all()
 
 
 def test_distance_matrix_star4():
-    dm = distance_matrix(make_family("star", [4]))
+    d = distance_matrix(make_family("star", [4]))
     for i, j in itertools.combinations(range(4), 2):
-        assert dm.d[i, j] == (1 if 0 in (i, j) else 2)
+        assert d[i, j] == (1 if 0 in (i, j) else 2)
 
 
 def test_distance_matrix_disconnected():
@@ -171,7 +171,7 @@ def test_distance_matrix_matches_networkx():
     graphs = [make_graph(1, []), make_family("complete_bipartite", [2, 256])]
     graphs += [random_connected_graph(n, rng, p) for n in range(2, 41) for p in (0.0, 0.05, 0.3)]
     for g in graphs:
-        assert (distance_matrix(g).d == _networkx_distances(nx, g)).all(), g
+        assert (distance_matrix(g) == _networkx_distances(nx, g)).all(), g
 
 
 def test_distance_matrix_disconnected_names_lowest_unreachable_vertex():
@@ -186,7 +186,7 @@ def test_distance_matrix_disconnected_names_lowest_unreachable_vertex():
     for g in graphs:
         ref = _networkx_distances(nx, g)
         if (ref[0] >= 0).all():
-            assert (distance_matrix(g).d == ref).all(), g
+            assert (distance_matrix(g) == ref).all(), g
             continue
         disconnected += 1
         with pytest.raises(DisconnectedGraphError) as err:
@@ -197,24 +197,24 @@ def test_distance_matrix_disconnected_names_lowest_unreachable_vertex():
 
 
 def test_transmission_wiener_diameter_path3():
-    dm = distance_matrix(make_family("path", [3]))
-    assert transmission(dm, 1) == 2
-    assert wiener(dm) == 4
-    assert diameter(dm) == 2
+    d = distance_matrix(make_family("path", [3]))
+    assert transmission(d, 1) == 2
+    assert wiener(d) == 4
+    assert diameter(d) == 2
 
 
 def test_transmission_wiener_k5():
-    dm = distance_matrix(make_family("complete", [5]))
-    assert all(transmission(dm, v) == 4 for v in range(5))
-    assert wiener(dm) == 10
-    assert diameter(dm) == 1
+    d = distance_matrix(make_family("complete", [5]))
+    assert all(transmission(d, v) == 4 for v in range(5))
+    assert wiener(d) == 10
+    assert diameter(d) == 1
 
 
 def test_transmission_wiener_star5():
-    dm = distance_matrix(make_family("star", [5]))
-    assert transmission(dm, 0) == 4
-    assert all(transmission(dm, v) == 7 for v in range(1, 5))
-    assert wiener(dm) == 16
+    d = distance_matrix(make_family("star", [5]))
+    assert transmission(d, 0) == 4
+    assert all(transmission(d, v) == 7 for v in range(1, 5))
+    assert wiener(d) == 16
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -293,13 +293,12 @@ def test_graph6_errors():
 )
 def test_family_distance_matrices_are_metrics(family, params):
     g = make_family(family, params)
-    dm = distance_matrix(g)
-    d = dm.d
+    d = distance_matrix(g)
     assert (d == d.T).all() and (np.diag(d) == 0).all()
     assert (d[~np.eye(g.n, dtype=bool)] >= 1).all()
     for i, j, k in itertools.product(range(g.n), repeat=3):
         assert d[i, k] <= d[i, j] + d[j, k]
-    assert 2 * wiener(dm) == sum(transmission(dm, v) for v in range(g.n))
+    assert 2 * wiener(d) == sum(transmission(d, v) for v in range(g.n))
 
 
 @st.composite
@@ -315,29 +314,30 @@ def _random_graph(draw):
 @given(_random_graph())
 def test_distance_matrix_metric_properties(g):
     try:
-        dm = distance_matrix(g)
+        d = distance_matrix(g)
     except DisconnectedGraphError:
         return
-    d = dm.d
     assert (d == d.T).all()
     assert (np.diag(d) == 0).all()
     off = d[~np.eye(g.n, dtype=bool)]
     assert (off >= 1).all()
     for i, j, k in itertools.product(range(g.n), repeat=3):
         assert d[i, k] <= d[i, j] + d[j, k]
-    assert d.max() == diameter(dm)
-    assert 2 * wiener(dm) == sum(transmission(dm, v) for v in range(g.n))
+    assert d.max() == diameter(d)
+    assert 2 * wiener(d) == sum(transmission(d, v) for v in range(g.n))
 
 
 def test_distance_matrix_is_kept_on_the_graph_instance():
     g, h = make_family("wheel", [7]), make_family("wheel", [7])
-    dm = distance_matrix(g)
-    assert distance_matrix(g) is dm
+    d = distance_matrix(g)
+    assert type(d) is np.ndarray and d.dtype == np.int64 and d.shape == (7, 7)
+    assert distance_matrix(g) is d
     assert g == h and hash(g) == hash(h)  # the cache is not part of the value
     other = distance_matrix(h)
-    assert other is not dm and (other.d == dm.d).all()
+    assert other is not d and (other == d).all()
+    assert not d.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
-        dm.d[0, 1] = 5
+        d[0, 1] = 5
 
 
 def test_distance_matrix_of_a_disconnected_graph_raises_on_every_call():

@@ -86,7 +86,7 @@ def test_one_surd_is_the_perron_root_and_rho2_of_k_minus_matching():
     for j in range(1, 7):
         for m in range(max(3, 2 * j), 13):
             g = _complete_minus_matching(m, j)
-            d = distance_matrix(g).d
+            d = distance_matrix(g)
             root = float(pareto._perron_roots_for_rows(d, np.arange(m)[None])[0])
             assert abs(_matching_surd(m, j, 0) - root) <= 1e-12 * root, (m, j)
             if m >= 2 * j + 1:

@@ -8,14 +8,7 @@ import pytest
 from distpareto.errors import CapExceededError, DisconnectedGraphError, EigensolverError
 from distpareto.graph import delete_edge, distance_matrix, make_family, make_graph
 from distpareto import pareto
-from distpareto.pareto import (
-    mu_k,
-    pareto_count,
-    pareto_eigenpair,
-    pareto_spectrum,
-    rho2_fast,
-    rho_k,
-)
+from distpareto.pareto import pareto_count, pareto_eigenpair, pareto_spectrum, rho2_fast
 
 SQ3 = math.sqrt(3)
 SQ7 = math.sqrt(7)
@@ -28,7 +21,7 @@ def fam(name, *params):
 def enumeration_oracle(g, tol=1e-8):
     """Independent sequential enumeration: numeric bitmask order, one
     eigendecomposition per subset, plain-loop dedup."""
-    d = distance_matrix(g).d.astype(float)
+    d = distance_matrix(g).astype(float)
     values = []
     for mask in range(1, 1 << g.n):
         keep = [v for v in range(g.n) if mask >> v & 1]
@@ -82,23 +75,23 @@ def test_count_path_with_triangle_graph():
 
 
 def test_rho_k_and_mu_k():
-    s4 = fam("star", 4)
-    assert rho_k(s4, 1) == pytest.approx(2 + SQ7, abs=1e-9)
-    assert mu_k(s4, 1) == 0.0
+    s4 = pareto_spectrum(fam("star", 4))
+    assert s4.rho_k(1) == pytest.approx(2 + SQ7, abs=1e-9)
+    assert s4.mu_k(1) == 0.0
     for g in [fam("cycle", 5), fam("wheel", 6), fam("path", 4)]:
-        assert mu_k(g, 1) == 0.0
+        assert pareto_spectrum(g).mu_k(1) == 0.0
     with pytest.raises(ValueError):
-        rho_k(s4, 7)
+        s4.rho_k(7)
     with pytest.raises(ValueError):
-        mu_k(s4, 0)
+        s4.mu_k(0)
 
 
 def test_rho2_path4_deleted_vertex_oracle():
     # oracle: eigendecomposition of the path-4 distance matrix without row/col 1
-    d = distance_matrix(fam("path", 4)).d.astype(float)
+    d = distance_matrix(fam("path", 4)).astype(float)
     keep = [0, 2, 3]
     expected = float(np.linalg.eigvalsh(d[np.ix_(keep, keep)])[-1])
-    assert rho_k(fam("path", 4), 2) == pytest.approx(expected, abs=1e-9)
+    assert pareto_spectrum(fam("path", 4)).rho_k(2) == pytest.approx(expected, abs=1e-9)
     value, witness = rho2_fast(fam("path", 4))
     assert value == pytest.approx(expected, abs=1e-9)
     assert witness in (1, 2)
@@ -145,7 +138,7 @@ def test_eigenpair_k3_full():
 
 
 def test_eigenpair_path4_partial_support():
-    d = distance_matrix(fam("path", 4)).d.astype(float)
+    d = distance_matrix(fam("path", 4)).astype(float)
     expected = float(np.linalg.eigvalsh(d[np.ix_([0, 2, 3], [0, 2, 3])])[-1])
     pair = pareto_eigenpair(fam("path", 4), (0, 2, 3))
     assert pair.value == pytest.approx(expected, abs=1e-9)
@@ -156,7 +149,7 @@ def test_eigenpair_path4_partial_support():
 
 def test_eigenpair_complementarity_everywhere(classes_by_order):
     for g in classes_by_order[5][:10]:
-        d = distance_matrix(g).d.astype(float)
+        d = distance_matrix(g).astype(float)
         for k in (1, 2, 4):
             for J in itertools.combinations(range(5), k):
                 pair = pareto_eigenpair(g, J)
@@ -190,7 +183,7 @@ def _independent_pair(d, row):
 
 
 def _check_stacked_pairs(g, rows):
-    d = distance_matrix(g).d.astype(float)
+    d = distance_matrix(g).astype(float)
     values, vectors = pareto._perron_pairs_for_rows(d, rows)
     assert values.shape == (len(rows),) and vectors.shape == (len(rows), g.n)
     for row, value, vector in zip(rows.tolist(), values, vectors):
@@ -224,7 +217,7 @@ def test_stacked_pairs_match_one_row_and_independent_eigh_on_random_graphs():
 
 
 def test_stacked_pairs_check_every_pair(monkeypatch):
-    d = distance_matrix(fam("path", 4)).d.astype(float)
+    d = distance_matrix(fam("path", 4)).astype(float)
     rows = np.array([[0, 1], [1, 2], [2, 3]])
     real = pareto.perron_pairs_many
 
@@ -280,12 +273,12 @@ def test_jobs_split_spans_but_threads_stay_at_cpu_count(monkeypatch):
 def test_integer_ladder_and_top_value(classes_by_order):
     for n in (3, 4, 5):
         for g in classes_by_order[n]:
-            dm = distance_matrix(g)
+            dmat = distance_matrix(g)
             spec = pareto_spectrum(g)
-            d = int(dm.d.max())
+            d = int(dmat.max())
             for target in range(d + 1):
                 assert any(abs(v - target) <= 1e-9 for v in spec.values), (g, target)
-            top = float(np.linalg.eigvalsh(dm.d.astype(float))[-1])
+            top = float(np.linalg.eigvalsh(dmat.astype(float))[-1])
             assert spec.values[-1] == pytest.approx(top, abs=1e-9)
             assert spec.witnesses[-1] == tuple(range(n))
             assert spec.values[0] == 0.0 and len(spec.witnesses[0]) == 1
@@ -296,7 +289,7 @@ def test_integer_ladder_and_top_value(classes_by_order):
 def test_count_lower_bound_small_orders(classes_by_order):
     for n in (2, 3, 4, 5):
         for g in classes_by_order[n]:
-            d = int(distance_matrix(g).d.max())
+            d = int(distance_matrix(g).max())
             assert pareto_count(g) >= n + d - 1
 
 
@@ -313,7 +306,7 @@ def test_count_lower_equality_set(classes_by_order):
     for n in range(2, 7):
         attained = set()
         for g in classes_by_order[n]:
-            d = int(distance_matrix(g).d.max())
+            d = int(distance_matrix(g).max())
             if pareto_count(g) == n + d - 1:
                 attained.add(canonical_form(g))
         expected = {canonical_form(fam("complete", n))}
@@ -364,7 +357,7 @@ def test_rho2_rayleigh_characterization(classes_by_order):
     rng = np.random.default_rng(99)
     for n in (4, 5, 6):
         for g in classes_by_order[n]:
-            d = distance_matrix(g).d.astype(float)
+            d = distance_matrix(g).astype(float)
             rho2, witness = rho2_fast(g)
             best_sample = -np.inf
             for i in range(n):
@@ -398,7 +391,7 @@ def test_bulk_counts_match_pareto_count(classes_by_order):
 
     for n in range(2, 7):
         graphs = classes_by_order[n]
-        dmats = np.stack([distance_matrix(g).d for g in graphs])
+        dmats = np.stack([distance_matrix(g) for g in graphs])
         counts = _distinct_counts(dmats, pareto.DEFAULT_DEDUP_TOL)
         assert counts.tolist() == [pareto_count(g) for g in graphs]
 
@@ -409,7 +402,7 @@ def test_bounded_gather_is_bitwise_identical(monkeypatch):
     wheel = fam("wheel", 12)
     big = random_connected_graph(60, np.random.default_rng(11), extra_edge_prob=0.05)
     others = [fam("path", 12), fam("star", 12), fam("cycle", 12), fam("complete_bipartite", 6, 6)]
-    stack = np.stack([distance_matrix(g).d for g in [wheel] + others])
+    stack = np.stack([distance_matrix(g) for g in [wheel] + others])
     subsets = pareto._subsets_by_size(12).values()
     spectrum = pareto_spectrum(wheel)
     rho2 = [rho2_fast(wheel), rho2_fast(big)]
@@ -433,8 +426,10 @@ def test_bounded_gather_is_bitwise_identical(monkeypatch):
     for rows, want in zip(subsets, stacked):
         assert np.array_equal(pareto._perron_roots_for_rows(stack, rows), want)
     for rows, (values, vectors) in zip(subsets, pairs):
-        got = pareto._perron_pairs_for_rows(stack[0], rows)
-        assert np.array_equal(got[0], values) and np.array_equal(got[1], vectors)
+        # the int64 distances as they are, and their float64 copy, give the same bits
+        for d in (stack[0], stack[0].astype(np.float64)):
+            got = pareto._perron_pairs_for_rows(d, rows)
+            assert np.array_equal(got[0], values) and np.array_equal(got[1], vectors)
     for rows, failure in zip(crossing, failures):
         with pytest.raises(EigensolverError) as exc:
             pareto._perron_pairs_for_rows(split, rows)
@@ -449,7 +444,7 @@ def _kernel_rho2(g):
     """rho2 by the kernel on every candidate deletion: the non-pendant vertices,
     or every vertex when there is none; the witness is the first vertex within
     1e-12 of the maximum."""
-    d = distance_matrix(g).d
+    d = distance_matrix(g)
     deg = g.degrees()
     candidates = [v for v in range(g.n) if deg[v] > 1] or list(range(g.n))
     rows = np.array([[u for u in range(g.n) if u != v] for v in candidates], dtype=np.intp)
@@ -483,7 +478,7 @@ def test_rho2_screen_matches_kernel_on_every_deletion():
     checked = 0
     for g in _screen_cases():
         assert rho2_fast(g) == _kernel_rho2(g), g
-        d = distance_matrix(g).d.astype(np.float64)
+        d = distance_matrix(g).astype(np.float64)
         keep = np.arange(g.n - 1)
         every = keep + (keep >= np.arange(g.n)[:, None])  # row v omits vertex v
         kernel = pareto._perron_roots_for_rows(d, every)
@@ -516,7 +511,7 @@ def test_rho2_from_the_spectrum_equals_the_screen(monkeypatch):
 
 def _rho2_pairs(graphs):
     """``_rho2_many`` on the stacked distance matrices of ``graphs``, as (value, vertex) pairs."""
-    values, witnesses = pareto._rho2_many(np.stack([distance_matrix(g).d for g in graphs]))
+    values, witnesses = pareto._rho2_many(np.stack([distance_matrix(g) for g in graphs]))
     return list(zip(values.tolist(), witnesses.tolist()))
 
 
@@ -585,7 +580,7 @@ def test_pendant_deletions_stay_below_their_neighbour_and_the_top(classes_by_ord
     stacks += [trees_upto_iso(n) for n in range(3, 13)]
     checked = 0
     for graphs in stacks:
-        d = np.stack([distance_matrix(g).d for g in graphs])
+        d = np.stack([distance_matrix(g) for g in graphs])
         roots = pareto._perron_roots_for_rows(d, pareto._deletion_rows(d.shape[-1]))
         below_neighbour, below_top = _pendant_gaps(d, roots)
         assert (below_neighbour > 0).all() and (below_top >= 1e-6).all()
@@ -593,7 +588,7 @@ def test_pendant_deletions_stay_below_their_neighbour_and_the_top(classes_by_ord
     assert checked == 2 + 6 + 21 + 112 + 853 + 985
     assert 1000 * pareto._SCREEN_WINDOW == pytest.approx(1e-6)
     for g in (fam("star", 400), fam("path", 400), fam("clique_plus_pendant_p", 399, 1)):
-        d = distance_matrix(g).d[None]
+        d = distance_matrix(g)[None]
         below_neighbour, below_top = _pendant_gaps(d, _deletion_roots(d.astype(np.float64)))
         assert below_neighbour.size and (below_neighbour > 0).all(), g
         assert (below_top >= 1e-6).all(), g
@@ -614,7 +609,7 @@ def _flat_witnesses(g):
             itertools.combinations(range(g.n), k) for k in range(1, g.n + 1)
         )
     )
-    values = pareto._all_subset_values(distance_matrix(g).d, pareto._subsets_by_size(g.n), 1)
+    values = pareto._all_subset_values(distance_matrix(g), pareto._subsets_by_size(g.n), 1)
     _, idx = pareto._dedup(values, pareto.DEFAULT_DEDUP_TOL)
     return tuple(flat[i] for i in idx)
 

@@ -11,7 +11,7 @@ from distpareto.spectral import RESIDUAL_TOL, _eigenvalues, perron_pairs_many
 
 
 def _dm(family, params):
-    return distance_matrix(make_family(family, params)).d.astype(float)
+    return distance_matrix(make_family(family, params)).astype(float)
 
 
 def _j_minus_i(k, scale=1.0):

@@ -13,7 +13,10 @@ never names the thread pool), one builder of bound-report rows, and one pair
 order for every edge mask (spelled once in ``verify``, no ``{pair: index}`` dict,
 one mask decoder and no function handed the pair list), rho2 read from the
 deletion roots alone (no pendant filter), the 2-paths i ~ j ~ k built once and
-from the distance matrix, and one surd builder for the three K_m - jK2 forms."""
+from the distance matrix, one surd builder for the three K_m - jK2 forms, and
+one representation for distances (the read-only array ``distance_matrix`` keeps
+on the graph, handed to the kernels as it is, no wrapper around it, and no
+module-level ``rho_k``/``mu_k`` beside the spectrum's methods)."""
 
 import ast
 import pathlib
@@ -211,3 +214,18 @@ def test_one_pair_order_for_every_edge_mask():
             for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
             if isinstance(fn, ast.FunctionDef)
             and "pairs" in [a.arg for a in fn.args.args + fn.args.kwonlyargs]] == []
+
+
+def test_one_distance_representation():
+    # distances are the array itself: no wrapper, no attribute hop to reach it
+    assert _occurrences(r"\bDistanceMatrix\b|\bdm\b") == []
+    assert _occurrences(r"distance_matrix\((?:[^()]|\([^()]*\))*\)\.d\b") == []
+    # the integer array goes to numpy as it is; only the two kernel entries cast it
+    # (and _relabelings, whose cast is of edge bits, not of distances)
+    casts = {name for path in sorted(SRC.glob("*.py")) for name, src in _functions(path.name).items()
+             if re.search(r"astype\((np\.float64|float)\b", src)}
+    assert casts == {"_perron_roots_for_rows", "_rho2_many", "_relabelings"}
+    # a spectrum's rho_k and mu_k are its methods, not a second enumeration
+    tree = ast.parse((SRC / "pareto.py").read_text(encoding="utf-8"))
+    assert [fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
+            and fn.name in ("rho_k", "mu_k")] == []

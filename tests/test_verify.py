@@ -66,7 +66,7 @@ def test_trees_are_labeled_in_preorder_from_vertex_0():
     # the parent of vertex i is the last vertex before i one level nearer vertex 0
     for n in (2, 5, 9):
         for t in trees_upto_iso(n):
-            depth = distance_matrix(t).d[0].tolist()
+            depth = distance_matrix(t)[0].tolist()
             adj = t.adjacency()
             for i in range(1, n):
                 parent = max(j for j in range(i) if depth[j] == depth[i] - 1)
@@ -291,6 +291,41 @@ def test_stacked_convexity_rule_matches_the_per_support_loop():
                         holds, counterexample, details)
 
 
+def _one_shot_tree_paths(g):
+    """The paths i ~ j ~ k from one (n, n, n) mask, the table built in one piece."""
+    d = distance_matrix(g)
+    adj = d == 1
+    j, i, k = np.nonzero(adj[:, :, None] & adj[:, None, :] & np.triu(d == 2, 1))
+    return np.stack([i, j, k], axis=1)
+
+
+def test_two_path_table_in_blocks_equals_the_one_shot_mask(monkeypatch):
+    graphs = [t for n in range(1, 11) for t in trees_upto_iso(n)]
+    graphs += [g for n in range(1, 8) for g in connected_graph_classes(n)]
+    for g in graphs:
+        want = _one_shot_tree_paths(g)
+        # one middle vertex j per block, then two (several blocks from order 3 on)
+        for budget in (1, 2 * g.n * g.n):
+            monkeypatch.setattr(verify, "_GATHER_BYTES", budget)
+            got = verify._tree_paths(g)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (g, budget)
+
+
+def test_two_path_table_memory_is_bounded_by_the_gather_budget():
+    import tracemalloc
+
+    star = fam("star", 400)
+    distance_matrix(star)
+    tracemalloc.start()
+    try:
+        paths = verify._tree_paths(star)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(paths) == 399 * 398 // 2
+    assert peak < 4 * verify._GATHER_BYTES  # the one-shot mask holds 400^3 bytes, twice
+
+
 def test_convexity_suite_reports_equal_one_support_checks():
     for n in (2, 4, 6):
         for t in trees_upto_iso(n):
@@ -341,7 +376,7 @@ def test_monotonicity_sweep_with_strictness_rule(classes_by_order):
     """Strictness whenever some rho2-achieving deletion vertex avoids the edge."""
     for n in (4, 5, 6):
         for g in classes_by_order[n]:
-            dmat = distance_matrix(g).d.astype(float)
+            dmat = distance_matrix(g).astype(float)
             deg = g.degrees()
             candidates = [v for v in range(n) if deg[v] > 1] or list(range(n))
             rho = {}
@@ -430,7 +465,7 @@ def _reference_quasiconvexity(t, h, w):
     path the rho2 gap first, then every deletion vertex u.  Returns (holds,
     counterexample, inconclusive, details)."""
     total = t.n + h.n - 1
-    dmats = np.stack([distance_matrix(coalesce(t, i, h, w)).d for i in range(t.n)])
+    dmats = np.stack([distance_matrix(coalesce(t, i, h, w)) for i in range(t.n)])
     deletion_rho = verify._perron_roots_for_rows(dmats, pareto._deletion_rows(total))
     r2 = pareto._rho2_of_deletions(deletion_rho)[0]
     adj = t.adjacency()
@@ -459,7 +494,7 @@ def _fake_deletion_roots(t, total, mode, rng):
     distance to a random vertex with slopes >= 1 ("strict", every path passes
     strictly) or >= 0 ("ties"), small integers, or uniform floats."""
     if mode in ("strict", "ties"):
-        depth = distance_matrix(t).d[rng.integers(t.n)].astype(float)
+        depth = distance_matrix(t)[rng.integers(t.n)].astype(float)
         slope = rng.integers(1 if mode == "strict" else 0, 3, size=total)
         return rng.integers(0, 4, size=total) + np.outer(depth, slope)
     if mode == "integers":
@@ -515,7 +550,7 @@ def _reference_tree_extremes(n):
     """The per-tree loop: path and star found by sorted degree signature, then one
     max and one min test per tree."""
     trees = trees_upto_iso(n)
-    values = verify._rho2_many(np.stack([distance_matrix(t).d for t in trees]))[0].tolist()
+    values = verify._rho2_many(np.stack([distance_matrix(t) for t in trees]))[0].tolist()
     degs = [tuple(sorted(t.degrees())) for t in trees]
     path_idx = degs.index(tuple(sorted([1, 1] + [2] * (n - 2))))
     star_idx = degs.index(tuple(sorted([n - 1] + [1] * (n - 1))))
