@@ -385,11 +385,6 @@ def _add_common_flags(p: argparse.ArgumentParser, jobs_help: str) -> None:
     p.add_argument("--jobs", type=_integer, default=1, help=jobs_help)
 
 
-def _chunks(fh):
-    """Fixed-size reads of the text file ``fh``, from where it stands to its end."""
-    return iter(functools.partial(fh.read, 1 << 16), "")
-
-
 def _load_graph(args, check_order) -> Graph:
     """The input graph; ``check_order`` sees its declared order before any edge is read."""
     if args.family:
@@ -399,7 +394,7 @@ def _load_graph(args, check_order) -> Graph:
         return make_family(name, params)
     if args.edges:
         with open(args.edges, "r", encoding="utf-8") as fh:
-            n, lines = _edge_list_order(_chunks(fh))  # reads up to the order line
+            n, lines = _edge_list_order(fh)  # reads up to the order line
             check_order(n)
             return _edge_list_graph(n, lines)
     with open(args.graph6, "r", encoding="utf-8") as fh:

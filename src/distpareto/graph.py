@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -221,8 +221,6 @@ def make_family(family: str, params: Sequence[int]) -> Graph:
 # Parsers
 
 
-# The line boundaries of str.splitlines; "\r\n" is one boundary.
-_LINE_BREAK = re.compile("\r\n|[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
 # An edge list's integers are ASCII digits, optionally negative; int() would also
 # take "1_0", "+3" and non-ASCII digits.  \s matches what str.split splits at.
 _INTEGER = "-?[0-9]+"
@@ -230,29 +228,18 @@ _is_integer = re.compile(_INTEGER).fullmatch
 _edge_line = re.compile(rf"({_INTEGER})\s+({_INTEGER})").fullmatch
 
 
-def _split_lines(chunks: Iterable[str]) -> Iterator[str]:
-    """The lines of the text that ``chunks`` join to, exactly as ``str.splitlines``
-    gives them, taking one chunk at a time."""
-    rest = ""
-    for chunk in chunks:
-        text = rest + chunk
-        held = text.endswith("\r")  # may be the first half of "\r\n"
-        lines = _LINE_BREAK.split(text[:-1] if held else text)
-        rest = lines.pop() + ("\r" if held else "")
-        yield from lines
-    if rest:
-        yield rest.removesuffix("\r")
-
-
 def _edge_list_order(text: str | Iterable[str]):
     """The vertex count an edge list declares on its first line that is neither blank
     nor a comment, and an iterator over the (line number, line) pairs of such lines after it.
 
-    ``text`` is the whole text or an iterable of its chunks, such as fixed-size
-    reads of a file; chunks are taken only as far as the lines are read.
+    ``text`` is the whole text or an open text file (any iterable of its lines);
+    a file is read line by line, only as far as the lines are taken.  Each line is
+    split once more with ``str.splitlines``, so lines end where ``str.splitlines``
+    ends them in both cases.
     """
-    chunks = [text] if isinstance(text, str) else text
-    lines = ((lineno, line) for lineno, raw in enumerate(_split_lines(chunks), start=1)
+    raws = text.splitlines() if isinstance(text, str) else (
+        part for line in text for part in line.splitlines())
+    lines = ((lineno, line) for lineno, raw in enumerate(raws, start=1)
              if (line := raw.strip()) and not line.startswith("#"))
     lineno, line = next(lines, (0, None))
     if line is None:
@@ -266,7 +253,8 @@ def _edge_list_order(text: str | Iterable[str]):
 
 
 def parse_edge_list(text: str | Iterable[str]) -> Graph:
-    """Parse the line-oriented edge-list format, given whole or in chunks.
+    """Parse the line-oriented edge-list format, given as the whole text or an
+    open text file (any iterable of lines, not of arbitrary chunks).
 
     First non-comment line is the order n; every following non-comment line is
     an edge ``u v``.  ``#`` starts a comment line.  Duplicate edges collapse.

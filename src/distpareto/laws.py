@@ -388,7 +388,8 @@ def _evaluate(ctx: _BoundContext, bound_id: str, k: int | None = None) -> BoundR
         raise ValueError(f"unknown bound id {bound_id!r}")
     if bound_id == "rho_k_lower" and k is None:
         raise ValueError("rho_k_lower requires k")
-    if bound_id == "rho_k_lower" and not (isinstance(k, (int, np.integer)) and k >= 1):
+    if bound_id == "rho_k_lower" and not (
+            isinstance(k, (int, np.integer)) and not isinstance(k, bool) and k >= 1):
         raise ValueError(f"rho_k_lower needs an integer k >= 1, got {k!r}")
     if bound_id == "count_lower":
         k = None  # only the per-k family carries k

@@ -435,14 +435,13 @@ def _rho2_many(dmats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     submatrix as a sweep over every deletion, and the screen's error would
     have to reach the window to change the result.
     """
-    d = dmats.astype(np.float64, copy=False)
-    screened = _deletion_roots(d)
+    screened = _deletion_roots(dmats)
     top = screened.max(axis=-1, keepdims=True)
     near = screened >= top - _SCREEN_WINDOW * np.maximum(1.0, top)
-    rows = _deletion_rows(d.shape[-1])
+    rows = _deletion_rows(dmats.shape[-1])
     roots = np.full(near.shape, -np.inf)
     for v in np.flatnonzero(near.any(axis=0)).tolist():
-        roots[near[:, v], v] = _perron_roots_for_rows(d[near[:, v]], rows[v : v + 1])[:, 0]
+        roots[near[:, v], v] = _perron_roots_for_rows(dmats[near[:, v]], rows[v : v + 1])[:, 0]
     return _rho2_of_deletions(roots)
 
 

@@ -374,25 +374,29 @@ def _tree_paths(t: Graph) -> np.ndarray:
 
 def _convexity_reports(t: Graph, supports, values, vectors) -> list[PropertyReport]:
     """Convexity reports for the Pareto eigenpairs (values[s], vectors[s]) of the tree t
-    on the sorted ``supports[s]``; a support's first failing path of ``_tree_paths``
-    is its counterexample.
+    on the sorted tuples ``supports[s]``, of any sizes; a support's first failing path
+    of ``_tree_paths`` is its counterexample.
     """
     paths = _tree_paths(t)
     i, j, k = paths.T
     inside = np.zeros(vectors.shape, dtype=bool)
-    np.put_along_axis(inside, np.asarray(supports, dtype=np.intp), True, axis=1)
+    inside[np.repeat(np.arange(len(supports)), [len(J) for J in supports]),
+           np.fromiter(itertools.chain.from_iterable(supports), dtype=np.intp)] = True
     active = inside[:, i] & inside[:, j] & inside[:, k]
     margins = vectors[:, i] + vectors[:, k] - 2.0 * vectors[:, j]
     failed = active & (margins <= _CONVEXITY_TOL)
     checked = active.sum(axis=1).tolist()
+    fails = failed.any(axis=1).tolist()
+    # argmax over no paths raises; a tree without 2-paths (n <= 2) fails nowhere
+    first = failed.argmax(axis=1).tolist() if len(paths) else []
     name = _describe(t)
     reports = []
-    for s, support in enumerate(map(tuple, np.asarray(supports).tolist())):
+    for s, (support, value) in enumerate(zip(supports, values.tolist())):
         holds, counterexample, details = True, None, {"paths_checked": checked[s]}
-        if values[s] <= _CONVEXITY_TOL:
+        if value <= _CONVEXITY_TOL:
             details = {"vacuous": True}
-        elif failed[s].any():
-            f = failed[s].argmax()
+        elif fails[s]:
+            f = first[s]
             holds, details = False, {}
             counterexample = {"path": tuple(paths[f].tolist()),
                               "values": tuple(vectors[s, paths[f]].tolist()),
@@ -423,12 +427,11 @@ def check_eigenvector_convexity(t: Graph, pair: ParetoEigenpair) -> PropertyRepo
 
 def _tree_convexity_reports(t: Graph) -> list[PropertyReport]:
     """Convexity reports for every nonempty support of the tree t, in canonical
-    order, from one stacked eigenpair call per support size."""
-    d = distance_matrix(t)
-    reports = []
-    for rows in _subsets_by_size(t.n).values():
-        reports += _convexity_reports(t, rows, *_perron_pairs_for_rows(d, rows))
-    return reports
+    order, from one stacked eigenpair call per support size and one report pass."""
+    d, sizes = distance_matrix(t), _subsets_by_size(t.n).values()
+    values, vectors = map(np.concatenate, zip(*(_perron_pairs_for_rows(d, rows) for rows in sizes)))
+    supports = [tuple(row) for rows in sizes for row in rows.tolist()]
+    return _convexity_reports(t, supports, values, vectors)
 
 
 def check_edge_monotonicity(g: Graph, e: tuple[int, int]) -> PropertyReport:

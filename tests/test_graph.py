@@ -1,4 +1,6 @@
 import itertools
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
@@ -74,31 +76,44 @@ def test_edge_list_round_trip():
     assert parse_edge_list(edge_list_text(g)).edges == g.edges
 
 
-_LINE_TEXT = st.lists(st.sampled_from(
-    list("ab #0") + ["\r\n", "\r", "\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
-                     "\u2028", "\u2029", "\x1f", "\t"]), max_size=20).map("".join)
+_BREAKS = ["\r\n", "\r", "\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+_LINE_TEXT = st.lists(st.sampled_from(list("ab #0") + _BREAKS + ["\x1f", "\t"]),
+                      max_size=20).map("".join)
 
 
 @settings(max_examples=400, deadline=None)
-@given(_LINE_TEXT, st.lists(st.integers(0, 40), max_size=5))
-def test_line_splitter_matches_str_splitlines(text, cuts):
-    bounds = [0, *sorted(min(c, len(text)) for c in cuts), len(text)]
-    chunks = [text[a:b] for a, b in zip(bounds[:-1], bounds[1:])]  # "\r\n" may be cut
-    assert list(graph._split_lines(chunks)) == text.splitlines()
+@given(st.sampled_from([0, 1, 8190, 8191, 8192, 65535, 65536, 70000]),
+       st.sampled_from(_BREAKS), st.sampled_from(_BREAKS), _LINE_TEXT)
+def test_line_splitter_matches_str_splitlines(pad, first, second, rest):
+    # a first comment line of pad bytes puts the following break on the 8 KiB and
+    # 64 KiB read borders ("\r\n" split across them) or makes the line longer
+    text = "#" * pad + first + "1" + second + rest
+    order, *edges = [(lineno, line.strip()) for lineno, line in enumerate(text.splitlines(), 1)
+                     if line.strip() and not line.strip().startswith("#")]
+    assert order[1] == "1"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "g.txt"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        with open(path, "r", encoding="utf-8") as fh:  # as the CLI opens --edges
+            n, lines = graph._edge_list_order(fh)
+            assert (n, list(lines)) == (1, edges)
+    n, lines = graph._edge_list_order(text)
+    assert (n, list(lines)) == (1, edges)
 
 
 def test_edge_list_in_chunks_is_read_only_up_to_the_order_line():
     taken = []
 
-    def chunks():
-        for piece in ("# c", "omment\r", "\n", " 4 \u2028", "0 1\x0c1 2\n", "2 3"):
-            taken.append(piece)
-            yield piece
+    def file_lines():  # as iterating an open text file gives them
+        for line in ("# comment\n", "\n", " 4 \u20280 1\n", "1 2\x0c2 3\n", "3 0"):
+            taken.append(line)
+            yield line
 
-    n, lines = graph._edge_list_order(chunks())
-    assert n == 4 and taken == ["# c", "omment\r", "\n", " 4 \u2028"]
-    assert list(lines) == [(3, "0 1"), (4, "1 2"), (5, "2 3")]
-    assert parse_edge_list(chunks()).sorted_edges() == [(0, 1), (1, 2), (2, 3)]
+    n, lines = graph._edge_list_order(file_lines())
+    assert n == 4 and taken == ["# comment\n", "\n", " 4 \u20280 1\n"]
+    assert list(lines) == [(4, "0 1"), (5, "1 2"), (6, "2 3"), (7, "3 0")]
+    assert parse_edge_list(file_lines()).sorted_edges() == [(0, 1), (0, 3), (1, 2), (2, 3)]
 
 
 def test_family_complete():

@@ -351,7 +351,7 @@ def test_evaluate_bound_errors():
         evaluate_bound("nope", g)
     with pytest.raises(ValueError, match=r"^rho_k_lower requires k$"):
         evaluate_bound("rho_k_lower", g)
-    for k in (0, -2, 1.5, 2.0, "2"):
+    for k in (0, -2, 1.5, 2.0, "2", True):
         with pytest.raises(ValueError, match=r"^rho_k_lower needs an integer k >= 1, got "):
             evaluate_bound("rho_k_lower", g, k=k)
     row = evaluate_bound("rho_k_lower", g, k=np.int64(2))

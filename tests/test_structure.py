@@ -16,7 +16,8 @@ deletion roots alone (no pendant filter), the 2-paths i ~ j ~ k built once and
 from the distance matrix, one surd builder for the three K_m - jK2 forms, and
 one representation for distances (the read-only array ``distance_matrix`` keeps
 on the graph, handed to the kernels as it is, no wrapper around it, and no
-module-level ``rho_k``/``mu_k`` beside the spectrum's methods)."""
+module-level ``rho_k``/``mu_k`` beside the spectrum's methods), and edge lists
+read by Python's own line reader (no hand-written line splitter, no chunked reads)."""
 
 import ast
 import pathlib
@@ -220,12 +221,18 @@ def test_one_distance_representation():
     # distances are the array itself: no wrapper, no attribute hop to reach it
     assert _occurrences(r"\bDistanceMatrix\b|\bdm\b") == []
     assert _occurrences(r"distance_matrix\((?:[^()]|\([^()]*\))*\)\.d\b") == []
-    # the integer array goes to numpy as it is; only the two kernel entries cast it
-    # (and _relabelings, whose cast is of edge bits, not of distances)
+    # the integer array goes to numpy as it is; only the gathering kernel entry casts
+    # it, once before its blocks (and _relabelings, whose cast is of edge bits)
     casts = {name for path in sorted(SRC.glob("*.py")) for name, src in _functions(path.name).items()
              if re.search(r"astype\((np\.float64|float)\b", src)}
-    assert casts == {"_perron_roots_for_rows", "_rho2_many", "_relabelings"}
+    assert casts == {"_perron_roots_for_rows", "_relabelings"}
     # a spectrum's rho_k and mu_k are its methods, not a second enumeration
     tree = ast.parse((SRC / "pareto.py").read_text(encoding="utf-8"))
     assert [fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
             and fn.name in ("rho_k", "mu_k")] == []
+
+
+def test_edge_lists_are_read_by_the_file_line_reader():
+    # no str.splitlines rewritten over chunks, no fixed-size reads of the file
+    assert _occurrences(r"\b_split_lines\b|\b_LINE_BREAK\b|\b_chunks\b") == []
+    assert _occurrences(r"\bfh\.read\b") == []

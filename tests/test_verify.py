@@ -277,18 +277,22 @@ def _reference_convexity(t, support, value, x):
 def test_stacked_convexity_rule_matches_the_per_support_loop():
     # random vectors make most supports fail, so the first violation is compared too
     rng = np.random.default_rng(7)
-    for n in (3, 5, 7):
+    for n in (1, 2, 3, 5, 7):
         for t in trees_upto_iso(n):
-            for rows in pareto._subsets_by_size(n).values():
-                vectors = np.zeros((len(rows), n))
-                np.put_along_axis(vectors, rows.astype(np.intp), rng.random(rows.shape), axis=1)
-                values = rng.choice([0.0, 1.0], size=len(rows), p=[0.1, 0.9])
-                reports = verify._convexity_reports(t, rows, values, vectors)
-                for row, value, x, rep in zip(rows.tolist(), values, vectors, reports):
-                    holds, counterexample, details = _reference_convexity(t, row, value, x)
-                    assert rep.instance == f"{verify._describe(t)}, support={tuple(row)}"
-                    assert (rep.holds, rep.counterexample, rep.details) == (
-                        holds, counterexample, details)
+            # every support size in one call, as the suite makes it
+            supports = [tuple(row) for rows in pareto._subsets_by_size(n).values()
+                        for row in rows.tolist()]
+            vectors = np.zeros((len(supports), n))
+            for x, row in zip(vectors, supports):
+                x[list(row)] = rng.random(len(row))
+            values = rng.choice([0.0, 1.0], size=len(supports), p=[0.1, 0.9])
+            reports = verify._convexity_reports(t, supports, values, vectors)
+            assert len(reports) == len(supports)
+            for row, value, x, rep in zip(supports, values, vectors, reports):
+                holds, counterexample, details = _reference_convexity(t, row, value, x)
+                assert rep.instance == f"{verify._describe(t)}, support={row}"
+                assert (rep.holds, rep.counterexample, rep.details) == (
+                    holds, counterexample, details)
 
 
 def _one_shot_tree_paths(g):
@@ -332,6 +336,20 @@ def test_convexity_suite_reports_equal_one_support_checks():
             expected = [check_eigenvector_convexity(t, pareto_eigenpair(t, J))
                         for k in range(1, n + 1) for J in itertools.combinations(range(n), k)]
             assert verify._tree_convexity_reports(t) == expected
+
+
+def test_convexity_sweep_builds_the_two_path_table_once_per_tree(monkeypatch):
+    built = []
+    tree_paths = verify._tree_paths
+
+    def counted(t):
+        built.append(t)
+        return tree_paths(t)
+
+    monkeypatch.setattr(verify, "_tree_paths", counted)
+    reports = sum(1 for _ in verify._convexity_sweep(10))
+    assert len(built) == sum(len(trees_upto_iso(n)) for n in range(2, 11)) == 200
+    assert reports == sum(len(trees_upto_iso(n)) * (2**n - 1) for n in range(2, 11))
 
 
 def test_convexity_all_supports_small_trees():
