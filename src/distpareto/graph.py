@@ -19,10 +19,11 @@ in reports are reproducible across runs:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -228,17 +229,27 @@ _is_integer = re.compile(_INTEGER).fullmatch
 _edge_line = re.compile(rf"({_INTEGER})\s+({_INTEGER})").fullmatch
 
 
-def _edge_list_order(text: str | Iterable[str]):
+def _file_lines(fh: TextIO) -> Iterator[str]:
+    r"""The lines of the text file ``fh``, opened with universal newlines, as
+    ``str.splitlines`` gives them, read at most 64 KiB at a time: the file's own
+    reader ends a line only at "\n", so lines ending in "\x0c" would come whole."""
+    rest = ""
+    for piece in iter(functools.partial(fh.readline, 1 << 16), ""):
+        *lines, rest = (rest + piece + "\0").splitlines()  # "\0" ends no line
+        rest = rest[:-1]
+        yield from lines
+    if rest:
+        yield rest
+
+
+def _edge_list_order(text: str | TextIO):
     """The vertex count an edge list declares on its first line that is neither blank
     nor a comment, and an iterator over the (line number, line) pairs of such lines after it.
 
-    ``text`` is the whole text or an open text file (any iterable of its lines);
-    a file is read line by line, only as far as the lines are taken.  Each line is
-    split once more with ``str.splitlines``, so lines end where ``str.splitlines``
-    ends them in both cases.
+    ``text`` is the whole text or an open text file; a file is read only as far
+    as the lines are taken.
     """
-    raws = text.splitlines() if isinstance(text, str) else (
-        part for line in text for part in line.splitlines())
+    raws = text.splitlines() if isinstance(text, str) else _file_lines(text)
     lines = ((lineno, line) for lineno, raw in enumerate(raws, start=1)
              if (line := raw.strip()) and not line.startswith("#"))
     lineno, line = next(lines, (0, None))
@@ -252,9 +263,9 @@ def _edge_list_order(text: str | Iterable[str]):
     return n, lines
 
 
-def parse_edge_list(text: str | Iterable[str]) -> Graph:
+def parse_edge_list(text: str | TextIO) -> Graph:
     """Parse the line-oriented edge-list format, given as the whole text or an
-    open text file (any iterable of lines, not of arbitrary chunks).
+    open text file.
 
     First non-comment line is the order n; every following non-comment line is
     an edge ``u v``.  ``#`` starts a comment line.  Duplicate edges collapse.

@@ -66,12 +66,12 @@ def _deletion_roots(d: np.ndarray) -> np.ndarray:
     """Perron root of each matrix in ``d`` with row and column v removed, for every
     vertex v: shape (m, n) for a stack (m, n, n), or (n,) for one matrix.
 
-    Each matrix is the float64 distance matrix of a connected graph on n >= 2
-    vertices.  One eigendecomposition d = Q diag(lam) Q^T serves every v: the
-    eigenvalues of the deletion are the roots of the secular function
-    sum_i Q_vi^2 / (x - lam_i) (Golub, SIAM Review 15, 1973), and by
-    interlacing its Perron root r lies in [lam_{n-1}, lam_n].  There r is the
-    root of
+    Each matrix is the distance matrix of a connected graph on n >= 2 vertices,
+    integer or float (``eigh`` casts it to float64).  One eigendecomposition
+    d = Q diag(lam) Q^T serves every v: the eigenvalues of the deletion are the
+    roots of the secular function sum_i Q_vi^2 / (x - lam_i) (Golub, SIAM Review
+    15, 1973), and by interlacing its Perron root r lies in [lam_{n-1}, lam_n].
+    There r is the root of
 
         H(x) = w / psi(x) - (lam_n - x),   w = Q_vn^2 > 0,
         psi(x) = sum_{i<n} Q_vi^2 / (x - lam_i),

@@ -422,7 +422,7 @@ def check_eigenvector_convexity(t: Graph, pair: ParetoEigenpair) -> PropertyRepo
     residual = np.abs(distance_matrix(t)[J] @ x - pair.value * x[J]).max()
     if residual > 1e-9 * max(1.0, abs(pair.value)):
         raise ValueError(f"pair fails the tree's eigen-equation on support {pair.support}")
-    return _convexity_reports(t, [pair.support], np.array([pair.value]), x[None])[0]
+    return _convexity_reports(t, [tuple(map(int, J))], np.array([pair.value]), x[None])[0]
 
 
 def _tree_convexity_reports(t: Graph) -> list[PropertyReport]:

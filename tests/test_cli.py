@@ -699,21 +699,27 @@ def test_spectrum_cap_reads_an_edge_list_only_up_to_its_order_line(tmp_path, cap
     import tracemalloc
 
     n = 1000  # K_1000: a 3.9 MB edge list and an 83 kB graph6 line
-    edges = tmp_path / "k1000.txt"
-    edges.write_text(f"{n}\n" + "".join(f"{u} {v}\n" for u in range(n) for v in range(u + 1, n)))
     g6 = tmp_path / "k1000.g6"
     g6.write_text("~" + "".join(chr(63 + (n >> s & 63)) for s in (12, 6, 0))
                   + "~" * (n * (n - 1) // 12) + "\n")
+    sources = [("--graph6", g6)]
+    # lines ended by "\n", or only by breaks at which the file's own line reader
+    # does not stop
+    for end in ("\n", "\x0c", "\u2028"):
+        edges = tmp_path / f"k1000-{ord(end)}.txt"
+        edges.write_text(f"{n}{end}" + "".join(f"{u} {v}{end}" for u in range(n)
+                                               for v in range(u + 1, n)), encoding="utf-8")
+        sources.append(("--edges", edges))
     peaks = {}
-    for flag, f in (("--graph6", g6), ("--edges", edges)):
+    for flag, f in sources:
         tracemalloc.start()
         try:
             assert cli.main(["spectrum", flag, str(f)]) == cli.EXIT_CAP
-            peaks[flag] = tracemalloc.get_traced_memory()[1]
+            peaks[f.name] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert "exceeds cap 20" in capsys.readouterr().err
-    assert peaks["--edges"] < peaks["--graph6"] + (1 << 20), peaks
+        assert "exceeds cap 20" in capsys.readouterr().err
+    assert all(peak < peaks[g6.name] + (1 << 20) for peak in peaks.values()), peaks
 
 
 # ---------------------------------------------------------------------------

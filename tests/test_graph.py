@@ -1,3 +1,4 @@
+import io
 import itertools
 import pathlib
 import tempfile
@@ -82,11 +83,11 @@ _LINE_TEXT = st.lists(st.sampled_from(list("ab #0") + _BREAKS + ["\x1f", "\t"]),
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.sampled_from([0, 1, 8190, 8191, 8192, 65535, 65536, 70000]),
+@given(st.sampled_from([0, 1, 8190, 8191, 8192, 65535, 65536, 70000, 140000]),
        st.sampled_from(_BREAKS), st.sampled_from(_BREAKS), _LINE_TEXT)
 def test_line_splitter_matches_str_splitlines(pad, first, second, rest):
     # a first comment line of pad bytes puts the following break on the 8 KiB and
-    # 64 KiB read borders ("\r\n" split across them) or makes the line longer
+    # 64 KiB read borders ("\r\n" split across them) or carries it over one or two reads
     text = "#" * pad + first + "1" + second + rest
     order, *edges = [(lineno, line.strip()) for lineno, line in enumerate(text.splitlines(), 1)
                      if line.strip() and not line.strip().startswith("#")]
@@ -105,15 +106,20 @@ def test_line_splitter_matches_str_splitlines(pad, first, second, rest):
 def test_edge_list_in_chunks_is_read_only_up_to_the_order_line():
     taken = []
 
-    def file_lines():  # as iterating an open text file gives them
-        for line in ("# comment\n", "\n", " 4 \u20280 1\n", "1 2\x0c2 3\n", "3 0"):
-            taken.append(line)
-            yield line
+    class Recorded(io.StringIO):  # a text file that records every read
+        def readline(self, size=-1):
+            taken.append(line := super().readline(size))
+            return line
 
-    n, lines = graph._edge_list_order(file_lines())
-    assert n == 4 and taken == ["# comment\n", "\n", " 4 \u20280 1\n"]
-    assert list(lines) == [(4, "0 1"), (5, "1 2"), (6, "2 3"), (7, "3 0")]
-    assert parse_edge_list(file_lines()).sorted_edges() == [(0, 1), (0, 3), (1, 2), (2, 3)]
+    # the third file line holds the order line, ended by U+2028, and 30,000 edges
+    # ended by U+2028 too: only its first 64 KiB are read before the order is known
+    text = "# comment\r\n\n 4 \u2028" + "0 1\u2028" * 30_000 + "1 2\x0c2 3\n3 0"
+    n, lines = graph._edge_list_order(Recorded(text, newline=None))
+    assert n == 4 and taken == ["# comment\n", "\n", text[12 : 12 + (1 << 16)]]
+    assert list(lines) == [(lineno, "0 1") for lineno in range(4, 30_004)] + [
+        (30_004, "1 2"), (30_005, "2 3"), (30_006, "3 0")]
+    assert parse_edge_list(Recorded(text, newline=None)).sorted_edges() == [
+        (0, 1), (0, 3), (1, 2), (2, 3)]
 
 
 def test_family_complete():

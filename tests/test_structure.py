@@ -16,8 +16,9 @@ deletion roots alone (no pendant filter), the 2-paths i ~ j ~ k built once and
 from the distance matrix, one surd builder for the three K_m - jK2 forms, and
 one representation for distances (the read-only array ``distance_matrix`` keeps
 on the graph, handed to the kernels as it is, no wrapper around it, and no
-module-level ``rho_k``/``mu_k`` beside the spectrum's methods), and edge lists
-read by Python's own line reader (no hand-written line splitter, no chunked reads)."""
+module-level ``rho_k``/``mu_k`` beside the spectrum's methods), and edge-list
+lines split by ``str.splitlines`` alone (no line-break table of the package's
+own, no "\\r" held across reads, no fixed-size ``read`` of the file)."""
 
 import ast
 import pathlib
@@ -232,7 +233,8 @@ def test_one_distance_representation():
             and fn.name in ("rho_k", "mu_k")] == []
 
 
-def test_edge_lists_are_read_by_the_file_line_reader():
-    # no str.splitlines rewritten over chunks, no fixed-size reads of the file
+def test_edge_list_lines_are_split_by_str_splitlines_alone():
+    # the file's line reader stops at "\n" and at most 64 KiB on; str.splitlines
+    # splits what it returns, so the package keeps no list of line breaks
     assert _occurrences(r"\b_split_lines\b|\b_LINE_BREAK\b|\b_chunks\b") == []
-    assert _occurrences(r"\bfh\.read\b") == []
+    assert _occurrences(r'endswith\("\\r"\)|\bfh\.read\b') == []

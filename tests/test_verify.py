@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -336,6 +337,13 @@ def test_convexity_suite_reports_equal_one_support_checks():
             expected = [check_eigenvector_convexity(t, pareto_eigenpair(t, J))
                         for k in range(1, n + 1) for J in itertools.combinations(range(n), k)]
             assert verify._tree_convexity_reports(t) == expected
+    # a caller's support as a list, or of numpy integers, is reported as a tuple of ints
+    t = trees_upto_iso(4)[0]
+    pair = pareto_eigenpair(t, (0, 1, 2))
+    for support in ([0, 1, 2], tuple(np.arange(3))):
+        report = check_eigenvector_convexity(t, dataclasses.replace(pair, support=support))
+        assert report == check_eigenvector_convexity(t, pair)
+        assert "support=(0, 1, 2)" in report.instance
 
 
 def test_convexity_sweep_builds_the_two_path_table_once_per_tree(monkeypatch):
