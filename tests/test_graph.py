@@ -86,9 +86,10 @@ _LINE_TEXT = st.lists(st.sampled_from(list("ab #0") + _BREAKS + ["\x1f", "\t"]),
 @given(st.sampled_from([0, 1, 8190, 8191, 8192, 65535, 65536, 70000, 140000]),
        st.sampled_from(_BREAKS), st.sampled_from(_BREAKS), _LINE_TEXT)
 def test_line_splitter_matches_str_splitlines(pad, first, second, rest):
-    # a first comment line of pad bytes puts the following break on the 8 KiB and
-    # 64 KiB read borders ("\r\n" split across them) or carries it over one or two reads
-    text = "#" * pad + first + "1" + second + rest
+    # a comment line and an order line of pad bytes each put the following break on
+    # the 8 KiB and 64 KiB read borders ("\r\n" split across them) or carry the line
+    # over one or two reads
+    text = "#" * pad + first + "1" + " " * pad + second + rest
     order, *edges = [(lineno, line.strip()) for lineno, line in enumerate(text.splitlines(), 1)
                      if line.strip() and not line.strip().startswith("#")]
     assert order[1] == "1"
@@ -112,8 +113,9 @@ def test_edge_list_in_chunks_is_read_only_up_to_the_order_line():
             return line
 
     # the third file line holds the order line, ended by U+2028, and 30,000 edges
-    # ended by U+2028 too: only its first 64 KiB are read before the order is known
-    text = "# comment\r\n\n 4 \u2028" + "0 1\u2028" * 30_000 + "1 2\x0c2 3\n3 0"
+    # ended by U+2028 too: only its first 64 KiB are read before the order is known,
+    # and the read ends inside an edge, "0" | " 1"
+    text = "# comment\r\n\n 4\u2028" + "0 1\u2028" * 30_000 + "1 2\x0c2 3\n3 0"
     n, lines = graph._edge_list_order(Recorded(text, newline=None))
     assert n == 4 and taken == ["# comment\n", "\n", text[12 : 12 + (1 << 16)]]
     assert list(lines) == [(lineno, "0 1") for lineno in range(4, 30_004)] + [
