@@ -235,8 +235,8 @@ def _file_lines(fh: TextIO) -> Iterator[str]:
     reader ends a line only at "\n", so lines ending in "\x0c" would come whole."""
     rest = ""
     for piece in iter(functools.partial(fh.readline, 1 << 16), ""):
-        *lines, rest = (rest + piece + "\0").splitlines()  # "\0" ends no line
-        rest = rest[:-1]
+        lines = (rest + piece + "\0").splitlines()  # "\0" ends no line
+        rest = lines.pop()[:-1]
         yield from lines
     if rest:
         yield rest
