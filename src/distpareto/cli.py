@@ -393,7 +393,7 @@ def _load_graph(args, check_order) -> Graph:
         check_order(_family_order(name, params))
         return make_family(name, params)
     if args.edges:
-        with open(args.edges, "r", encoding="utf-8") as fh:
+        with open(args.edges, "r", encoding="utf-8", errors="surrogateescape") as fh:
             n, lines = _edge_list_order(fh)  # reads up to the order line
             check_order(n)
             return _edge_list_graph(n, lines)

@@ -232,14 +232,31 @@ _edge_line = re.compile(rf"({_INTEGER})\s+({_INTEGER})").fullmatch
 def _file_lines(fh: TextIO) -> Iterator[str]:
     r"""The lines of the text file ``fh``, opened with universal newlines, as
     ``str.splitlines`` gives them, read at most 64 KiB at a time: the file's own
-    reader ends a line only at "\n", so lines ending in "\x0c" would come whole."""
-    rest = ""
+    reader ends a line only at "\n", so lines ending in "\x0c" would come whole.
+    The pieces of a line that no read ends are joined once, when it ends."""
+    rest = []
     for piece in iter(functools.partial(fh.readline, 1 << 16), ""):
-        lines = (rest + piece + "\0").splitlines()  # "\0" ends no line
-        rest = lines.pop()[:-1]
-        yield from lines
-    if rest:
-        yield rest
+        lines = (piece + "\0").splitlines()  # "\0" ends no line
+        tail = lines.pop()[:-1]
+        if lines:
+            lines[0] = "".join(rest + lines[:1])
+            rest = []
+            yield from lines
+        rest.append(tail)
+    if line := "".join(rest):
+        yield line
+
+
+# A byte that is not UTF-8, as the "surrogateescape" error handler reads it
+_NOT_UTF8 = re.compile("[\udc80-\udcff]").search
+
+
+def _utf8_line(lineno: int, raw: str) -> str:
+    """``raw``, line ``lineno`` of an edge list, unless it holds a byte that is not
+    UTF-8 (a file read with ``errors="surrogateescape"``)."""
+    if not raw.isascii() and (bad := _NOT_UTF8(raw)):
+        raise GraphParseError(f"line {lineno}: invalid UTF-8 byte 0x{ord(bad[0]) - 0xDC00:02x}")
+    return raw
 
 
 def _edge_list_order(text: str | TextIO):
@@ -251,7 +268,7 @@ def _edge_list_order(text: str | TextIO):
     """
     raws = text.splitlines() if isinstance(text, str) else _file_lines(text)
     lines = ((lineno, line) for lineno, raw in enumerate(raws, start=1)
-             if (line := raw.strip()) and not line.startswith("#"))
+             if (line := _utf8_line(lineno, raw).strip()) and not line.startswith("#"))
     lineno, line = next(lines, (0, None))
     if line is None:
         raise GraphParseError("empty input: no vertex count line")

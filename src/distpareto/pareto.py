@@ -19,6 +19,19 @@ their submatrices from ``_gathered``, at most ``_GATHER_BYTES`` per block.
 ``_all_subset_values`` is the one pass over every subset, for one matrix (the
 spectrum) or a stack (``_distinct_counts``, the extremal search's counts).
 
+The subset pass follows the order's ``_plan``, built once per order: from
+order 9 on, most k-subsets of sizes ``_PARENT_MIN`` - 1 to n - 3 come from
+parents of size k + 1, one ``eigh`` each, which gives the parent's own root
+and those of its children through the secular equation
+(``spectral._parent_roots``, in ``_parent_batch``); the rest go to the kernel.
+A root from a parent is within ``_PARENT_ERR`` (E = 1e-13) relative of the
+kernel's, a tested bound.  The output stays the kernel's byte for byte:
+``_settle`` falls back to the kernel for every parent root of a matrix
+whose clusters an error of E could change, and ``_exact_representatives``
+takes from the kernel each representative that is among the n largest, near
+an integer, or whose ``%.12g`` text E could change.  The rho2 block is
+always solved by the kernel.
+
 ``_rho2_many`` is the one rho2 screen, for a stack of graphs: it screens all n
 single-vertex deletions of each graph with one ``eigh`` of its distance matrix
 and O(n^2) work per Newton step on the secular equation
@@ -33,9 +46,10 @@ which holds every deletion, through ``_rho2_of_deletions``, the rule of
 ``_rho2_many``; ``rho2_fast`` returns the slot when it is filled and otherwise
 screens and fills it.  So a graph whose spectrum was enumerated never screens.
 
-``jobs > 1`` splits the canonical subset range into contiguous chunks handled
-by worker threads (LAPACK releases the GIL); the deduplication runs on the
-merged value array, so results are identical for every worker count.
+``jobs > 1`` splits the plan's batches into contiguous spans handled by
+worker threads (LAPACK releases the GIL); every root is computed alone, and
+the deduplication runs on the merged value array, so results are identical
+for every worker count.
 """
 
 from __future__ import annotations
@@ -53,7 +67,7 @@ import numpy as np
 
 from .errors import CapExceededError, EigensolverError
 from .graph import Graph, distance_matrix
-from .spectral import _deletion_roots, perron_pairs_many, spectral_radius_many
+from .spectral import _deletion_roots, _parent_roots, perron_pairs_many, spectral_radius_many
 
 __all__ = [
     "ParetoSpectrum",
@@ -71,6 +85,7 @@ DEFAULT_MAX_ORDER = 20
 _RHO2_MAX_ORDER = 400  # rho2 command and forms; K_400 solves all 400 deletions in about 4.5 s
 _GATHER_BYTES = 16 << 20  # bytes of gathered work array per batched call
 _SCREEN_WINDOW = 1e-9  # the rho2 screen recomputes deletions this close to a graph's top
+_PARENT_ERR = 1e-13  # bound on |root from a parent - kernel root| / root, tested
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,26 +264,211 @@ def _size_offsets(subsets: Mapping[int, np.ndarray]) -> np.ndarray:
     return np.concatenate([[0], np.cumsum([rows.shape[0] for rows in subsets.values()])])
 
 
-def _all_subset_values(dmat: np.ndarray, subsets: Mapping[int, np.ndarray], jobs: int) -> np.ndarray:
-    """Perron roots for every nonempty subset, in canonical flat order.
+@dataclass(frozen=True, eq=False)
+class _Batch:
+    """Subsets of one size k solved together: ``idx`` (r,) indexes their rows in
+    ``subsets[k]``, and ``at`` (r,) holds the canonical flat slot of each one's
+    Perron root.  A direct batch (``use`` None) solves them with
+    ``_perron_roots_for_rows``.  A parent batch solves each with one
+    eigendecomposition, which also gives the roots of its deletions of the
+    vertices at the positions ``use`` (r, k), for the slots ``child_at`` (r, k)."""
+
+    k: int
+    idx: np.ndarray
+    at: np.ndarray
+    use: np.ndarray | None = None
+    child_at: np.ndarray | None = None
+
+
+@dataclass(frozen=True, eq=False)
+class _Plan:
+    """Where each Perron root of an order's subset pass comes from: ``batches``,
+    in the order ``--jobs`` splits them, and ``approx`` (2^n - 1,), true at the
+    slots a parent batch fills."""
+
+    batches: tuple[_Batch, ...]
+    approx: np.ndarray
+
+
+_PARENT_MIN = 7  # smallest parent size, from the measured crossover with eigvalsh
+_PARENT_NEW = 3  # a parent is taken when it brings at least this many unsolved children
+_PLANS: dict[int, _Plan] = {}  # order -> its subset pass (two threads may build one twice, alike)
+
+
+def _plan(subsets: Mapping[int, np.ndarray]) -> _Plan:
+    """The subset pass of the order of ``subsets``, built once per order.
+
+    Each size k from n - 3 down to ``_PARENT_MIN`` - 1 is solved from parents of
+    size k + 1 (``_parents``).  A parent keeps its own root and is not solved
+    again as a child.  Sizes n, n - 1 (the rho2 block) and n - 2 (whose parents
+    could not keep their roots), the sizes below ``_PARENT_MIN`` - 1, and what no
+    parent covers are solved directly.
+    """
+    n = len(subsets)
+    if n in _PLANS:
+        return _PLANS[n]
+    offsets = _size_offsets(subsets).astype(np.int32)  # every index array is int32
+    low = _PARENT_MIN - 1  # smallest child size
+    bits = {k: np.left_shift(1, subsets[k], dtype=np.int32) for k in range(low, n - 1)}
+    rank = np.empty(1 << n, dtype=np.int32)  # bit mask of a subset -> its row
+    for b in bits.values():
+        rank[b.sum(axis=1)] = np.arange(b.shape[0])
+    batches = []
+    approx = np.zeros(int(offsets[-1]), dtype=bool)
+    above = None  # the parent batch of size k + 1
+    for k in range(n, 0, -1):
+        solved = np.zeros(subsets[k].shape[0], dtype=bool)
+        parents = None
+        if low < k <= n - 2:
+            sel, use, children = _parents(subsets, bits[k], rank)
+            parents = _Batch(k, sel, offsets[k - 1] + sel, use, offsets[k - 2] + children)
+            batches.append(parents)
+            solved[sel] = True
+        if above is not None:  # the size k children of the parents above, each solved once
+            children = above.child_at - offsets[k - 1]
+            above.use[solved[children]] = False
+            solved[children[above.use]] = True
+        above = parents
+        approx[offsets[k - 1] : offsets[k]] = solved
+        direct = np.flatnonzero(~solved).astype(np.int32)
+        if direct.size:
+            batches.append(_Batch(k, direct, offsets[k - 1] + direct))
+    for array in [approx] + [a for b in batches for a in (b.idx, b.at, b.use, b.child_at)]:
+        if array is not None:
+            array.setflags(write=False)
+    _PLANS[n] = _Plan(tuple(batches), approx)
+    return _PLANS[n]
+
+
+def _parents(subsets: Mapping[int, np.ndarray], bits: np.ndarray, rank: np.ndarray):
+    """The parents among the k-subsets (bit masks ``bits`` (C(n, k), k) of their
+    members) for the (k - 1)-subsets: their rows in ``subsets[k]``, which of their
+    k deletions each solves, and the rows of those deletions in ``subsets[k - 1]``.
+
+    A residue class c holds the k-subsets whose labels sum to c mod n; the
+    (k - 1)-subset S lies in S + v, v = (c - sum S) mod n, when v is not in S, and
+    in no other parent of the class (the packing of Graham and Sloane, IEEE
+    Trans. Inf. Theory 26, 1980).  The classes c = 0, 1, ... are taken in turn,
+    and in each the parents that bring at least ``_PARENT_NEW`` children no
+    earlier parent covers.
+    """
+    n, k = len(subsets), bits.shape[1]
+    children = rank[bits.sum(axis=1)[:, None] - bits]  # each parent less each member
+    residue = (subsets[k].sum(axis=1, dtype=np.int32) % n).astype(np.uint8)
+    order = np.argsort(residue, kind="stable")
+    covered = np.zeros(subsets[k - 1].shape[0], dtype=bool)
+    sel, use = [], []
+    for cls in np.split(order, np.cumsum(np.bincount(residue, minlength=n))[:-1]):
+        kids = children[cls]
+        new = ~covered[kids]
+        take = new.sum(axis=1) >= _PARENT_NEW
+        covered[kids[take][new[take]]] = True
+        sel.append(cls[take])
+        use.append(new[take])
+    sel = np.concatenate(sel).astype(np.int32)
+    return sel, np.concatenate(use), children[sel]
+
+
+def _parent_batch(stack: np.ndarray, out: np.ndarray, batch: _Batch, rows: np.ndarray,
+                  part: slice) -> None:
+    """Write into ``out`` (m, 2^n - 1) the roots that the parents ``part`` of
+    ``batch``, with vertex labels ``rows``, give for the stack (m, n, n): one
+    ``_parent_roots`` call per ``_gathered`` block."""
+    k, at, use, child_at = batch.k, batch.at[part], batch.use[part], batch.child_at[part]
+    for mats, sub, subs in _gathered(stack, rows):
+        m, r = subs.shape[:2]
+        uses = np.broadcast_to(use[sub], (m, r, k)).reshape(-1, k)  # the same for every matrix
+        tops, roots = _parent_roots(subs.reshape(-1, k, k), uses)
+        out[mats, at[sub]] = tops.reshape(m, r)
+        out[mats, child_at[sub][use[sub]]] = roots.reshape(m, -1)
+
+
+def _all_subset_values(
+    dmat: np.ndarray, subsets: Mapping[int, np.ndarray], jobs: int, tol: float = DEFAULT_DEDUP_TOL,
+) -> np.ndarray:
+    """Perron roots for every nonempty subset, in canonical flat order, by the
+    order's ``_plan``; ``jobs`` workers split its batches.
 
     ``dmat`` is one (n, n) matrix or a stack (m, n, n); the result has shape
-    (2^n - 1,) or (m, 2^n - 1).
+    (2^n - 1,) or (m, 2^n - 1).  A root from a parent differs from the kernel's
+    by at most ``_PARENT_ERR`` relative; where that could move a cluster at
+    relative tolerance ``tol``, it is the kernel's (``_settle``).
     """
-    offsets = _size_offsets(subsets)
-    total = int(offsets[-1])
-    values = np.empty(dmat.shape[:-2] + (total,), dtype=np.float64)
+    plan = _plan(subsets)
+    stack = dmat.reshape((-1,) + dmat.shape[-2:])
+    out = np.empty((stack.shape[0], plan.approx.size))
+    starts = np.cumsum([0] + [b.idx.size for b in plan.batches])
 
     def fill(span: tuple[int, int]) -> None:
         lo, hi = span
-        for k, rows in subsets.items():
-            k_lo, k_hi = int(offsets[k - 1]), int(offsets[k])
-            a, b = max(lo, k_lo), min(hi, k_hi)
-            if a < b:
-                values[..., a:b] = _perron_roots_for_rows(dmat, rows[a - k_lo : b - k_lo])
+        for batch, start in zip(plan.batches, starts.tolist()):
+            part = slice(max(lo - start, 0), min(hi - start, batch.idx.size))
+            if part.start >= part.stop:
+                continue
+            rows = subsets[batch.k][batch.idx[part]]
+            if batch.use is None:
+                out[:, batch.at[part]] = _perron_roots_for_rows(stack, rows)
+            else:
+                _parent_batch(stack, out, batch, rows, part)
 
-    _map_spans(fill, total, jobs)
-    return values
+    _map_spans(fill, int(starts[-1]), jobs)
+    if plan.approx.any():
+        _settle(stack, out, plan.approx, tol, subsets)
+    return out.reshape(dmat.shape[:-2] + out.shape[-1:])
+
+
+def _recompute(stack: np.ndarray, out: np.ndarray, redo: np.ndarray,
+               subsets: Mapping[int, np.ndarray]) -> None:
+    """Replace the entries ``redo`` (m, 2^n - 1) of ``out`` by ``_perron_roots_for_rows``."""
+    offsets = _size_offsets(subsets)
+    for i in np.flatnonzero(redo.any(axis=1)).tolist():
+        idx = np.flatnonzero(redo[i])
+        sizes = np.searchsorted(offsets, idx, side="right")
+        for k in np.unique(sizes).tolist():
+            sel = idx[sizes == k]
+            out[i, sel] = _perron_roots_for_rows(stack[i], subsets[k][sel - offsets[k - 1]])
+
+
+def _settle(stack: np.ndarray, out: np.ndarray, approx: np.ndarray, tol: float,
+            subsets: Mapping[int, np.ndarray]) -> None:
+    """Recompute with the kernel every parent root (``approx``) of each matrix whose
+    clusters at ``tol`` an error of ``_PARENT_ERR`` could change.
+
+    Every root v is >= 0 and its kernel value lies in [v (1 - E), v (1 + E)], so
+    the j-th smallest kernel root lies in [s_j (1 - E), s_j (1 + E)] for the
+    sorted roots s.  Where each gap is then surely above its ``_breaks``
+    threshold or surely at or below it, the kernel's roots break at the same
+    sorted positions, and every root left of a break stays below every root
+    right of it: the clusters are the same subsets.
+    """
+    s = np.sort(out, axis=-1)
+    lo, hi = s * (1 - _PARENT_ERR), s * (1 + _PARENT_ERR)
+    sure = np.where(_breaks(s, tol),
+                    lo[:, 1:] - hi[:, :-1] > tol * np.maximum(1.0, hi[:, 1:]),
+                    hi[:, 1:] - lo[:, :-1] <= tol * np.maximum(1.0, lo[:, 1:]))
+    _recompute(stack, out, ~sure.all(axis=1)[:, None] & approx, subsets)
+
+
+def _exact_representatives(d: np.ndarray, values: np.ndarray, witness_idx: np.ndarray,
+                           subsets: Mapping[int, np.ndarray]) -> None:
+    """Recompute with the kernel, in ``values``, each parent root among the
+    representatives at ``witness_idx`` whose text an error of ``_PARENT_ERR``
+    could change: the n largest (read one by one as rho_k), those within 2e-8
+    relative of an integer (the integer ladder, and the writer's integer test at
+    1e-11), and those whose ``%.12g`` text at v (1 - E) and v (1 + E) differs."""
+    approx = _plan(subsets).approx
+    if not approx.any():
+        return
+    reps = values[witness_idx]
+    # the roots from parents are >= 2, and every power of ten >= 1 is an integer
+    scale = 10.0 ** (11 - np.floor(np.log10(np.maximum(reps, 1.0))))  # 12 digits a unit apart
+    lo, hi = (reps * (1 + sign * _PARENT_ERR) * scale for sign in (-1, 1))
+    redo = (np.abs(reps - np.rint(reps)) <= 2e-8 * np.maximum(1.0, reps)) | (
+        np.floor(lo + 0.5 - 1e-3) != np.floor(hi + 0.5 + 1e-3))  # slack for the rounding of lo, hi
+    redo[-d.shape[-1]:] = True
+    flat = np.zeros((1, values.size), dtype=bool)
+    flat[0, witness_idx[redo]] = True
+    _recompute(d[None], values[None], flat & approx, subsets)
 
 
 def _breaks(s: np.ndarray, tol: float) -> np.ndarray:
@@ -296,8 +496,8 @@ def _dedup(values: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
 
 def _distinct_counts(dmats: np.ndarray, tol: float, jobs: int = 1) -> np.ndarray:
     """Distinct Pareto eigenvalue count per distance matrix in a stack (m, n, n);
-    ``jobs`` workers split the subset range, as for one matrix."""
-    values = _all_subset_values(dmats, _subsets_by_size(dmats.shape[-1]), jobs)
+    ``jobs`` workers split the subset pass, as for one matrix."""
+    values = _all_subset_values(dmats, _subsets_by_size(dmats.shape[-1]), jobs, tol)
     values.sort(axis=-1)
     return 1 + _breaks(values, tol).sum(axis=-1)
 
@@ -359,13 +559,16 @@ def pareto_spectrum(
         raise ValueError(f"dedup tolerance must be finite and >= 0, got {dedup_tolerance}")
     _check_order(g.n)
     subsets = _subsets_by_size(g.n)
-    values = _all_subset_values(distance_matrix(g), subsets, jobs)
+    d = distance_matrix(g)
+    values = _all_subset_values(d, subsets, jobs, dedup_tolerance)
     if g.n >= 2:
         # the size n - 1 block, the n subsets before the whole vertex set, holds
         # every deletion; its row i deletes vertex n - 1 - i
         value, vertex = _rho2_of_deletions(values[-1 - g.n : -1][::-1])
         _keep_rho2(g, (float(value), int(vertex)))
-    reps, witness_idx = _dedup(values, dedup_tolerance)
+    _, witness_idx = _dedup(values, dedup_tolerance)
+    _exact_representatives(d, values, witness_idx, subsets)
+    reps = values[witness_idx]
     reps.setflags(write=False)
     witness_idx.setflags(write=False)
     return ParetoSpectrum(reps, witness_idx, dedup_tolerance, g.n)
@@ -427,13 +630,13 @@ def _rho2_many(dmats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     distance matrices, n >= 2, with the witness rule of ``rho2_fast``.
 
     ``_deletion_roots`` screens every deletion of every matrix from one
-    eigendecomposition each, certified to 1e-13 relative (about 1e-15 in
-    practice).  Only the deletions screened within ``_SCREEN_WINDOW`` (1e-9
-    relative) of their graph's largest root are recomputed with
-    ``_perron_roots_for_rows``, one call per deletion vertex over the graphs
-    that keep it, so each value comes from the same kernel on the same
-    submatrix as a sweep over every deletion, and the screen's error would
-    have to reach the window to change the result.
+    eigendecomposition each (its Newton steps certified to 1e-15 relative, the
+    screen within about 1e-15 of the kernel in practice).  Only the deletions
+    screened within ``_SCREEN_WINDOW`` (1e-9 relative) of their graph's largest
+    root are recomputed with ``_perron_roots_for_rows``, one call per deletion
+    vertex over the graphs that keep it, so each value comes from the same
+    kernel on the same submatrix as a sweep over every deletion, and the
+    screen's error would have to reach the window to change the result.
     """
     screened = _deletion_roots(dmats)
     top = screened.max(axis=-1, keepdims=True)

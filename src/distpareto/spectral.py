@@ -4,13 +4,18 @@ Everything here runs a full symmetric eigendecomposition (LAPACK via
 ``numpy.linalg``); power iteration is deliberately avoided because the
 enumeration layer needs all Perron roots resolved to ~1e-12 even when
 eigenvalues nearly collide.  ``spectral_radius_many`` gives the largest
-eigenvalue of each matrix in a stack (the spectrum's hot path),
+eigenvalue of each matrix in a stack (the spectrum's direct kernel),
 ``perron_pairs_many`` also a sign-normalized eigenvector (one stacked
-``eigh``), ``_eigenvalues`` every eigenvalue of one matrix, and
-``_deletion_roots`` the Perron root of every single-vertex deletion of each
-matrix in a stack (the rho2 screen, for one graph or many).  The pairs
-of ``perron_pairs_many`` and ``_eigenvalues`` are checked against the residual
-contract ``|Mx - vx|_inf <= 1e-10 * max(1, |v|)``.
+``eigh``), and ``_eigenvalues`` every eigenvalue of one matrix.  Two routines
+take the Perron roots of single-vertex deletions from one ``eigh`` of the
+whole matrix, through one Newton solver of the secular equation,
+``_secular_roots``: ``_deletion_roots`` every deletion of each matrix in a
+stack (the rho2 screen, for one graph or many), and ``_parent_roots`` the
+chosen deletions of each parent in a stack, with the parent's own root (the
+subset pass).  Each root's Newton loop stops on its own, so a root does not
+depend on what shares its stack.  The pairs of ``perron_pairs_many`` and
+``_eigenvalues`` are checked against the residual contract
+``|Mx - vx|_inf <= 1e-10 * max(1, |v|)``.
 """
 
 from __future__ import annotations
@@ -59,7 +64,56 @@ def spectral_radius_many(mats: np.ndarray) -> np.ndarray:
 
 
 _SECULAR_ITERATIONS = 64  # Newton steps; 1-3 suffice on every graph tested
-_SECULAR_TOL = 1e-13  # certified relative error at which the Newton loop stops
+_SECULAR_TOL = 1e-15  # certified error, relative to lam_n, at which an element's Newton loop stops
+
+
+def _secular_roots(lam: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Perron root (...) of the deletion of one vertex v from a symmetric matrix
+    with ascending eigenvalues ``lam`` (..., n), n >= 2, and Perron root lam_n,
+    where ``w`` (..., n) holds Q_vi^2, the squares of v's entries in the unit
+    eigenvectors.
+
+    The eigenvalues of the deletion are the roots of the secular function
+    sum_i Q_vi^2 / (x - lam_i) (Golub, SIAM Review 15, 1973), and by interlacing
+    its Perron root r lies in [lam_{n-1}, lam_n].  There r is the root of
+
+        H(x) = w_n / psi(x) - (lam_n - x),   psi(x) = sum_{i<n} Q_vi^2 / (x - lam_i),
+
+    which is concave and increasing on x > lam_{n-1} with H' >= 1 when w_n > 0
+    (a Perron vector with no zero entry).  Newton's method on H therefore lands
+    at or below r from any start and then climbs to it monotonically; the
+    first step starts at lam_n.  A step from x with H(x) = -h leaves an error of
+    at most h^2 / (x - lam_{n-1}) (concavity gives r - x <= h, and
+    |H''| <= 2 H' / (x - lam_{n-1})), so each element stops once its own bound
+    is below ``_SECULAR_TOL`` relative to lam_n: its root depends on its own
+    ``lam`` and ``w`` alone, not on the elements beside it.  Estimates are kept
+    just above lam_{n-1}, where psi has its pole, and returned clipped to
+    [lam_{n-1}, lam_n]: where v has no weight on lam_{n-1}'s eigenvectors,
+    lam_{n-1} itself is the deletion's Perron root.
+    """
+    shape, n = lam.shape[:-1], lam.shape[-1]
+    lam, w = lam.reshape(-1, n), w.reshape(-1, n)
+    top, low, rest = lam[:, -1], lam[:, -2], lam[:, :-1]
+    wtop, wrest = w[:, -1], w[:, :-1]
+    u = 1.0 / (top[:, None] - rest)
+    t = wrest * u
+    psi = t.sum(axis=-1)
+    x = top - wtop * psi / (wtop * (t * u).sum(axis=-1) + psi * psi)
+    x = np.maximum(x, low + 1e-14 * top)
+    tol = _SECULAR_TOL * top
+    live = np.arange(x.size)
+    for _ in range(_SECULAR_ITERATIONS):
+        if not live.size:
+            break
+        at = x[live]
+        r = 1.0 / (at[:, None] - rest[live])
+        t = wrest[live] * r
+        psi = t.sum(axis=-1)
+        gap = wtop[live] / psi
+        h = np.maximum(top[live] - at - gap, 0.0)
+        x[live] = at + h / (gap * (t * r).sum(axis=-1) / psi + 1.0)
+        live = live[h * h / (at - low[live]) > tol[live]]
+    return np.clip(x, low, top).reshape(shape)
 
 
 def _deletion_roots(d: np.ndarray) -> np.ndarray:
@@ -68,46 +122,20 @@ def _deletion_roots(d: np.ndarray) -> np.ndarray:
 
     Each matrix is the distance matrix of a connected graph on n >= 2 vertices,
     integer or float (``eigh`` casts it to float64).  One eigendecomposition
-    d = Q diag(lam) Q^T serves every v: the eigenvalues of the deletion are the
-    roots of the secular function sum_i Q_vi^2 / (x - lam_i) (Golub, SIAM Review
-    15, 1973), and by interlacing its Perron root r lies in [lam_{n-1}, lam_n].
-    There r is the root of
-
-        H(x) = w / psi(x) - (lam_n - x),   w = Q_vn^2 > 0,
-        psi(x) = sum_{i<n} Q_vi^2 / (x - lam_i),
-
-    which is concave and increasing on x > lam_{n-1} with H' >= 1.  Newton's
-    method on H therefore lands at or below r from any start and then climbs
-    to it monotonically.  The first step starts at lam_n, where psi and psi'
-    are two matrix-vector products per matrix shared by all its vertices; each
-    later step is O(n^2) per matrix over all vertices at once.  A step from x
-    with H(x) = -h leaves an error of at most h^2 / (x - lam_{n-1}) (concavity
-    gives r - x <= h, and |H''| <= 2 H' / (x - lam_{n-1})), so the loop stops
-    once that bound is below ``_SECULAR_TOL`` relative for every vertex of
-    every matrix.  Estimates are kept just above lam_{n-1}, where psi has its
-    pole, and returned clipped to [lam_{n-1}, lam_n]: where e_v has no weight
-    on lam_{n-1}'s eigenvectors, lam_{n-1} itself is the deletion's Perron root.
+    d = Q diag(lam) Q^T serves every v through ``_secular_roots``.
     """
     lam, q = np.linalg.eigh(d)
-    w = q * q
-    top, low = lam[..., -1:], lam[..., -2:-1]
-    rest, wtop, wrest = lam[..., :-1], w[..., -1], w[..., :-1]
-    u = 1.0 / (top - rest)
-    psi = (wrest @ u[..., None])[..., 0]
-    x = top - wtop * psi / (wtop * (wrest @ (u * u)[..., None])[..., 0] + psi * psi)
-    x = np.maximum(x, low + 1e-14 * top)
-    tol = _SECULAR_TOL * top
-    for _ in range(_SECULAR_ITERATIONS):
-        r = 1.0 / (x[..., None] - rest[..., None, :])
-        t = wrest * r
-        psi = t.sum(axis=-1)
-        gap = wtop / psi
-        h = np.maximum(top - x - gap, 0.0)
-        certified = (h * h / (x - low) <= tol).all()
-        x = x + h / (gap * (t * r).sum(axis=-1) / psi + 1.0)
-        if certified:
-            break
-    return np.clip(x, low, top)
+    return _secular_roots(np.broadcast_to(lam[..., None, :], q.shape), q * q)
+
+
+def _parent_roots(mats: np.ndarray, use: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Perron roots from one eigendecomposition of each matrix of the stack
+    ``mats`` (p, k, k), k >= 2, each with a positive Perron vector: its own (p,),
+    and those of its deletions of vertex v where ``use[i, v]`` (p, k) holds, in
+    the row-major order of ``use``, through ``_secular_roots``."""
+    lam, q = np.linalg.eigh(mats)
+    i, v = np.nonzero(use)
+    return lam[:, -1], _secular_roots(lam[i], q[i, v] ** 2)
 
 
 def _eigenvalues(a: np.ndarray) -> np.ndarray:

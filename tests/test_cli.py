@@ -695,6 +695,18 @@ def test_spectrum_csv_and_table_match_the_tuple_rendering_at_every_block_size(
                 assert out == expected[fmt], (fmt, block)
 
 
+def test_invalid_utf8_in_an_edge_list_is_reported_by_line(tmp_path, capsys):
+    n = 20
+    body = (f"{n}\n" + "".join(f"{u} {v}\n" for u in range(n) for v in range(u + 1, n)) * 40).encode()
+    for data in (b"# \xff\n" + body, body[:20_005] + b"\xff" + body[20_006:]):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(data)
+        line = data[: data.index(b"\xff")].count(b"\n") + 1  # 1, then one past the first 8 KiB
+        code, out, err = run(capsys, "spectrum", "--edges", str(path))
+        assert (code, out) == (cli.EXIT_PARSE, "")
+        assert err == f"parse error: line {line}: invalid UTF-8 byte 0xff\n"
+
+
 def test_spectrum_cap_reads_an_edge_list_only_up_to_its_order_line(tmp_path, capsys):
     import tracemalloc
 

@@ -2,6 +2,7 @@ import io
 import itertools
 import pathlib
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -122,6 +123,24 @@ def test_edge_list_in_chunks_is_read_only_up_to_the_order_line():
         (30_004, "1 2"), (30_005, "2 3"), (30_006, "3 0")]
     assert parse_edge_list(Recorded(text, newline=None)).sorted_edges() == [
         (0, 1), (0, 3), (1, 2), (2, 3)]
+
+
+def test_a_long_unended_line_is_read_in_linear_time(tmp_path):
+    # the pieces of a line that no 64 KiB read ends are joined once: an 8 MiB
+    # comment line costs about eight times a 1 MiB one, not 64 times
+    def best_read(size):
+        path = tmp_path / f"g{size}.txt"
+        path.write_text("#" * size + "\n1\n", encoding="utf-8")
+        times = []
+        for _ in range(3):
+            with open(path, "r", encoding="utf-8") as fh:
+                start = time.perf_counter()
+                n, lines = graph._edge_list_order(fh)
+                assert (n, list(lines)) == (1, [])
+                times.append(time.perf_counter() - start)
+        return min(times)
+
+    assert best_read(8 << 20) < 20 * best_read(1 << 20)
 
 
 def test_family_complete():

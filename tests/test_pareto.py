@@ -695,3 +695,152 @@ def test_spectra_at_one_order_build_the_subset_table_once():
     pareto_spectrum(fam("path", 9))
     info = pareto._subsets_by_size.cache_info()
     assert (info.misses, info.hits) == (1, 1)
+
+
+# ---------------------------------------------------------------------------
+# the parent pass: one eigh per parent, its children from the secular equation
+
+
+def _kernel_values(d):
+    """Every subset's Perron root from ``_perron_roots_for_rows``, size by size, in
+    canonical flat order: the subset pass before parents."""
+    return np.concatenate([pareto._perron_roots_for_rows(d, rows)
+                           for rows in pareto._subsets_by_size(d.shape[-1]).values()], axis=-1)
+
+
+def _texts(values):
+    """The spectrum values as the CLI writes them."""
+    from distpareto import cli
+
+    fmts, args = cli._float_args(np.asarray(values))
+    return [fmt % (arg,) for fmt, arg in zip(fmts, args)]
+
+
+def _parent_pass_cases():
+    from distpareto.verify import random_connected_graph
+
+    rng = np.random.default_rng(20261020)
+    graphs = [random_connected_graph(n, rng, extra_edge_prob=(0.05, 0.5)[n % 2])
+              for n in range(8, 17)]
+    return graphs + [fam("path", 16), fam("cycle", 15), fam("star", 16), fam("wheel", 14),
+                     fam("complete", 13), fam("complete_bipartite", 7, 8)]
+
+
+def _assert_spectrum_is_the_kernels(g, spec, ref, tol=pareto.DEFAULT_DEDUP_TOL):
+    """``spec`` has the witnesses, count and written values of the kernel's roots
+    ``ref``, and bit for bit its n largest values and the rho2 slot."""
+    reps, witness_idx = pareto._dedup(ref, tol)
+    assert np.array_equal(spec.witness_index, witness_idx), g
+    assert spec.count == reps.size
+    assert _texts(spec.value_array) == _texts(reps), g
+    assert np.array_equal(spec.value_array[-g.n:], reps[-g.n:]), g
+    value, vertex = pareto._rho2_of_deletions(ref[-1 - g.n : -1][::-1])
+    assert g.__dict__["_rho2"] == (float(value), int(vertex)), g
+
+
+def test_parent_pass_matches_the_kernel_on_every_subset():
+    worst = 0.0
+    for g in _parent_pass_cases():
+        d = distance_matrix(g)
+        subsets = pareto._subsets_by_size(g.n)
+        ref = _kernel_values(d)
+        values = pareto._all_subset_values(d, subsets, 1)
+        assert pareto._plan(subsets).approx.any() == (g.n >= 9)
+        # the stated bound E on |root from a parent - kernel root|, on every subset
+        err = np.abs(values - ref) / values.clip(min=1.0)
+        assert err.max() <= pareto._PARENT_ERR, g
+        worst = max(worst, err.max())
+        assert np.array_equal(pareto._all_subset_values(d, subsets, 2), values), g
+        _assert_spectrum_is_the_kernels(g, pareto_spectrum(g), ref)
+    assert 0 < worst < pareto._PARENT_ERR / 10  # the bound has a margin of ten at least
+
+
+def test_distinct_counts_match_the_kernel(classes_by_order):
+    from distpareto.verify import connected_graph_classes, random_connected_graph
+
+    rng = np.random.default_rng(11)
+    stacks = [np.stack([distance_matrix(g) for g in connected_graph_classes(7)])]
+    stacks += [np.stack([distance_matrix(random_connected_graph(n, rng, extra_edge_prob=p))
+                         for p in (0.05, 0.2, 0.5, 0.9)]) for n in (9, 10, 11, 12)]
+    for dmats in stacks:
+        ref = np.sort(_kernel_values(dmats), axis=-1)
+        want = 1 + pareto._breaks(ref, pareto.DEFAULT_DEDUP_TOL).sum(axis=-1)
+        assert np.array_equal(pareto._distinct_counts(dmats, pareto.DEFAULT_DEDUP_TOL), want)
+
+
+def test_secular_roots_do_not_depend_on_their_batch(monkeypatch):
+    # each element stops its Newton loop on its own: a root is the same bits
+    # whatever shares its stack, its gather block or its --jobs span
+    from distpareto.spectral import _deletion_roots, _parent_roots
+    from distpareto.verify import random_connected_graph
+
+    rng = np.random.default_rng(29)
+    for n in (6, 9, 12, 16, 20, 30):
+        stack = np.stack([distance_matrix(random_connected_graph(n, rng, extra_edge_prob=p))
+                          for p in (0.05, 0.2, 0.5, 0.9) * 5])
+        roots = _deletion_roots(stack)
+        single = np.stack([_deletion_roots(d) for d in stack])
+        assert np.array_equal(roots, single), n
+    stack = np.stack([distance_matrix(random_connected_graph(12, rng, extra_edge_prob=p))
+                      for p in (0.05, 0.2, 0.5, 0.9) * 2])
+    roots = _deletion_roots(stack)
+    use = rng.random(stack.shape[:2]) < 0.5
+    tops, kids = _parent_roots(stack, use)
+    ends = np.cumsum(use.sum(axis=1))
+    for i in range(stack.shape[0]):
+        assert np.array_equal(roots[i], _deletion_roots(stack[i : i + 1])[0])
+        top, own = _parent_roots(stack[i : i + 1], use[i : i + 1])
+        assert top[0] == tops[i] and np.array_equal(own, kids[ends[i] - own.size : ends[i]])
+        assert np.array_equal(own, roots[i][use[i]])
+    subsets = pareto._subsets_by_size(12)
+    values = pareto._all_subset_values(stack, subsets, 1)
+    for i in range(stack.shape[0]):
+        assert np.array_equal(pareto._all_subset_values(stack[i], subsets, 1), values[i])
+    monkeypatch.setattr(pareto, "_GATHER_BYTES", 4096)  # a few parents per block
+    assert np.array_equal(pareto._all_subset_values(stack, subsets, 3), values)
+
+
+def _perturbed_parents(monkeypatch, scale, split=None):
+    """Make every root from a parent off by ``scale`` relative, so that the checks
+    that keep the output exact are exercised: in alternating directions, or down
+    below ``split`` and up above it."""
+    real = pareto._parent_roots
+
+    def shift(values):
+        if split is None:
+            return values * (1 + scale * (-1.0) ** np.arange(values.size))
+        return values * np.where(values > split, 1 + scale, 1 - scale)
+
+    def perturbed(mats, use):
+        tops, roots = real(mats, use)
+        return shift(tops), shift(roots)
+
+    monkeypatch.setattr(pareto, "_parent_roots", perturbed)
+
+
+def test_spectrum_output_is_exact_within_the_parent_bound(monkeypatch):
+    _perturbed_parents(monkeypatch, 0.9 * pareto._PARENT_ERR)
+    for g in _parent_pass_cases()[1::2]:
+        ref = _kernel_values(distance_matrix(g))
+        _assert_spectrum_is_the_kernels(g, pareto_spectrum(g), ref)
+
+
+def test_clusters_are_the_kernels_when_a_gap_meets_the_tolerance(monkeypatch):
+    # two roots from parents a < b, and a tolerance whose threshold lies E b / 2
+    # above their gap: the kernel joins them, and parent roots pushed apart by
+    # 0.9 E each would cut them but for the check
+    g = _parent_pass_cases()[3]  # order 11
+    d = distance_matrix(g)
+    subsets = pareto._subsets_by_size(g.n)
+    ref = _kernel_values(d)
+    approx = pareto._plan(subsets).approx
+    order = np.argsort(ref, kind="stable")
+    s = ref[order]
+    j = next(j for j in range(s.size // 2, s.size - 1)
+             if approx[order[j]] and approx[order[j + 1]] and s[j + 1] - s[j] > 1e-6 * s[j + 1])
+    a, b = s[j], s[j + 1]
+    tol = (b - a) / b + pareto._PARENT_ERR / 2
+    _perturbed_parents(monkeypatch, 0.9 * pareto._PARENT_ERR, split=(a + b) / 2)
+    want = 1 + pareto._breaks(np.sort(ref), tol).sum()
+    assert np.array_equal(pareto._distinct_counts(d[None], tol), [want])
+    _assert_spectrum_is_the_kernels(g, pareto_spectrum(g, dedup_tolerance=tol), ref, tol)

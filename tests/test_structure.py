@@ -8,7 +8,7 @@ coalescence check and the spectrum pass, no second way to hand rho2 to the bound
 report, one table of the 2-paths i ~ j ~ k for the tree checkers, no
 per-deletion loop in the quasiconvexity check, the verify suites (sweeps,
 verdict and order ranges) in ``verify`` alone, the CLI importing only their table,
-one submatrix gather for both Perron kernels, one ``--jobs`` split (``verify``
+one submatrix gather for both Perron kernels and the subset pass's parents, one ``--jobs`` split (``verify``
 never names the thread pool), one builder of bound-report rows, and one pair
 order for every edge mask (spelled once in ``verify``, no ``{pair: index}`` dict,
 one mask decoder and no function handed the pair list), rho2 read from the
@@ -133,6 +133,9 @@ def test_rho2_read_from_deletions_by_the_stacked_sweeps_and_the_spectrum():
 
 def test_one_rho2_screen_for_a_graph_and_a_stack():
     assert _callers("_deletion_roots") == {"_rho2_many"}
+    # the subset pass's parents share the screen's Newton core, and are its only other user
+    assert _callers("_parent_roots") == {"_parent_batch"}
+    assert _callers("_secular_roots") == {"_deletion_roots", "_parent_roots"}
     rho2_fast = _functions("pareto.py")["rho2_fast"]
     assert "_deletion_roots(" not in rho2_fast and "_perron_roots_for_rows(" not in rho2_fast
 
@@ -196,7 +199,7 @@ def test_one_gather_one_jobs_split_one_bound_row_builder():
     # the values and the pairs kernel take their submatrices from one blocked gather
     gathers = _occurrences(r"\[:, :, None\], \w+\[:, None, :\]")
     assert [hit.split(":")[0] for hit in gathers] == ["pareto.py"]
-    assert _callers("_gathered") == {"_perron_roots_for_rows", "_perron_pairs_for_rows"}
+    assert _callers("_gathered") == {"_perron_roots_for_rows", "_perron_pairs_for_rows", "_parent_batch"}
     # the extremal search splits --jobs through the subset pass, not over classes
     assert "_map_spans" not in (SRC / "verify.py").read_text(encoding="utf-8")
     assert [hit.split(":")[0] for hit in _occurrences(r"\bBoundResult\(")] == ["laws.py"]
