@@ -2,7 +2,7 @@
 
 Exit codes: 0 success (and zero violations for verify suites), 1 verify suite
 found violations, 2 parse/usage error, 3 size cap exceeded, 4 disconnected
-input graph.
+input graph, 5 eigensolver error (a numerical result failed its check).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import CapExceededError, DisconnectedGraphError, GraphParseError
+from .errors import CapExceededError, DisconnectedGraphError, EigensolverError, GraphParseError
 from .graph import (
     _G6_HEADER,
     _INTEGER,
@@ -53,6 +53,7 @@ EXIT_VIOLATION = 1
 EXIT_PARSE = 2
 EXIT_CAP = 3
 EXIT_DISCONNECTED = 4
+EXIT_EIGENSOLVER = 5
 
 
 _PLAIN = frozenset({bool, int, str, type(None)})  # scalar types JSON takes unchanged
@@ -554,6 +555,9 @@ def main(argv: list[str] | None = None) -> int:
     except CapExceededError as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except EigensolverError as exc:
+        print(f"eigensolver error: {exc}", file=sys.stderr)
+        return EXIT_EIGENSOLVER
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -32,13 +32,13 @@ takes from the kernel each representative that is among the n largest, near
 an integer, or whose ``%.12g`` text E could change.  The rho2 block is
 always solved by the kernel.
 
-``_rho2_many`` is the one rho2 screen, for a stack of graphs: it screens all n
-single-vertex deletions of each graph with one ``eigh`` of its distance matrix
-and O(n^2) work per Newton step on the secular equation
-(``spectral._deletion_roots``), instead of n deletion eigensolves at O(n^4),
-and recomputes with the kernel only the few deletions screened near each
-graph's top.  ``rho2_fast`` is its one-graph case, and the sweeps in
-``verify`` run it on a whole stack.
+``_rho2_many`` is the one rho2 screen, for a stack of graphs: one parent batch
+(``_parent_batch`` on the whole vertex set, in bounded ``_gathered`` blocks)
+screens all n single-vertex deletions of each graph with one ``eigh`` and
+O(n^2) work per Newton step on the secular equation, instead of n deletion
+eigensolves at O(n^4); the kernel recomputes only the few deletions screened
+near each graph's top.  ``rho2_fast`` is its one-graph case, and the sweeps
+in ``verify`` run it on a whole stack.
 
 rho2 and its witness are kept on the ``Graph`` instance beside its distances,
 in the slot ``_rho2``.  ``pareto_spectrum`` fills it from its size n - 1 block,
@@ -67,7 +67,7 @@ import numpy as np
 
 from .errors import CapExceededError, EigensolverError
 from .graph import Graph, distance_matrix
-from .spectral import _deletion_roots, _parent_roots, perron_pairs_many, spectral_radius_many
+from .spectral import _parent_roots, perron_pairs_many, spectral_radius_many
 
 __all__ = [
     "ParetoSpectrum",
@@ -369,12 +369,13 @@ def _parents(subsets: Mapping[int, np.ndarray], bits: np.ndarray, rank: np.ndarr
     return sel, np.concatenate(use), children[sel]
 
 
-def _parent_batch(stack: np.ndarray, out: np.ndarray, batch: _Batch, rows: np.ndarray,
-                  part: slice) -> None:
-    """Write into ``out`` (m, 2^n - 1) the roots that the parents ``part`` of
-    ``batch``, with vertex labels ``rows``, give for the stack (m, n, n): one
-    ``_parent_roots`` call per ``_gathered`` block."""
-    k, at, use, child_at = batch.k, batch.at[part], batch.use[part], batch.child_at[part]
+def _parent_batch(stack: np.ndarray, out: np.ndarray, rows: np.ndarray, use: np.ndarray,
+                  at: np.ndarray, child_at: np.ndarray) -> None:
+    """Write into ``out`` (m, s) the roots the parents on the index rows ``rows``
+    (r, k) give for the stack (m, n, n): each one's own at slot ``at`` (r,), and
+    those of its deletions at the positions ``use`` (r, k) at slots ``child_at``
+    (r, k); one ``_parent_roots`` call per ``_gathered`` block."""
+    k = rows.shape[1]
     for mats, sub, subs in _gathered(stack, rows):
         m, r = subs.shape[:2]
         uses = np.broadcast_to(use[sub], (m, r, k)).reshape(-1, k)  # the same for every matrix
@@ -409,7 +410,8 @@ def _all_subset_values(
             if batch.use is None:
                 out[:, batch.at[part]] = _perron_roots_for_rows(stack, rows)
             else:
-                _parent_batch(stack, out, batch, rows, part)
+                _parent_batch(stack, out, rows, batch.use[part], batch.at[part],
+                              batch.child_at[part])
 
     _map_spans(fill, int(starts[-1]), jobs)
     if plan.approx.any():
@@ -629,19 +631,24 @@ def _rho2_many(dmats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """rho2 (m,) and witness vertices (m,) of a stack (m, n, n) of connected
     distance matrices, n >= 2, with the witness rule of ``rho2_fast``.
 
-    ``_deletion_roots`` screens every deletion of every matrix from one
-    eigendecomposition each (its Newton steps certified to 1e-15 relative, the
-    screen within about 1e-15 of the kernel in practice).  Only the deletions
-    screened within ``_SCREEN_WINDOW`` (1e-9 relative) of their graph's largest
-    root are recomputed with ``_perron_roots_for_rows``, one call per deletion
-    vertex over the graphs that keep it, so each value comes from the same
-    kernel on the same submatrix as a sweep over every deletion, and the
-    screen's error would have to reach the window to change the result.
+    ``_parent_batch``, with the whole vertex set as the one parent, screens every
+    deletion of every matrix from one eigendecomposition each (Newton steps
+    certified to 1e-15 relative, the screen within about 1e-15 of the kernel in
+    practice).  Only the deletions screened within ``_SCREEN_WINDOW`` (1e-9
+    relative) of their graph's largest root are recomputed with
+    ``_perron_roots_for_rows``, one call per deletion vertex over the graphs
+    that keep it, so each value comes from the same kernel on the same
+    submatrix as a sweep over every deletion, and the screen's error would have
+    to reach the window to change the result.
     """
-    screened = _deletion_roots(dmats)
+    m, n = dmats.shape[:2]
+    every = np.arange(n)[None]  # the one parent; its deletion of v goes to slot v
+    screened = np.empty((m, n + 1))  # and its own root to slot n
+    _parent_batch(dmats, screened, every, np.ones((1, n), dtype=bool), np.array([n]), every)
+    screened = screened[:, :n]
     top = screened.max(axis=-1, keepdims=True)
     near = screened >= top - _SCREEN_WINDOW * np.maximum(1.0, top)
-    rows = _deletion_rows(dmats.shape[-1])
+    rows = _deletion_rows(n)
     roots = np.full(near.shape, -np.inf)
     for v in np.flatnonzero(near.any(axis=0)).tolist():
         roots[near[:, v], v] = _perron_roots_for_rows(dmats[near[:, v]], rows[v : v + 1])[:, 0]

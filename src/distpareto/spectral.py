@@ -6,16 +6,16 @@ enumeration layer needs all Perron roots resolved to ~1e-12 even when
 eigenvalues nearly collide.  ``spectral_radius_many`` gives the largest
 eigenvalue of each matrix in a stack (the spectrum's direct kernel),
 ``perron_pairs_many`` also a sign-normalized eigenvector (one stacked
-``eigh``), and ``_eigenvalues`` every eigenvalue of one matrix.  Two routines
-take the Perron roots of single-vertex deletions from one ``eigh`` of the
-whole matrix, through one Newton solver of the secular equation,
-``_secular_roots``: ``_deletion_roots`` every deletion of each matrix in a
-stack (the rho2 screen, for one graph or many), and ``_parent_roots`` the
-chosen deletions of each parent in a stack, with the parent's own root (the
-subset pass).  Each root's Newton loop stops on its own, so a root does not
-depend on what shares its stack.  The pairs of ``perron_pairs_many`` and
-``_eigenvalues`` are checked against the residual contract
-``|Mx - vx|_inf <= 1e-10 * max(1, |v|)``.
+``eigh``), and ``_eigenvalues`` every eigenvalue of one matrix.
+``_parent_roots`` is the one route from an ``eigh`` to the Perron roots of
+single-vertex deletions: one ``eigh`` of each parent in a stack gives its own
+root and those of its chosen deletions, through the Newton solver of the
+secular equation ``_secular_roots``, for the subset pass and the rho2 screen
+(whose one parent is the whole vertex set).  Each root's Newton loop stops on
+its own, so a root does not depend on what shares its stack, and raises
+EigensolverError if it is still uncertified after ``_SECULAR_ITERATIONS``
+steps.  The pairs of ``perron_pairs_many`` and ``_eigenvalues`` are checked
+against the residual contract ``|Mx - vx|_inf <= 1e-10 * max(1, |v|)``.
 """
 
 from __future__ import annotations
@@ -89,7 +89,9 @@ def _secular_roots(lam: np.ndarray, w: np.ndarray) -> np.ndarray:
     ``lam`` and ``w`` alone, not on the elements beside it.  Estimates are kept
     just above lam_{n-1}, where psi has its pole, and returned clipped to
     [lam_{n-1}, lam_n]: where v has no weight on lam_{n-1}'s eigenvectors,
-    lam_{n-1} itself is the deletion's Perron root.
+    lam_{n-1} itself is the deletion's Perron root.  EigensolverError if some
+    element's bound is still above ``_SECULAR_TOL`` after ``_SECULAR_ITERATIONS``
+    steps.
     """
     shape, n = lam.shape[:-1], lam.shape[-1]
     lam, w = lam.reshape(-1, n), w.reshape(-1, n)
@@ -113,19 +115,10 @@ def _secular_roots(lam: np.ndarray, w: np.ndarray) -> np.ndarray:
         h = np.maximum(top[live] - at - gap, 0.0)
         x[live] = at + h / (gap * (t * r).sum(axis=-1) / psi + 1.0)
         live = live[h * h / (at - low[live]) > tol[live]]
+    if live.size:
+        raise EigensolverError(f"secular equation: {live.size} deletion roots not certified "
+                               f"in {_SECULAR_ITERATIONS} Newton steps")
     return np.clip(x, low, top).reshape(shape)
-
-
-def _deletion_roots(d: np.ndarray) -> np.ndarray:
-    """Perron root of each matrix in ``d`` with row and column v removed, for every
-    vertex v: shape (m, n) for a stack (m, n, n), or (n,) for one matrix.
-
-    Each matrix is the distance matrix of a connected graph on n >= 2 vertices,
-    integer or float (``eigh`` casts it to float64).  One eigendecomposition
-    d = Q diag(lam) Q^T serves every v through ``_secular_roots``.
-    """
-    lam, q = np.linalg.eigh(d)
-    return _secular_roots(np.broadcast_to(lam[..., None, :], q.shape), q * q)
 
 
 def _parent_roots(mats: np.ndarray, use: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -370,6 +370,19 @@ def test_exit_code_disconnected(tmp_path, capsys):
     assert code == cli.EXIT_DISCONNECTED
 
 
+def test_exit_code_eigensolver_error(capsys, monkeypatch):
+    # no Newton step for the secular equation: the rho2 screen and the spectrum's
+    # parents cannot certify a root, and the command says so on one line
+    from distpareto import spectral
+
+    monkeypatch.setattr(spectral, "_SECULAR_ITERATIONS", 0)
+    for argv in (("rho2", "--family", "path", "30"), ("spectrum", "--family", "wheel", "14")):
+        code, out, err = run(capsys, *argv)
+        assert code == cli.EXIT_EIGENSOLVER == 5, argv
+        assert out == "" and err.startswith("eigensolver error: secular equation: "), argv
+        assert err.count("\n") == 1, argv
+
+
 def test_exit_code_unknown_family(capsys):
     code, _, err = run(capsys, "spectrum", "--family", "mystery", "4")
     assert code == cli.EXIT_PARSE
@@ -915,8 +928,8 @@ def test_rho2_bounds_op_solves_each_deletion_once(capsys, monkeypatch):
     from distpareto import pareto
 
     calls = []
-    screen = pareto._deletion_roots
-    monkeypatch.setattr(pareto, "_deletion_roots", lambda d: calls.append(d.shape) or screen(d))
+    screen = pareto._rho2_many
+    monkeypatch.setattr(pareto, "_rho2_many", lambda d: calls.append(d.shape) or screen(d))
     for n, screens in ((12, []), (21, [(1, 21, 21)])):
         calls.clear()
         code, out, _ = run(capsys, "rho2", "--bounds", "--family", "path", str(n))

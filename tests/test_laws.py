@@ -250,7 +250,7 @@ def test_bound_report_takes_a_known_rho2_without_recomputing(monkeypatch):
         g = fam(*params)
         expected = bound_report(g)
         with monkeypatch.context() as m:
-            m.setattr(pareto, "_deletion_roots", refuse)
+            m.setattr(pareto, "_rho2_many", refuse)
             assert bound_report(g) == expected
             if g.n <= 20:
                 assert bound_report(fam(*params)) == expected

@@ -473,8 +473,6 @@ def _screen_cases():
 
 
 def test_rho2_screen_matches_kernel_on_every_deletion():
-    from distpareto.spectral import _deletion_roots
-
     checked = 0
     for g in _screen_cases():
         assert rho2_fast(g) == _kernel_rho2(g), g
@@ -482,7 +480,7 @@ def test_rho2_screen_matches_kernel_on_every_deletion():
         keep = np.arange(g.n - 1)
         every = keep + (keep >= np.arange(g.n)[:, None])  # row v omits vertex v
         kernel = pareto._perron_roots_for_rows(d, every)
-        screened = _deletion_roots(d)
+        screened = _screened(d[None])[0]
         # 1e-12 relative is 1/1000 of the window rho2_fast recomputes
         assert np.all(np.abs(screened - kernel) <= 1e-12 * np.maximum(1.0, kernel)), g
         checked += 1
@@ -503,10 +501,27 @@ def test_rho2_from_the_spectrum_equals_the_screen(monkeypatch):
     for g, pair in zip(graphs, screened):
         pareto_spectrum(g)
         with monkeypatch.context() as m:
-            m.setattr(pareto, "_deletion_roots", refuse)
+            m.setattr(pareto, "_rho2_many", refuse)
             m.setattr(pareto, "spectral_radius_many", refuse)
             assert rho2_fast(g) == pair, g
     assert len(graphs) == 40 + 1 + 50 + 9 + 36 + 500
+
+
+def _screened(dmats):
+    """The roots ``_rho2_many`` screens for every deletion of each matrix of the
+    stack ``dmats`` (m, n, n), as (m, n): what its ``_parent_roots`` calls return."""
+    blocks = []
+    real = pareto._parent_roots
+
+    def record(mats, use):
+        tops, roots = real(mats, use)
+        blocks.append(roots.reshape(mats.shape[0], -1))
+        return tops, roots
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(pareto, "_parent_roots", record)
+        pareto._rho2_many(dmats)
+    return np.concatenate(blocks)
 
 
 def _rho2_pairs(graphs):
@@ -515,21 +530,91 @@ def _rho2_pairs(graphs):
     return list(zip(values.tolist(), witnesses.tolist()))
 
 
+def _connected_edge_deletions(graphs):
+    """Every one-edge deletion of ``graphs`` that stays connected, in graph then
+    ``sorted_edges`` order."""
+    deletions = []
+    for g in graphs:
+        for e in g.sorted_edges():
+            h = delete_edge(g, e)
+            try:
+                distance_matrix(h)
+            except DisconnectedGraphError:
+                continue
+            deletions.append(h)
+    return deletions
+
+
 def test_rho2_many_equals_kernel_on_classes_and_edge_deletions(classes_by_order):
     for n in range(2, 7):
         graphs = classes_by_order[n]
         assert _rho2_pairs(graphs) == [_kernel_rho2(g) for g in graphs], n
-        deletions = []
-        for g in graphs:
-            for e in g.sorted_edges():
-                h = delete_edge(g, e)
-                try:
-                    distance_matrix(h)
-                except DisconnectedGraphError:
-                    continue
-                deletions.append(h)
+        deletions = _connected_edge_deletions(graphs)
         if deletions:
             assert _rho2_pairs(deletions) == [_kernel_rho2(h) for h in deletions], n
+
+
+def _whole_matrix_screen(dmats):
+    """Every deletion root of each matrix of the stack ``dmats`` from one ``eigh``
+    of the whole stack, ungathered, and ``_secular_roots``: the reference that
+    the screen's blocks must match bit for bit."""
+    from distpareto.spectral import _secular_roots
+
+    lam, q = np.linalg.eigh(dmats)
+    return _secular_roots(np.broadcast_to(lam[..., None, :], q.shape), q * q)
+
+
+def test_rho2_screen_equals_the_whole_matrix_screen_bit_for_bit(monkeypatch):
+    from distpareto.verify import connected_graph_classes, random_connected_graph, trees_upto_iso
+
+    classes = [connected_graph_classes(n) for n in range(2, 8)]
+    stacks = classes + [_connected_edge_deletions(graphs) for graphs in classes[1:]]
+    stacks += [trees_upto_iso(n) for n in range(3, 13)]
+    rng = np.random.default_rng(20240601)  # the 500 graphs of the acceptance sweep
+    stacks += [[random_connected_graph(int(rng.integers(7, 11)), rng)] for _ in range(500)]
+    stacks += [[fam(name, n)] for name in ("path", "star", "cycle", "wheel") for n in (200, 400)]
+    for graphs in stacks:
+        d = np.stack([distance_matrix(g) for g in graphs])
+        assert np.array_equal(_screened(d), _whole_matrix_screen(d)), graphs[0]
+    assert len(stacks) == 6 + 5 + 10 + 500 + 8
+    d = np.stack([distance_matrix(t) for t in trees_upto_iso(10)])
+    monkeypatch.setattr(pareto, "_GATHER_BYTES", 16 * d[0].nbytes)  # 16 matrices per block
+    assert len(list(pareto._gathered(d, np.arange(10)[None]))) == -(-d.shape[0] // 16) > 1
+    assert np.array_equal(_screened(d), _whole_matrix_screen(d))
+
+
+def test_rho2_screen_memory_does_not_grow_with_the_stack():
+    # the screen runs in gather blocks: 2.5 times the stack, at most 1.1 times the traced peak
+    import tracemalloc
+
+    from distpareto.verify import _mask_distances
+
+    rng = np.random.default_rng(8)
+    d = _mask_distances(rng.integers(0, 1 << 28, 110_000), 8)  # random graphs of order 8
+    d = d[(d[:, 0] >= 0).all(axis=1)][:100_000]
+    assert d.shape == (100_000, 8, 8)
+    peaks = []
+    for m in (40_000, 100_000):
+        tracemalloc.start()
+        try:
+            pareto._rho2_many(d[:m])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+def test_uncertified_secular_roots_raise(monkeypatch):
+    # a Newton loop out of steps raises rather than return roots it has not certified
+    from distpareto import spectral
+    from distpareto.verify import random_connected_graph
+
+    g = random_connected_graph(14, np.random.default_rng(5), 0.3)
+    for cap in (0, 1):
+        monkeypatch.setattr(spectral, "_SECULAR_ITERATIONS", cap)
+        for run in (pareto_spectrum, rho2_fast):
+            with pytest.raises(EigensolverError, match="not certified"):
+                run(make_graph(g.n, g.edges))  # a fresh copy, with no rho2 kept
 
 
 def test_rho2_many_equals_kernel_on_trees_and_symmetric_graphs():
@@ -573,7 +658,6 @@ def test_pendant_deletions_stay_below_their_neighbour_and_the_top(classes_by_ord
     # the Perron-Frobenius lemma of ``rho2_fast``: rho2 never needs a pendant
     # filter, and the screen never recomputes a pendant deletion (1e-6 is 1000
     # times ``_SCREEN_WINDOW``)
-    from distpareto.spectral import _deletion_roots
     from distpareto.verify import connected_graph_classes, trees_upto_iso
 
     stacks = [classes_by_order[n] for n in range(3, 7)] + [connected_graph_classes(7)]
@@ -589,7 +673,7 @@ def test_pendant_deletions_stay_below_their_neighbour_and_the_top(classes_by_ord
     assert 1000 * pareto._SCREEN_WINDOW == pytest.approx(1e-6)
     for g in (fam("star", 400), fam("path", 400), fam("clique_plus_pendant_p", 399, 1)):
         d = distance_matrix(g)[None]
-        below_neighbour, below_top = _pendant_gaps(d, _deletion_roots(d.astype(np.float64)))
+        below_neighbour, below_top = _pendant_gaps(d, _screened(d))
         assert below_neighbour.size and (below_neighbour > 0).all(), g
         assert (below_top >= 1e-6).all(), g
 
@@ -771,24 +855,24 @@ def test_distinct_counts_match_the_kernel(classes_by_order):
 def test_secular_roots_do_not_depend_on_their_batch(monkeypatch):
     # each element stops its Newton loop on its own: a root is the same bits
     # whatever shares its stack, its gather block or its --jobs span
-    from distpareto.spectral import _deletion_roots, _parent_roots
+    from distpareto.spectral import _parent_roots
     from distpareto.verify import random_connected_graph
 
     rng = np.random.default_rng(29)
     for n in (6, 9, 12, 16, 20, 30):
         stack = np.stack([distance_matrix(random_connected_graph(n, rng, extra_edge_prob=p))
                           for p in (0.05, 0.2, 0.5, 0.9) * 5])
-        roots = _deletion_roots(stack)
-        single = np.stack([_deletion_roots(d) for d in stack])
+        roots = _screened(stack)
+        single = np.stack([_screened(d[None])[0] for d in stack])
         assert np.array_equal(roots, single), n
     stack = np.stack([distance_matrix(random_connected_graph(12, rng, extra_edge_prob=p))
                       for p in (0.05, 0.2, 0.5, 0.9) * 2])
-    roots = _deletion_roots(stack)
+    roots = _screened(stack)
     use = rng.random(stack.shape[:2]) < 0.5
     tops, kids = _parent_roots(stack, use)
     ends = np.cumsum(use.sum(axis=1))
     for i in range(stack.shape[0]):
-        assert np.array_equal(roots[i], _deletion_roots(stack[i : i + 1])[0])
+        assert np.array_equal(roots[i], _screened(stack[i : i + 1])[0])
         top, own = _parent_roots(stack[i : i + 1], use[i : i + 1])
         assert top[0] == tops[i] and np.array_equal(own, kids[ends[i] - own.size : ends[i]])
         assert np.array_equal(own, roots[i][use[i]])

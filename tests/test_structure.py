@@ -3,7 +3,8 @@ algebra only in ``spectral``, one thread pool, one distance routine, no second
 sweep, one JSON writer, one spectrum document for every output format, one
 array-leaf renderer, one witness decode, one all-subsets pass, no labeled-tree sweep, no labeled-graph
 sweep, no sweep that calls ``rho2_fast`` once per graph, one rho2 screen for
-one graph and a stack, rho2 read from deletion roots only by the screen, the
+one graph and a stack (the subset pass's parent routine, the one way from an
+``eigh`` to deletion roots), rho2 read from deletion roots only by the screen, the
 coalescence check and the spectrum pass, no second way to hand rho2 to the bound
 report, one table of the 2-paths i ~ j ~ k for the tree checkers, no
 per-deletion loop in the quasiconvexity check, the verify suites (sweeps,
@@ -132,12 +133,13 @@ def test_rho2_read_from_deletions_by_the_stacked_sweeps_and_the_spectrum():
 
 
 def test_one_rho2_screen_for_a_graph_and_a_stack():
-    assert _callers("_deletion_roots") == {"_rho2_many"}
-    # the subset pass's parents share the screen's Newton core, and are its only other user
+    # the screen is the subset pass's parent routine, the one way from an eigh to deletion roots
+    assert _occurrences(r"\b_deletion_roots\b") == []
+    assert _callers("_secular_roots") == {"_parent_roots"}
     assert _callers("_parent_roots") == {"_parent_batch"}
-    assert _callers("_secular_roots") == {"_deletion_roots", "_parent_roots"}
+    assert _callers("_parent_batch") == {"_all_subset_values", "fill", "_rho2_many"}
     rho2_fast = _functions("pareto.py")["rho2_fast"]
-    assert "_deletion_roots(" not in rho2_fast and "_perron_roots_for_rows(" not in rho2_fast
+    assert "_parent_batch(" not in rho2_fast and "_perron_roots_for_rows(" not in rho2_fast
 
 
 def test_bound_report_takes_no_rho2():
