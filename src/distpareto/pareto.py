@@ -20,25 +20,29 @@ their submatrices from ``_gathered``, at most ``_GATHER_BYTES`` per block.
 spectrum) or a stack (``_distinct_counts``, the extremal search's counts).
 
 The subset pass follows the order's ``_plan``, built once per order: from
-order 9 on, most k-subsets of sizes ``_PARENT_MIN`` - 1 to n - 3 come from
-parents of size k + 1, one ``eigh`` each, which gives the parent's own root
-and those of its children through the secular equation
-(``spectral._parent_roots``, in ``_parent_batch``); the rest go to the kernel.
-A root from a parent is within ``_PARENT_ERR`` (E = 1e-13) relative of the
-kernel's, a tested bound.  The output stays the kernel's byte for byte:
-``_settle`` falls back to the kernel for every parent root of a matrix
-whose clusters an error of E could change, and ``_exact_representatives``
-takes from the kernel each representative that is among the n largest, near
-an integer, or whose ``%.12g`` text E could change.  The rho2 block is
-always solved by the kernel.
+order 11 on, the codewords of a radius-1 covering code of the subset cube
+are the parents.  One ``eigh`` of each codeword J of size 3 to n - 2 gives
+J's own root and those of the neighbours J - v and J + u the code assigns to
+it, through the secular equation of a deletion and the bordered secular
+equation of an extension (``spectral._parent_roots``, in ``_parent_batch``,
+whose ``_gathered`` blocks hold J's rows by every column).  Every subset of
+size 3 to n - 2 but a few is a codeword or one toggle from its codeword; the
+rest go to the kernel.  A root from a parent is within ``_PARENT_ERR``
+(E = 1e-13) relative of the kernel's, a tested bound.  The output stays the
+kernel's byte for byte: ``_settle`` falls back to the kernel for every parent
+root of a matrix whose clusters an error of E could change, and
+``_exact_representatives`` takes from the kernel each representative that is
+among the n largest, near an integer, or whose ``%.12g`` text E could change.
+The rho2 block is always solved by the kernel.
 
 ``_rho2_many`` is the one rho2 screen, for a stack of graphs: one parent batch
 (``_parent_batch`` on the whole vertex set, in bounded ``_gathered`` blocks)
 screens all n single-vertex deletions of each graph with one ``eigh`` and
 O(n^2) work per Newton step on the secular equation, instead of n deletion
 eigensolves at O(n^4); the kernel recomputes only the few deletions screened
-near each graph's top.  ``rho2_fast`` is its one-graph case, and the sweeps
-in ``verify`` run it on a whole stack.
+near each graph's top, in ``_gathered`` blocks over the graphs that keep
+each.  ``rho2_fast`` is its one-graph case, and the sweeps in ``verify`` run
+it on a whole stack.
 
 rho2 and its witness are kept on the ``Graph`` instance beside its distances,
 in the slot ``_rho2``.  ``pareto_spectrum`` fills it from its size n - 1 block,
@@ -182,39 +186,46 @@ def _subsets_by_size(n: int) -> Mapping[int, np.ndarray]:
     return types.MappingProxyType(out)
 
 
-def _gathered(stack: np.ndarray, rows: np.ndarray):
-    """Yield (mats, part, subs): the submatrices ``subs`` of the stack (m, n, n)
-    ``stack[mats]`` on the index rows ``rows[part]``, at most ``_GATHER_BYTES`` (or
-    one submatrix) per block, so memory stays bounded whatever m and the rows are."""
-    m = stack.shape[0]
-    r, k = rows.shape
-    per_row = max(1, _GATHER_BYTES // (k * k * 8 * max(1, m)))  # rows per block
-    per_mat = max(1, _GATHER_BYTES // (k * k * 8 * per_row))  # matrices per block
+def _gathered(stack: np.ndarray, rows: np.ndarray, lead: int | None = None,
+              pick: np.ndarray | None = None):
+    """Yield (mats, part, subs): the submatrices ``subs`` of the matrices ``mats``
+    of the stack (m, n, n), or of ``stack[pick]``, on the index rows
+    ``rows[part, :lead]`` by the columns ``rows[part]`` (square when ``lead`` is
+    None), at most ``_GATHER_BYTES`` (or one submatrix) per block, so memory
+    stays bounded whatever m and the rows are."""
+    m = stack.shape[0] if pick is None else pick.size
+    r, c = rows.shape
+    k = c if lead is None else lead
+    per_row = max(1, _GATHER_BYTES // (k * c * 8 * max(1, m)))  # rows per block
+    per_mat = max(1, _GATHER_BYTES // (k * c * 8 * per_row))  # matrices per block
     for i in range(0, m, per_mat):
+        mats = slice(i, i + per_mat)
+        block = stack[mats] if pick is None else stack[pick[mats]]
         for lo in range(0, r, per_row):
             sel = rows[lo : lo + per_row]
-            yield (slice(i, i + per_mat), slice(lo, lo + per_row),
-                   stack[i : i + per_mat, sel[:, :, None], sel[:, None, :]])
+            yield mats, slice(lo, lo + per_row), block[:, sel[:, :k, None], sel[:, None, :]]
 
 
-def _perron_roots_for_rows(dmat: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def _perron_roots_for_rows(dmat: np.ndarray, rows: np.ndarray,
+                           pick: np.ndarray | None = None) -> np.ndarray:
     """Perron roots of ``dmat`` restricted to each index row of ``rows``.
 
     ``dmat`` is one (n, n) matrix or a stack (m, n, n); the result has shape
-    (r,) or (m, r) for r rows.  Submatrices come in ``_gathered`` blocks.
+    (r,) or (m, r) for r rows, or (p, r) for the p matrices ``dmat[pick]``.
+    Submatrices come in ``_gathered`` blocks, so no copy of the stack is made.
     """
-    d = dmat.astype(np.float64, copy=False)
-    stack = d.reshape((-1,) + d.shape[-2:])
+    stack = dmat.reshape((-1,) + dmat.shape[-2:])
+    which = np.arange(stack.shape[0]) if pick is None else pick
     r, k = rows.shape
     if k == 1:
-        out = np.zeros((stack.shape[0], r))
+        out = np.zeros((which.size, r))
     elif k == 2:
-        out = stack[:, rows[:, 0], rows[:, 1]]
+        out = stack[which[:, None], rows[:, 0], rows[:, 1]].astype(np.float64)
     else:
-        out = np.empty((stack.shape[0], r))
-        for mats, part, subs in _gathered(stack, rows):
+        out = np.empty((which.size, r))
+        for mats, part, subs in _gathered(stack, rows, pick=pick):
             out[mats, part] = spectral_radius_many(subs.reshape(-1, k, k)).reshape(subs.shape[:2])
-    return out.reshape(d.shape[:-2] + (r,))
+    return out.reshape((dmat.shape[:-2] if pick is None else pick.shape) + (r,))
 
 
 def _perron_pairs_for_rows(d: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -266,15 +277,16 @@ def _size_offsets(subsets: Mapping[int, np.ndarray]) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _Batch:
-    """Subsets of one size k solved together: ``idx`` (r,) indexes their rows in
-    ``subsets[k]``, and ``at`` (r,) holds the canonical flat slot of each one's
-    Perron root.  A direct batch (``use`` None) solves them with
-    ``_perron_roots_for_rows``.  A parent batch solves each with one
-    eigendecomposition, which also gives the roots of its deletions of the
-    vertices at the positions ``use`` (r, k), for the slots ``child_at`` (r, k)."""
+    """Subsets of one size k solved together: the index rows ``rows`` (r, k) of a
+    direct batch, which ``_perron_roots_for_rows`` solves, or the rows (r, n) of
+    a codeword batch, each a codeword J's k members and then the other vertices,
+    and ``at`` (r,) the canonical flat slot of each one's Perron root.  One
+    eigendecomposition of each codeword gives its own root and, where ``use``
+    (r, n) holds, the root of its neighbour at the slot ``child_at`` (r, n): J
+    less the member in column j < k, or J with the vertex in column j >= k."""
 
     k: int
-    idx: np.ndarray
+    rows: np.ndarray
     at: np.ndarray
     use: np.ndarray | None = None
     child_at: np.ndarray | None = None
@@ -284,102 +296,84 @@ class _Batch:
 class _Plan:
     """Where each Perron root of an order's subset pass comes from: ``batches``,
     in the order ``--jobs`` splits them, and ``approx`` (2^n - 1,), true at the
-    slots a parent batch fills."""
+    slots a codeword batch fills."""
 
     batches: tuple[_Batch, ...]
     approx: np.ndarray
 
 
-_PARENT_MIN = 7  # smallest parent size, from the measured crossover with eigvalsh
-_PARENT_NEW = 3  # a parent is taken when it brings at least this many unsolved children
+_CODE_MIN_ORDER = 11  # measured: below it the direct kernel is faster than the small codeword batches
 _PLANS: dict[int, _Plan] = {}  # order -> its subset pass (two threads may build one twice, alike)
 
 
 def _plan(subsets: Mapping[int, np.ndarray]) -> _Plan:
     """The subset pass of the order of ``subsets``, built once per order.
 
-    Each size k from n - 3 down to ``_PARENT_MIN`` - 1 is solved from parents of
-    size k + 1 (``_parents``).  A parent keeps its own root and is not solved
-    again as a child.  Sizes n, n - 1 (the rho2 block) and n - 2 (whose parents
-    could not keep their roots), the sizes below ``_PARENT_MIN`` - 1, and what no
-    parent covers are solved directly.
+    From order ``_CODE_MIN_ORDER`` on, the pass follows a covering code of
+    radius 1 of the subset cube (a Hamming-type code: Hamming, Bell Syst. Tech.
+    J. 29, 1950).  The syndrome of a subset S is the XOR of v + 1 over v in S,
+    an m-bit number for m = n.bit_length(), and the codewords are the subsets
+    whose syndrome lies in T = {0} when n = 2^m - 1 (the perfect Hamming code)
+    and in T = {0, 2^m - 1} otherwise.  A subset of syndrome s outside T is one
+    toggle of vertex u from exactly one codeword: u + 1 = s when s <= n, and
+    otherwise u + 1 = s XOR (2^m - 1), which lies in 1..2^(m-1) - 1.  One
+    eigendecomposition of each codeword J of size 3..n - 2 solves J and each
+    neighbour J - v or J + u of size 3..n - 2 that the code assigns to it.
+    Sizes 1, 2, n - 1 (the rho2 block) and n, the subsets whose codeword has
+    size <= 2 or >= n - 1, and every subset of a smaller order are solved
+    directly.
     """
     n = len(subsets)
     if n in _PLANS:
         return _PLANS[n]
     offsets = _size_offsets(subsets).astype(np.int32)  # every index array is int32
-    low = _PARENT_MIN - 1  # smallest child size
-    bits = {k: np.left_shift(1, subsets[k], dtype=np.int32) for k in range(low, n - 1)}
-    rank = np.empty(1 << n, dtype=np.int32)  # bit mask of a subset -> its row
-    for b in bits.values():
-        rank[b.sum(axis=1)] = np.arange(b.shape[0])
     batches = []
     approx = np.zeros(int(offsets[-1]), dtype=bool)
-    above = None  # the parent batch of size k + 1
+    if n >= _CODE_MIN_ORDER:
+        masks = np.concatenate([np.left_shift(1, rows, dtype=np.int32).sum(axis=1)
+                                for rows in subsets.values()])
+        slot = np.empty(1 << n, dtype=np.int32)  # bit mask of a subset -> its flat slot
+        slot[masks] = np.arange(masks.size, dtype=np.int32)
+        syndrome = np.concatenate([np.bitwise_xor.reduce(rows + np.uint8(1), axis=1)
+                                   for rows in subsets.values()])
+        full = (1 << n.bit_length()) - 1
+        toggle = np.where(syndrome <= n, syndrome, syndrome ^ full)  # u + 1; 0 at a codeword
+        for k in range(3, n - 1):
+            code = np.flatnonzero(toggle[offsets[k - 1] : offsets[k]] == 0).astype(np.int32)
+            member = np.zeros((code.size, n), dtype=bool)
+            np.put_along_axis(member, subsets[k][code].astype(np.intp), True, axis=1)
+            rows = np.argsort(~member, axis=1, kind="stable").astype(np.uint8)  # J, then V - J
+            at = offsets[k - 1] + code
+            child_at = slot[masks[at][:, None] ^ np.left_shift(1, rows, dtype=np.int32)]
+            size = np.where(np.arange(n) < k, k - 1, k + 1)
+            use = (toggle[child_at] == rows + 1) & (size >= 3) & (size <= n - 2)
+            batches.append(_Batch(k, rows, at, use, child_at))
+            approx[at] = True
+            approx[child_at[use]] = True
     for k in range(n, 0, -1):
-        solved = np.zeros(subsets[k].shape[0], dtype=bool)
-        parents = None
-        if low < k <= n - 2:
-            sel, use, children = _parents(subsets, bits[k], rank)
-            parents = _Batch(k, sel, offsets[k - 1] + sel, use, offsets[k - 2] + children)
-            batches.append(parents)
-            solved[sel] = True
-        if above is not None:  # the size k children of the parents above, each solved once
-            children = above.child_at - offsets[k - 1]
-            above.use[solved[children]] = False
-            solved[children[above.use]] = True
-        above = parents
-        approx[offsets[k - 1] : offsets[k]] = solved
-        direct = np.flatnonzero(~solved).astype(np.int32)
+        direct = np.flatnonzero(~approx[offsets[k - 1] : offsets[k]]).astype(np.int32)
         if direct.size:
-            batches.append(_Batch(k, direct, offsets[k - 1] + direct))
-    for array in [approx] + [a for b in batches for a in (b.idx, b.at, b.use, b.child_at)]:
+            batches.append(_Batch(k, subsets[k][direct], offsets[k - 1] + direct))
+    for array in [approx] + [a for b in batches for a in (b.rows, b.at, b.use, b.child_at)]:
         if array is not None:
             array.setflags(write=False)
     _PLANS[n] = _Plan(tuple(batches), approx)
     return _PLANS[n]
 
 
-def _parents(subsets: Mapping[int, np.ndarray], bits: np.ndarray, rank: np.ndarray):
-    """The parents among the k-subsets (bit masks ``bits`` (C(n, k), k) of their
-    members) for the (k - 1)-subsets: their rows in ``subsets[k]``, which of their
-    k deletions each solves, and the rows of those deletions in ``subsets[k - 1]``.
-
-    A residue class c holds the k-subsets whose labels sum to c mod n; the
-    (k - 1)-subset S lies in S + v, v = (c - sum S) mod n, when v is not in S, and
-    in no other parent of the class (the packing of Graham and Sloane, IEEE
-    Trans. Inf. Theory 26, 1980).  The classes c = 0, 1, ... are taken in turn,
-    and in each the parents that bring at least ``_PARENT_NEW`` children no
-    earlier parent covers.
-    """
-    n, k = len(subsets), bits.shape[1]
-    children = rank[bits.sum(axis=1)[:, None] - bits]  # each parent less each member
-    residue = (subsets[k].sum(axis=1, dtype=np.int32) % n).astype(np.uint8)
-    order = np.argsort(residue, kind="stable")
-    covered = np.zeros(subsets[k - 1].shape[0], dtype=bool)
-    sel, use = [], []
-    for cls in np.split(order, np.cumsum(np.bincount(residue, minlength=n))[:-1]):
-        kids = children[cls]
-        new = ~covered[kids]
-        take = new.sum(axis=1) >= _PARENT_NEW
-        covered[kids[take][new[take]]] = True
-        sel.append(cls[take])
-        use.append(new[take])
-    sel = np.concatenate(sel).astype(np.int32)
-    return sel, np.concatenate(use), children[sel]
-
-
-def _parent_batch(stack: np.ndarray, out: np.ndarray, rows: np.ndarray, use: np.ndarray,
+def _parent_batch(stack: np.ndarray, out: np.ndarray, rows: np.ndarray, k: int, use: np.ndarray,
                   at: np.ndarray, child_at: np.ndarray) -> None:
     """Write into ``out`` (m, s) the roots the parents on the index rows ``rows``
-    (r, k) give for the stack (m, n, n): each one's own at slot ``at`` (r,), and
-    those of its deletions at the positions ``use`` (r, k) at slots ``child_at``
-    (r, k); one ``_parent_roots`` call per ``_gathered`` block."""
-    k = rows.shape[1]
-    for mats, sub, subs in _gathered(stack, rows):
+    (r, c), each its first k entries, give for the stack (m, n, n): each one's
+    own at slot ``at`` (r,), and where ``use`` (r, c) holds, at the slot
+    ``child_at`` (r, c), that of its deletion of the vertex in a column j < k or
+    its extension by the vertex in a column j >= k; one ``_parent_roots`` call on
+    the k by c blocks of each ``_gathered`` block."""
+    c = rows.shape[1]
+    for mats, sub, subs in _gathered(stack, rows, k):
         m, r = subs.shape[:2]
-        uses = np.broadcast_to(use[sub], (m, r, k)).reshape(-1, k)  # the same for every matrix
-        tops, roots = _parent_roots(subs.reshape(-1, k, k), uses)
+        uses = np.broadcast_to(use[sub], (m, r, c)).reshape(-1, c)  # the same for every matrix
+        tops, roots = _parent_roots(subs.reshape(-1, k, c), uses)
         out[mats, at[sub]] = tops.reshape(m, r)
         out[mats, child_at[sub][use[sub]]] = roots.reshape(m, -1)
 
@@ -398,20 +392,19 @@ def _all_subset_values(
     plan = _plan(subsets)
     stack = dmat.reshape((-1,) + dmat.shape[-2:])
     out = np.empty((stack.shape[0], plan.approx.size))
-    starts = np.cumsum([0] + [b.idx.size for b in plan.batches])
+    starts = np.cumsum([0] + [b.at.size for b in plan.batches])
 
     def fill(span: tuple[int, int]) -> None:
         lo, hi = span
         for batch, start in zip(plan.batches, starts.tolist()):
-            part = slice(max(lo - start, 0), min(hi - start, batch.idx.size))
+            part = slice(max(lo - start, 0), min(hi - start, batch.at.size))
             if part.start >= part.stop:
                 continue
-            rows = subsets[batch.k][batch.idx[part]]
             if batch.use is None:
-                out[:, batch.at[part]] = _perron_roots_for_rows(stack, rows)
+                out[:, batch.at[part]] = _perron_roots_for_rows(stack, batch.rows[part])
             else:
-                _parent_batch(stack, out, rows, batch.use[part], batch.at[part],
-                              batch.child_at[part])
+                _parent_batch(stack, out, batch.rows[part], batch.k, batch.use[part],
+                              batch.at[part], batch.child_at[part])
 
     _map_spans(fill, int(starts[-1]), jobs)
     if plan.approx.any():
@@ -637,21 +630,23 @@ def _rho2_many(dmats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     practice).  Only the deletions screened within ``_SCREEN_WINDOW`` (1e-9
     relative) of their graph's largest root are recomputed with
     ``_perron_roots_for_rows``, one call per deletion vertex over the graphs
-    that keep it, so each value comes from the same kernel on the same
-    submatrix as a sweep over every deletion, and the screen's error would have
-    to reach the window to change the result.
+    that keep it (gathered in blocks, with no copy of the stack), so each
+    value comes from the same kernel on the same submatrix as a sweep over
+    every deletion, and the screen's error would have to reach the window to
+    change the result.
     """
     m, n = dmats.shape[:2]
     every = np.arange(n)[None]  # the one parent; its deletion of v goes to slot v
     screened = np.empty((m, n + 1))  # and its own root to slot n
-    _parent_batch(dmats, screened, every, np.ones((1, n), dtype=bool), np.array([n]), every)
-    screened = screened[:, :n]
-    top = screened.max(axis=-1, keepdims=True)
-    near = screened >= top - _SCREEN_WINDOW * np.maximum(1.0, top)
+    _parent_batch(dmats, screened, every, n, np.ones((1, n), dtype=bool), np.array([n]), every)
+    roots = screened[:, :n]
+    top = roots.max(axis=-1, keepdims=True)
+    near = roots >= top - _SCREEN_WINDOW * np.maximum(1.0, top)
+    roots[~near] = -np.inf
     rows = _deletion_rows(n)
-    roots = np.full(near.shape, -np.inf)
     for v in np.flatnonzero(near.any(axis=0)).tolist():
-        roots[near[:, v], v] = _perron_roots_for_rows(dmats[near[:, v]], rows[v : v + 1])[:, 0]
+        pick = np.flatnonzero(near[:, v])
+        roots[pick, v] = _perron_roots_for_rows(dmats, rows[v : v + 1], pick)[:, 0]
     return _rho2_of_deletions(roots)
 
 

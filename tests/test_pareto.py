@@ -561,7 +561,9 @@ def _whole_matrix_screen(dmats):
     from distpareto.spectral import _secular_roots
 
     lam, q = np.linalg.eigh(dmats)
-    return _secular_roots(np.broadcast_to(lam[..., None, :], q.shape), q * q)
+    u = 1.0 / (lam[..., -1:] - lam[..., :-1])
+    return _secular_roots(np.broadcast_to(lam[..., None, :], q.shape), q * q,
+                          np.broadcast_to(u[..., None, :], q.shape[:-1] + u.shape[-1:]))
 
 
 def test_rho2_screen_equals_the_whole_matrix_screen_bit_for_bit(monkeypatch):
@@ -615,6 +617,44 @@ def test_uncertified_secular_roots_raise(monkeypatch):
         for run in (pareto_spectrum, rho2_fast):
             with pytest.raises(EigensolverError, match="not certified"):
                 run(make_graph(g.n, g.edges))  # a fresh copy, with no rho2 kept
+
+
+def test_uncertified_extension_roots_raise(monkeypatch, tmp_path, capsys):
+    # the codewords' extension roots are solved first: with no Newton step their
+    # routine raises, and the command exits 5
+    from distpareto import cli, spectral
+    from distpareto.verify import random_connected_graph
+
+    g = random_connected_graph(12, np.random.default_rng(12), 0.3)
+    f = tmp_path / "g.txt"
+    f.write_text(f"{g.n}\n" + "".join(f"{u} {v}\n" for u, v in g.sorted_edges()))
+    monkeypatch.setattr(spectral, "_SECULAR_ITERATIONS", 0)
+    with pytest.raises(EigensolverError, match="extension roots not certified in 0 Newton steps"):
+        pareto_spectrum(g)
+    assert cli.main(["spectrum", "--edges", str(f)]) == cli.EXIT_EIGENSOLVER == 5
+    err = capsys.readouterr().err
+    assert err.startswith("eigensolver error: secular equation: ") and "extension roots" in err
+
+
+def test_rho2_recompute_memory_does_not_grow_with_the_stack(monkeypatch):
+    # every deletion of the 8-cycle ties, so the kernel recomputes all of them; with
+    # a small gather budget that recompute dominates, and it runs in gather blocks
+    import tracemalloc
+
+    monkeypatch.setattr(pareto, "_GATHER_BYTES", 4 << 20)
+    d = distance_matrix(fam("cycle", 8))
+    want = pareto._perron_roots_for_rows(d, pareto._deletion_rows(8)[:1])[0]
+    peaks = []
+    for m in (10_000, 40_000):
+        stack = np.broadcast_to(d, (m, 8, 8)).copy()
+        tracemalloc.start()
+        try:
+            values, witnesses = pareto._rho2_many(stack)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert (values == want).all() and (witnesses == 0).all()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 def test_rho2_many_equals_kernel_on_trees_and_symmetric_graphs():
@@ -810,6 +850,39 @@ def _parent_pass_cases():
                      fam("complete", 13), fam("complete_bipartite", 7, 8)]
 
 
+_CODEWORDS = {12: 504, 14: 2039, 15: 2046, 16: 4092, 20: 65528}  # eigh per pass
+
+
+def test_the_plan_solves_every_subset_once():
+    # plans only: each subset of size 3..n - 2 is a codeword, one toggle from the
+    # codeword that solves it, or a kernel root; sizes 1, 2, n - 1 and n, and every
+    # subset below order 11, are the kernel's
+    for n in range(9, 21):
+        subsets = pareto._subsets_by_size(n)
+        offsets = pareto._size_offsets(subsets)
+        plan = pareto._plan(subsets)
+        masks = np.concatenate([(1 << rows.astype(np.int64)).sum(axis=1)
+                                for rows in subsets.values()])
+        sizes = np.repeat(np.arange(1, n + 1), np.diff(offsets))
+        codes = [b for b in plan.batches if b.use is not None]
+        direct = np.concatenate([b.at for b in plan.batches if b.use is None])
+        derived = np.concatenate([np.empty(0, int)]
+                                 + [np.concatenate([b.at, b.child_at[b.use]]) for b in codes])
+        assert np.array_equal(np.sort(np.concatenate([direct, derived])), np.arange(offsets[-1]))
+        assert np.array_equal(np.flatnonzero(plan.approx), np.sort(derived))
+        assert (sizes[derived] >= 3).all() and (sizes[derived] <= n - 2).all()
+        assert set(range(1, 3)) | {n - 1, n} <= set(sizes[direct].tolist())
+        assert bool(codes) == (n >= 11), n
+        for b in codes:
+            assert 3 <= b.k <= n - 2 and (sizes[b.at] == b.k).all()
+            bits = 1 << b.rows.astype(np.int64)
+            assert np.array_equal(masks[b.at], bits[:, : b.k].sum(axis=1))  # J, then V - J
+            assert np.array_equal(masks[b.child_at], masks[b.at][:, None] ^ bits)
+        if n in _CODEWORDS:
+            assert sum(b.at.size for b in codes) == _CODEWORDS[n], n
+    assert (direct.size, sum(b.use.sum() for b in codes)) == (1 + 20 + 190 + 20 + 79, 982737)
+
+
 def _assert_spectrum_is_the_kernels(g, spec, ref, tol=pareto.DEFAULT_DEDUP_TOL):
     """``spec`` has the witnesses, count and written values of the kernel's roots
     ``ref``, and bit for bit its n largest values and the rho2 slot."""
@@ -829,7 +902,7 @@ def test_parent_pass_matches_the_kernel_on_every_subset():
         subsets = pareto._subsets_by_size(g.n)
         ref = _kernel_values(d)
         values = pareto._all_subset_values(d, subsets, 1)
-        assert pareto._plan(subsets).approx.any() == (g.n >= 9)
+        assert pareto._plan(subsets).approx.any() == (g.n >= 11)
         # the stated bound E on |root from a parent - kernel root|, on every subset
         err = np.abs(values - ref) / values.clip(min=1.0)
         assert err.max() <= pareto._PARENT_ERR, g
@@ -885,9 +958,10 @@ def test_secular_roots_do_not_depend_on_their_batch(monkeypatch):
 
 
 def _perturbed_parents(monkeypatch, scale, split=None):
-    """Make every root from a parent off by ``scale`` relative, so that the checks
-    that keep the output exact are exercised: in alternating directions, or down
-    below ``split`` and up above it."""
+    """Make every root from a parent (a codeword's own, its deletions' and its
+    extensions') off by ``scale`` relative, so that the checks that keep the
+    output exact are exercised: in alternating directions, or down below
+    ``split`` and up above it."""
     real = pareto._parent_roots
 
     def shift(values):

@@ -9,10 +9,12 @@ coalescence check and the spectrum pass, no second way to hand rho2 to the bound
 report, one table of the 2-paths i ~ j ~ k for the tree checkers, no
 per-deletion loop in the quasiconvexity check, the verify suites (sweeps,
 verdict and order ranges) in ``verify`` alone, the CLI importing only their table,
-one submatrix gather for both Perron kernels and the subset pass's parents, one ``--jobs`` split (``verify``
-never names the thread pool), one builder of bound-report rows, and one pair
-order for every edge mask (spelled once in ``verify``, no ``{pair: index}`` dict,
-one mask decoder and no function handed the pair list), rho2 read from the
+one submatrix gather for both Perron kernels and the subset pass's codewords
+(square, or a codeword's rows by every column), one subset-pass plan from one
+covering code, one ``--jobs`` split (``verify`` never names the thread pool),
+one builder of bound-report rows, and one pair order for every edge mask
+(spelled once in ``verify``, no ``{pair: index}`` dict, one mask decoder and
+no function handed the pair list), rho2 read from the
 deletion roots alone (no pendant filter), the 2-paths i ~ j ~ k built once and
 from the distance matrix, one surd builder for the three K_m - jK2 forms, and
 one representation for distances (the read-only array ``distance_matrix`` keeps
@@ -142,6 +144,13 @@ def test_one_rho2_screen_for_a_graph_and_a_stack():
     assert "_parent_batch(" not in rho2_fast and "_perron_roots_for_rows(" not in rho2_fast
 
 
+def test_the_subset_pass_follows_one_covering_code():
+    # the label-sum packing is gone; one eigh per codeword gives its deletions and extensions
+    assert _occurrences(r"\b_parents\b|\b_PARENT_MIN\b|\b_PARENT_NEW\b") == []
+    assert _callers("_bordered_roots") == {"_parent_roots"}
+    assert _callers("_secular_roots") == {"_parent_roots"}
+
+
 def test_bound_report_takes_no_rho2():
     tree = ast.parse((SRC / "laws.py").read_text(encoding="utf-8"))
     fn = next(fn for fn in ast.walk(tree)
@@ -199,7 +208,7 @@ def test_verify_suites_live_in_verify():
 
 def test_one_gather_one_jobs_split_one_bound_row_builder():
     # the values and the pairs kernel take their submatrices from one blocked gather
-    gathers = _occurrences(r"\[:, :, None\], \w+\[:, None, :\]")
+    gathers = _occurrences(r"\[:, :\w*, None\], \w+\[:, None, :\]")
     assert [hit.split(":")[0] for hit in gathers] == ["pareto.py"]
     assert _callers("_gathered") == {"_perron_roots_for_rows", "_perron_pairs_for_rows", "_parent_batch"}
     # the extremal search splits --jobs through the subset pass, not over classes
@@ -227,8 +236,8 @@ def test_one_distance_representation():
     # distances are the array itself: no wrapper, no attribute hop to reach it
     assert _occurrences(r"\bDistanceMatrix\b|\bdm\b") == []
     assert _occurrences(r"distance_matrix\((?:[^()]|\([^()]*\))*\)\.d\b") == []
-    # the integer array goes to numpy as it is; only the gathering kernel entry casts
-    # it, once before its blocks (and _relabelings, whose cast is of edge bits)
+    # the integer array goes to numpy as it is, gathered blocks too; only the values
+    # kernel casts, its 2x2 roots read off the array (and _relabelings, of edge bits)
     casts = {name for path in sorted(SRC.glob("*.py")) for name, src in _functions(path.name).items()
              if re.search(r"astype\((np\.float64|float)\b", src)}
     assert casts == {"_perron_roots_for_rows", "_relabelings"}
