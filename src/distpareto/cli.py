@@ -3,6 +3,14 @@
 Exit codes: 0 success (and zero violations for verify suites), 1 verify suite
 found violations, 2 parse/usage error, 3 size cap exceeded, 4 disconnected
 input graph, 5 eigensolver error (a numerical result failed its check).
+
+Every command builds one document, which ``_write`` sends to stdout as JSON,
+CSV or a table, piece by piece.  The spectrum's two long lists are array
+leaves written in bounded blocks in every format: its values, a float array,
+and its witnesses, an integer array of bit masks.  Each witness row is one
+concatenation of two cached texts of its format's row layout, looked up by
+the mask's bits 0..9 and 10..19 (``_half_texts``), so no witness is decoded
+into labels.
 """
 
 from __future__ import annotations
@@ -59,19 +67,9 @@ EXIT_EIGENSOLVER = 5
 _PLAIN = frozenset({bool, int, str, type(None)})  # scalar types JSON takes unchanged
 _DIGITS12 = "{:.12g}".format  # floats are printed to 12 significant digits
 _BLOCK = 4096  # entries per piece of an array leaf's text, in every format
+_HALF = 10  # mask bits per text table of a row layout: two cover the order cap of 20
+_HALF_SIZES = np.array([m.bit_count() for m in range(1 << _HALF)])  # vertices in a half mask
 _BOUND_COLUMNS = tuple(f.name for f in dataclasses.fields(BoundResult))  # scalars, report order
-
-
-@dataclasses.dataclass(frozen=True)
-class _Ragged:
-    """JSON array leaf: a list of int lists, as their concatenated entries ``flat``
-    and the length of each list, ``sizes``."""
-
-    flat: np.ndarray
-    sizes: np.ndarray
-
-    def __len__(self) -> int:
-        return self.sizes.size
 
 
 def _jsonable(obj):
@@ -82,9 +80,10 @@ def _jsonable(obj):
     lists and keys become str.  A list of plain scalars, or of lists of them,
     is converted as a whole, a plain scalar in a dict is kept as it is and a
     float in a dict is rounded in place; anything else element by element.
-    The array leaves, a 1-D float ``np.ndarray`` and a ``_Ragged``, are kept as
-    they are: ``_layout`` writes them as the lists they stand for would be
-    written after this conversion.
+    The array leaves, a 1-D float ``np.ndarray`` (a list of numbers) and a 1-D
+    integer one (a list of vertex subsets as bit masks, bit v for vertex v),
+    are kept as they are: ``_layout`` writes them as the lists they stand for
+    would be written after this conversion.
     """
     if isinstance(obj, dict):
         return {str(k): v if type(v) in _PLAIN else _rounded(v) if type(v) is float
@@ -143,7 +142,7 @@ def _encoder(level: int) -> json.JSONEncoder:
 
 def _scalars(items) -> bool:
     """Whether no item is a container or an array leaf (checked per type, not per item)."""
-    return not any(issubclass(t, (dict, list, np.ndarray, _Ragged)) for t in set(map(type, items)))
+    return not any(issubclass(t, (dict, list, np.ndarray)) for t in set(map(type, items)))
 
 
 def _rows_of_scalars(items: list) -> str:
@@ -168,14 +167,13 @@ def _layout(obj, level: int):
     leaf comes in pieces of about ``_BLOCK`` numbers (``_leaf_pieces``).  Only
     the containers above them are walked here.
     """
-    if isinstance(obj, (np.ndarray, _Ragged)):
-        if not len(obj):
+    if isinstance(obj, np.ndarray):
+        if not obj.size:
             yield "[]"
             return
         inner, deep = "  " * (level + 1), "\n" + "  " * (level + 2)
-        yield from _leaf_pieces(
-            obj, lambda k: f"[{deep}" + f",{deep}".join(["%d"] * k) + f"\n{inner}]" if k else "[]",
-            "[\n" + inner, ",\n" + inner)
+        yield from _leaf_pieces(obj, (f"[{deep}", f",{deep}", f"\n{inner}]", "[]"),
+                                "[\n" + inner, ",\n" + inner)
         yield "\n" + "  " * level + "]"
         return
     if not isinstance(obj, (dict, list)) or not obj:
@@ -229,56 +227,85 @@ def _float_args(block: np.ndarray) -> tuple[list[str], list]:
     return fmts, args
 
 
-def _leaf_pieces(leaf, row, opening: str, sep: str, lead: np.ndarray | None = None):
-    """Yield an array leaf's rows, joined by ``sep`` after ``opening``, in pieces
-    of about ``_BLOCK`` entries (whole rows; a row counts one more than its
-    length), each from one ``%`` format call.  An empty leaf is ``opening`` alone.
+@functools.cache
+def _half_texts(head: str, sep: str, tail: str, empty: str) -> tuple[np.ndarray, np.ndarray]:
+    """The two text tables of a row layout, in which a vertex subset is written as
+    ``head``, its vertices joined by ``sep``, and ``tail``, or as ``empty``.
 
-    A ``_Ragged``'s int list of length k is written by the format string
-    ``row(k)``, after its number in the float array ``lead`` when one is given.
-    A float array has one number a row and nothing to interleave: its blocks
-    are ``_float_args`` as they are, and ``row`` is unused.
+    The opening table, indexed by a mask's bits 0..9, holds the head and the
+    vertices below 10 ("" for none).  The closing table, indexed by bits 10..19,
+    holds the vertices from 10 on, each after ``sep``, and the tail; its second
+    half, read when the opening is "", holds the whole row of those vertices.
+    So every row is one concatenation (``_row_texts``).
     """
-    if isinstance(leaf, np.ndarray):
-        values = np.asarray(leaf, dtype=np.float64)
-        for lo in range(0, max(values.size, 1), _BLOCK):
-            fmts, args = _float_args(values[lo : lo + _BLOCK])
+    low, high = [""] * (1 << _HALF), [""] * (1 << _HALF)  # each vertex after sep, ascending
+    for m in range(1, 1 << _HALF):
+        v = (m & -m).bit_length() - 1  # the lowest vertex, then those of m less it
+        low[m] = sep + str(v) + low[m & (m - 1)]
+        high[m] = sep + str(v + _HALF) + high[m & (m - 1)]
+    opening = [""] + [head + text[len(sep):] for text in low[1:]]
+    closing = [text + tail for text in high] + [empty] + [head + text[len(sep):] + tail
+                                                          for text in high[1:]]
+    return np.array(opening, dtype=object), np.array(closing, dtype=object)
+
+
+def _row_texts(masks: np.ndarray, layout: tuple[str, str, str, str]) -> list[str]:
+    """The text of each subset of ``masks`` (bits 0..19) in the row layout ``layout``
+    (``_half_texts``)."""
+    opening, closing = _half_texts(*layout)
+    low = masks & ((1 << _HALF) - 1)
+    return (opening[low] + closing[(masks >> _HALF) + (low == 0) * (1 << _HALF)]).tolist()
+
+
+def _leaf_pieces(leaf: np.ndarray, layout: tuple[str, str, str, str] | None, opening: str, sep: str,
+                 lead: np.ndarray | None = None):
+    """Yield an array leaf's rows, joined by ``sep`` after ``opening``, in pieces
+    of about ``_BLOCK`` entries (whole rows; a subset counts one more than its
+    size).  An empty leaf is ``opening`` alone.
+
+    A float array has one number a row: its blocks are ``_float_args`` as they
+    are, and ``layout`` is unused.  An integer array holds vertex subsets as bit
+    masks, each written in the row layout ``layout`` (``_row_texts``), after its
+    number in the float array ``lead`` when one is given.
+    """
+    if leaf.dtype.kind == "f":
+        for lo in range(0, max(leaf.size, 1), _BLOCK):
+            fmts, args = _float_args(leaf[lo : lo + _BLOCK])
             yield (opening if lo == 0 else sep) + sep.join(fmts) % tuple(args)
         return
-    if not len(leaf):
+    if not leaf.size:
         yield opening
         return
-    rows = np.array([row(k) for k in range(leaf.sizes.max() + 1)], dtype=object)
-    ends = np.cumsum(leaf.sizes)
-    weight = ends + np.arange(1, ends.size + 1)
+    low = leaf & ((1 << _HALF) - 1)
+    weight = np.cumsum(_HALF_SIZES[low] + _HALF_SIZES[leaf >> _HALF] + 1)
     cuts = np.unique(np.searchsorted(weight, np.arange(_BLOCK, weight[-1], _BLOCK), side="right"))
-    bounds = [0, *cuts[(cuts > 0) & (cuts < ends.size)].tolist(), ends.size]
+    bounds = [0, *cuts[(cuts > 0) & (cuts < leaf.size)].tolist(), leaf.size]
     for a, b in zip(bounds[:-1], bounds[1:]):
-        starts = ends[a:b] - leaf.sizes[a:b]
-        fmts = rows[leaf.sizes[a:b]].tolist()
-        args = leaf.flat[starts[0] : ends[b - 1]].tolist()
-        if lead is not None:  # each row's number goes before its entries
+        rows = _row_texts(leaf[a:b], layout)
+        if lead is not None:  # each row's number goes before its subset
             heads, values = _float_args(lead[a:b])
-            fmts = list(map(operator.add, heads, fmts))
-            args = np.insert(np.array(args, dtype=object), starts - starts[0], values).tolist()
-        yield (opening if a == 0 else sep) + sep.join(fmts) % tuple(args)
+            rows = list(map(operator.add, map(operator.mod, heads, values), rows))
+        yield (opening if a == 0 else sep) + sep.join(rows)
 
 
 def _table_pieces(obj, depth: int):
     """Yield the table text of a payload: a nested dict or list goes below its key,
     indented, with ``-`` after each dict of a list, and a list of scalars on its
-    key's line as Python writes it.  A float array is such a list and a
-    ``_Ragged`` a nested list, one row a line; both are written a block at a time."""
+    key's line as Python writes it.  A float array is such a list and an integer
+    array of subset masks a nested list, one row a line; both are written a
+    block at a time."""
     pad = "  " * depth
-    if isinstance(obj, _Ragged):
-        yield from _leaf_pieces(obj, lambda k: f"{pad}[" + ", ".join(["%d"] * k) + "]\n", "", "")
-        return
     if isinstance(obj, dict):
         for key, val in obj.items():
-            if isinstance(val, np.ndarray):
+            # a list of numbers, or an empty list of subsets: "key: [...]" on one line
+            if isinstance(val, np.ndarray) and (val.dtype.kind == "f" or not val.size):
                 yield from _leaf_pieces(val, None, f"{pad}{key}: [", ", ")
                 yield "]\n"
-            elif isinstance(val, (dict, _Ragged)) or isinstance(val, list) and not _scalars(val):
+            elif isinstance(val, np.ndarray):
+                rows = f"{pad}  ["
+                yield f"{pad}{key}:\n"
+                yield from _leaf_pieces(val, (rows, ", ", "]\n", rows + "]\n"), "", "")
+            elif isinstance(val, dict) or isinstance(val, list) and not _scalars(val):
                 yield f"{pad}{key}:\n"
                 yield from _table_pieces(val, depth + 1)
             else:
@@ -322,7 +349,7 @@ def _write(doc: dict, fmt: str) -> None:
         write("\n")
     elif fmt == "csv" and doc["command"] == "spectrum":
         payload = doc["payload"]
-        for piece in _leaf_pieces(payload["witnesses"], lambda k: "," + " ".join(["%d"] * k) + "\n",
+        for piece in _leaf_pieces(payload["witnesses"], (",", " ", "\n", ",\n"),
                                   "value,witness\n", "", payload["values"]):
             write(piece)
     elif fmt == "csv":
@@ -432,7 +459,7 @@ def _cmd_spectrum(args) -> int:
     present = bool((gap <= 1e-8 * np.maximum(1.0, ladder)).all())
     payload = {  # array leaves, written block by block in every format
         "values": values,
-        "witnesses": _Ragged(*spec.witness_rows),
+        "witnesses": spec.witness_masks,
         "count": spec.count,
         "integer_ladder": {"integers": ladder.tolist(), "all_present": present},
         "dedup_tolerance": spec.dedup_tolerance,

@@ -8,8 +8,14 @@ computes each Perron root with a full symmetric eigendecomposition batched by
 subset size, then deduplicates with a relative tolerance.  The witness kept
 for each distinct value is the first subset in canonical order, i.e. the
 lexicographically smallest one of smallest cardinality.  The spectrum keeps
-the values and the witnesses' canonical flat indices as arrays; ``_decode``
-turns the indices into vertex labels only when the witnesses are read.
+the values and the witnesses' canonical flat indices as arrays; the order's
+``_subset_masks`` turns the indices into bit masks, which the CLI writes, and
+``_decode`` into vertex labels, only when the witnesses are read.
+
+Each order's subset tables, the rows of every size (``_subsets_by_size``) and
+the flat bit masks (``_subset_masks``), are built once and shared read-only,
+each size from the size below by the suffix recursion of lexicographic order
+(``_suffix_blocks``), with no smaller order's tables.
 
 ``_perron_roots_for_rows`` is the one gather-and-solve kernel: it serves the
 spectrum, the rho2 screen and the batched sweeps in ``verify``.
@@ -59,7 +65,6 @@ for every worker count.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import os
 import types
@@ -98,7 +103,8 @@ class ParetoSpectrum:
 
     The spectrum is held as read-only arrays: ``value_array`` (float64) and
     ``witness_index``, the canonical flat index of each witness subset.  The
-    tuple forms ``values`` and ``witnesses`` are built on first read; two
+    witnesses' bit masks ``witness_masks``, their labels ``witness_rows`` and
+    the tuple forms ``values`` and ``witnesses`` are built on first read; two
     spectra are equal when those forms, the tolerance and the order are.
     """
 
@@ -110,6 +116,13 @@ class ParetoSpectrum:
     @functools.cached_property
     def values(self) -> tuple[float, ...]:
         return tuple(self.value_array.tolist())
+
+    @functools.cached_property
+    def witness_masks(self) -> np.ndarray:
+        """The witnesses as bit masks (bit v for vertex v), int32, in value order."""
+        masks = _subset_masks(self.graph_order)[self.witness_index]
+        masks.setflags(write=False)
+        return masks
 
     @functools.cached_property
     def witness_rows(self) -> tuple[np.ndarray, np.ndarray]:
@@ -169,21 +182,64 @@ class ParetoEigenpair:
 # Subset machinery
 
 
+def _suffix_blocks(n: int, k: int):
+    """Yield (i, at, tail) for each first vertex i of the k-subsets of range(n),
+    k >= 2, by the suffix recursion of lexicographic order (Knuth, TAOCP 4A,
+    7.2.1.3): the k-subsets that start at i fill the slice ``at`` of the size-k
+    block, and their tails are the slice ``tail`` of the size k - 1 block, its
+    last C(n - 1 - i, k - 1) subsets, those of i + 1..n - 1."""
+    below, pos = math.comb(n, k - 1), 0
+    for i in range(n - k + 1):
+        count = math.comb(n - 1 - i, k - 1)
+        yield i, slice(pos, pos + count), slice(below - count, below)
+        pos += count
+
+
 @functools.cache
 def _subsets_by_size(n: int) -> Mapping[int, np.ndarray]:
     """Size -> (C(n,k), k) array of subsets, rows in lexicographic order.
 
-    Built once per order and shared, so the mapping and its arrays are
-    read-only.  The arrays are uint8, which holds every label up to the cap
-    n <= ``DEFAULT_MAX_ORDER`` (20): 10.5 MB at n = 20 rather than 84 MB of intp.
+    Each size is built from the size below by ``_suffix_blocks``.  Built once
+    per order and shared, so the mapping and its arrays are read-only.  The
+    arrays are uint8, which holds every label up to the cap n <=
+    ``DEFAULT_MAX_ORDER`` (20): 10.5 MB at n = 20 rather than 84 MB of intp.
     """
+    rows = np.arange(n, dtype=np.uint8)[:, None]
     out = {}
     for k in range(1, n + 1):
-        flat = itertools.chain.from_iterable(itertools.combinations(range(n), k))
-        rows = np.fromiter(flat, dtype=np.uint8, count=math.comb(n, k) * k).reshape(-1, k)
+        if k > 1:
+            prev, rows = rows, np.empty((math.comb(n, k), k), dtype=np.uint8)
+            for i, at, tail in _suffix_blocks(n, k):
+                rows[at, 0] = i
+                rows[at, 1:] = prev[tail]
         rows.setflags(write=False)
         out[k] = rows
     return types.MappingProxyType(out)
+
+
+def _subset_fold(n: int, op: np.ufunc, leaf: np.ndarray) -> np.ndarray:
+    """``op`` folded over ``leaf[v]`` for v in each nonempty subset of range(n), in
+    canonical flat order (2^n - 1,), of the dtype of ``leaf``: each size from the
+    size below by ``_suffix_blocks``, one ``op`` call per first vertex."""
+    out = np.empty((1 << n) - 1, dtype=leaf.dtype)
+    out[:n] = leaf
+    start = 0  # the slot at which size k - 1 starts
+    for k in range(2, n + 1):
+        prev = out[start : start + math.comb(n, k - 1)]
+        start += prev.size
+        block = out[start : start + math.comb(n, k)]
+        for i, at, tail in _suffix_blocks(n, k):
+            op(prev[tail], leaf[i], out=block[at])
+    return out
+
+
+@functools.cache
+def _subset_masks(n: int) -> np.ndarray:
+    """The bit mask (bit v for vertex v) of every nonempty subset of range(n), in
+    canonical flat order: int32 (2^n - 1,), built once per order and read-only."""
+    masks = _subset_fold(n, np.bitwise_or, np.left_shift(1, np.arange(n, dtype=np.int32)))
+    masks.setflags(write=False)
+    return masks
 
 
 def _gathered(stack: np.ndarray, rows: np.ndarray, lead: int | None = None,
@@ -316,7 +372,9 @@ def _plan(subsets: Mapping[int, np.ndarray]) -> _Plan:
     whose syndrome lies in T = {0} when n = 2^m - 1 (the perfect Hamming code)
     and in T = {0, 2^m - 1} otherwise.  A subset of syndrome s outside T is one
     toggle of vertex u from exactly one codeword: u + 1 = s when s <= n, and
-    otherwise u + 1 = s XOR (2^m - 1), which lies in 1..2^(m-1) - 1.  One
+    otherwise u + 1 = s XOR (2^m - 1), which lies in 1..2^(m-1) - 1.  The
+    syndromes come from ``_subset_fold`` and the slots of a codeword's
+    neighbours from the order's ``_subset_masks``, not from the rows.  One
     eigendecomposition of each codeword J of size 3..n - 2 solves J and each
     neighbour J - v or J + u of size 3..n - 2 that the code assigns to it.
     Sizes 1, 2, n - 1 (the rho2 block) and n, the subsets whose codeword has
@@ -330,21 +388,19 @@ def _plan(subsets: Mapping[int, np.ndarray]) -> _Plan:
     batches = []
     approx = np.zeros(int(offsets[-1]), dtype=bool)
     if n >= _CODE_MIN_ORDER:
-        masks = np.concatenate([np.left_shift(1, rows, dtype=np.int32).sum(axis=1)
-                                for rows in subsets.values()])
+        masks = _subset_masks(n)
+        bit = masks[:n]  # the one-vertex subsets come first
         slot = np.empty(1 << n, dtype=np.int32)  # bit mask of a subset -> its flat slot
         slot[masks] = np.arange(masks.size, dtype=np.int32)
-        syndrome = np.concatenate([np.bitwise_xor.reduce(rows + np.uint8(1), axis=1)
-                                   for rows in subsets.values()])
+        syndrome = _subset_fold(n, np.bitwise_xor, np.arange(1, n + 1, dtype=np.uint8))
         full = (1 << n.bit_length()) - 1
         toggle = np.where(syndrome <= n, syndrome, syndrome ^ full)  # u + 1; 0 at a codeword
         for k in range(3, n - 1):
             code = np.flatnonzero(toggle[offsets[k - 1] : offsets[k]] == 0).astype(np.int32)
-            member = np.zeros((code.size, n), dtype=bool)
-            np.put_along_axis(member, subsets[k][code].astype(np.intp), True, axis=1)
-            rows = np.argsort(~member, axis=1, kind="stable").astype(np.uint8)  # J, then V - J
             at = offsets[k - 1] + code
-            child_at = slot[masks[at][:, None] ^ np.left_shift(1, rows, dtype=np.int32)]
+            member = (masks[at][:, None] & bit) != 0
+            rows = np.argsort(~member, axis=1, kind="stable").astype(np.uint8)  # J, then V - J
+            child_at = slot[masks[at][:, None] ^ bit[rows]]
             size = np.where(np.arange(n) < k, k - 1, k + 1)
             use = (toggle[child_at] == rows + 1) & (size >= 3) & (size <= n - 2)
             batches.append(_Batch(k, rows, at, use, child_at))

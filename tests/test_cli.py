@@ -432,11 +432,10 @@ def test_spectrum_rejects_invalid_tolerance(capsys, value):
 def _reference_jsonable(obj):
     """The element-by-element conversion the JSON writer must reproduce; an array
     leaf stands for its list form."""
+    if isinstance(obj, np.ndarray) and obj.dtype.kind != "f":
+        return _decoded(obj)
     if isinstance(obj, np.ndarray):
         return _reference_jsonable(obj.tolist())
-    if isinstance(obj, cli._Ragged):
-        ends = np.cumsum(obj.sizes).tolist()
-        return [obj.flat[e - k : e].tolist() for e, k in zip(ends, obj.sizes.tolist())]
     if isinstance(obj, dict):
         return {str(k): _reference_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -475,18 +474,22 @@ _SCALARS = st.one_of(
 )
 
 
-def _ragged(rows) -> cli._Ragged:
-    return cli._Ragged(np.array([x for r in rows for x in r], dtype=np.int64),
-                       np.array([len(r) for r in rows], dtype=np.intp))
+def _decoded(masks: np.ndarray) -> list[list[int]]:
+    """The vertex lists of the subsets ``masks`` (bit v for vertex v), one bit at a time."""
+    return [[v for v in range(20) if m >> v & 1] for m in masks.tolist()]
 
 
-# the writer's array leaves, empty ones included
+# the writer's array leaves, empty ones included; a subset mask uses bits 0..19, the
+# order cap, and the writer's two text tables split it at bit 10
 _FLOAT_ARRAYS = st.lists(_FLOATS, max_size=7).map(lambda xs: np.array(xs, dtype=np.float64))
-_RAGGED = st.lists(st.lists(st.integers(-(2**63), 2**63 - 1), max_size=4), max_size=6).map(_ragged)
+_HALVES = st.integers(0, (1 << 10) - 1)
+_MASK = st.one_of(st.integers(0, (1 << 20) - 1), st.integers(0, 19).map(lambda v: 1 << v),
+                  _HALVES.map(lambda m: m << 10), _HALVES)
+_MASKS = st.lists(_MASK, max_size=6).map(lambda xs: np.array(xs, dtype=np.int32))
 _KEYS = st.one_of(st.text(max_size=4), st.integers(-3, 3), st.booleans(), st.none(),
                   st.floats(allow_nan=False))
 _DOCS = st.recursive(
-    st.one_of(_SCALARS, _FLOAT_ARRAYS, _RAGGED),
+    st.one_of(_SCALARS, _FLOAT_ARRAYS, _MASKS),
     lambda kids: st.one_of(
         st.lists(kids, max_size=5),
         st.lists(kids, max_size=3).map(tuple),
@@ -567,7 +570,7 @@ def test_float_leaf_matches_twelve_digit_repr(xs):
     finite = np.isfinite(rounded)
     values, rounded = np.array(xs)[finite], np.array(rounded)[finite].tolist()
     assert "".join(cli._table_pieces({"values": values}, 0)) == f"values: {rounded}\n"
-    witnesses = cli._Ragged(np.arange(values.size), np.ones(values.size, dtype=np.intp))
+    witnesses = np.left_shift(1, np.arange(values.size), dtype=np.int32)  # vertex i in row i
     doc = {"command": "spectrum", "payload": {"values": values, "witnesses": witnesses}}
     with contextlib.redirect_stdout(io.StringIO()) as out:
         cli._write(doc, "csv")
@@ -578,14 +581,34 @@ def test_json_writer_matches_indented_dumps_on_a_spectrum():
     from distpareto.pareto import pareto_spectrum
 
     spec = pareto_spectrum(make_family("wheel", [7]))
-    empty = np.empty(0, dtype=np.intp)
     doc = {"values": spec.values, "witnesses": spec.witnesses, "empty": [[], {}], "nested": [[[1]]],
-           "value_array": spec.value_array, "witness_rows": cli._Ragged(*spec.witness_rows),
-           "no_values": np.empty(0), "no_rows": cli._Ragged(empty, empty)}
+           "value_array": spec.value_array, "witness_masks": spec.witness_masks,
+           "no_values": np.empty(0), "no_masks": np.empty(0, dtype=np.int32)}
     expected = json.dumps(_reference_jsonable(doc), sort_keys=True, indent=2) + "\n"
+    assert _reference_jsonable(doc)["witness_masks"] == _reference_jsonable(doc)["witnesses"]
     for block in (1, 5, cli._BLOCK):
         with mock.patch.object(cli, "_BLOCK", block):
             assert _written(cli._jsonable(doc)) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False), _MASK), max_size=12),
+       st.sampled_from([1, 2, 3, cli._BLOCK]))
+def test_mask_leaf_matches_the_decoded_lists_in_every_format(rows, block):
+    # the spectrum's witnesses as masks, in blocks of whole rows: JSON against
+    # json.dumps of the decoded lists, CSV and table against the tuple rendering
+    values = np.array([v for v, _ in rows], dtype=np.float64)
+    masks = np.array([m for _, m in rows], dtype=np.int32)
+    doc = {"command": "spectrum", "tool_version": "0", "graph_summary": None,
+           "payload": {"values": values, "witnesses": masks, "count": len(rows)}}
+    listed = dict(doc, payload=_reference_jsonable(doc["payload"]))
+    expected = {"json": json.dumps(listed, sort_keys=True, indent=2) + "\n",
+                "csv": _reference_csv(listed), "table": _reference_table(listed)}
+    with mock.patch.object(cli, "_BLOCK", block):
+        for fmt, text in expected.items():
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                cli._write(doc, fmt)
+            assert out.getvalue() == text, fmt
 
 
 _WRITE_BOUND = 128 << 10  # characters in one stdout write of the spectrum command

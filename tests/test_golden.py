@@ -22,6 +22,10 @@ CASES = {
     "spectrum_kab34_table": ["spectrum", "--family", "complete_bipartite", "3", "4",
                              "--format", "table"],
     "spectrum_path25_cap": ["spectrum", "--family", "path", "25"],
+    # witnesses with vertices >= 10, and roots from the covering code (order >= 11)
+    "spectrum_path12_csv": ["spectrum", "--family", "path", "12", "--format", "csv"],
+    "spectrum_cycle13_table": ["spectrum", "--family", "cycle", "13", "--format", "table"],
+    "spectrum_wheel12_json": ["spectrum", "--family", "wheel", "12"],
     "rho2_bounds_kn_minus_e6_json": ["rho2", "--family", "complete_minus_edge", "6", "--bounds"],
     "rho2_bounds_star8_csv": ["rho2", "--family", "star", "8", "--bounds", "--format", "csv"],
     "rho2_bounds_complete5_json": ["rho2", "--bounds", "--family", "complete", "5"],

@@ -800,7 +800,7 @@ def test_zero_dedup_tolerance_is_accepted():
 
 
 def test_subset_tables_are_shared_read_only_and_canonical():
-    for n in range(1, 13):
+    for n in range(1, 15):
         tables = pareto._subsets_by_size(n)
         assert pareto._subsets_by_size(n) is tables
         assert list(tables) == list(range(1, n + 1))
@@ -811,6 +811,26 @@ def test_subset_tables_are_shared_read_only_and_canonical():
                 rows[0, 0] = 1
         with pytest.raises(TypeError):
             tables[1] = tables[n]
+
+
+def test_subset_masks_are_shared_read_only_and_the_rows_bits():
+    pareto._subset_masks.cache_clear()
+    for n in range(1, 21):
+        masks = pareto._subset_masks(n)
+        assert pareto._subset_masks(n) is masks
+        assert masks.dtype == np.int32 and masks.shape == ((1 << n) - 1,)
+        want = np.concatenate([(1 << rows.astype(np.int64)).sum(axis=1)
+                               for rows in pareto._subsets_by_size(n).values()])
+        assert np.array_equal(masks, want), n
+        with pytest.raises(ValueError, match="read-only"):
+            masks[0] = 0
+    # the plan and the witnesses read the same table: one build per order
+    for g in (fam("wheel", 12), fam("path", 12)):
+        spec = pareto_spectrum(g)
+        assert np.array_equal(spec.witness_masks, pareto._subset_masks(12)[spec.witness_index])
+        assert not spec.witness_masks.flags.writeable
+        assert spec.witness_masks.tolist() == [sum(1 << v for v in w) for w in spec.witnesses]
+    assert pareto._subset_masks.cache_info().misses == 20
 
 
 def test_spectra_at_one_order_build_the_subset_table_once():
@@ -863,6 +883,8 @@ def test_the_plan_solves_every_subset_once():
         plan = pareto._plan(subsets)
         masks = np.concatenate([(1 << rows.astype(np.int64)).sum(axis=1)
                                 for rows in subsets.values()])
+        syndrome = np.concatenate([np.bitwise_xor.reduce(rows.astype(np.int64) + 1, axis=1)
+                                   for rows in subsets.values()])
         sizes = np.repeat(np.arange(1, n + 1), np.diff(offsets))
         codes = [b for b in plan.batches if b.use is not None]
         direct = np.concatenate([b.at for b in plan.batches if b.use is None])
@@ -880,6 +902,18 @@ def test_the_plan_solves_every_subset_once():
             assert np.array_equal(masks[b.child_at], masks[b.at][:, None] ^ bits)
         if n in _CODEWORDS:
             assert sum(b.at.size for b in codes) == _CODEWORDS[n], n
+        if codes:
+            # the plan's syndromes are the XOR of v + 1 over each row: its codewords
+            # are the subsets whose syndrome lies in T, and it uses each neighbour
+            # from the codeword its syndrome names
+            full = (1 << n.bit_length()) - 1
+            labels = np.arange(1, n + 1, dtype=np.uint8)
+            assert np.array_equal(pareto._subset_fold(n, np.bitwise_xor, labels), syndrome)
+            toggle = np.where(syndrome <= n, syndrome, syndrome ^ full)
+            code = np.flatnonzero((toggle == 0) & (sizes >= 3) & (sizes <= n - 2))
+            assert np.array_equal(np.sort(np.concatenate([b.at for b in codes])), code), n
+            for b in codes:
+                assert np.array_equal(toggle[b.child_at[b.use]], b.rows[b.use] + 1)
     assert (direct.size, sum(b.use.sum() for b in codes)) == (1 + 20 + 190 + 20 + 79, 982737)
 
 

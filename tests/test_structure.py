@@ -21,7 +21,12 @@ one representation for distances (the read-only array ``distance_matrix`` keeps
 on the graph, handed to the kernels as it is, no wrapper around it, and no
 module-level ``rho_k``/``mu_k`` beside the spectrum's methods), and edge-list
 lines split by ``str.splitlines`` alone (no line-break table of the package's
-own, no "\\r" held across reads, no fixed-size ``read`` of the file)."""
+own, no "\\r" held across reads, no fixed-size ``read`` of the file), one
+builder of each order's subset tables (the suffix recursion of lexicographic
+order: no ``itertools.combinations`` or ``np.fromiter`` in ``pareto``, and the
+bit masks built in one function, never from the rows), and the spectrum's
+witnesses written from their bit masks (no ragged label leaf, and the CLI
+decodes no witness)."""
 
 import ast
 import pathlib
@@ -64,6 +69,21 @@ def test_single_distance_routine():
 def test_one_json_writer_and_one_witness_decode():
     assert _occurrences(r"\bindent\s*=") == []  # the pure-Python indenting encoder
     assert _occurrences(r"\b_decode_flat\b") == []  # per-witness searchsorted
+
+
+def test_witnesses_are_written_from_their_masks():
+    # every format writes a witness from the half-mask text tables, not from labels
+    assert _occurrences(r"\b_Ragged\b") == []
+    assert [hit for hit in _occurrences(r"\bwitness_rows\b|\b_decode\b")
+            if hit.startswith("cli.py:")] == []
+
+
+def test_subset_tables_come_from_one_recursion():
+    pareto_text = (SRC / "pareto.py").read_text(encoding="utf-8")
+    assert "itertools.combinations" not in pareto_text and "np.fromiter" not in pareto_text
+    assert _occurrences(r"np\.left_shift\(1, rows") == []  # no mask rebuilt from the rows
+    assert _callers("_suffix_blocks") == {"_subsets_by_size", "_subset_fold"}
+    assert _callers("_subset_fold") == {"_subset_masks", "_plan"}
 
 
 def test_every_spectrum_format_is_written_from_the_arrays():
