@@ -23,7 +23,15 @@ spectrum, the rho2 screen and the batched sweeps in ``verify``.
 row) and the convexity sweep in ``verify`` (every subset of a tree).  Both take
 their submatrices from ``_gathered``, at most ``_GATHER_BYTES`` per block.
 ``_all_subset_values`` is the one pass over every subset, for one matrix (the
-spectrum) or a stack (``_distinct_counts``, the extremal search's counts).
+spectrum) or a stack (``_distinct_counts``, the extremal search's counts).  On
+a stack the same small submatrices recur across the graphs (99 distinct 3 x 3
+ones stand for the 342,510 3-subsets of the order-7 classes and their edge
+deletions), so the pass sends a stack's direct batches to
+``_distinct_perron_roots``: it keys each submatrix of a bounded block by its
+upper triangle, builds each distinct one from its key and solves it once with
+the kernel's ``spectral_radius_many``, and gives its root to every subset
+with that key.  Within one matrix few submatrices repeat, and the spectrum's
+batches go to the kernel itself.
 
 The subset pass follows the order's ``_plan``, built once per order: from
 order 11 on, the codewords of a radius-1 covering code of the subset cube
@@ -242,6 +250,13 @@ def _subset_masks(n: int) -> np.ndarray:
     return masks
 
 
+def _block_shape(m: int, item_bytes: int) -> tuple[int, int]:
+    """(matrices, rows) per block when each (matrix, row) pair of m matrices takes
+    ``item_bytes``: at most ``_GATHER_BYTES`` a block, or one pair."""
+    per_row = max(1, _GATHER_BYTES // (item_bytes * max(1, m)))
+    return max(1, _GATHER_BYTES // (item_bytes * per_row)), per_row
+
+
 def _gathered(stack: np.ndarray, rows: np.ndarray, lead: int | None = None,
               pick: np.ndarray | None = None):
     """Yield (mats, part, subs): the submatrices ``subs`` of the matrices ``mats``
@@ -252,8 +267,7 @@ def _gathered(stack: np.ndarray, rows: np.ndarray, lead: int | None = None,
     m = stack.shape[0] if pick is None else pick.size
     r, c = rows.shape
     k = c if lead is None else lead
-    per_row = max(1, _GATHER_BYTES // (k * c * 8 * max(1, m)))  # rows per block
-    per_mat = max(1, _GATHER_BYTES // (k * c * 8 * per_row))  # matrices per block
+    per_mat, per_row = _block_shape(m, k * c * 8)
     for i in range(0, m, per_mat):
         mats = slice(i, i + per_mat)
         block = stack[mats] if pick is None else stack[pick[mats]]
@@ -282,6 +296,48 @@ def _perron_roots_for_rows(dmat: np.ndarray, rows: np.ndarray,
         for mats, part, subs in _gathered(stack, rows, pick=pick):
             out[mats, part] = spectral_radius_many(subs.reshape(-1, k, k)).reshape(subs.shape[:2])
     return out.reshape((dmat.shape[:-2] if pick is None else pick.shape) + (r,))
+
+
+def _distinct_perron_roots(stack: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``_perron_roots_for_rows`` (m, r) of a stack (m, n, n) of distance matrices
+    on the index rows ``rows`` (r, k), with one eigensolve per distinct submatrix
+    of each block.
+
+    A distance submatrix is symmetric with a zero diagonal, so its strict upper
+    triangle fixes it; read as the digits of one integer in base b = 1 + the
+    block's largest distance, it is the submatrix's key, gathered digit by digit.
+    One matrix per distinct key is built from the key's digits and solved, and
+    its root goes to every subset with that key.  ``eigvalsh`` solves each matrix
+    of a stack alone, so equal submatrices give equal bits and the roots are the
+    kernel's.  A block holds as many subsets as a ``_gathered`` block, so that
+    even when every submatrix in it is distinct they take at most
+    ``_GATHER_BYTES``.  A block whose keys would not fit in int64, and a stack
+    that is not int64, go to the kernel as they are.
+    """
+    m, (r, k) = stack.shape[0], rows.shape
+    if k <= 2 or stack.dtype != np.int64:
+        return _perron_roots_for_rows(stack, rows)
+    iu, ju = np.triu_indices(k, 1)
+    out = np.empty((m, r))
+    per_mat, per_row = _block_shape(m, k * k * 8)
+    for i in range(0, m, per_mat):
+        mats = slice(i, i + per_mat)
+        block = stack[mats]
+        base = int(block.max()) + 1
+        if base ** iu.size > 1 << 63:  # the largest key, base^digits - 1, is above int64's
+            out[mats] = _perron_roots_for_rows(block, rows)
+            continue
+        for lo in range(0, r, per_row):
+            sel = rows[lo : lo + per_row]
+            keys = block[:, sel[:, iu[-1]], sel[:, ju[-1]]]  # (matrices, rows), the top digit
+            for a, b in zip(iu[-2::-1], ju[-2::-1]):
+                keys *= base
+                keys += block[:, sel[:, a], sel[:, b]]
+            distinct, inverse = np.unique(keys, return_inverse=True)
+            reps = np.zeros((distinct.size, k, k))
+            reps[:, iu, ju] = reps[:, ju, iu] = distinct[:, None] // base ** np.arange(iu.size) % base
+            out[mats, lo : lo + per_row] = spectral_radius_many(reps)[inverse].reshape(keys.shape)
+    return out
 
 
 def _perron_pairs_for_rows(d: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -449,6 +505,8 @@ def _all_subset_values(
     stack = dmat.reshape((-1,) + dmat.shape[-2:])
     out = np.empty((stack.shape[0], plan.approx.size))
     starts = np.cumsum([0] + [b.at.size for b in plan.batches])
+    # within one matrix few submatrices repeat; across a stack most do
+    direct = _distinct_perron_roots if stack.shape[0] > 1 else _perron_roots_for_rows
 
     def fill(span: tuple[int, int]) -> None:
         lo, hi = span
@@ -457,7 +515,7 @@ def _all_subset_values(
             if part.start >= part.stop:
                 continue
             if batch.use is None:
-                out[:, batch.at[part]] = _perron_roots_for_rows(stack, batch.rows[part])
+                out[:, batch.at[part]] = direct(stack, batch.rows[part])
             else:
                 _parent_batch(stack, out, batch.rows[part], batch.k, batch.use[part],
                               batch.at[part], batch.child_at[part])
@@ -536,9 +594,10 @@ def _dedup(values: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     flat indices).
 
     Clusters break where ``_breaks`` says so.  The representative of each
-    cluster is the value at the smallest canonical index in the cluster.
+    cluster is the value at the smallest canonical index in the cluster, which
+    the minimum over the cluster finds whatever order its ties were sorted in.
     """
-    order = np.argsort(values, kind="stable")
+    order = np.argsort(values)
     s = values[order]
     starts = np.concatenate([[0], np.nonzero(_breaks(s, tol))[0] + 1])
     witness_idx = np.minimum.reduceat(order, starts)

@@ -13,9 +13,16 @@ encoder, relabeling and decoder (``_mask_to_graph``) reads.
 The rho2 sweeps (edge monotonicity over the classes, tree extremes) take rho2
 of a whole stack of graphs from one call of the rho2 screen
 (``pareto._rho2_many``), whose one-graph case is ``rho2_fast``; only the
-one-edge ``check_edge_monotonicity`` calls ``rho2_fast``.  Coalescence
-quasiconvexity needs every deletion's root, so it runs the kernel on every
-deletion and reads rho2 from those roots.
+one-edge ``check_edge_monotonicity`` calls ``rho2_fast``.  Each does a
+distinct piece of work once: the monotonicity sweep screens each distinct
+mask among the classes and their edge deletions once, however many classes
+share it (693 graphs for the 112 classes and 847 connected deletions of
+order 6), and names the classes from their masks; the tree-extremes check
+takes the distances of all trees of an order from one ``_hop_distances``
+pass on their stacked adjacency.  The extremal search's subset pass solves
+each distinct submatrix of its stack once (``pareto._distinct_perron_roots``).
+Coalescence quasiconvexity needs every deletion's root, so it runs the kernel
+on every deletion and reads rho2 from those roots.
 
 The tree checkers read the paths i ~ j ~ k of a tree from one array
 (``_tree_paths``), taken from its distance matrix: convexity tests every
@@ -77,6 +84,7 @@ _TREES_MAX_ORDER = 14
 _TREE_SUPPORTS_MAX_ORDER = 10  # convexity and quasiconvexity sweep every support
 _CLASSES_MAX_ORDER = 7  # the connected classes of _class_masks, for every class sweep
 _LABELED_MAX_ORDER = 7  # connected_graphs_labeled: 251,548,592 graphs at n = 8
+_RELABEL_BYTES = 256 << 10  # per relabeling block (of 16 masks at least), measured at n = 6..8
 
 
 @dataclass(frozen=True)
@@ -263,15 +271,18 @@ def _perm_edge_columns(n: int) -> np.ndarray:
 
 
 def _relabelings(masks, n: int):
-    """Yield, block by block of at most ``_GATHER_BYTES``, the (block, n!) float
-    matrix of every edge mask under every vertex relabeling, masks in order.
+    """Yield, block by block of at most ``_RELABEL_BYTES`` or 16 masks, the
+    (block, n!) float matrix of every edge mask under every vertex relabeling,
+    masks in order.
 
     Each block is one float matrix product; the packed values stay below 2^28,
-    so float64 holds them exactly.
+    so float64 holds them exactly.  Blocks that stay in cache build the classes
+    of orders 6 and 7 in about half the time 16 MB blocks take, and at order 8
+    products of fewer than 16 masks are slower.
     """
     weights = _perm_edge_columns(n)
     bits = _mask_bits(masks, weights.shape[0]).astype(np.float64)
-    step = max(1, _GATHER_BYTES // (8 * weights.shape[1]))
+    step = max(16, _RELABEL_BYTES // (8 * weights.shape[1]))
     for lo in range(0, bits.shape[0], step):
         yield bits[lo : lo + step] @ weights
 
@@ -468,21 +479,30 @@ def _monotonicity_reports(order: int):
     class of order 2..``order`` whose deletion keeps the class connected: classes
     by ascending canonical mask, edges in ``sorted_edges`` order.
 
-    Per order, rho2 of the classes is one ``_rho2_many`` call, and the
-    deletions (each mask with one set bit cleared) are one distance pass, whose
-    connected part is the other ``_rho2_many`` call.
+    The deletions (each mask with one set bit cleared) repeat across classes,
+    and nearly every class is itself some class's deletion, so per order each
+    distinct mask among the classes and their deletions gets one distance pass,
+    and the connected ones one ``_rho2_many`` call.  A class's name,
+    ``_describe`` of its graph, is its set bits' pairs, which are in
+    ``sorted_edges`` order.
     """
     for n in range(2, order + 1):
         masks = _class_masks(n)[0]
         pairs = _pair_table(n)[0]
-        before = _rho2_many(_mask_distances(masks, n))[0].tolist()
         cls, bit = np.nonzero(_mask_bits(masks, len(pairs)))  # class order, then pair order
-        dist = _mask_distances(masks[cls] ^ (np.int64(1) << bit), n)
+        distinct, which = np.unique(np.concatenate([masks, masks[cls] ^ (np.int64(1) << bit)]),
+                                    return_inverse=True)
+        dist = _mask_distances(distinct, n)
         connected = (dist[:, 0] >= 0).all(axis=1)
-        after = iter(_rho2_many(dist[connected])[0].tolist())
-        names = [_describe(g) for g in connected_graph_classes(n)]
-        for c, j in zip(cls[connected].tolist(), bit[connected].tolist()):
-            yield _edge_monotonicity(names[c], pairs[j], before[c], next(after))
+        rho2 = np.zeros(distinct.size)
+        rho2[connected] = _rho2_many(dist[connected])[0]
+        before, deleted = rho2[which[: masks.size]].tolist(), which[masks.size :]
+        edges = [pairs[j] for j in bit.tolist()]
+        ends = np.cumsum(np.bincount(cls, minlength=masks.size)).tolist()
+        names = [f"n={n}, edges={edges[a:b]}" for a, b in zip([0] + ends, ends)]
+        keep = connected[deleted]
+        for c, j, after in zip(cls[keep].tolist(), bit[keep].tolist(), rho2[deleted[keep]].tolist()):
+            yield _edge_monotonicity(names[c], pairs[j], before[c], after)
 
 
 def check_coalescence_quasiconvexity(t: Graph, h: Graph, w: int) -> PropertyReport:
@@ -528,12 +548,19 @@ def check_coalescence_quasiconvexity(t: Graph, h: Graph, w: int) -> PropertyRepo
 
 
 def check_tree_extremes(n: int) -> PropertyReport:
-    """rho2 over all trees of order n: maximized by the path, minimized by the star."""
+    """rho2 over all trees of order n: maximized by the path, minimized by the star.
+
+    The distances of all the trees come from one ``_hop_distances`` pass on their
+    stacked adjacency, and rho2 from one ``_rho2_many`` call."""
     if not (3 <= n <= _TREES_MAX_ORDER):
         raise CapExceededError(f"tree extremes need 3 <= n <= {_TREES_MAX_ORDER}")
     trees = trees_upto_iso(n)
-    values = _rho2_many(np.stack([distance_matrix(t) for t in trees]))[0]
-    top = [max(t.degrees()) for t in trees]
+    u, v = np.array([e for t in trees for e in t.edges]).T
+    tree = np.repeat(np.arange(len(trees)), n - 1)
+    adj = np.zeros((len(trees), n, n), dtype=bool)
+    adj[tree, u, v] = adj[tree, v, u] = True
+    values = _rho2_many(_hop_distances(adj))[0]
+    top = adj.sum(axis=2).max(axis=1).tolist()
     path_idx, star_idx = top.index(2), top.index(n - 1)  # the same tree at n = 3
     instance = f"all {len(trees)} trees of order {n}"
     vmax, vmin = values.max(), values.min()

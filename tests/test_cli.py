@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distpareto import cli, verify
-from distpareto.graph import make_family, parse_edge_list
+from distpareto.graph import make_family, make_graph, parse_edge_list
 
 
 def run(capsys, *argv):
@@ -213,9 +213,16 @@ def test_verify_monotonicity_computes_rho2_once_per_class(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "monotonicity", "--order", "5")
     assert code == 0
     assert singles == []
-    assert len(stacks) <= 2 * 4  # the classes and their edge deletions, per order 2..5
-    classes = sum(len(verify.connected_graph_classes(n)) for n in range(2, 6))
-    assert sum(shape[0] for shape in stacks) == classes + json.loads(out)["payload"]["checked"]
+    # one screen per order 2..5, of each distinct graph among the classes and their
+    # connected edge deletions once, however many classes share it
+    assert len(stacks) == 4
+    classes = [g for n in range(2, 6) for g in verify.connected_graph_classes(n)]
+    graphs = {(g.n, g.edges) for g in classes} | {(g.n, g.edges - {e}) for g in classes
+                                                  for e in g.edges}
+    distinct = sum(verify._is_connected(make_graph(n, edges)) for n, edges in graphs)
+    checked = json.loads(out)["payload"]["checked"]
+    assert distinct < len(classes) + checked == 30 + 129
+    assert sum(shape[0] for shape in stacks) == distinct
     golden = pathlib.Path(__file__).parent / "golden" / "verify_monotonicity5.out"
     assert out.encode("utf-8") == golden.read_bytes()
 

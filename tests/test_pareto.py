@@ -1036,3 +1036,138 @@ def test_clusters_are_the_kernels_when_a_gap_meets_the_tolerance(monkeypatch):
     want = 1 + pareto._breaks(np.sort(ref), tol).sum()
     assert np.array_equal(pareto._distinct_counts(d[None], tol), [want])
     _assert_spectrum_is_the_kernels(g, pareto_spectrum(g, dedup_tolerance=tol), ref, tol)
+
+
+# ---------------------------------------------------------------------------
+# one eigensolve per distinct submatrix of a stack
+
+
+def _class_and_deletion_stack(n):
+    """The distances of the connected classes of order n and of their connected
+    one-edge deletions, stacked."""
+    from distpareto.verify import _class_masks, _mask_bits, _mask_distances, _pair_table
+
+    masks = _class_masks(n)[0]
+    cls, bit = np.nonzero(_mask_bits(masks, len(_pair_table(n)[0])))
+    dist = _mask_distances(np.concatenate([masks, masks[cls] ^ (np.int64(1) << bit)]), n)
+    return dist[(dist[:, 0] >= 0).all(axis=1)]
+
+
+def _distinct_kernel_stacks():
+    """Class stacks of orders 2..7 with their deletions, the trees of orders 3..12,
+    and the 500 graphs of the acceptance sweep, one stack per order."""
+    from distpareto.verify import random_connected_graph, trees_upto_iso
+
+    stacks = [_class_and_deletion_stack(n) for n in range(2, 8)]
+    stacks += [np.stack([distance_matrix(t) for t in trees_upto_iso(n)]) for n in range(3, 13)]
+    rng = np.random.default_rng(20240601)  # the acceptance sweep's graphs, in its order
+    graphs = [random_connected_graph(int(rng.integers(7, 11)), rng) for _ in range(500)]
+    stacks += [np.stack([distance_matrix(g) for g in graphs if g.n == n]) for n in range(7, 11)]
+    return stacks
+
+
+def test_distinct_kernel_equals_the_per_submatrix_kernel_bit_for_bit(monkeypatch):
+    stacks = _distinct_kernel_stacks()
+    assert [s.shape[0] for s in stacks[:6]] == [1, 5, 24, 129, 959, 9786]
+    assert sum(s.shape[0] for s in stacks[-4:]) == 500
+    # the kernel's roots first, each submatrix solved alone, in the default blocks:
+    # every subset below the covering code's order, and the direct batches from it on
+    want = []
+    for s in stacks:
+        subsets = pareto._subsets_by_size(s.shape[-1])
+        if s.shape[-1] < pareto._CODE_MIN_ORDER:
+            want.append(_kernel_values(s))
+        else:
+            want.append([(b.rows, pareto._perron_roots_for_rows(s, b.rows))
+                         for b in pareto._plan(subsets).batches if b.use is None])
+    # one worker in the default blocks, then two in several blocks of matrices and rows
+    for jobs, budget in ((1, pareto._GATHER_BYTES), (2, 1 << 16)):
+        monkeypatch.setattr(pareto, "_GATHER_BYTES", budget)
+        for s, ref in zip(stacks, want):
+            if isinstance(ref, list):
+                for rows, roots in ref:
+                    assert np.array_equal(pareto._distinct_perron_roots(s, rows), roots), s.shape
+            else:
+                subsets = pareto._subsets_by_size(s.shape[-1])
+                assert np.array_equal(pareto._all_subset_values(s, subsets, jobs), ref), s.shape
+
+
+def test_distinct_kernel_solves_a_block_whose_keys_overflow_with_the_kernel(monkeypatch):
+    # one matrix per block: the path's distances (base 14) need 14^21 > 2^63 keys for
+    # a 7-subset, the cycle's (base 8) exactly 2^63, the star's and K_14's fewer
+    graphs = [fam("complete", 14), fam("path", 14), fam("cycle", 14), fam("star", 14)]
+    stack = np.stack([distance_matrix(g) for g in graphs])
+    rows = pareto._subsets_by_size(14)[7][::40]
+    want = pareto._perron_roots_for_rows(stack, rows)
+    plain = []
+    real = pareto._perron_roots_for_rows
+    monkeypatch.setattr(pareto, "_perron_roots_for_rows",
+                        lambda d, r, *a: plain.append(int(d.max())) or real(d, r, *a))
+    monkeypatch.setattr(pareto, "_GATHER_BYTES", 7 * 7 * 8)  # one 7-subset a block
+    assert np.array_equal(pareto._distinct_perron_roots(stack, rows), want)
+    assert plain == [13]  # the path's block alone
+    monkeypatch.setattr(pareto, "_GATHER_BYTES", 16 << 20)  # one block, with the path in it
+    plain.clear()
+    assert np.array_equal(pareto._distinct_perron_roots(stack, rows), want)
+    assert plain == [13]
+
+
+def test_distinct_kernel_memory_does_not_grow_with_the_stack():
+    # keys and distinct submatrices come in gather blocks: 2.5 times the stack, at
+    # most 1.1 times the traced peak beside the result, which holds a root a subset
+    import tracemalloc
+
+    from distpareto.verify import _mask_distances
+
+    rng = np.random.default_rng(8)
+    d = _mask_distances(rng.integers(0, 1 << 28, 55_000), 8)  # random graphs of order 8
+    d = d[(d[:, 0] >= 0).all(axis=1)][:50_000]
+    assert d.shape == (50_000, 8, 8)
+    rows = pareto._subsets_by_size(8)[4]
+    peaks = []
+    for m in (20_000, 50_000):
+        tracemalloc.start()
+        try:
+            roots = pareto._distinct_perron_roots(d[:m], rows)
+            peaks.append(tracemalloc.get_traced_memory()[1] - roots.nbytes)
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(roots[:100], pareto._perron_roots_for_rows(d[:100], rows))
+    assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+def test_extremal_search_solves_each_distinct_submatrix_once(monkeypatch):
+    from distpareto.verify import _class_masks, _mask_distances, extremal_search
+
+    d = _mask_distances(_class_masks(6)[0], 6)
+    subsets = pareto._subsets_by_size(6)
+    distinct = sum(len(np.unique(d[:, rows[:, :, None], rows[:, None, :]].reshape(-1, k * k), axis=0))
+                   for k, rows in subsets.items() if k >= 3)
+    solved = []
+    real = pareto.spectral_radius_many
+    monkeypatch.setattr(pareto, "spectral_radius_many", lambda mats: solved.append(len(mats)) or real(mats))
+    assert extremal_search(6).max_count == 30
+    assert sum(solved) == distinct < 112 * sum(math.comb(6, k) for k in range(3, 7))
+
+
+def _stable_dedup(values, tol):
+    """``_dedup`` with a stable sort, the reference."""
+    order = np.argsort(values, kind="stable")
+    starts = np.concatenate([[0], np.nonzero(pareto._breaks(values[order], tol))[0] + 1])
+    witness_idx = np.minimum.reduceat(order, starts)
+    return values[witness_idx], witness_idx
+
+
+def test_dedup_needs_no_stable_sort():
+    # each cluster's smallest index is the same whatever order its ties sort in
+    graphs = [g for n in range(2, 17) for g in
+              [fam("complete", n), *(fam("complete_bipartite", a, n - a) for a in {1, n // 2}),
+               *([fam("cycle", n)] if n >= 3 else []), *([fam("wheel", n)] if n >= 4 else [])]]
+    ties = 0
+    for g in graphs:
+        values = pareto._all_subset_values(distance_matrix(g), pareto._subsets_by_size(g.n), 1)
+        ties += values.size - np.unique(values).size
+        for tol in (0.0, pareto.DEFAULT_DEDUP_TOL):
+            got, want = pareto._dedup(values, tol), _stable_dedup(values, tol)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), (g, tol)
+    assert ties > 100_000

@@ -26,7 +26,9 @@ builder of each order's subset tables (the suffix recursion of lexicographic
 order: no ``itertools.combinations`` or ``np.fromiter`` in ``pareto``, and the
 bit masks built in one function, never from the rows), and the spectrum's
 witnesses written from their bit masks (no ragged label leaf, and the CLI
-decodes no witness)."""
+decodes no witness), and sweeps that do each distinct piece of work once (one
+distance pass for all the trees of an order, class names written from the
+masks, and a stack's direct batches solved once per distinct submatrix)."""
 
 import ast
 import pathlib
@@ -272,3 +274,16 @@ def test_edge_list_lines_are_split_by_str_splitlines_alone():
     # splits what it returns, so the package keeps no list of line breaks
     assert _occurrences(r"\b_split_lines\b|\b_LINE_BREAK\b|\b_chunks\b") == []
     assert _occurrences(r'endswith\("\\r"\)|\bfh\.read\b') == []
+
+
+def test_sweeps_do_each_distinct_piece_of_work_once():
+    functions = _functions("verify.py")
+    # the trees of one order share one distance pass on their stacked adjacency
+    assert "distance_matrix(" not in functions["check_tree_extremes"]
+    assert "_hop_distances(" in functions["check_tree_extremes"]
+    assert "trees_upto_iso(" in functions["check_tree_extremes"]
+    # the monotonicity sweep names each class from its mask and builds no graph
+    assert re.search(r"\b(Graph|make_graph|_mask_to_graph|connected_graph_classes|_describe)\(",
+                     functions["_monotonicity_reports"]) is None
+    # a stack's direct batches go to the kernel that solves each distinct submatrix once
+    assert "_distinct_perron_roots" in _functions("pareto.py")["_all_subset_values"]
