@@ -26,12 +26,13 @@ their submatrices from ``_gathered``, at most ``_GATHER_BYTES`` per block.
 spectrum) or a stack (``_distinct_counts``, the extremal search's counts).  On
 a stack the same small submatrices recur across the graphs (99 distinct 3 x 3
 ones stand for the 342,510 3-subsets of the order-7 classes and their edge
-deletions), so the pass sends a stack's direct batches to
+deletions), so ``_direct_roots`` sends a stack's direct batches to
 ``_distinct_perron_roots``: it keys each submatrix of a bounded block by its
 upper triangle, builds each distinct one from its key and solves it once with
 the kernel's ``spectral_radius_many``, and gives its root to every subset
-with that key.  Within one matrix few submatrices repeat, and the spectrum's
-batches go to the kernel itself.
+with that key.  Within one matrix few submatrices repeat, and
+``_direct_roots`` sends one matrix's batches to the kernel itself; the pass
+and rho2 below the screen's order both choose by that one rule.
 
 The subset pass follows the order's ``_plan``, built once per order: from
 order 11 on, the codewords of a radius-1 covering code of the subset cube
@@ -49,20 +50,26 @@ root of a matrix whose clusters an error of E could change, and
 among the n largest, near an integer, or whose ``%.12g`` text E could change.
 The rho2 block is always solved by the kernel.
 
-``_rho2_many`` is the one rho2 screen, for a stack of graphs: one parent batch
-(``_parent_batch`` on the whole vertex set, in bounded ``_gathered`` blocks)
-screens all n single-vertex deletions of each graph with one ``eigh`` and
-O(n^2) work per Newton step on the secular equation, instead of n deletion
-eigensolves at O(n^4); the kernel recomputes only the few deletions screened
-near each graph's top, in ``_gathered`` blocks over the graphs that keep
-each.  ``rho2_fast`` is its one-graph case, and the sweeps in ``verify`` run
-it on a whole stack.
+``_rho2_many`` gives rho2 for a stack of graphs; ``rho2_fast`` is its
+one-graph case, and the sweeps in ``verify`` run it on a whole stack.  Below
+order ``_SCREEN_MIN_ORDER`` (7) the kernel solves every single-vertex
+deletion through ``_direct_roots``, one solve per distinct deletion
+submatrix of a stack.  From that order up the rho2 screen ``_rho2_screen``
+runs: one parent batch (``_parent_batch`` on the whole vertex set, in
+bounded ``_gathered`` blocks) screens all n deletions of each graph with one
+``eigh`` and O(n^2) work per Newton step on the secular equation, instead of
+n deletion eigensolves at O(n^4), and the kernel recomputes only the few
+deletions screened near each graph's top, in ``_gathered`` blocks over the
+graphs that keep each.  The screen's fixed cost per graph is above that of
+the n small eigensolves below order 7 (measured on class and random stacks),
+and both routes give the kernel's bits.
 
 rho2 and its witness are kept on the ``Graph`` instance beside its distances,
 in the slot ``_rho2``.  ``pareto_spectrum`` fills it from its size n - 1 block,
 which holds every deletion, through ``_rho2_of_deletions``, the rule of
 ``_rho2_many``; ``rho2_fast`` returns the slot when it is filled and otherwise
-screens and fills it.  So a graph whose spectrum was enumerated never screens.
+computes and fills it.  So a graph whose spectrum was enumerated never
+solves its deletions again.
 
 ``jobs > 1`` splits the plan's batches into contiguous spans handled by
 worker threads (LAPACK releases the GIL); every root is computed alone, and
@@ -102,6 +109,7 @@ DEFAULT_MAX_ORDER = 20
 _RHO2_MAX_ORDER = 400  # rho2 command and forms; K_400 solves all 400 deletions in about 4.5 s
 _GATHER_BYTES = 16 << 20  # bytes of gathered work array per batched call
 _SCREEN_WINDOW = 1e-9  # the rho2 screen recomputes deletions this close to a graph's top
+_SCREEN_MIN_ORDER = 7  # measured: below it the kernel on every deletion is faster than the rho2 screen
 _PARENT_ERR = 1e-13  # bound on |root from a parent - kernel root| / root, tested
 
 
@@ -367,6 +375,16 @@ def _perron_pairs_for_rows(d: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray,
     return values, vectors
 
 
+def _direct_roots(stack: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The kernel's Perron roots (m, r) of a stack (m, n, n) on the index rows
+    ``rows``: a stack's from ``_distinct_perron_roots``, as the same small
+    submatrices recur across its graphs, and one matrix's from
+    ``_perron_roots_for_rows``, as few recur within one graph."""
+    if stack.shape[0] > 1:
+        return _distinct_perron_roots(stack, rows)
+    return _perron_roots_for_rows(stack, rows)
+
+
 def _map_spans(fn, total: int, jobs: int) -> list:
     """``fn`` over ``jobs`` contiguous spans of range(total), results in span order.
 
@@ -505,8 +523,6 @@ def _all_subset_values(
     stack = dmat.reshape((-1,) + dmat.shape[-2:])
     out = np.empty((stack.shape[0], plan.approx.size))
     starts = np.cumsum([0] + [b.at.size for b in plan.batches])
-    # within one matrix few submatrices repeat; across a stack most do
-    direct = _distinct_perron_roots if stack.shape[0] > 1 else _perron_roots_for_rows
 
     def fill(span: tuple[int, int]) -> None:
         lo, hi = span
@@ -515,7 +531,7 @@ def _all_subset_values(
             if part.start >= part.stop:
                 continue
             if batch.use is None:
-                out[:, batch.at[part]] = direct(stack, batch.rows[part])
+                out[:, batch.at[part]] = _direct_roots(stack, batch.rows[part])
             else:
                 _parent_batch(stack, out, batch.rows[part], batch.k, batch.use[part],
                               batch.at[part], batch.child_at[part])
@@ -700,10 +716,11 @@ def rho2_fast(g: Graph) -> tuple[float, int]:
     never a pendant vertex, except in K_2, where both deletions are the 1x1
     zero matrix.
 
-    The value comes from the screen ``_rho2_many`` on D alone.  Returns the
-    value and the smallest vertex within 1e-12 of it.  The pair is kept on
-    ``g``; when ``pareto_spectrum(g)`` or an earlier call has kept it, it is
-    returned without screening.
+    The value comes from ``_rho2_many`` on D alone: the kernel on every
+    deletion below order ``_SCREEN_MIN_ORDER``, the rho2 screen from it up.
+    Returns the value and the smallest vertex within 1e-12 of it.  The pair is
+    kept on ``g``; when ``pareto_spectrum(g)`` or an earlier call has kept it,
+    it is returned without solving again.
     """
     if g.n < 2:
         raise ValueError("second largest Pareto eigenvalue needs n >= 2")
@@ -739,6 +756,23 @@ def _rho2_many(dmats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """rho2 (m,) and witness vertices (m,) of a stack (m, n, n) of connected
     distance matrices, n >= 2, with the witness rule of ``rho2_fast``.
 
+    Below order ``_SCREEN_MIN_ORDER`` the kernel solves every deletion
+    (``_direct_roots``: one solve per distinct deletion submatrix of a stack),
+    as the screen's fixed cost per graph is then above that of the n small
+    eigensolves; from that order up ``_rho2_screen`` gives the kernel's root of
+    every deletion near each graph's top.  Either way rho2 is read from the
+    kernel's roots by ``_rho2_of_deletions``, so both give the same bits.
+    """
+    n = dmats.shape[-1]
+    roots = _direct_roots(dmats, _deletion_rows(n)) if n < _SCREEN_MIN_ORDER else _rho2_screen(dmats)
+    return _rho2_of_deletions(roots)
+
+
+def _rho2_screen(dmats: np.ndarray) -> np.ndarray:
+    """The kernel's roots (m, n) of the single-vertex deletions of a stack (m, n,
+    n) of connected distance matrices, n >= 2, that lie near each graph's top,
+    and -inf at every other deletion.
+
     ``_parent_batch``, with the whole vertex set as the one parent, screens every
     deletion of every matrix from one eigendecomposition each (Newton steps
     certified to 1e-15 relative, the screen within about 1e-15 of the kernel in
@@ -748,7 +782,7 @@ def _rho2_many(dmats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     that keep it (gathered in blocks, with no copy of the stack), so each
     value comes from the same kernel on the same submatrix as a sweep over
     every deletion, and the screen's error would have to reach the window to
-    change the result.
+    change the largest root or the deletions within 1e-12 of it.
     """
     m, n = dmats.shape[:2]
     every = np.arange(n)[None]  # the one parent; its deletion of v goes to slot v
@@ -762,7 +796,7 @@ def _rho2_many(dmats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for v in np.flatnonzero(near.any(axis=0)).tolist():
         pick = np.flatnonzero(near[:, v])
         roots[pick, v] = _perron_roots_for_rows(dmats, rows[v : v + 1], pick)[:, 0]
-    return _rho2_of_deletions(roots)
+    return roots
 
 
 def pareto_eigenpair(g: Graph, support: tuple[int, ...] | list[int]) -> ParetoEigenpair:

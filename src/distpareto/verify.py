@@ -11,11 +11,13 @@ mask is the j-th vertex pair of one table (``_pair_table``), which every
 encoder, relabeling and decoder (``_mask_to_graph``) reads.
 
 The rho2 sweeps (edge monotonicity over the classes, tree extremes) take rho2
-of a whole stack of graphs from one call of the rho2 screen
-(``pareto._rho2_many``), whose one-graph case is ``rho2_fast``; only the
-one-edge ``check_edge_monotonicity`` calls ``rho2_fast``.  Each does a
-distinct piece of work once: the monotonicity sweep screens each distinct
-mask among the classes and their edge deletions once, however many classes
+of a whole stack of graphs from one ``pareto._rho2_many`` call, whose
+one-graph case is ``rho2_fast``: below order 7 the kernel solves each
+distinct deletion submatrix of the stack once, and from order 7 up the rho2
+screen runs.  Only the one-edge ``check_edge_monotonicity`` calls
+``rho2_fast``.  Each sweep does a distinct piece of work once: the
+monotonicity sweep solves each distinct mask among the classes and their
+edge deletions once, however many classes
 share it (693 graphs for the 112 classes and 847 connected deletions of
 order 6), and names the classes from their masks; the tree-extremes check
 takes the distances of all trees of an order from one ``_hop_distances``

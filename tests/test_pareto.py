@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import os
@@ -508,7 +509,7 @@ def test_rho2_from_the_spectrum_equals_the_screen(monkeypatch):
 
 
 def _screened(dmats):
-    """The roots ``_rho2_many`` screens for every deletion of each matrix of the
+    """The roots ``_rho2_screen`` screens for every deletion of each matrix of the
     stack ``dmats`` (m, n, n), as (m, n): what its ``_parent_roots`` calls return."""
     blocks = []
     real = pareto._parent_roots
@@ -520,7 +521,7 @@ def _screened(dmats):
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(pareto, "_parent_roots", record)
-        pareto._rho2_many(dmats)
+        pareto._rho2_screen(dmats)
     return np.concatenate(blocks)
 
 
@@ -566,7 +567,11 @@ def _whole_matrix_screen(dmats):
                           np.broadcast_to(u[..., None, :], q.shape[:-1] + u.shape[-1:]))
 
 
-def test_rho2_screen_equals_the_whole_matrix_screen_bit_for_bit(monkeypatch):
+@functools.cache
+def _rho2_stacks():
+    """The stacks of graphs the rho2 routes are checked on: the classes of orders
+    2..7, their connected one-edge deletions (orders 3..7), the trees of orders
+    3..12, and each of the 500 graphs of the acceptance sweep alone."""
     from distpareto.verify import connected_graph_classes, random_connected_graph, trees_upto_iso
 
     classes = [connected_graph_classes(n) for n in range(2, 8)]
@@ -574,6 +579,13 @@ def test_rho2_screen_equals_the_whole_matrix_screen_bit_for_bit(monkeypatch):
     stacks += [trees_upto_iso(n) for n in range(3, 13)]
     rng = np.random.default_rng(20240601)  # the 500 graphs of the acceptance sweep
     stacks += [[random_connected_graph(int(rng.integers(7, 11)), rng)] for _ in range(500)]
+    return tuple(map(tuple, stacks))
+
+
+def test_rho2_screen_equals_the_whole_matrix_screen_bit_for_bit(monkeypatch):
+    from distpareto.verify import trees_upto_iso
+
+    stacks = list(_rho2_stacks())
     stacks += [[fam(name, n)] for name in ("path", "star", "cycle", "wheel") for n in (200, 400)]
     for graphs in stacks:
         d = np.stack([distance_matrix(g) for g in graphs])
@@ -583,6 +595,58 @@ def test_rho2_screen_equals_the_whole_matrix_screen_bit_for_bit(monkeypatch):
     monkeypatch.setattr(pareto, "_GATHER_BYTES", 16 * d[0].nbytes)  # 16 matrices per block
     assert len(list(pareto._gathered(d, np.arange(10)[None]))) == -(-d.shape[0] // 16) > 1
     assert np.array_equal(_screened(d), _whole_matrix_screen(d))
+
+
+def test_rho2_many_screens_only_from_its_order_and_equals_the_screen_and_the_kernel(monkeypatch):
+    # below _SCREEN_MIN_ORDER the kernel solves every deletion, from it up the
+    # screen runs; either way rho2 is the kernel's, bit for bit
+    stacks = list(_rho2_stacks())
+    acceptance = [g for (g,) in stacks[-500:]]
+    stacks += [[g for g in acceptance if g.n == n] for n in range(7, 11)]  # one stack per order
+    stacks += [[g] for graphs in stacks[:5] for g in graphs]  # the classes below order 7 alone
+    real, screened = pareto._parent_roots, []
+    monkeypatch.setattr(pareto, "_parent_roots",
+                        lambda mats, use: screened.append(mats.shape[-1]) or real(mats, use))
+    sides = set()
+    for graphs in stacks:
+        d = np.stack([distance_matrix(g) for g in graphs])
+        n = d.shape[-1]
+        screened.clear()
+        values, witnesses = pareto._rho2_many(d)
+        assert screened == ([n] if n >= pareto._SCREEN_MIN_ORDER else []), (n, len(graphs))
+        sides.add((n >= pareto._SCREEN_MIN_ORDER, len(graphs) > 1))
+        screen = pareto._rho2_of_deletions(pareto._rho2_screen(d))
+        assert np.array_equal(values, screen[0]) and np.array_equal(witnesses, screen[1]), n
+        pairs = list(zip(values.tolist(), witnesses.tolist()))
+        assert pairs == [_kernel_rho2(g) for g in graphs], (n, len(graphs))
+    assert len(stacks) == 6 + 5 + 10 + 500 + 4 + 142 and sides == {(False, False), (False, True),
+                                                                     (True, False), (True, True)}
+    assert pareto._SCREEN_MIN_ORDER == 7
+
+
+def test_rho2_kernel_route_memory_does_not_grow_with_the_stack():
+    # below the screen's order every deletion goes to _distinct_perron_roots, whose
+    # blocks bound memory: 2.5 times the stack, at most 1.1 times the traced peak
+    # beside the (m, 6) deletion roots
+    import tracemalloc
+
+    from distpareto.verify import _mask_distances
+
+    rng = np.random.default_rng(8)
+    d = _mask_distances(rng.integers(0, 1 << 15, 130_000), 6)  # random labeled graphs of order 6
+    d = d[(d[:, 0] >= 0).all(axis=1)][:100_000]
+    assert d.shape == (100_000, 6, 6) and d.shape[-1] < pareto._SCREEN_MIN_ORDER
+    want = pareto._rho2_of_deletions(pareto._rho2_screen(d[:100]))
+    peaks = []
+    for m in (40_000, 100_000):
+        tracemalloc.start()
+        try:
+            values, witnesses = pareto._rho2_many(d[:m])
+            peaks.append(tracemalloc.get_traced_memory()[1] - m * 6 * 8)
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(values[:100], want[0]) and np.array_equal(witnesses[:100], want[1])
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 def test_rho2_screen_memory_does_not_grow_with_the_stack():
@@ -599,7 +663,7 @@ def test_rho2_screen_memory_does_not_grow_with_the_stack():
     for m in (40_000, 100_000):
         tracemalloc.start()
         try:
-            pareto._rho2_many(d[:m])
+            pareto._rho2_screen(d[:m])
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -649,7 +713,7 @@ def test_rho2_recompute_memory_does_not_grow_with_the_stack(monkeypatch):
         stack = np.broadcast_to(d, (m, 8, 8)).copy()
         tracemalloc.start()
         try:
-            values, witnesses = pareto._rho2_many(stack)
+            values, witnesses = pareto._rho2_of_deletions(pareto._rho2_screen(stack))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

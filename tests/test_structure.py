@@ -161,7 +161,7 @@ def test_one_rho2_screen_for_a_graph_and_a_stack():
     assert _occurrences(r"\b_deletion_roots\b") == []
     assert _callers("_secular_roots") == {"_parent_roots"}
     assert _callers("_parent_roots") == {"_parent_batch"}
-    assert _callers("_parent_batch") == {"_all_subset_values", "fill", "_rho2_many"}
+    assert _callers("_parent_batch") == {"_all_subset_values", "fill", "_rho2_screen"}
     rho2_fast = _functions("pareto.py")["rho2_fast"]
     assert "_parent_batch(" not in rho2_fast and "_perron_roots_for_rows(" not in rho2_fast
 
@@ -285,5 +285,7 @@ def test_sweeps_do_each_distinct_piece_of_work_once():
     # the monotonicity sweep names each class from its mask and builds no graph
     assert re.search(r"\b(Graph|make_graph|_mask_to_graph|connected_graph_classes|_describe)\(",
                      functions["_monotonicity_reports"]) is None
-    # a stack's direct batches go to the kernel that solves each distinct submatrix once
-    assert "_distinct_perron_roots" in _functions("pareto.py")["_all_subset_values"]
+    # a stack's direct batches, and its deletions below the rho2 screen's order, go to
+    # the kernel that solves each distinct submatrix once, by one rule for both
+    assert _callers("_distinct_perron_roots") == {"_direct_roots"}
+    assert _callers("_direct_roots") == {"_all_subset_values", "fill", "_rho2_many"}
