@@ -33,6 +33,12 @@ CASES = {
     "rho2_bounds_cycle4_csv": ["rho2", "--bounds", "--family", "cycle", "4", "--format", "csv"],
     "rho2_bounds_path6_table": ["rho2", "--bounds", "--family", "path", "6", "--format", "table"],
     "rho2_bounds_path21_json": ["rho2", "--bounds", "--family", "path", "21"],
+    # the op of the benchmark's bounds sweep, on committed edge lists of
+    # verify.random_connected_graph(n, np.random.default_rng(n)) for n = 7 and 10
+    "rho2_bounds_random7_json": ["rho2", "--bounds", "--edges",
+                                 str(GOLDEN / "rho2_bounds_random7.txt")],
+    "rho2_bounds_random10_json": ["rho2", "--bounds", "--edges",
+                                  str(GOLDEN / "rho2_bounds_random10.txt")],
     "rho2_path6_csv": ["rho2", "--family", "path", "6", "--format", "csv"],
     "rho2_wheel7_table": ["rho2", "--family", "wheel", "7", "--format", "table"],
     "verify_extremal5": ["verify", "extremal", "--order", "5"],
