@@ -80,10 +80,12 @@ def _jsonable(obj):
     lists and keys become str.  A list of plain scalars, or of lists of them,
     is converted as a whole, a plain scalar in a dict is kept as it is and a
     float in a dict is rounded in place; anything else element by element.
-    The array leaves, a 1-D float ``np.ndarray`` (a list of numbers) and a 1-D
-    integer one (a list of vertex subsets as bit masks, bit v for vertex v),
-    are kept as they are: ``_layout`` writes them as the lists they stand for
-    would be written after this conversion.
+    The leaves, a 1-D float ``np.ndarray`` (a list of numbers), a 1-D integer
+    one (a list of vertex subsets as bit masks, bit v for vertex v) and a list
+    of records (dataclass instances of one class with scalar fields, such as
+    the bound report's rows), are kept as they are: the writers write them as
+    the lists they stand for (of field dicts, for records) would be written
+    after this conversion.
     """
     if isinstance(obj, dict):
         return {str(k): v if type(v) in _PLAIN else _rounded(v) if type(v) is float
@@ -92,6 +94,8 @@ def _jsonable(obj):
         kinds = set(map(type, obj))
         if kinds <= _PLAIN:
             return list(obj)
+        if len(kinds) == 1 and dataclasses.is_dataclass(obj[0]):
+            return list(obj)  # a record leaf
         if kinds == {float} and not any(map(math.isnan, obj)):
             return list(map(float, map(_DIGITS12, obj)))
         if kinds <= {list, tuple} and set(map(type, itertools.chain.from_iterable(obj))) <= _PLAIN:
@@ -104,6 +108,11 @@ def _jsonable(obj):
     if isinstance(obj, (float, np.floating)):
         return _rounded(float(obj))
     return obj
+
+
+def _record_dicts(records: list) -> list[dict]:
+    """The field dicts of a record leaf, as ``_jsonable`` converts them."""
+    return [_jsonable(dataclasses.asdict(r)) for r in records]
 
 
 def _rounded(v: float) -> float | None:
@@ -167,6 +176,9 @@ def _layout(obj, level: int):
     leaf comes in pieces of about ``_BLOCK`` numbers (``_leaf_pieces``).  Only
     the containers above them are walked here.
     """
+    if isinstance(obj, list) and obj and dataclasses.is_dataclass(obj[0]):
+        yield _record_text(obj, level)
+        return
     if isinstance(obj, np.ndarray):
         if not obj.size:
             yield "[]"
@@ -198,12 +210,54 @@ def _layout(obj, level: int):
     else:
         sep = opening + "\n" + inner
         for key in sorted(obj) if is_dict else range(len(obj)):
-            yield f"{sep}{json.dumps(key)}: " if is_dict else sep
-            yield from _layout(obj[key], level + 1)
+            head = f"{sep}{_encode_str(key)}: " if is_dict else sep
+            if isinstance(obj[key], (dict, list, np.ndarray)):
+                yield head
+                yield from _layout(obj[key], level + 1)
+            else:  # a scalar
+                yield head + json.dumps(obj[key])
             sep = ",\n" + inner
         yield f"\n{pad}{closing}"
         return
     yield f"{opening}\n{inner}{body}\n{pad}{closing}"
+
+
+_COLUMN_ENCODER = json.JSONEncoder(separators=("\n", ": "))  # no scalar's text holds a newline
+_encode_str = json.encoder.encode_basestring_ascii  # the text json.dumps gives a str
+
+
+def _column_texts(columns: list[list]) -> list[list[str]]:
+    """The JSON text of each scalar of each of the equally long ``columns`` as
+    ``_jsonable`` converts it: the columns of floats are rounded and written
+    together in one pass (``_float_args``), all the others in one call of the C
+    encoder."""
+    size = len(columns[0])
+    floats = [set(map(type, column)) == {float} for column in columns]
+    fmts, args = _float_args(np.array([c for c, f in zip(columns, floats) if f]).ravel())
+    texts = {True: map(operator.mod, fmts, args), False: _COLUMN_ENCODER.encode(
+        _jsonable([v for c, f in zip(columns, floats) if not f for v in c]))[1:-1].split("\n")}
+    texts = {kind: iter(list(text)) for kind, text in texts.items()}
+    return [list(itertools.islice(texts[f], size)) for f in floats]
+
+
+@functools.cache
+def _record_row(cls: type, level: int) -> tuple[list[str], str]:
+    """The field names of the record class ``cls`` in sorted order, and the
+    template, one ``%s`` a field, of a record's dict in a list at nesting ``level``."""
+    names = sorted(f.name for f in dataclasses.fields(cls))
+    inner, deep = "  " * (level + 1), "\n" + "  " * (level + 2)
+    return names, "{" + deep + f",{deep}".join(f"{_encode_str(n)}: %s" for n in names) + f"\n{inner}}}"
+
+
+def _record_text(records: list, level: int) -> str:
+    """The text of a record leaf opened at nesting ``level``, as ``_layout``
+    writes the list of its field dicts: one column a field, written by
+    ``_column_texts``, and each record one ``%`` of its class's template."""
+    names, row = _record_row(type(records[0]), level)
+    columns = _column_texts([list(map(operator.attrgetter(name), records)) for name in names])
+    inner = "  " * (level + 1)
+    rows = f",\n{inner}".join(map(row.__mod__, zip(*columns)))
+    return f"[\n{inner}{rows}\n" + "  " * level + "]"
 
 
 def _float_args(block: np.ndarray) -> tuple[list[str], list]:
@@ -216,14 +270,21 @@ def _float_args(block: np.ndarray) -> tuple[list[str], list]:
     writes those positionally) or is subnormal (where ``repr`` may need fewer
     digits), and NaN and +-inf are written null and +-Infinity.  Each of these
     lies within 1e-11 relative of an integer (|v| >= 5e10 and |v| <= 1e-11 always
-    do), or is NaN; numbers that do are written one by one through ``_rounded``.
+    do), or is NaN.  Of those, an integer below 1e12 is its own rounding, which
+    ``repr`` writes as ``%.1f`` does ("4.0", "-0.0"), NaN is null, and the others
+    are written one by one through ``_rounded``.
     """
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the test
-        plain = np.abs(block - np.rint(block)) > 1e-11 * np.maximum(1.0, np.abs(block))
+        whole = np.rint(block)
+        plain = np.abs(block - whole) > 1e-11 * np.maximum(1.0, np.abs(block))
+        exact = (block == whole) & (np.abs(block) < 1e12)
     args = block.tolist()
     fmts = ["%.12g"] * len(args)
     for i in np.flatnonzero(~plain).tolist():
-        fmts[i], args[i] = "%s", json.dumps(_rounded(args[i]))
+        if exact[i]:
+            fmts[i] = "%.1f"
+        else:
+            fmts[i], args[i] = "%s", "null" if args[i] != args[i] else json.dumps(_rounded(args[i]))
     return fmts, args
 
 
@@ -305,6 +366,9 @@ def _table_pieces(obj, depth: int):
                 rows = f"{pad}  ["
                 yield f"{pad}{key}:\n"
                 yield from _leaf_pieces(val, (rows, ", ", "]\n", rows + "]\n"), "", "")
+            elif isinstance(val, list) and val and dataclasses.is_dataclass(val[0]):
+                yield f"{pad}{key}:\n"
+                yield from _table_pieces(_record_dicts(val), depth + 1)
             elif isinstance(val, dict) or isinstance(val, list) and not _scalars(val):
                 yield f"{pad}{key}:\n"
                 yield from _table_pieces(val, depth + 1)
@@ -323,7 +387,7 @@ def _csv_rows(command: str, payload: dict) -> tuple[list[str], list[list]]:
     if command == "rho2":
         if "bounds" in payload:
             # csv writes None (the k of a per-graph bound, NaN values) as ""
-            rows = [[b[h] for h in _BOUND_COLUMNS] for b in payload["bounds"]]
+            rows = [[b[h] for h in _BOUND_COLUMNS] for b in _record_dicts(payload["bounds"])]
             return list(_BOUND_COLUMNS), rows
         return ["value", "witness_vertex"], [[payload["value"], payload["witness_vertex"]]]
     if command == "formulas":
@@ -475,7 +539,7 @@ def _cmd_rho2(args) -> int:
     value, vertex = rho2_fast(g)
     payload = {"value": value, "witness_vertex": vertex}
     if bounds is not None:
-        payload["bounds"] = [{f: getattr(b, f) for f in _BOUND_COLUMNS} for b in bounds]
+        payload["bounds"] = bounds  # a record leaf
     _write(_document("rho2", payload, _graph_summary(g)), args.format)
     return EXIT_OK
 

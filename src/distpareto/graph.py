@@ -238,13 +238,14 @@ def _file_lines(fh: TextIO) -> Iterator[str]:
     for piece in iter(functools.partial(fh.readline, 1 << 16), ""):
         lines = (piece + "\0").splitlines()  # "\0" ends no line
         tail = lines.pop()[:-1]
-        if lines:
+        if lines and rest:
             lines[0] = "".join(rest + lines[:1])
             rest = []
-            yield from lines
-        rest.append(tail)
-    if line := "".join(rest):
-        yield line
+        yield from lines
+        if tail:
+            rest.append(tail)
+    if rest:
+        yield "".join(rest)
 
 
 # A byte that is not UTF-8, as the "surrogateescape" error handler reads it
@@ -306,8 +307,8 @@ def _edge_list_graph(n: int, lines: Iterable[tuple[int, str]]) -> Graph:
             raise GraphParseError(f"line {lineno}: vertex out of range [0, {n}) in {line!r}")
         if u == v:
             raise GraphParseError(f"line {lineno}: self-loop at vertex {u}")
-        edges.add((min(u, v), max(u, v)))
-    return make_graph(n, edges)
+        edges.add((u, v) if u < v else (v, u))
+    return Graph(n=n, edges=frozenset(edges))
 
 
 def edge_list_text(g: Graph) -> str:

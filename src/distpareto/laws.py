@@ -286,18 +286,17 @@ def _second_component_bound(ctx: _BoundContext) -> float:
     uniform tail (T_i = n-1) this reduces to
     (T_j - 2 + sqrt((T_j - 2)^2 + 4(n - 2))) / 2.
     """
-    x = ctx.rho2_vector
+    x = ctx.rho2_vector.tolist()
     u = ctx.rho2_pair[1]
-    d = ctx.d
-    i = int(np.argmax(x))
-    ti = ctx.transmissions[i]
-    rest = [(x[v], v) for v in range(ctx.n) if v != i]
-    second = max(val for val, _ in rest)
-    tied = [v for val, v in rest if val >= second - 1e-9 * max(1.0, second)]
+    i = x.index(max(x))  # the first largest component
+    di, t = ctx.d[i].tolist(), ctx.transmissions
+    du = ctx.d[u].tolist()
+    second = max(x[:i] + x[i + 1:])
+    tied = [j for j, val in enumerate(x) if j != i and val >= second - 1e-9 * max(1.0, second)]
     bounds = []
     for j in tied:
-        beta = ctx.transmissions[j] - int(d[i, j]) - int(d[j, u])
-        gamma = int(d[i, j]) * (ti - int(d[i, u]))
+        beta = t[j] - di[j] - du[j]
+        gamma = di[j] * (t[i] - di[u])
         bounds.append((beta + math.sqrt(beta * beta + 4 * gamma)) / 2)
     return min(bounds)
 
@@ -384,15 +383,14 @@ def _evaluate(ctx: _BoundContext, bound_id: str, k: int | None = None) -> BoundR
             return _row(bound_id, direction, reason=reason)
         return _row(bound_id, direction, bound(ctx), ctx.rho2_pair[0])
 
-    if bound_id not in ("count_lower", "rho_k_lower"):
-        raise ValueError(f"unknown bound id {bound_id!r}")
-    if bound_id == "rho_k_lower" and k is None:
-        raise ValueError("rho_k_lower requires k")
-    if bound_id == "rho_k_lower" and not (
-            isinstance(k, (int, np.integer)) and not isinstance(k, bool) and k >= 1):
-        raise ValueError(f"rho_k_lower needs an integer k >= 1, got {k!r}")
     if bound_id == "count_lower":
         k = None  # only the per-k family carries k
+    elif bound_id != "rho_k_lower":
+        raise ValueError(f"unknown bound id {bound_id!r}")
+    elif k is None:
+        raise ValueError("rho_k_lower requires k")
+    elif not (isinstance(k, (int, np.integer)) and not isinstance(k, bool) and k >= 1):
+        raise ValueError(f"rho_k_lower needs an integer k >= 1, got {k!r}")
 
     if n > DEFAULT_MAX_ORDER:
         reason = f"needs the full spectrum, enumerated only for n <= {DEFAULT_MAX_ORDER}"

@@ -265,44 +265,53 @@ def _block_shape(m: int, item_bytes: int) -> tuple[int, int]:
     return max(1, _GATHER_BYTES // (item_bytes * per_row)), per_row
 
 
+def _flat_offsets(rows: np.ndarray, n: int, lead: int | None = None) -> np.ndarray:
+    """Offsets (r, lead, c) into a row-major n x n matrix of the submatrices on the
+    index rows ``rows[:, :lead]`` by the columns ``rows`` (r, c), square when
+    ``lead`` is None; intp, which numpy indexes with no cast."""
+    rows = rows.astype(np.intp)
+    return rows[:, :lead, None] * n + rows[:, None, :]
+
+
 def _gathered(stack: np.ndarray, rows: np.ndarray, lead: int | None = None,
-              pick: np.ndarray | None = None):
+              pick: np.ndarray | None = None, flat: np.ndarray | None = None):
     """Yield (mats, part, subs): the submatrices ``subs`` of the matrices ``mats``
     of the stack (m, n, n), or of ``stack[pick]``, on the index rows
     ``rows[part, :lead]`` by the columns ``rows[part]`` (square when ``lead`` is
     None), at most ``_GATHER_BYTES`` (or one submatrix) per block, so memory
-    stays bounded whatever m and the rows are."""
+    stays bounded whatever m and the rows are.  Each block is one ``take`` from
+    the (matrices, n * n) view of its matrices at the ``_flat_offsets`` of its
+    rows, or at ``flat[part]`` when the caller holds them (a plan's batch)."""
     m = stack.shape[0] if pick is None else pick.size
     r, c = rows.shape
-    k = c if lead is None else lead
+    k, n = c if lead is None else lead, stack.shape[-1]
     per_mat, per_row = _block_shape(m, k * c * 8)
     for i in range(0, m, per_mat):
         mats = slice(i, i + per_mat)
-        block = stack[mats] if pick is None else stack[pick[mats]]
+        block = (stack[mats] if pick is None else stack[pick[mats]]).reshape(-1, n * n)
         for lo in range(0, r, per_row):
-            sel = rows[lo : lo + per_row]
-            yield mats, slice(lo, lo + per_row), block[:, sel[:, :k, None], sel[:, None, :]]
+            part = slice(lo, lo + per_row)
+            at = _flat_offsets(rows[part], n, lead) if flat is None else flat[part]
+            yield mats, part, block.take(at, axis=1)
 
 
-def _perron_roots_for_rows(dmat: np.ndarray, rows: np.ndarray,
-                           pick: np.ndarray | None = None) -> np.ndarray:
+def _perron_roots_for_rows(dmat: np.ndarray, rows: np.ndarray, pick: np.ndarray | None = None,
+                           flat: np.ndarray | None = None) -> np.ndarray:
     """Perron roots of ``dmat`` restricted to each index row of ``rows``.
 
     ``dmat`` is one (n, n) matrix or a stack (m, n, n); the result has shape
     (r,) or (m, r) for r rows, or (p, r) for the p matrices ``dmat[pick]``.
-    Submatrices come in ``_gathered`` blocks, so no copy of the stack is made.
+    Submatrices come in ``_gathered`` blocks, at the offsets ``flat`` when
+    given, so no copy of the stack is made; a 2 x 2 one's root is its entry
+    off the diagonal, and a 1 x 1 one's is 0.
     """
     stack = dmat.reshape((-1,) + dmat.shape[-2:])
-    which = np.arange(stack.shape[0]) if pick is None else pick
     r, k = rows.shape
-    if k == 1:
-        out = np.zeros((which.size, r))
-    elif k == 2:
-        out = stack[which[:, None], rows[:, 0], rows[:, 1]].astype(np.float64)
-    else:
-        out = np.empty((which.size, r))
-        for mats, part, subs in _gathered(stack, rows, pick=pick):
-            out[mats, part] = spectral_radius_many(subs.reshape(-1, k, k)).reshape(subs.shape[:2])
+    out = np.zeros((stack.shape[0] if pick is None else pick.size, r))
+    if k > 1:
+        for mats, part, subs in _gathered(stack, rows, pick=pick, flat=flat):
+            out[mats, part] = subs[:, :, 0, 1] if k == 2 else (
+                spectral_radius_many(subs.reshape(-1, k, k)).reshape(subs.shape[:2]))
     return out.reshape((dmat.shape[:-2] if pick is None else pick.shape) + (r,))
 
 
@@ -361,7 +370,7 @@ def _perron_pairs_for_rows(d: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray,
     low = np.empty(r)  # smallest vector entry on each row
     for _, part, subs in _gathered(d[None], rows):
         values[part], vecs = perron_pairs_many(subs[0])
-        np.put_along_axis(vectors[part], rows[part], vecs, axis=1)
+        vectors[part][np.arange(vecs.shape[0])[:, None], rows[part]] = vecs
         low[part] = vecs.min(axis=1)
     tol = 1e-9 * np.maximum(1.0, np.abs(values))
     dx = vectors @ d  # row i is D x for x = vectors[i], as D is symmetric
@@ -375,14 +384,15 @@ def _perron_pairs_for_rows(d: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray,
     return values, vectors
 
 
-def _direct_roots(stack: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def _direct_roots(stack: np.ndarray, rows: np.ndarray, flat: np.ndarray | None = None) -> np.ndarray:
     """The kernel's Perron roots (m, r) of a stack (m, n, n) on the index rows
     ``rows``: a stack's from ``_distinct_perron_roots``, as the same small
     submatrices recur across its graphs, and one matrix's from
-    ``_perron_roots_for_rows``, as few recur within one graph."""
+    ``_perron_roots_for_rows``, as few recur within one graph, gathered at the
+    rows' offsets ``flat`` when given."""
     if stack.shape[0] > 1:
         return _distinct_perron_roots(stack, rows)
-    return _perron_roots_for_rows(stack, rows)
+    return _perron_roots_for_rows(stack, rows, flat=flat)
 
 
 def _map_spans(fn, total: int, jobs: int) -> list:
@@ -408,7 +418,8 @@ def _size_offsets(subsets: Mapping[int, np.ndarray]) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class _Batch:
     """Subsets of one size k solved together: the index rows ``rows`` (r, k) of a
-    direct batch, which ``_perron_roots_for_rows`` solves, or the rows (r, n) of
+    direct batch, which ``_direct_roots`` solves, gathering one matrix's
+    submatrices at their ``_flat_offsets`` ``flat`` (r, k, k), or the rows (r, n) of
     a codeword batch, each a codeword J's k members and then the other vertices,
     and ``at`` (r,) the canonical flat slot of each one's Perron root.  One
     eigendecomposition of each codeword gives its own root and, where ``use``
@@ -420,15 +431,18 @@ class _Batch:
     at: np.ndarray
     use: np.ndarray | None = None
     child_at: np.ndarray | None = None
+    flat: np.ndarray | None = None
 
 
 @dataclass(frozen=True, eq=False)
 class _Plan:
     """Where each Perron root of an order's subset pass comes from: ``batches``,
-    in the order ``--jobs`` splits them, and ``approx`` (2^n - 1,), true at the
-    slots a codeword batch fills."""
+    in the order ``--jobs`` splits them, the place of each one's first subset in
+    that order and then their total (``starts``), and ``approx`` (2^n - 1,), true
+    at the slots a codeword batch fills."""
 
     batches: tuple[_Batch, ...]
+    starts: tuple[int, ...]
     approx: np.ndarray
 
 
@@ -483,11 +497,13 @@ def _plan(subsets: Mapping[int, np.ndarray]) -> _Plan:
     for k in range(n, 0, -1):
         direct = np.flatnonzero(~approx[offsets[k - 1] : offsets[k]]).astype(np.int32)
         if direct.size:
-            batches.append(_Batch(k, subsets[k][direct], offsets[k - 1] + direct))
-    for array in [approx] + [a for b in batches for a in (b.rows, b.at, b.use, b.child_at)]:
+            rows = subsets[k][direct]
+            batches.append(_Batch(k, rows, offsets[k - 1] + direct, flat=_flat_offsets(rows, n)))
+    for array in [approx] + [a for b in batches for a in (b.rows, b.at, b.use, b.child_at, b.flat)]:
         if array is not None:
             array.setflags(write=False)
-    _PLANS[n] = _Plan(tuple(batches), approx)
+    starts = np.cumsum([0] + [b.at.size for b in batches]).tolist()
+    _PLANS[n] = _Plan(tuple(batches), tuple(starts), approx)
     return _PLANS[n]
 
 
@@ -522,21 +538,20 @@ def _all_subset_values(
     plan = _plan(subsets)
     stack = dmat.reshape((-1,) + dmat.shape[-2:])
     out = np.empty((stack.shape[0], plan.approx.size))
-    starts = np.cumsum([0] + [b.at.size for b in plan.batches])
 
     def fill(span: tuple[int, int]) -> None:
         lo, hi = span
-        for batch, start in zip(plan.batches, starts.tolist()):
+        for batch, start in zip(plan.batches, plan.starts):
             part = slice(max(lo - start, 0), min(hi - start, batch.at.size))
             if part.start >= part.stop:
                 continue
             if batch.use is None:
-                out[:, batch.at[part]] = _direct_roots(stack, batch.rows[part])
+                out[:, batch.at[part]] = _direct_roots(stack, batch.rows[part], batch.flat[part])
             else:
                 _parent_batch(stack, out, batch.rows[part], batch.k, batch.use[part],
                               batch.at[part], batch.child_at[part])
 
-    _map_spans(fill, int(starts[-1]), jobs)
+    _map_spans(fill, plan.starts[-1], jobs)
     if plan.approx.any():
         _settle(stack, out, plan.approx, tol, subsets)
     return out.reshape(dmat.shape[:-2] + out.shape[-1:])

@@ -40,10 +40,9 @@ RESIDUAL_TOL = 1e-10
 def _check_residuals(mats: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> None:
     """EigensolverError unless each pair (values[..., i], vectors[..., :, i]) meets the contract."""
     residuals = np.abs(mats @ vectors - vectors * values[..., None, :]).max(axis=-2)
-    scale = np.maximum(1.0, np.abs(values))
-    bad = np.argwhere(residuals > RESIDUAL_TOL * scale)
-    if bad.size:
-        at = tuple(bad[0])
+    bad = residuals > RESIDUAL_TOL * np.maximum(1.0, np.abs(values))
+    if bad.any():
+        at = tuple(np.argwhere(bad)[0])
         raise EigensolverError(
             f"eigenpair residual {residuals[at]:.3e} exceeds tolerance for value {values[at]:.6g}"
         )
@@ -55,9 +54,8 @@ def perron_pairs_many(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     values, vectors = np.linalg.eigh(mats)
     values, vectors = values[:, -1], vectors[:, :, -1]
     _check_residuals(mats, values[:, None], vectors[:, :, None])
-    pivot = np.abs(vectors).argmax(axis=1)
-    flip = np.take_along_axis(vectors, pivot[:, None], axis=1) < 0
-    return values, np.where(flip, -vectors, vectors)
+    flip = vectors[np.arange(vectors.shape[0]), np.abs(vectors).argmax(axis=1)] < 0
+    return values, np.where(flip[:, None], -vectors, vectors)
 
 
 def spectral_radius_many(mats: np.ndarray) -> np.ndarray:

@@ -229,9 +229,13 @@ def test_verify_suites_live_in_verify():
 
 
 def test_one_gather_one_jobs_split_one_bound_row_builder():
-    # the values and the pairs kernel take their submatrices from one blocked gather
-    gathers = _occurrences(r"\[:, :\w*, None\], \w+\[:, None, :\]")
+    # the values and the pairs kernel take their submatrices from one blocked gather,
+    # one take at the flat offsets that one expression spells (a plan keeps those of
+    # its direct batches)
+    gathers = _occurrences(r"\[:, :\w*, None\] \* \w+ \+ \w+\[:, None, :\]")
     assert [hit.split(":")[0] for hit in gathers] == ["pareto.py"]
+    assert _callers("_flat_offsets") == {"_gathered", "_plan"}
+    assert _callers("take") == {"_gathered"}
     assert _callers("_gathered") == {"_perron_roots_for_rows", "_perron_pairs_for_rows", "_parent_batch"}
     # the extremal search splits --jobs through the subset pass, not over classes
     assert "_map_spans" not in (SRC / "verify.py").read_text(encoding="utf-8")
@@ -258,11 +262,12 @@ def test_one_distance_representation():
     # distances are the array itself: no wrapper, no attribute hop to reach it
     assert _occurrences(r"\bDistanceMatrix\b|\bdm\b") == []
     assert _occurrences(r"distance_matrix\((?:[^()]|\([^()]*\))*\)\.d\b") == []
-    # the integer array goes to numpy as it is, gathered blocks too; only the values
-    # kernel casts, its 2x2 roots read off the array (and _relabelings, of edge bits)
+    # the integer array goes to numpy as it is, gathered blocks too, and no kernel
+    # casts it: a 2x2 root is read off its gathered block into the float result
+    # (only _relabelings casts, of edge bits)
     casts = {name for path in sorted(SRC.glob("*.py")) for name, src in _functions(path.name).items()
              if re.search(r"astype\((np\.float64|float)\b", src)}
-    assert casts == {"_perron_roots_for_rows", "_relabelings"}
+    assert casts == {"_relabelings"}
     # a spectrum's rho_k and mu_k are its methods, not a second enumeration
     tree = ast.parse((SRC / "pareto.py").read_text(encoding="utf-8"))
     assert [fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
