@@ -208,14 +208,21 @@ def _layout(obj, level: int):
         between = f"\n{inner}{end},\n{inner}{start}{deep}"
         body = f"{start}{deep}" + text.replace(f"{end},{deep}{start}", between) + f"\n{inner}{end}"
     else:
+        # The scalar items, keyed in a dict, come from one call of the C encoder,
+        # split at its item separator, which no encoded scalar holds.
+        keys = sorted(obj) if is_dict else range(len(obj))
+        nested = [isinstance(obj[key], (dict, list, np.ndarray)) for key in keys]
+        scalars = [key for key, deep in zip(keys, nested) if not deep]
+        texts = iter(_encoder(level + 1).encode(
+            {key: obj[key] for key in scalars} if is_dict else [obj[key] for key in scalars]
+        )[1:-1].split(",\n" + inner))
         sep = opening + "\n" + inner
-        for key in sorted(obj) if is_dict else range(len(obj)):
-            head = f"{sep}{_encode_str(key)}: " if is_dict else sep
-            if isinstance(obj[key], (dict, list, np.ndarray)):
-                yield head
+        for key, deep in zip(keys, nested):
+            if deep:
+                yield f"{sep}{_encode_str(key)}: " if is_dict else sep
                 yield from _layout(obj[key], level + 1)
-            else:  # a scalar
-                yield head + json.dumps(obj[key])
+            else:
+                yield sep + next(texts)
             sep = ",\n" + inner
         yield f"\n{pad}{closing}"
         return

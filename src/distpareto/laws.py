@@ -391,7 +391,12 @@ def _evaluate(ctx: _BoundContext, bound_id: str, k: int | None = None) -> BoundR
         raise ValueError("rho_k_lower requires k")
     elif not (isinstance(k, (int, np.integer)) and not isinstance(k, bool) and k >= 1):
         raise ValueError(f"rho_k_lower needs an integer k >= 1, got {k!r}")
+    return _spectrum_row(ctx, bound_id, k)
 
+
+def _spectrum_row(ctx: _BoundContext, bound_id: str, k: int | None) -> BoundResult:
+    """The row of count_lower (k None) or of rho_k_lower at an integer k >= 1."""
+    n = ctx.n
     if n > DEFAULT_MAX_ORDER:
         reason = f"needs the full spectrum, enumerated only for n <= {DEFAULT_MAX_ORDER}"
         return _row(bound_id, "lower", k=k, reason=reason)
@@ -417,5 +422,5 @@ def bound_report(g: Graph) -> list[BoundResult]:
     """
     ctx = _BoundContext(g)
     results = [_evaluate(ctx, bound_id) for bound_id in BOUND_IDS[:-1]]
-    results += [_evaluate(ctx, "rho_k_lower", k=k) for k in range(1, g.n + 1)]
+    results += [_spectrum_row(ctx, "rho_k_lower", k) for k in range(1, g.n + 1)]
     return results
