@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import itertools
 import json
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distpareto import cli, verify
+from distpareto import cli, laws, verify
 from distpareto.graph import make_family, make_graph, parse_edge_list
 
 
@@ -537,6 +538,42 @@ _ROWS = st.lists(st.dictionaries(st.one_of(_ROW_TEXT, st.integers(-2, 2)), _ROW_
 def test_json_writer_matches_indented_dumps_on_lists_of_dicts(doc):
     doc = cli._jsonable(doc)
     assert _written(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+# Bound-report rows as the writer gets them, a record leaf, with the values the
+# table holds (NaN for an inapplicable bound, integers, k None or an int) and
+# floats whose twelve-digit text differs from repr's.
+_RECORDS = st.lists(st.builds(
+    lambda texts, k, numbers, flags: laws.BoundResult(
+        bound_id=texts[0], k=k, direction=texts[1], bound_value=numbers[0],
+        actual_value=numbers[1], slack=numbers[2], tight=flags[0], applicable=flags[1],
+        reason=texts[2]),
+    st.tuples(_ROW_TEXT, _ROW_TEXT, _ROW_TEXT), st.one_of(st.none(), st.integers(1, 20)),
+    st.tuples(_FLOATS, _FLOATS, _FLOATS), st.tuples(st.booleans(), st.booleans()),
+), min_size=1, max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RECORDS, st.sampled_from([None, "bounds"]))
+def test_record_leaf_is_written_as_its_rows_field_dicts(records, key):
+    # JSON against json.dumps of the field dicts, the table against the table of
+    # those dicts, and CSV against csv.writer on their values, each rounded
+    rows = [dataclasses.asdict(r) for r in records]
+    assert _written(cli._jsonable(records if key is None else {key: records})) == (
+        json.dumps(_reference_jsonable(rows if key is None else {key: rows}),
+                   sort_keys=True, indent=2) + "\n")
+    texts = {}
+    for fmt, bounds in (("csv", records), ("table", records), ("dicts", cli._jsonable(rows))):
+        doc = {"command": "rho2", "tool_version": "0", "graph_summary": None,
+               "payload": {"value": 1.5, "witness_vertex": 0, "bounds": bounds}}
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            cli._write(cli._jsonable(doc), "table" if fmt == "dicts" else fmt)
+        texts[fmt] = out.getvalue()
+    assert texts["table"] == texts["dicts"]
+    want = io.StringIO()
+    csv.writer(want, lineterminator="\n").writerows(
+        [list(rows[0])] + [list(row.values()) for row in cli._jsonable(rows)])
+    assert texts["csv"] == want.getvalue()
 
 
 def _neighbours(v: float, steps: int) -> float:

@@ -437,6 +437,48 @@ def test_bounded_gather_is_bitwise_identical(monkeypatch):
         assert str(exc.value) == failure
 
 
+def _gathered_whole(stack, rows, lead=None, pick=None, flat=None):
+    """Every block ``_gathered`` yields, put back in one (m, r, lead, c) array."""
+    m = stack.shape[0] if pick is None else pick.size
+    k = rows.shape[1] if lead is None else lead
+    whole = np.full((m, rows.shape[0], k, rows.shape[1]), -1, dtype=stack.dtype)
+    for mats, part, subs in pareto._gathered(stack, rows, lead, pick, flat):
+        whole[mats, part] = subs
+    return whole
+
+
+def test_flat_offset_gather_equals_the_broadcast_index(monkeypatch):
+    # one matrix and a stack, square and with a lead, with and without a pick, every
+    # subset size at n = 1..12 and, past the uint8 labels' range of offsets, n = 20
+    rng = np.random.default_rng(36)
+    cases = [(n, k, rows) for n in range(1, 13) for k, rows in pareto._subsets_by_size(n).items()]
+    cases += [(20, k, pareto._subsets_by_size(20)[k]) for k in (1, 2, 19, 20)]
+    for n, k, rows in cases:
+        stack = rng.integers(0, 50, size=(4, n, n))
+        codeword = np.argsort(rng.random((rows.shape[0], n)), axis=1).astype(np.uint8)
+        for mats, pick in ((stack[:1], np.array([0, 0])), (stack, np.array([3, 0, 3]))):
+            for choice in (None, pick):
+                src = mats if choice is None else mats[choice]
+                want = src[:, rows[:, :, None], rows[:, None, :]]
+                assert np.array_equal(_gathered_whole(mats, rows, pick=choice), want), (n, k)
+                flat = pareto._flat_offsets(rows, n)
+                assert np.array_equal(_gathered_whole(mats, rows, pick=choice, flat=flat), want)
+                want = src[:, codeword[:, :k, None], codeword[:, None, :]]  # k rows by n columns
+                assert np.array_equal(_gathered_whole(mats, codeword, k, choice), want), (n, k)
+    # the plan's direct batches keep the offsets of their rows, and small blocks split alike
+    for n in (7, 12):
+        for batch in pareto._plan(pareto._subsets_by_size(n)).batches:
+            if batch.use is None:
+                assert np.array_equal(batch.flat, pareto._flat_offsets(batch.rows, n))
+    stack = rng.integers(0, 50, size=(5, 9, 9))
+    rows = pareto._subsets_by_size(9)[4]
+    want = _gathered_whole(stack, rows)
+    monkeypatch.setattr(pareto, "_GATHER_BYTES", 3 * 16 * 8)  # three 4 x 4 submatrices a block
+    assert len(list(pareto._gathered(stack, rows))) > 5
+    assert np.array_equal(_gathered_whole(stack, rows, flat=pareto._flat_offsets(rows, 9)), want)
+    assert np.array_equal(_gathered_whole(stack, rows), want)
+
+
 # ---------------------------------------------------------------------------
 # rho2_fast's secular screen against the kernel on every deletion
 
