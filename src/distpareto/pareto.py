@@ -281,18 +281,20 @@ def _gathered(stack: np.ndarray, rows: np.ndarray, lead: int | None = None,
     None), at most ``_GATHER_BYTES`` (or one submatrix) per block, so memory
     stays bounded whatever m and the rows are.  Each block is one ``take`` from
     the (matrices, n * n) view of its matrices at the ``_flat_offsets`` of its
-    rows, or at ``flat[part]`` when the caller holds them (a plan's batch)."""
+    rows, or at ``flat[part]`` when the caller holds them (a plan's batch).
+    Offsets made here take as many bytes as one matrix's submatrices, so they
+    count as one more matrix in the block's budget."""
     m = stack.shape[0] if pick is None else pick.size
     r, c = rows.shape
     k, n = c if lead is None else lead, stack.shape[-1]
-    per_mat, per_row = _block_shape(m, k * c * 8)
+    per_mat, per_row = _block_shape(m + (flat is None), k * c * 8)
     for i in range(0, m, per_mat):
         mats = slice(i, i + per_mat)
         block = (stack[mats] if pick is None else stack[pick[mats]]).reshape(-1, n * n)
         for lo in range(0, r, per_row):
-            part = slice(lo, lo + per_row)
-            at = _flat_offsets(rows[part], n, lead) if flat is None else flat[part]
-            yield mats, part, block.take(at, axis=1)
+            part = slice(lo, lo + per_row)  # offsets made here are freed before the yield
+            yield mats, part, block.take(
+                _flat_offsets(rows[part], n, lead) if flat is None else flat[part], axis=1)
 
 
 def _perron_roots_for_rows(dmat: np.ndarray, rows: np.ndarray, pick: np.ndarray | None = None,
