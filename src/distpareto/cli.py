@@ -110,6 +110,11 @@ def _jsonable(obj):
     return obj
 
 
+def _is_records(obj) -> bool:
+    """Whether ``obj``, normalised by ``_jsonable``, is a record leaf."""
+    return isinstance(obj, list) and bool(obj) and dataclasses.is_dataclass(obj[0])
+
+
 def _record_dicts(records: list) -> list[dict]:
     """The field dicts of a record leaf, as ``_jsonable`` converts them."""
     return [_jsonable(dataclasses.asdict(r)) for r in records]
@@ -176,7 +181,7 @@ def _layout(obj, level: int):
     leaf comes in pieces of about ``_BLOCK`` numbers (``_leaf_pieces``).  Only
     the containers above them are walked here.
     """
-    if isinstance(obj, list) and obj and dataclasses.is_dataclass(obj[0]):
+    if _is_records(obj):
         yield _record_text(obj, level)
         return
     if isinstance(obj, np.ndarray):
@@ -241,9 +246,9 @@ def _column_texts(columns: list[list]) -> list[list[str]]:
     size = len(columns[0])
     floats = [set(map(type, column)) == {float} for column in columns]
     fmts, args = _float_args(np.array([c for c, f in zip(columns, floats) if f]).ravel())
-    texts = {True: map(operator.mod, fmts, args), False: _COLUMN_ENCODER.encode(
-        _jsonable([v for c, f in zip(columns, floats) if not f for v in c]))[1:-1].split("\n")}
-    texts = {kind: iter(list(text)) for kind, text in texts.items()}
+    others = _jsonable([v for c, f in zip(columns, floats) if not f for v in c])
+    texts = {True: iter(list(map(operator.mod, fmts, args))),
+             False: iter(_COLUMN_ENCODER.encode(others)[1:-1].split("\n"))}
     return [list(itertools.islice(texts[f], size)) for f in floats]
 
 
@@ -373,7 +378,7 @@ def _table_pieces(obj, depth: int):
                 rows = f"{pad}  ["
                 yield f"{pad}{key}:\n"
                 yield from _leaf_pieces(val, (rows, ", ", "]\n", rows + "]\n"), "", "")
-            elif isinstance(val, list) and val and dataclasses.is_dataclass(val[0]):
+            elif _is_records(val):
                 yield f"{pad}{key}:\n"
                 yield from _table_pieces(_record_dicts(val), depth + 1)
             elif isinstance(val, dict) or isinstance(val, list) and not _scalars(val):

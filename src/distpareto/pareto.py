@@ -21,7 +21,9 @@ each size from the size below by the suffix recursion of lexicographic order
 spectrum, the rho2 screen and the batched sweeps in ``verify``.
 ``_perron_pairs_for_rows`` adds the vectors, for ``pareto_eigenpair`` (one
 row) and the convexity sweep in ``verify`` (every subset of a tree).  Both take
-their submatrices from ``_gathered``, at most ``_GATHER_BYTES`` per block.
+their submatrices from ``_gathered``, at most ``_GATHER_BYTES`` per block, each
+block one ``take`` at flat offsets into its matrices (``_flat_offsets``); the
+plan's direct batches keep theirs, built once per order.
 ``_all_subset_values`` is the one pass over every subset, for one matrix (the
 spectrum) or a stack (``_distinct_counts``, the extremal search's counts).  On
 a stack the same small submatrices recur across the graphs (99 distinct 3 x 3
