@@ -131,7 +131,7 @@ def _graph_summary(g: Graph) -> dict:
         "size": g.size,
         "diameter": diameter(distance_matrix(g)),
         "name": g.name,
-        "edges": [list(e) for e in g.sorted_edges()],
+        "edges": g.sorted_edges(),  # pairs, written as lists
     }
 
 
