@@ -159,27 +159,20 @@ def _scalars(items) -> bool:
     return not any(issubclass(t, (dict, list, np.ndarray)) for t in set(map(type, items)))
 
 
-def _rows_of_scalars(items: list) -> str:
-    """The brackets of ``items`` when it is a list of nonempty lists of scalars
-    ("[]") or of nonempty dicts of scalars ("{}"), else ""."""
-    kinds = set(map(type, items))
-    if kinds == {list} and all(items) and _scalars(itertools.chain.from_iterable(items)):
-        return "[]"
-    if kinds == {dict} and all(items) and _scalars(
-        itertools.chain.from_iterable(map(dict.values, items))
-    ):
-        return "{}"
-    return ""
+def _rows_of_scalars(items: list) -> bool:
+    """Whether ``items`` is a list of nonempty lists of scalars."""
+    return set(map(type, items)) == {list} and all(items) and _scalars(
+        itertools.chain.from_iterable(items))
 
 
 def _layout(obj, level: int):
     """Yield ``obj``, normalised by ``_jsonable``, as pieces of the text of
     ``json.dumps`` with sorted keys and a 2-space indent, opened at nesting ``level``.
 
-    Each container of scalars, and each list of nonempty lists or nonempty
-    dicts of scalars, is one piece from one call of the C encoder; an array
-    leaf comes in pieces of about ``_BLOCK`` numbers (``_leaf_pieces``).  Only
-    the containers above them are walked here.
+    Each container of scalars, and each list of nonempty lists of scalars, is
+    one piece from one call of the C encoder; an array leaf comes in pieces of
+    about ``_BLOCK`` numbers (``_leaf_pieces``).  Only the containers above
+    them are walked here.
     """
     if _is_records(obj):
         yield _record_text(obj, level)
@@ -201,17 +194,14 @@ def _layout(obj, level: int):
     opening, closing = "{}" if is_dict else "[]"
     if _scalars(obj.values() if is_dict else obj):
         body = _encoder(level + 1).encode(obj)[1:-1]
-    elif not is_dict and (brackets := _rows_of_scalars(obj)):
+    elif not is_dict and _rows_of_scalars(obj):
         # Encoded with the rows' separator, then each row is closed and the next
-        # opened on lines of their own.  A scalar neither ends in "]" or "}" nor
-        # starts with "[" or "{", a dict item starts with its key's quote, and an
-        # encoded string holds no newline, so close + separator + open occurs
-        # exactly between two rows.
-        start, end = brackets
+        # opened on lines of their own.  A scalar neither ends in "]" nor starts
+        # with "[", and an encoded string holds no newline, so "]" + separator +
+        # "[" occurs exactly between two rows.
         deep = "\n" + "  " * (level + 2)
         text = _encoder(level + 2).encode(obj)[2:-2]
-        between = f"\n{inner}{end},\n{inner}{start}{deep}"
-        body = f"{start}{deep}" + text.replace(f"{end},{deep}{start}", between) + f"\n{inner}{end}"
+        body = f"[{deep}" + text.replace(f"],{deep}[", f"\n{inner}],\n{inner}[{deep}") + f"\n{inner}]"
     else:
         # The scalar items, keyed in a dict, come from one call of the C encoder,
         # split at its item separator, which no encoded scalar holds.

@@ -10,31 +10,28 @@ for each distinct value is the first subset in canonical order, i.e. the
 lexicographically smallest one of smallest cardinality.  The spectrum keeps
 the values and the witnesses' canonical flat indices as arrays; the order's
 ``_subset_masks`` turns the indices into bit masks, which the CLI writes, and
-``_decode`` into vertex labels, only when the witnesses are read.
+bit shifts turn those into vertex labels, only when the witnesses are read.
 
 Each order's subset tables, the rows of every size (``_subsets_by_size``) and
 the flat bit masks (``_subset_masks``), are built once and shared read-only,
 each size from the size below by the suffix recursion of lexicographic order
 (``_suffix_blocks``), with no smaller order's tables.
 
-``_perron_roots_for_rows`` is the one gather-and-solve kernel: it serves the
-spectrum, the rho2 screen and the batched sweeps in ``verify``.
-``_perron_pairs_for_rows`` adds the vectors, for ``pareto_eigenpair`` (one
-row) and the convexity sweep in ``verify`` (every subset of a tree).  Both take
-their submatrices from ``_gathered``, at most ``_GATHER_BYTES`` per block, each
-block one ``take`` at flat offsets into its matrices (``_flat_offsets``); the
-plan's direct batches keep theirs, built once per order.
+``_perron_roots_for_rows`` is the one Perron-root kernel: the subset pass,
+rho2 below the screen's order, the screen's recomputes and the coalescence
+check in ``verify`` all call it.  ``_perron_pairs_for_rows`` adds the vectors,
+for ``pareto_eigenpair`` (one row) and the convexity sweep in ``verify``
+(every subset of a tree).  Both take their submatrices from ``_gathered``, at
+most ``_GATHER_BYTES`` per block, each block one ``take`` at flat offsets into
+its matrices (``_flat_offsets``); the plan's direct batches keep theirs, built
+once per order.  On a stack the same small submatrices recur across the graphs
+(99 distinct 3 x 3 ones stand for the 342,510 3-subsets of the order-7 classes
+and their edge deletions), so on more than one int64 matrix and k >= 3 the
+kernel gathers each submatrix's upper triangle alone, keys it by those
+entries, and solves each distinct submatrix of a block once.  Within one
+matrix few submatrices repeat, and it solves each as it is.
 ``_all_subset_values`` is the one pass over every subset, for one matrix (the
-spectrum) or a stack (``_distinct_counts``, the extremal search's counts).  On
-a stack the same small submatrices recur across the graphs (99 distinct 3 x 3
-ones stand for the 342,510 3-subsets of the order-7 classes and their edge
-deletions), so ``_direct_roots`` sends a stack's direct batches to
-``_distinct_perron_roots``: it keys each submatrix of a bounded block by its
-upper triangle, builds each distinct one from its key and solves it once with
-the kernel's ``spectral_radius_many``, and gives its root to every subset
-with that key.  Within one matrix few submatrices repeat, and
-``_direct_roots`` sends one matrix's batches to the kernel itself; the pass
-and rho2 below the screen's order both choose by that one rule.
+spectrum) or a stack (``_distinct_counts``, the extremal search's counts).
 
 The subset pass follows the order's ``_plan``, built once per order: from
 order 11 on, the codewords of a radius-1 covering code of the subset cube
@@ -55,14 +52,14 @@ The rho2 block is always solved by the kernel.
 ``_rho2_many`` gives rho2 for a stack of graphs; ``rho2_fast`` is its
 one-graph case, and the sweeps in ``verify`` run it on a whole stack.  Below
 order ``_SCREEN_MIN_ORDER`` (7) the kernel solves every single-vertex
-deletion through ``_direct_roots``, one solve per distinct deletion
-submatrix of a stack.  From that order up the rho2 screen ``_rho2_screen``
-runs: one parent batch (``_parent_batch`` on the whole vertex set, in
-bounded ``_gathered`` blocks) screens all n deletions of each graph with one
-``eigh`` and O(n^2) work per Newton step on the secular equation, instead of
-n deletion eigensolves at O(n^4), and the kernel recomputes only the few
-deletions screened near each graph's top, in ``_gathered`` blocks over the
-graphs that keep each.  The screen's fixed cost per graph is above that of
+deletion, one solve per distinct deletion submatrix of a stack.  From that
+order up the rho2 screen ``_rho2_screen`` runs: one parent batch
+(``_parent_batch`` on the whole vertex set, in bounded ``_gathered`` blocks)
+screens all n deletions of each graph with one ``eigh`` and O(n^2) work per
+Newton step on the secular equation, instead of n deletion eigensolves at
+O(n^4), and the kernel recomputes only the few deletions screened near each
+graph's top, over the graphs that keep each (one solve per distinct
+submatrix there too).  The screen's fixed cost per graph is above that of
 the n small eigensolves below order 7 (measured on class and random stacks),
 and both routes give the kernel's bits.
 
@@ -121,9 +118,9 @@ class ParetoSpectrum:
 
     The spectrum is held as read-only arrays: ``value_array`` (float64) and
     ``witness_index``, the canonical flat index of each witness subset.  The
-    witnesses' bit masks ``witness_masks``, their labels ``witness_rows`` and
-    the tuple forms ``values`` and ``witnesses`` are built on first read; two
-    spectra are equal when those forms, the tolerance and the order are.
+    witnesses' bit masks ``witness_masks`` and the tuple forms ``values`` and
+    ``witnesses`` (read off the masks) are built on first read; two spectra are
+    equal when those forms, the tolerance and the order are.
     """
 
     value_array: np.ndarray
@@ -143,16 +140,10 @@ class ParetoSpectrum:
         return masks
 
     @functools.cached_property
-    def witness_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """The witnesses' vertex labels, concatenated in value order, and the size of each."""
-        return _decode(self.witness_index, _subsets_by_size(self.graph_order))
-
-    @functools.cached_property
     def witnesses(self) -> tuple[tuple[int, ...], ...]:
-        labels, sizes = self.witness_rows
-        ends = np.cumsum(sizes)
-        rows = map(slice, (ends - sizes).tolist(), ends.tolist())
-        return tuple(map(tuple, map(labels.tolist().__getitem__, rows)))
+        bits = (self.witness_masks[:, None] >> np.arange(self.graph_order)) & 1
+        labels, ends = np.nonzero(bits)[1].tolist(), np.cumsum(bits.sum(axis=1)).tolist()
+        return tuple(map(tuple, map(labels.__getitem__, map(slice, [0] + ends[:-1], ends))))
 
     @property
     def count(self) -> int:
@@ -260,13 +251,6 @@ def _subset_masks(n: int) -> np.ndarray:
     return masks
 
 
-def _block_shape(m: int, item_bytes: int) -> tuple[int, int]:
-    """(matrices, rows) per block when each (matrix, row) pair of m matrices takes
-    ``item_bytes``: at most ``_GATHER_BYTES`` a block, or one pair."""
-    per_row = max(1, _GATHER_BYTES // (item_bytes * max(1, m)))
-    return max(1, _GATHER_BYTES // (item_bytes * per_row)), per_row
-
-
 def _flat_offsets(rows: np.ndarray, n: int, lead: int | None = None) -> np.ndarray:
     """Offsets (r, lead, c) into a row-major n x n matrix of the submatrices on the
     index rows ``rows[:, :lead]`` by the columns ``rows`` (r, c), square when
@@ -283,13 +267,16 @@ def _gathered(stack: np.ndarray, rows: np.ndarray, lead: int | None = None,
     None), at most ``_GATHER_BYTES`` (or one submatrix) per block, so memory
     stays bounded whatever m and the rows are.  Each block is one ``take`` from
     the (matrices, n * n) view of its matrices at the ``_flat_offsets`` of its
-    rows, or at ``flat[part]`` when the caller holds them (a plan's batch).
-    Offsets made here take as many bytes as one matrix's submatrices, so they
+    rows, or at ``flat[part]`` when the caller holds them (a plan's batch, or
+    the upper triangles alone, which give blocks (matrices, rows, k(k-1)/2)).
+    A block holds at most ``_GATHER_BYTES // (8 k c)`` (matrix, row) pairs;
+    offsets made here take as many bytes as one matrix's submatrices, so they
     count as one more matrix in the block's budget."""
     m = stack.shape[0] if pick is None else pick.size
     r, c = rows.shape
     k, n = c if lead is None else lead, stack.shape[-1]
-    per_mat, per_row = _block_shape(m + (flat is None), k * c * 8)
+    per_row = max(1, _GATHER_BYTES // (k * c * 8 * max(1, m + (flat is None))))
+    per_mat = max(1, _GATHER_BYTES // (k * c * 8 * per_row))
     for i in range(0, m, per_mat):
         mats = slice(i, i + per_mat)
         block = (stack[mats] if pick is None else stack[pick[mats]]).reshape(-1, n * n)
@@ -308,57 +295,43 @@ def _perron_roots_for_rows(dmat: np.ndarray, rows: np.ndarray, pick: np.ndarray 
     Submatrices come in ``_gathered`` blocks, at the offsets ``flat`` when
     given, so no copy of the stack is made; a 2 x 2 one's root is its entry
     off the diagonal, and a 1 x 1 one's is 0.
+
+    When it solves more than one int64 matrix and k >= 3, the same small
+    distance submatrices recur across them, and each block solves each
+    distinct one once.  A distance submatrix is symmetric with a zero
+    diagonal, so its strict upper triangle, gathered alone, fixes it; read as
+    the digits of one integer in base 1 + the block's largest entry, it is
+    the submatrix's key.  One matrix per distinct key is built from the key's
+    digits and solved, and its root goes to every subset with that key; a
+    block whose keys would not fit in int64 is built from its triangles and
+    solved whole.  ``eigvalsh`` solves each matrix of a stack alone, so equal
+    submatrices give equal bits, and the roots are those of each submatrix
+    solved as it is.
     """
     stack = dmat.reshape((-1,) + dmat.shape[-2:])
     r, k = rows.shape
     out = np.zeros((stack.shape[0] if pick is None else pick.size, r))
+    distinct = out.shape[0] > 1 and k > 2 and stack.dtype == np.int64
+    if distinct:  # gather the strict upper triangles alone
+        iu, ju = np.nonzero(np.arange(k)[:, None] < np.arange(k))
+        flat = (_flat_offsets(rows, stack.shape[-1]) if flat is None else flat)[:, iu, ju]
     if k > 1:
         for mats, part, subs in _gathered(stack, rows, pick=pick, flat=flat):
-            out[mats, part] = subs[:, :, 0, 1] if k == 2 else (
-                spectral_radius_many(subs.reshape(-1, k, k)).reshape(subs.shape[:2]))
+            if k == 2:
+                out[mats, part] = subs[:, :, 0, 1]
+            elif not distinct:
+                out[mats, part] = spectral_radius_many(subs.reshape(-1, k, k)).reshape(subs.shape[:2])
+            else:
+                tri, inverse = subs.reshape(-1, iu.size), slice(None)  # one matrix a triangle
+                base = int(tri.max()) + 1
+                if base ** iu.size <= 1 << 63:  # the largest key, base^digits - 1, fits in int64
+                    powers = base ** np.arange(iu.size)
+                    keys, inverse = np.unique(tri @ powers, return_inverse=True)
+                    tri = keys[:, None] // powers % base
+                reps = np.zeros((tri.shape[0], k, k))
+                reps[:, iu, ju] = reps[:, ju, iu] = tri
+                out[mats, part] = spectral_radius_many(reps)[inverse].reshape(subs.shape[:2])
     return out.reshape((dmat.shape[:-2] if pick is None else pick.shape) + (r,))
-
-
-def _distinct_perron_roots(stack: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``_perron_roots_for_rows`` (m, r) of a stack (m, n, n) of distance matrices
-    on the index rows ``rows`` (r, k), with one eigensolve per distinct submatrix
-    of each block.
-
-    A distance submatrix is symmetric with a zero diagonal, so its strict upper
-    triangle fixes it; read as the digits of one integer in base b = 1 + the
-    block's largest distance, it is the submatrix's key, gathered digit by digit.
-    One matrix per distinct key is built from the key's digits and solved, and
-    its root goes to every subset with that key.  ``eigvalsh`` solves each matrix
-    of a stack alone, so equal submatrices give equal bits and the roots are the
-    kernel's.  A block holds as many subsets as a ``_gathered`` block, so that
-    even when every submatrix in it is distinct they take at most
-    ``_GATHER_BYTES``.  A block whose keys would not fit in int64, and a stack
-    that is not int64, go to the kernel as they are.
-    """
-    m, (r, k) = stack.shape[0], rows.shape
-    if k <= 2 or stack.dtype != np.int64:
-        return _perron_roots_for_rows(stack, rows)
-    iu, ju = np.triu_indices(k, 1)
-    out = np.empty((m, r))
-    per_mat, per_row = _block_shape(m, k * k * 8)
-    for i in range(0, m, per_mat):
-        mats = slice(i, i + per_mat)
-        block = stack[mats]
-        base = int(block.max()) + 1
-        if base ** iu.size > 1 << 63:  # the largest key, base^digits - 1, is above int64's
-            out[mats] = _perron_roots_for_rows(block, rows)
-            continue
-        for lo in range(0, r, per_row):
-            sel = rows[lo : lo + per_row]
-            keys = block[:, sel[:, iu[-1]], sel[:, ju[-1]]]  # (matrices, rows), the top digit
-            for a, b in zip(iu[-2::-1], ju[-2::-1]):
-                keys *= base
-                keys += block[:, sel[:, a], sel[:, b]]
-            distinct, inverse = np.unique(keys, return_inverse=True)
-            reps = np.zeros((distinct.size, k, k))
-            reps[:, iu, ju] = reps[:, ju, iu] = distinct[:, None] // base ** np.arange(iu.size) % base
-            out[mats, lo : lo + per_row] = spectral_radius_many(reps)[inverse].reshape(keys.shape)
-    return out
 
 
 def _perron_pairs_for_rows(d: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -388,17 +361,6 @@ def _perron_pairs_for_rows(d: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray,
     return values, vectors
 
 
-def _direct_roots(stack: np.ndarray, rows: np.ndarray, flat: np.ndarray | None = None) -> np.ndarray:
-    """The kernel's Perron roots (m, r) of a stack (m, n, n) on the index rows
-    ``rows``: a stack's from ``_distinct_perron_roots``, as the same small
-    submatrices recur across its graphs, and one matrix's from
-    ``_perron_roots_for_rows``, as few recur within one graph, gathered at the
-    rows' offsets ``flat`` when given."""
-    if stack.shape[0] > 1:
-        return _distinct_perron_roots(stack, rows)
-    return _perron_roots_for_rows(stack, rows, flat=flat)
-
-
 def _map_spans(fn, total: int, jobs: int) -> list:
     """``fn`` over ``jobs`` contiguous spans of range(total), results in span order.
 
@@ -422,13 +384,13 @@ def _size_offsets(subsets: Mapping[int, np.ndarray]) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class _Batch:
     """Subsets of one size k solved together: the index rows ``rows`` (r, k) of a
-    direct batch, which ``_direct_roots`` solves, gathering one matrix's
-    submatrices at their ``_flat_offsets`` ``flat`` (r, k, k), or the rows (r, n) of
-    a codeword batch, each a codeword J's k members and then the other vertices,
-    and ``at`` (r,) the canonical flat slot of each one's Perron root.  One
-    eigendecomposition of each codeword gives its own root and, where ``use``
-    (r, n) holds, the root of its neighbour at the slot ``child_at`` (r, n): J
-    less the member in column j < k, or J with the vertex in column j >= k."""
+    direct batch, which the kernel solves at their ``_flat_offsets`` ``flat``
+    (r, k, k), or the rows (r, n) of a codeword batch, each a codeword J's k
+    members and then the other vertices, and ``at`` (r,) the canonical flat
+    slot of each one's Perron root.  One eigendecomposition of each codeword
+    gives its own root and, where ``use`` (r, n) holds, the root of its
+    neighbour at the slot ``child_at`` (r, n): J less the member in column
+    j < k, or J with the vertex in column j >= k."""
 
     k: int
     rows: np.ndarray
@@ -550,7 +512,8 @@ def _all_subset_values(
             if part.start >= part.stop:
                 continue
             if batch.use is None:
-                out[:, batch.at[part]] = _direct_roots(stack, batch.rows[part], batch.flat[part])
+                out[:, batch.at[part]] = _perron_roots_for_rows(stack, batch.rows[part],
+                                                                flat=batch.flat[part])
             else:
                 _parent_batch(stack, out, batch.rows[part], batch.k, batch.use[part],
                               batch.at[part], batch.child_at[part])
@@ -645,27 +608,6 @@ def _distinct_counts(dmats: np.ndarray, tol: float, jobs: int = 1) -> np.ndarray
     values = _all_subset_values(dmats, _subsets_by_size(dmats.shape[-1]), jobs, tol)
     values.sort(axis=-1)
     return 1 + _breaks(values, tol).sum(axis=-1)
-
-
-def _decode(witness_idx: np.ndarray, subsets: Mapping[int, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """The labels of the subsets at the canonical flat indices ``witness_idx``,
-    concatenated in the same order, and the size of each subset.
-
-    Each size's rows come from one fancy index into ``subsets[k]`` and go to
-    their places in the output with one scatter.
-    """
-    offsets = _size_offsets(subsets)
-    sizes = np.searchsorted(offsets, witness_idx, side="right")  # offsets[k-1] <= idx < offsets[k]
-    ends = np.cumsum(sizes)
-    labels = np.empty(int(ends[-1]) if ends.size else 0, dtype=np.uint8)
-    order = np.argsort(witness_idx)  # grouped by size
-    cuts = np.searchsorted(witness_idx[order], offsets)  # size k at order[cuts[k-1]:cuts[k]]
-    for k, rows in subsets.items():
-        sel = order[cuts[k - 1] : cuts[k]]
-        labels[(ends[sel] - k)[:, None] + np.arange(k)] = rows[witness_idx[sel] - offsets[k - 1]]
-    labels.setflags(write=False)
-    sizes.setflags(write=False)
-    return labels, sizes
 
 
 # ---------------------------------------------------------------------------
@@ -775,15 +717,16 @@ def _rho2_many(dmats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """rho2 (m,) and witness vertices (m,) of a stack (m, n, n) of connected
     distance matrices, n >= 2, with the witness rule of ``rho2_fast``.
 
-    Below order ``_SCREEN_MIN_ORDER`` the kernel solves every deletion
-    (``_direct_roots``: one solve per distinct deletion submatrix of a stack),
-    as the screen's fixed cost per graph is then above that of the n small
-    eigensolves; from that order up ``_rho2_screen`` gives the kernel's root of
-    every deletion near each graph's top.  Either way rho2 is read from the
+    Below order ``_SCREEN_MIN_ORDER`` the kernel solves every deletion (one
+    solve per distinct deletion submatrix of a stack), as the screen's fixed
+    cost per graph is then above that of the n small eigensolves; from that
+    order up ``_rho2_screen`` gives the kernel's root of every deletion near
+    each graph's top.  Either way rho2 is read from the
     kernel's roots by ``_rho2_of_deletions``, so both give the same bits.
     """
     n = dmats.shape[-1]
-    roots = _direct_roots(dmats, _deletion_rows(n)) if n < _SCREEN_MIN_ORDER else _rho2_screen(dmats)
+    roots = (_perron_roots_for_rows(dmats, _deletion_rows(n)) if n < _SCREEN_MIN_ORDER
+             else _rho2_screen(dmats))
     return _rho2_of_deletions(roots)
 
 

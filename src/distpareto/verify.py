@@ -22,9 +22,10 @@ share it (693 graphs for the 112 classes and 847 connected deletions of
 order 6), and names the classes from their masks; the tree-extremes check
 takes the distances of all trees of an order from one ``_hop_distances``
 pass on their stacked adjacency.  The extremal search's subset pass solves
-each distinct submatrix of its stack once (``pareto._distinct_perron_roots``).
-Coalescence quasiconvexity needs every deletion's root, so it runs the kernel
-on every deletion and reads rho2 from those roots.
+each distinct submatrix of its stack once, as the one Perron-root kernel
+(``pareto._perron_roots_for_rows``) does on any stack.  Coalescence
+quasiconvexity needs every deletion's root, so it runs the kernel on every
+deletion of its stack of coalescences and reads rho2 from those roots.
 
 The tree checkers read the paths i ~ j ~ k of a tree from one array
 (``_tree_paths``), taken from its distance matrix: convexity tests every

@@ -407,7 +407,8 @@ def test_bounded_gather_is_bitwise_identical(monkeypatch):
     subsets = pareto._subsets_by_size(12).values()
     spectrum = pareto_spectrum(wheel)
     rho2 = [rho2_fast(wheel), rho2_fast(big)]
-    stacked = [pareto._perron_roots_for_rows(stack, rows) for rows in subsets]
+    # each matrix alone: the stacked call, which deduplicates, is under test
+    stacked = [np.stack([pareto._perron_roots_for_rows(d, rows) for d in stack]) for rows in subsets]
     pairs = [pareto._perron_pairs_for_rows(stack[0], rows) for rows in subsets]
     split = stack[0].copy()  # two blocks: a support across them has no positive Perron vector
     split[:6, 6:] = split[6:, :6] = 0
@@ -667,9 +668,9 @@ def test_rho2_many_screens_only_from_its_order_and_equals_the_screen_and_the_ker
 
 
 def test_rho2_kernel_route_memory_does_not_grow_with_the_stack():
-    # below the screen's order every deletion goes to _distinct_perron_roots, whose
-    # blocks bound memory: 2.5 times the stack, at most 1.1 times the traced peak
-    # beside the (m, 6) deletion roots
+    # below the screen's order every deletion goes to the kernel, which solves each
+    # distinct deletion submatrix of a block once, and whose blocks bound memory: 2.5
+    # times the stack, at most 1.1 times the traced peak beside the (m, 6) deletion roots
     import tracemalloc
 
     from distpareto.verify import _mask_distances
@@ -862,9 +863,12 @@ def test_witnesses_are_decoded_only_when_read(monkeypatch):
     from distpareto.laws import bound_report
     from distpareto.verify import random_connected_graph
 
+    # the witnesses are read off their bit masks, which are built on first read
     decoded = []
-    real = pareto._decode
-    monkeypatch.setattr(pareto, "_decode", lambda idx, subsets: decoded.append(idx.size) or real(idx, subsets))
+    real = pareto.ParetoSpectrum.witness_masks.func
+    masks = functools.cached_property(lambda spec: decoded.append(spec.count) or real(spec))
+    masks.__set_name__(pareto.ParetoSpectrum, "witness_masks")
+    monkeypatch.setattr(pareto.ParetoSpectrum, "witness_masks", masks)
     rng = np.random.default_rng(20240612)
     graphs = [fam("path", 1), random_connected_graph(2, rng)]
     graphs += [random_connected_graph(n, rng, extra_edge_prob=0.3) for n in (12, 16)]
@@ -952,10 +956,13 @@ def test_spectra_at_one_order_build_the_subset_table_once():
 
 
 def _kernel_values(d):
-    """Every subset's Perron root from ``_perron_roots_for_rows``, size by size, in
-    canonical flat order: the subset pass before parents."""
+    """Every subset's Perron root from ``_perron_roots_for_rows`` on one matrix at
+    a time, which solves each submatrix as it is, size by size, in canonical flat
+    order: the subset pass before parents, of one matrix (n, n) or a stack (m, n, n)."""
+    if d.ndim == 3:
+        return np.stack([_kernel_values(one) for one in d])
     return np.concatenate([pareto._perron_roots_for_rows(d, rows)
-                           for rows in pareto._subsets_by_size(d.shape[-1]).values()], axis=-1)
+                           for rows in pareto._subsets_by_size(d.shape[-1]).values()])
 
 
 def _texts(values):
@@ -1172,55 +1179,78 @@ def _distinct_kernel_stacks():
     return stacks
 
 
+def _one_at_a_time(d, rows, pick=None, *, kernel=None):
+    """``_perron_roots_for_rows`` (m, r) of the stack ``d`` (or ``d[pick]``) on
+    ``rows``, one matrix at a time: the kernel then solves each submatrix as it
+    is.  ``kernel`` is the kernel itself, for a test that replaces it by this."""
+    kernel = kernel or pareto._perron_roots_for_rows
+    return np.stack([kernel(one, rows) for one in (d if pick is None else d[pick])])
+
+
 def test_distinct_kernel_equals_the_per_submatrix_kernel_bit_for_bit(monkeypatch):
     stacks = _distinct_kernel_stacks()
     assert [s.shape[0] for s in stacks[:6]] == [1, 5, 24, 129, 959, 9786]
     assert sum(s.shape[0] for s in stacks[-4:]) == 500
-    # the kernel's roots first, each submatrix solved alone, in the default blocks:
-    # every subset below the covering code's order, and the direct batches from it on
+    # the kernel's roots on one matrix at a time first, in the default blocks: every
+    # subset below the covering code's order, and the direct batches from it on
     want = []
     for s in stacks:
         subsets = pareto._subsets_by_size(s.shape[-1])
         if s.shape[-1] < pareto._CODE_MIN_ORDER:
             want.append(_kernel_values(s))
         else:
-            want.append([(b.rows, pareto._perron_roots_for_rows(s, b.rows))
+            want.append([(b, _one_at_a_time(s, b.rows))
                          for b in pareto._plan(subsets).batches if b.use is None])
+    # the stacked kernel, with its own offsets and with the plan's, and the subset pass:
     # one worker in the default blocks, then two in several blocks of matrices and rows
     for jobs, budget in ((1, pareto._GATHER_BYTES), (2, 1 << 16)):
         monkeypatch.setattr(pareto, "_GATHER_BYTES", budget)
         for s, ref in zip(stacks, want):
+            subsets = pareto._subsets_by_size(s.shape[-1])
             if isinstance(ref, list):
-                for rows, roots in ref:
-                    assert np.array_equal(pareto._distinct_perron_roots(s, rows), roots), s.shape
+                for b, roots in ref:
+                    for flat in (None, b.flat):
+                        got = pareto._perron_roots_for_rows(s, b.rows, flat=flat)
+                        assert np.array_equal(got, roots), s.shape
             else:
-                subsets = pareto._subsets_by_size(s.shape[-1])
+                sizes = [pareto._perron_roots_for_rows(s, rows) for rows in subsets.values()]
+                assert np.array_equal(np.concatenate(sizes, axis=-1), ref), s.shape
                 assert np.array_equal(pareto._all_subset_values(s, subsets, jobs), ref), s.shape
 
 
 def test_distinct_kernel_solves_a_block_whose_keys_overflow_with_the_kernel(monkeypatch):
-    # one matrix per block: the path's distances (base 14) need 14^21 > 2^63 keys for
-    # a 7-subset, the cycle's (base 8) exactly 2^63, the star's and K_14's fewer
+    # a key's base is 1 + its block's largest entry: a 7-subset's 21 digits of the
+    # path's distances need up to 14^21 > 2^63 keys, of the cycle's at most 8^21 =
+    # 2^63, whose largest key 2^63 - 1 still fits, of the star's and K_14's fewer
     graphs = [fam("complete", 14), fam("path", 14), fam("cycle", 14), fam("star", 14)]
     stack = np.stack([distance_matrix(g) for g in graphs])
     rows = pareto._subsets_by_size(14)[7][::40]
-    want = pareto._perron_roots_for_rows(stack, rows)
-    plain = []
-    real = pareto._perron_roots_for_rows
-    monkeypatch.setattr(pareto, "_perron_roots_for_rows",
-                        lambda d, r, *a: plain.append(int(d.max())) or real(d, r, *a))
+    want = _one_at_a_time(stack, rows)
+    solved = []
+    real = pareto.spectral_radius_many
+    monkeypatch.setattr(pareto, "spectral_radius_many", lambda mats: solved.append(len(mats)) or real(mats))
     monkeypatch.setattr(pareto, "_GATHER_BYTES", 7 * 7 * 8)  # one 7-subset a block
-    assert np.array_equal(pareto._distinct_perron_roots(stack, rows), want)
-    assert plain == [13]  # the path's block alone
+    assert np.array_equal(pareto._perron_roots_for_rows(stack, rows), want)
+    assert solved == [1] * want.size
     monkeypatch.setattr(pareto, "_GATHER_BYTES", 16 << 20)  # one block, with the path in it
-    plain.clear()
-    assert np.array_equal(pareto._distinct_perron_roots(stack, rows), want)
-    assert plain == [13]
+    solved.clear()
+    assert np.array_equal(pareto._perron_roots_for_rows(stack, rows), want)
+    assert solved == [want.size]  # solved whole: K_14's 86 equal submatrices are not merged
+    # two copies of each graph, a block each pair of copies and row: the blocks
+    # whose keys pass int64 are solved whole, the others once per distinct submatrix
+    monkeypatch.setattr(pareto, "_GATHER_BYTES", 2 * 7 * 7 * 8)
+    solved.clear()
+    twice = np.repeat(stack, 2, axis=0)
+    assert np.array_equal(pareto._perron_roots_for_rows(twice, rows), np.repeat(want, 2, axis=0))
+    top = stack[:, rows[:, :, None], rows[:, None, :]].max(axis=(2, 3))  # (graph, row)
+    assert solved == [2 if (t + 1) ** 21 > 1 << 63 else 1 for t in top.ravel().tolist()]
+    assert {t for t in top[1].tolist() if (t + 1) ** 21 > 1 << 63} and 7 in top[2].tolist()
 
 
 def test_distinct_kernel_memory_does_not_grow_with_the_stack():
-    # keys and distinct submatrices come in gather blocks: 2.5 times the stack, at
-    # most 1.1 times the traced peak beside the result, which holds a root a subset
+    # triangles, keys and distinct submatrices come in gather blocks: 2.5 times the
+    # stack, at most 1.1 times the traced peak beside the result, which holds a
+    # root a subset
     import tracemalloc
 
     from distpareto.verify import _mask_distances
@@ -1234,12 +1264,61 @@ def test_distinct_kernel_memory_does_not_grow_with_the_stack():
     for m in (20_000, 50_000):
         tracemalloc.start()
         try:
-            roots = pareto._distinct_perron_roots(d[:m], rows)
+            roots = pareto._perron_roots_for_rows(d[:m], rows)
             peaks.append(tracemalloc.get_traced_memory()[1] - roots.nbytes)
         finally:
             tracemalloc.stop()
-        assert np.array_equal(roots[:100], pareto._perron_roots_for_rows(d[:100], rows))
+        assert np.array_equal(roots[:100], _one_at_a_time(d[:100], rows))
     assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+def test_distinct_kernel_serves_the_coalescence_check_and_the_screen_bit_for_bit(monkeypatch):
+    # both call the kernel on a stack, so both solve each distinct submatrix once;
+    # the reference is the kernel on one matrix at a time
+    from distpareto import verify
+    from distpareto.graph import coalesce
+    from distpareto.verify import check_coalescence_quasiconvexity, trees_upto_iso
+
+    alone = functools.partial(_one_at_a_time, kernel=pareto._perron_roots_for_rows)
+    solved = []
+    real = pareto.spectral_radius_many
+    monkeypatch.setattr(pareto, "spectral_radius_many", lambda mats: solved.append(len(mats)) or real(mats))
+    attachments = [(fam("complete", 2), 0), (fam("complete", 3), 0), (fam("path", 3), 1),
+                   (fam("cycle", 4), 0)]
+    checked = 0
+    for t in [t for n in range(3, 8) for t in trees_upto_iso(n)]:
+        for h, w in attachments:
+            total = t.n + h.n - 1
+            dmats = np.stack([distance_matrix(coalesce(t, i, h, w)) for i in range(t.n)])
+            rows = pareto._deletion_rows(total)
+            solved.clear()
+            roots = pareto._perron_roots_for_rows(dmats, rows)
+            if h.n == 2:  # deleting the pendant leaves the tree's distances: solved once
+                assert sum(solved) <= t.n * total - (t.n - 1), t
+            assert np.array_equal(roots, _one_at_a_time(dmats, rows)), (t, h)
+            rep = check_coalescence_quasiconvexity(t, h, w)
+            with monkeypatch.context() as m:
+                m.setattr(verify, "_perron_roots_for_rows", alone)
+                ref = check_coalescence_quasiconvexity(t, h, w)
+            assert repr(rep) == repr(ref), (t, h)
+            checked += 1
+    assert checked == 4 * (1 + 2 + 3 + 6 + 11)
+    # the screen's recompute over the graphs that keep each deletion near their top:
+    # stacks from order 7 up, and copies of the 8-cycle, whose deletions all tie
+    cycle = distance_matrix(fam("cycle", 8))
+    stacks = [np.stack([distance_matrix(g) for g in graphs])
+              for graphs in _rho2_stacks() if len(graphs) > 1 and graphs[0].n >= 7]
+    stacks += [np.stack([distance_matrix(g) for g in [fam("complete", n), fam("cycle", n),
+                                                      *trees_upto_iso(n)[:12]]]) for n in (8, 9)]
+    assert len(stacks) == 1 + 1 + 6 + 2
+    for d in stacks + [np.broadcast_to(cycle, (50, 8, 8)).copy()]:
+        solved.clear()
+        roots = pareto._rho2_screen(d)
+        once = list(solved)
+        with monkeypatch.context() as m:
+            m.setattr(pareto, "_perron_roots_for_rows", alone)
+            assert np.array_equal(roots, pareto._rho2_screen(d)), d.shape
+    assert once == [1] * 8  # each deletion of the 8-cycle once for its 50 copies
 
 
 def test_extremal_search_solves_each_distinct_submatrix_once(monkeypatch):

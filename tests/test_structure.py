@@ -28,7 +28,8 @@ bit masks built in one function, never from the rows), and the spectrum's
 witnesses written from their bit masks (no ragged label leaf, and the CLI
 decodes no witness), and sweeps that do each distinct piece of work once (one
 distance pass for all the trees of an order, class names written from the
-masks, and a stack's direct batches solved once per distinct submatrix)."""
+masks, and one Perron-root kernel that solves each distinct submatrix of a stack
+once)."""
 
 import ast
 import pathlib
@@ -231,10 +232,10 @@ def test_verify_suites_live_in_verify():
 def test_one_gather_one_jobs_split_one_bound_row_builder():
     # the values and the pairs kernel take their submatrices from one blocked gather,
     # one take at the flat offsets that one expression spells (a plan keeps those of
-    # its direct batches)
+    # its direct batches, and the values kernel takes the upper triangles of a stack's)
     gathers = _occurrences(r"\[:, :\w*, None\] \* \w+ \+ \w+\[:, None, :\]")
     assert [hit.split(":")[0] for hit in gathers] == ["pareto.py"]
-    assert _callers("_flat_offsets") == {"_gathered", "_plan"}
+    assert _callers("_flat_offsets") == {"_gathered", "_plan", "_perron_roots_for_rows"}
     assert _callers("take") == {"_gathered"}
     assert _callers("_gathered") == {"_perron_roots_for_rows", "_perron_pairs_for_rows", "_parent_batch"}
     # the extremal search splits --jobs through the subset pass, not over classes
@@ -290,7 +291,8 @@ def test_sweeps_do_each_distinct_piece_of_work_once():
     # the monotonicity sweep names each class from its mask and builds no graph
     assert re.search(r"\b(Graph|make_graph|_mask_to_graph|connected_graph_classes|_describe)\(",
                      functions["_monotonicity_reports"]) is None
-    # a stack's direct batches, and its deletions below the rho2 screen's order, go to
-    # the kernel that solves each distinct submatrix once, by one rule for both
-    assert _callers("_distinct_perron_roots") == {"_direct_roots"}
-    assert _callers("_direct_roots") == {"_all_subset_values", "fill", "_rho2_many"}
+    # one Perron-root kernel solves each distinct submatrix of a stack once, by one
+    # rule on its input's shape: no second kernel beside it and no router before it
+    assert _occurrences(r"\b_distinct_perron_roots\b|\b_direct_roots\b") == []
+    assert _callers("spectral_radius_many") == {"_perron_roots_for_rows"}
+    assert _callers("take") == {"_gathered"}
