@@ -33,21 +33,23 @@ matrix few submatrices repeat, and it solves each as it is.
 ``_all_subset_values`` is the one pass over every subset, for one matrix (the
 spectrum) or a stack (``_distinct_counts``, the extremal search's counts).
 
-The subset pass follows the order's ``_plan``, built once per order: from
-order 11 on, the codewords of a radius-1 covering code of the subset cube
-are the parents.  One ``eigh`` of each codeword J of size 3 to n - 2 gives
-J's own root and those of the neighbours J - v and J + u the code assigns to
-it, through the secular equation of a deletion and the bordered secular
-equation of an extension (``spectral._parent_roots``, in ``_parent_batch``,
-whose ``_gathered`` blocks hold J's rows by every column).  Every subset of
-size 3 to n - 2 but a few is a codeword or one toggle from its codeword; the
-rest go to the kernel.  A root from a parent is within ``_PARENT_ERR``
-(E = 1e-13) relative of the kernel's, a tested bound.  The output stays the
-kernel's byte for byte: ``_settle`` falls back to the kernel for every parent
-root of a matrix whose clusters an error of E could change, and
-``_exact_representatives`` takes from the kernel each representative that is
-among the n largest, near an integer, or whose ``%.12g`` text E could change.
-The rho2 block is always solved by the kernel.
+The subset pass follows the ``_plan`` of its matrix's order, built once per
+order from the order alone: from order 11 on, the codewords of a radius-1
+covering code of the subset cube are the parents.  One ``eigh`` of each
+codeword J of size 3 to n - 2 gives J's own root and those of the neighbours
+J - v and J + u the code assigns to it, through the secular equation of a
+deletion and the bordered secular equation of an extension
+(``spectral._parent_roots``, in ``_parent_batch``, whose ``_gathered`` blocks
+hold J's rows by every column).  Every subset of size 3 to n - 2 but a few is
+a codeword or one toggle from its codeword; the rest go to the kernel.  A
+root from a parent is within ``_PARENT_ERR`` (E = 1e-13) relative of the
+kernel's, a tested bound.  The output stays the kernel's byte for byte:
+``_settle`` falls back to the kernel for every parent root of a matrix whose
+clusters an error of E could change, and ``_exact_representatives`` takes
+from the kernel each representative that is among the n largest, near an
+integer, or whose ``%.12g`` text E could change; both hand their slots to
+``_recompute``, which makes one kernel call per subset size over every matrix
+it is given.  The rho2 block is always solved by the kernel.
 
 ``_rho2_many`` gives rho2 for a stack of graphs; ``rho2_fast`` is its
 one-graph case, and the sweeps in ``verify`` run it on a whole stack.  Below
@@ -376,11 +378,6 @@ def _map_spans(fn, total: int, jobs: int) -> list:
         return list(pool.map(fn, spans))
 
 
-def _size_offsets(subsets: Mapping[int, np.ndarray]) -> np.ndarray:
-    """Canonical flat index at which each subset size starts, then the total."""
-    return np.concatenate([[0], np.cumsum([rows.shape[0] for rows in subsets.values()])])
-
-
 @dataclass(frozen=True, eq=False)
 class _Batch:
     """Subsets of one size k solved together: the index rows ``rows`` (r, k) of a
@@ -404,20 +401,22 @@ class _Batch:
 class _Plan:
     """Where each Perron root of an order's subset pass comes from: ``batches``,
     in the order ``--jobs`` splits them, the place of each one's first subset in
-    that order and then their total (``starts``), and ``approx`` (2^n - 1,), true
-    at the slots a codeword batch fills."""
+    that order and then their total (``starts``), ``approx`` (2^n - 1,), true
+    at the slots a codeword batch fills, and ``offsets`` (n + 1,), the canonical
+    flat slot at which each subset size starts and then the total."""
 
     batches: tuple[_Batch, ...]
     starts: tuple[int, ...]
     approx: np.ndarray
+    offsets: np.ndarray
 
 
 _CODE_MIN_ORDER = 11  # measured: below it the direct kernel is faster than the small codeword batches
-_PLANS: dict[int, _Plan] = {}  # order -> its subset pass (two threads may build one twice, alike)
 
 
-def _plan(subsets: Mapping[int, np.ndarray]) -> _Plan:
-    """The subset pass of the order of ``subsets``, built once per order.
+@functools.cache
+def _plan(n: int) -> _Plan:
+    """The subset pass of order n, built once per order from n alone.
 
     From order ``_CODE_MIN_ORDER`` on, the pass follows a covering code of
     radius 1 of the subset cube (a Hamming-type code: Hamming, Bell Syst. Tech.
@@ -435,10 +434,8 @@ def _plan(subsets: Mapping[int, np.ndarray]) -> _Plan:
     size <= 2 or >= n - 1, and every subset of a smaller order are solved
     directly.
     """
-    n = len(subsets)
-    if n in _PLANS:
-        return _PLANS[n]
-    offsets = _size_offsets(subsets).astype(np.int32)  # every index array is int32
+    subsets = _subsets_by_size(n)
+    offsets = np.cumsum([0] + [len(r) for r in subsets.values()], dtype=np.int32)  # every index is int32
     batches = []
     approx = np.zeros(int(offsets[-1]), dtype=bool)
     if n >= _CODE_MIN_ORDER:
@@ -465,12 +462,11 @@ def _plan(subsets: Mapping[int, np.ndarray]) -> _Plan:
         if direct.size:
             rows = subsets[k][direct]
             batches.append(_Batch(k, rows, offsets[k - 1] + direct, flat=_flat_offsets(rows, n)))
-    for array in [approx] + [a for b in batches for a in (b.rows, b.at, b.use, b.child_at, b.flat)]:
+    for array in [approx, offsets] + [a for b in batches for a in (b.rows, b.at, b.use, b.child_at, b.flat)]:
         if array is not None:
             array.setflags(write=False)
     starts = np.cumsum([0] + [b.at.size for b in batches]).tolist()
-    _PLANS[n] = _Plan(tuple(batches), tuple(starts), approx)
-    return _PLANS[n]
+    return _Plan(tuple(batches), tuple(starts), approx, offsets)
 
 
 def _parent_batch(stack: np.ndarray, out: np.ndarray, rows: np.ndarray, k: int, use: np.ndarray,
@@ -490,18 +486,16 @@ def _parent_batch(stack: np.ndarray, out: np.ndarray, rows: np.ndarray, k: int, 
         out[mats, child_at[sub][use[sub]]] = roots.reshape(m, -1)
 
 
-def _all_subset_values(
-    dmat: np.ndarray, subsets: Mapping[int, np.ndarray], jobs: int, tol: float = DEFAULT_DEDUP_TOL,
-) -> np.ndarray:
+def _all_subset_values(dmat: np.ndarray, jobs: int, tol: float = DEFAULT_DEDUP_TOL) -> np.ndarray:
     """Perron roots for every nonempty subset, in canonical flat order, by the
-    order's ``_plan``; ``jobs`` workers split its batches.
+    ``_plan`` of the matrix's order; ``jobs`` workers split its batches.
 
     ``dmat`` is one (n, n) matrix or a stack (m, n, n); the result has shape
     (2^n - 1,) or (m, 2^n - 1).  A root from a parent differs from the kernel's
     by at most ``_PARENT_ERR`` relative; where that could move a cluster at
     relative tolerance ``tol``, it is the kernel's (``_settle``).
     """
-    plan = _plan(subsets)
+    plan = _plan(dmat.shape[-1])
     stack = dmat.reshape((-1,) + dmat.shape[-2:])
     out = np.empty((stack.shape[0], plan.approx.size))
 
@@ -520,26 +514,25 @@ def _all_subset_values(
 
     _map_spans(fill, plan.starts[-1], jobs)
     if plan.approx.any():
-        _settle(stack, out, plan.approx, tol, subsets)
+        _settle(stack, out, tol)
     return out.reshape(dmat.shape[:-2] + out.shape[-1:])
 
 
-def _recompute(stack: np.ndarray, out: np.ndarray, redo: np.ndarray,
-               subsets: Mapping[int, np.ndarray]) -> None:
-    """Replace the entries ``redo`` (m, 2^n - 1) of ``out`` by ``_perron_roots_for_rows``."""
-    offsets = _size_offsets(subsets)
-    for i in np.flatnonzero(redo.any(axis=1)).tolist():
-        idx = np.flatnonzero(redo[i])
-        sizes = np.searchsorted(offsets, idx, side="right")
-        for k in np.unique(sizes).tolist():
-            sel = idx[sizes == k]
-            out[i, sel] = _perron_roots_for_rows(stack[i], subsets[k][sel - offsets[k - 1]])
+def _recompute(stack: np.ndarray, out: np.ndarray, pick: np.ndarray, slots: np.ndarray) -> None:
+    """Replace the roots in ``out`` (m, 2^n - 1) at the canonical flat ``slots`` of
+    the matrices ``pick`` of the stack (m, n, n) by the kernel's: one
+    ``_perron_roots_for_rows`` call per subset size, over all of ``pick``."""
+    n = stack.shape[-1]
+    offsets, subsets = _plan(n).offsets, _subsets_by_size(n)
+    sizes = np.searchsorted(offsets, slots, side="right")
+    for k in np.unique(sizes).tolist():
+        at = slots[sizes == k]
+        out[pick[:, None], at] = _perron_roots_for_rows(stack, subsets[k][at - offsets[k - 1]], pick)
 
 
-def _settle(stack: np.ndarray, out: np.ndarray, approx: np.ndarray, tol: float,
-            subsets: Mapping[int, np.ndarray]) -> None:
-    """Recompute with the kernel every parent root (``approx``) of each matrix whose
-    clusters at ``tol`` an error of ``_PARENT_ERR`` could change.
+def _settle(stack: np.ndarray, out: np.ndarray, tol: float) -> None:
+    """Recompute with the kernel every parent root (the plan's ``approx``) of each
+    matrix whose clusters at ``tol`` an error of ``_PARENT_ERR`` could change.
 
     Every root v is >= 0 and its kernel value lies in [v (1 - E), v (1 + E)], so
     the j-th smallest kernel root lies in [s_j (1 - E), s_j (1 + E)] for the
@@ -553,17 +546,18 @@ def _settle(stack: np.ndarray, out: np.ndarray, approx: np.ndarray, tol: float,
     sure = np.where(_breaks(s, tol),
                     lo[:, 1:] - hi[:, :-1] > tol * np.maximum(1.0, hi[:, 1:]),
                     hi[:, 1:] - lo[:, :-1] <= tol * np.maximum(1.0, lo[:, 1:]))
-    _recompute(stack, out, ~sure.all(axis=1)[:, None] & approx, subsets)
+    pick = np.flatnonzero(~sure.all(axis=1))
+    if pick.size:
+        _recompute(stack, out, pick, np.flatnonzero(_plan(stack.shape[-1]).approx))
 
 
-def _exact_representatives(d: np.ndarray, values: np.ndarray, witness_idx: np.ndarray,
-                           subsets: Mapping[int, np.ndarray]) -> None:
+def _exact_representatives(d: np.ndarray, values: np.ndarray, witness_idx: np.ndarray) -> None:
     """Recompute with the kernel, in ``values``, each parent root among the
     representatives at ``witness_idx`` whose text an error of ``_PARENT_ERR``
     could change: the n largest (read one by one as rho_k), those within 2e-8
     relative of an integer (the integer ladder, and the writer's integer test at
     1e-11), and those whose ``%.12g`` text at v (1 - E) and v (1 + E) differs."""
-    approx = _plan(subsets).approx
+    approx = _plan(d.shape[-1]).approx
     if not approx.any():
         return
     reps = values[witness_idx]
@@ -573,9 +567,8 @@ def _exact_representatives(d: np.ndarray, values: np.ndarray, witness_idx: np.nd
     redo = (np.abs(reps - np.rint(reps)) <= 2e-8 * np.maximum(1.0, reps)) | (
         np.floor(lo + 0.5 - 1e-3) != np.floor(hi + 0.5 + 1e-3))  # slack for the rounding of lo, hi
     redo[-d.shape[-1]:] = True
-    flat = np.zeros((1, values.size), dtype=bool)
-    flat[0, witness_idx[redo]] = True
-    _recompute(d[None], values[None], flat & approx, subsets)
+    at = witness_idx[redo]
+    _recompute(d[None], values[None], np.zeros(1, dtype=np.intp), np.sort(at[approx[at]]))
 
 
 def _breaks(s: np.ndarray, tol: float) -> np.ndarray:
@@ -605,7 +598,7 @@ def _dedup(values: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
 def _distinct_counts(dmats: np.ndarray, tol: float, jobs: int = 1) -> np.ndarray:
     """Distinct Pareto eigenvalue count per distance matrix in a stack (m, n, n);
     ``jobs`` workers split the subset pass, as for one matrix."""
-    values = _all_subset_values(dmats, _subsets_by_size(dmats.shape[-1]), jobs, tol)
+    values = _all_subset_values(dmats, jobs, tol)
     values.sort(axis=-1)
     return 1 + _breaks(values, tol).sum(axis=-1)
 
@@ -645,16 +638,15 @@ def pareto_spectrum(
     if not (math.isfinite(dedup_tolerance) and dedup_tolerance >= 0):
         raise ValueError(f"dedup tolerance must be finite and >= 0, got {dedup_tolerance}")
     _check_order(g.n)
-    subsets = _subsets_by_size(g.n)
     d = distance_matrix(g)
-    values = _all_subset_values(d, subsets, jobs, dedup_tolerance)
+    values = _all_subset_values(d, jobs, dedup_tolerance)
     if g.n >= 2:
         # the size n - 1 block, the n subsets before the whole vertex set, holds
         # every deletion; its row i deletes vertex n - 1 - i
         value, vertex = _rho2_of_deletions(values[-1 - g.n : -1][::-1])
         _keep_rho2(g, (float(value), int(vertex)))
     _, witness_idx = _dedup(values, dedup_tolerance)
-    _exact_representatives(d, values, witness_idx, subsets)
+    _exact_representatives(d, values, witness_idx)
     reps = values[witness_idx]
     reps.setflags(write=False)
     witness_idx.setflags(write=False)
@@ -767,13 +759,17 @@ def pareto_eigenpair(g: Graph, support: tuple[int, ...] | list[int]) -> ParetoEi
     The value is the Perron root of the distance submatrix on J and the vector
     is its Perron eigenvector embedded at positions J (zeros elsewhere), both
     from ``_perron_pairs_for_rows``, which verifies the complementarity
-    condition (Dx >= value * x) and the Rayleigh identity.
+    condition (Dx >= value * x) and the Rayleigh identity.  Raises ValueError
+    unless ``support`` is nonempty and each entry is an integer (a Python or
+    numpy integer, not a bool) in [0, n).
     """
-    J = tuple(sorted(set(int(v) for v in support)))
-    if not J:
+    support = tuple(support)
+    if not support:
         raise ValueError("support must be nonempty")
     d = distance_matrix(g)
-    if J[0] < 0 or J[-1] >= g.n:
-        raise ValueError(f"support {J} out of range [0, {g.n})")
+    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) and 0 <= v < g.n
+               for v in support):
+        raise ValueError(f"support {support} out of range: its entries must be integers in [0, {g.n})")
+    J = tuple(sorted(set(map(int, support))))
     values, vectors = _perron_pairs_for_rows(d, np.array([J]))
     return ParetoEigenpair(value=float(values[0]), support=J, vector=vectors[0])

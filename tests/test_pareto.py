@@ -166,10 +166,17 @@ def test_eigenpair_empty_support_rejected():
         pareto_eigenpair(fam("path", 3), ())
 
 
-@pytest.mark.parametrize("support", [(-1, 0), (0, 3), (5,)])
+@pytest.mark.parametrize("support", [(-1, 0), (0, 3), (5,), [0.9, 2.7], [True, 2], (0, np.bool_(1))])
 def test_eigenpair_out_of_range_support_rejected(support):
+    # an entry that is not an integer is refused, not truncated (bools included)
     with pytest.raises(ValueError, match="out of range"):
         pareto_eigenpair(fam("path", 3), support)
+
+
+def test_eigenpair_takes_numpy_integer_supports():
+    g = fam("path", 4)
+    pair = pareto_eigenpair(g, np.array([2, 0], dtype=np.int8))
+    assert pair.support == (0, 2) and pair.value == pareto_eigenpair(g, (0, 2)).value
 
 
 def _independent_pair(d, row):
@@ -468,7 +475,7 @@ def test_flat_offset_gather_equals_the_broadcast_index(monkeypatch):
                 assert np.array_equal(_gathered_whole(mats, codeword, k, choice), want), (n, k)
     # the plan's direct batches keep the offsets of their rows, and small blocks split alike
     for n in (7, 12):
-        for batch in pareto._plan(pareto._subsets_by_size(n)).batches:
+        for batch in pareto._plan(n).batches:
             if batch.use is None:
                 assert np.array_equal(batch.flat, pareto._flat_offsets(batch.rows, n))
     stack = rng.integers(0, 50, size=(5, 9, 9))
@@ -531,11 +538,19 @@ def test_rho2_screen_matches_kernel_on_every_deletion():
     assert checked == 78 * 4 + 1 + 28 * 5 + 27 + 68
 
 
-def test_rho2_from_the_spectrum_equals_the_screen(monkeypatch):
+@functools.cache
+def _acceptance_graphs():
+    """The 500 graphs of the acceptance sweep, in its order; shared, so a test
+    that needs a graph with no rho2 slot or distances kept on it copies it."""
     from distpareto.verify import random_connected_graph
 
-    rng = np.random.default_rng(20240601)  # the 500 graphs of the acceptance sweep
-    accepted = [random_connected_graph(int(rng.integers(7, 11)), rng) for _ in range(500)]
+    rng = np.random.default_rng(20240601)
+    return tuple(random_connected_graph(int(rng.integers(7, 11)), rng) for _ in range(500))
+
+
+def test_rho2_from_the_spectrum_equals_the_screen(monkeypatch):
+    # fresh copies, so the rho2 slot read below is the one the spectrum fills
+    accepted = [make_graph(g.n, g.edges) for g in _acceptance_graphs()]
     graphs = [g for g in _screen_cases() if g.n <= 12] + accepted
     screened = [rho2_fast(make_graph(g.n, g.edges)) for g in graphs]  # fresh copies
 
@@ -615,13 +630,12 @@ def _rho2_stacks():
     """The stacks of graphs the rho2 routes are checked on: the classes of orders
     2..7, their connected one-edge deletions (orders 3..7), the trees of orders
     3..12, and each of the 500 graphs of the acceptance sweep alone."""
-    from distpareto.verify import connected_graph_classes, random_connected_graph, trees_upto_iso
+    from distpareto.verify import connected_graph_classes, trees_upto_iso
 
     classes = [connected_graph_classes(n) for n in range(2, 8)]
     stacks = classes + [_connected_edge_deletions(graphs) for graphs in classes[1:]]
     stacks += [trees_upto_iso(n) for n in range(3, 13)]
-    rng = np.random.default_rng(20240601)  # the 500 graphs of the acceptance sweep
-    stacks += [[random_connected_graph(int(rng.integers(7, 11)), rng)] for _ in range(500)]
+    stacks += [[g] for g in _acceptance_graphs()]
     return tuple(map(tuple, stacks))
 
 
@@ -840,7 +854,7 @@ def _flat_witnesses(g):
             itertools.combinations(range(g.n), k) for k in range(1, g.n + 1)
         )
     )
-    values = pareto._all_subset_values(distance_matrix(g), pareto._subsets_by_size(g.n), 1)
+    values = pareto._all_subset_values(distance_matrix(g), 1)
     _, idx = pareto._dedup(values, pareto.DEFAULT_DEDUP_TOL)
     return tuple(flat[i] for i in idx)
 
@@ -944,11 +958,14 @@ def test_subset_masks_are_shared_read_only_and_the_rows_bits():
 
 
 def test_spectra_at_one_order_build_the_subset_table_once():
+    # one build per order: the first spectrum builds the plan and its table, the
+    # second reads the cached plan and asks for no table
+    pareto._plan.cache_clear()
     pareto._subsets_by_size.cache_clear()
     pareto_spectrum(fam("wheel", 9))
     pareto_spectrum(fam("path", 9))
-    info = pareto._subsets_by_size.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    assert pareto._subsets_by_size.cache_info().misses == 1
+    assert pareto._plan.cache_info().misses == 1
 
 
 # ---------------------------------------------------------------------------
@@ -992,8 +1009,10 @@ def test_the_plan_solves_every_subset_once():
     # subset below order 11, are the kernel's
     for n in range(9, 21):
         subsets = pareto._subsets_by_size(n)
-        offsets = pareto._size_offsets(subsets)
-        plan = pareto._plan(subsets)
+        plan = pareto._plan(n)
+        offsets = plan.offsets
+        assert offsets.dtype == np.int32 and not offsets.flags.writeable
+        assert offsets.tolist() == [sum(math.comb(n, k) for k in range(1, j + 1)) for j in range(n + 1)]
         masks = np.concatenate([(1 << rows.astype(np.int64)).sum(axis=1)
                                 for rows in subsets.values()])
         syndrome = np.concatenate([np.bitwise_xor.reduce(rows.astype(np.int64) + 1, axis=1)
@@ -1046,15 +1065,14 @@ def test_parent_pass_matches_the_kernel_on_every_subset():
     worst = 0.0
     for g in _parent_pass_cases():
         d = distance_matrix(g)
-        subsets = pareto._subsets_by_size(g.n)
         ref = _kernel_values(d)
-        values = pareto._all_subset_values(d, subsets, 1)
-        assert pareto._plan(subsets).approx.any() == (g.n >= 11)
+        values = pareto._all_subset_values(d, 1)
+        assert pareto._plan(g.n).approx.any() == (g.n >= 11)
         # the stated bound E on |root from a parent - kernel root|, on every subset
         err = np.abs(values - ref) / values.clip(min=1.0)
         assert err.max() <= pareto._PARENT_ERR, g
         worst = max(worst, err.max())
-        assert np.array_equal(pareto._all_subset_values(d, subsets, 2), values), g
+        assert np.array_equal(pareto._all_subset_values(d, 2), values), g
         _assert_spectrum_is_the_kernels(g, pareto_spectrum(g), ref)
     assert 0 < worst < pareto._PARENT_ERR / 10  # the bound has a margin of ten at least
 
@@ -1096,12 +1114,11 @@ def test_secular_roots_do_not_depend_on_their_batch(monkeypatch):
         top, own = _parent_roots(stack[i : i + 1], use[i : i + 1])
         assert top[0] == tops[i] and np.array_equal(own, kids[ends[i] - own.size : ends[i]])
         assert np.array_equal(own, roots[i][use[i]])
-    subsets = pareto._subsets_by_size(12)
-    values = pareto._all_subset_values(stack, subsets, 1)
+    values = pareto._all_subset_values(stack, 1)
     for i in range(stack.shape[0]):
-        assert np.array_equal(pareto._all_subset_values(stack[i], subsets, 1), values[i])
+        assert np.array_equal(pareto._all_subset_values(stack[i], 1), values[i])
     monkeypatch.setattr(pareto, "_GATHER_BYTES", 4096)  # a few parents per block
-    assert np.array_equal(pareto._all_subset_values(stack, subsets, 3), values)
+    assert np.array_equal(pareto._all_subset_values(stack, 3), values)
 
 
 def _perturbed_parents(monkeypatch, scale, split=None):
@@ -1130,25 +1147,55 @@ def test_spectrum_output_is_exact_within_the_parent_bound(monkeypatch):
         _assert_spectrum_is_the_kernels(g, pareto_spectrum(g), ref)
 
 
-def test_clusters_are_the_kernels_when_a_gap_meets_the_tolerance(monkeypatch):
-    # two roots from parents a < b, and a tolerance whose threshold lies E b / 2
-    # above their gap: the kernel joins them, and parent roots pushed apart by
-    # 0.9 E each would cut them but for the check
+def _gap_at_the_tolerance(monkeypatch):
+    """An order-11 graph, its distances and kernel roots, and a tolerance whose
+    threshold lies E b / 2 above the gap of two of its roots from parents a < b:
+    the kernel joins them, and the parent roots, pushed apart by 0.9 E each
+    (down below (a + b) / 2, up above it), would cut them but for ``_settle``."""
     g = _parent_pass_cases()[3]  # order 11
     d = distance_matrix(g)
-    subsets = pareto._subsets_by_size(g.n)
     ref = _kernel_values(d)
-    approx = pareto._plan(subsets).approx
+    approx = pareto._plan(g.n).approx
     order = np.argsort(ref, kind="stable")
     s = ref[order]
     j = next(j for j in range(s.size // 2, s.size - 1)
              if approx[order[j]] and approx[order[j + 1]] and s[j + 1] - s[j] > 1e-6 * s[j + 1])
     a, b = s[j], s[j + 1]
-    tol = (b - a) / b + pareto._PARENT_ERR / 2
     _perturbed_parents(monkeypatch, 0.9 * pareto._PARENT_ERR, split=(a + b) / 2)
+    return g, d, ref, (b - a) / b + pareto._PARENT_ERR / 2
+
+
+def test_clusters_are_the_kernels_when_a_gap_meets_the_tolerance(monkeypatch):
+    g, d, ref, tol = _gap_at_the_tolerance(monkeypatch)
     want = 1 + pareto._breaks(np.sort(ref), tol).sum()
     assert np.array_equal(pareto._distinct_counts(d[None], tol), [want])
     _assert_spectrum_is_the_kernels(g, pareto_spectrum(g, dedup_tolerance=tol), ref, tol)
+
+
+def test_settle_recomputes_a_stack_with_one_kernel_call_per_size(monkeypatch):
+    # the gap case beside a relabelled copy of its graph: _settle flags both
+    # matrices, and _recompute solves the parent roots of each size for both in
+    # one kernel call, which on two int64 matrices takes the deduplicating branch
+    g, d, ref, tol = _gap_at_the_tolerance(monkeypatch)
+    stack = np.stack([d, d[::-1, ::-1]])  # vertex v relabelled n - 1 - v
+    want = _kernel_values(stack)
+    assert np.array_equal(want[0], ref) and stack.dtype == np.int64
+    calls = []
+    real = pareto._perron_roots_for_rows
+
+    def spy(dmat, rows, pick=None, flat=None):
+        if pick is not None:
+            calls.append((rows.shape[1], pick.tolist()))
+        return real(dmat, rows, pick, flat)
+
+    monkeypatch.setattr(pareto, "_perron_roots_for_rows", spy)
+    assert np.array_equal(pareto._all_subset_values(stack, 1, tol), want)  # both rows
+    plan = pareto._plan(g.n)
+    sizes = np.repeat(np.arange(1, g.n + 1), np.diff(plan.offsets))
+    assert calls == [(k, [0, 1]) for k in np.unique(sizes[plan.approx]).tolist()]
+    assert len(calls) == g.n - 4  # sizes 3..n - 2
+    counts = 1 + pareto._breaks(np.sort(want, axis=-1), tol).sum(axis=-1)
+    assert np.array_equal(pareto._distinct_counts(stack, tol), counts)
 
 
 # ---------------------------------------------------------------------------
@@ -1169,13 +1216,12 @@ def _class_and_deletion_stack(n):
 def _distinct_kernel_stacks():
     """Class stacks of orders 2..7 with their deletions, the trees of orders 3..12,
     and the 500 graphs of the acceptance sweep, one stack per order."""
-    from distpareto.verify import random_connected_graph, trees_upto_iso
+    from distpareto.verify import trees_upto_iso
 
     stacks = [_class_and_deletion_stack(n) for n in range(2, 8)]
     stacks += [np.stack([distance_matrix(t) for t in trees_upto_iso(n)]) for n in range(3, 13)]
-    rng = np.random.default_rng(20240601)  # the acceptance sweep's graphs, in its order
-    graphs = [random_connected_graph(int(rng.integers(7, 11)), rng) for _ in range(500)]
-    stacks += [np.stack([distance_matrix(g) for g in graphs if g.n == n]) for n in range(7, 11)]
+    stacks += [np.stack([distance_matrix(g) for g in _acceptance_graphs() if g.n == n])
+               for n in range(7, 11)]
     return stacks
 
 
@@ -1195,12 +1241,11 @@ def test_distinct_kernel_equals_the_per_submatrix_kernel_bit_for_bit(monkeypatch
     # subset below the covering code's order, and the direct batches from it on
     want = []
     for s in stacks:
-        subsets = pareto._subsets_by_size(s.shape[-1])
         if s.shape[-1] < pareto._CODE_MIN_ORDER:
             want.append(_kernel_values(s))
         else:
             want.append([(b, _one_at_a_time(s, b.rows))
-                         for b in pareto._plan(subsets).batches if b.use is None])
+                         for b in pareto._plan(s.shape[-1]).batches if b.use is None])
     # the stacked kernel, with its own offsets and with the plan's, and the subset pass:
     # one worker in the default blocks, then two in several blocks of matrices and rows
     for jobs, budget in ((1, pareto._GATHER_BYTES), (2, 1 << 16)):
@@ -1215,7 +1260,7 @@ def test_distinct_kernel_equals_the_per_submatrix_kernel_bit_for_bit(monkeypatch
             else:
                 sizes = [pareto._perron_roots_for_rows(s, rows) for rows in subsets.values()]
                 assert np.array_equal(np.concatenate(sizes, axis=-1), ref), s.shape
-                assert np.array_equal(pareto._all_subset_values(s, subsets, jobs), ref), s.shape
+                assert np.array_equal(pareto._all_subset_values(s, jobs), ref), s.shape
 
 
 def test_distinct_kernel_solves_a_block_whose_keys_overflow_with_the_kernel(monkeypatch):
@@ -1350,7 +1395,7 @@ def test_dedup_needs_no_stable_sort():
                *([fam("cycle", n)] if n >= 3 else []), *([fam("wheel", n)] if n >= 4 else [])]]
     ties = 0
     for g in graphs:
-        values = pareto._all_subset_values(distance_matrix(g), pareto._subsets_by_size(g.n), 1)
+        values = pareto._all_subset_values(distance_matrix(g), 1)
         ties += values.size - np.unique(values).size
         for tol in (0.0, pareto.DEFAULT_DEDUP_TOL):
             got, want = pareto._dedup(values, tol), _stable_dedup(values, tol)

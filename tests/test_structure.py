@@ -11,7 +11,8 @@ per-deletion loop in the quasiconvexity check, the verify suites (sweeps,
 verdict and order ranges) in ``verify`` alone, the CLI importing only their table,
 one submatrix gather for both Perron kernels and the subset pass's codewords
 (square, or a codeword's rows by every column), one subset-pass plan from one
-covering code, one ``--jobs`` split (``verify`` never names the thread pool),
+covering code, read from the order alone, one ``--jobs`` split (``verify``
+never names the thread pool),
 one builder of bound-report rows, and one pair order for every edge mask
 (spelled once in ``verify``, no ``{pair: index}`` dict, one mask decoder and
 no function handed the pair list), rho2 read from the
@@ -172,6 +173,18 @@ def test_the_subset_pass_follows_one_covering_code():
     assert _occurrences(r"\b_parents\b|\b_PARENT_MIN\b|\b_PARENT_NEW\b") == []
     assert _callers("_bordered_roots") == {"_parent_roots"}
     assert _callers("_secular_roots") == {"_parent_roots"}
+
+
+def test_the_subset_pass_reads_its_plan_from_the_order():
+    # one cached plan per order, which holds the size offsets: no plan table or
+    # offsets helper beside it, and no subset table handed down the pass
+    assert _occurrences(r"\b_PLANS\b|\b_size_offsets\b") == []
+    assert _callers("_subsets_by_size") == {"_plan", "_recompute", "_tree_convexity_reports"}
+    functions = _functions("pareto.py")
+    assert "for i in" not in functions["_recompute"]  # one kernel call per size, not per matrix
+    for name in ("_all_subset_values", "_settle", "_exact_representatives", "_recompute"):
+        fn = next(fn for fn in ast.walk(ast.parse(functions[name])) if isinstance(fn, ast.FunctionDef))
+        assert {"subsets", "approx"}.isdisjoint(a.arg for a in fn.args.args), name
 
 
 def test_bound_report_takes_no_rho2():
